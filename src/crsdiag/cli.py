@@ -1,7 +1,7 @@
 """Command line interface: deterministic JSON on stdout, diagnostics as data.
 
 Exit codes: 0 success, 1 semantic/validation failure, 2 parse failure,
-3 internal self-test failure.  Identical inputs and flags produce
+3 internal self-test or certificate failure.  Identical inputs and flags produce
 byte-identical output (no timestamps, no unordered iteration).
 """
 
@@ -28,6 +28,7 @@ from .core import (
 )
 from .dividing import ArcConfig, ParallelArc, TraversingArc, giroux_overtwisted, glue_annuli
 from .errors import (
+    CertificateError,
     DiagramError,
     DslSyntaxError,
     GadgetSelfTestFailed,
@@ -341,7 +342,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         _emit({"error": {"code": EXIT_SEMANTIC, "kind": type(exc).__name__,
                          "message": str(exc)}}, args.pretty)
         return EXIT_SEMANTIC
-    except GadgetSelfTestFailed as exc:
+    except (CertificateError, GadgetSelfTestFailed) as exc:
         _emit({"error": {"code": EXIT_INTERNAL, "kind": type(exc).__name__,
                          "message": str(exc)}}, args.pretty)
         return EXIT_INTERNAL

@@ -197,7 +197,6 @@ class LegendrianComponent:
     label: str
     tb: int
     rot: int = 0
-    note: str = ""
 
 
 class LinkingData:

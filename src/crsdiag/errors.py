@@ -2,8 +2,10 @@
 
 DiagramError covers everything a caller can provoke with bad input (CLI exit
 code 1). DslSyntaxError carries a source position (exit code 2).
-GadgetSelfTestFailed signals an internal consistency failure (exit code 3):
-a shipped gadget configuration that no longer passes its homology self-test.
+GadgetSelfTestFailed and CertificateError signal internal consistency
+failures (exit code 3): a shipped gadget configuration that no longer passes
+its homology self-test, or a Smith normal form whose certificate fails its
+exact check.
 """
 
 from __future__ import annotations
@@ -111,3 +113,7 @@ class DslSyntaxError(Exception):
 
 class GadgetSelfTestFailed(Exception):
     """A cosmetic-surgery gadget failed its homology self-test (misconfiguration)."""
+
+
+class CertificateError(Exception):
+    """A Smith normal form certificate failed its exact check (internal fault)."""

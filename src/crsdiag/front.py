@@ -119,7 +119,6 @@ class Threading:
     cups: tuple        # (event_index, lo_strand, hi_strand)
     caps: tuple
     crossings: tuple   # (event_index, under_strand, over_strand); under ascends
-    strand_birth: Dict[int, int]
 
 
 def trace_components(word: FrontWord) -> Threading:
@@ -140,7 +139,6 @@ def trace_components(word: FrontWord) -> Threading:
     positions: List[int] = []  # strand ids ordered bottom to top
     next_id = 0
     cups, caps, crossings = [], [], []
-    birth: Dict[int, int] = {}
 
     for t, ev in enumerate(word.events):
         i = ev.pos - 1
@@ -150,8 +148,6 @@ def trace_components(word: FrontWord) -> Threading:
             parent[lo] = lo
             parent[hi] = hi
             union(lo, hi)
-            birth[lo] = t
-            birth[hi] = t
             positions[i:i] = [lo, hi]
             cups.append((t, lo, hi))
         elif ev.kind == CAP:
@@ -179,7 +175,6 @@ def trace_components(word: FrontWord) -> Threading:
         cups=tuple(cups),
         caps=tuple(caps),
         crossings=tuple(crossings),
-        strand_birth=birth,
     )
 
 

@@ -1,9 +1,17 @@
 """First-homology oracle via Smith normal form of presentation matrices.
 
-Everything runs in exact arbitrary-precision integer arithmetic.  The Smith
-reduction returns unimodular certificates U, V with U*M*V = D, and the
-identity is re-verified before returning, so an arithmetic fault can never
-produce a silently wrong group.
+Everything runs in exact arbitrary-precision integer arithmetic.  Every
+matrix shape takes one Smith normal form path: row and column Hermite normal
+forms alternate until the matrix is diagonal, 2x2 gcd/lcm steps repair the
+divisibility chain, and one exact check of the unimodular certificates U, V
+with U*M*V = D runs before the result is returned (see smith_normal_form for
+the termination argument).  Each Hermite form is built one row at a time and
+size-reduces the entries above every pivot modulo that pivot, which keeps
+the matrix and both certificates polynomially bounded (R. Kannan and
+A. Bachem, "Polynomial algorithms for computing the Smith and Hermite normal
+forms of an integer matrix", SIAM J. Comput. 8 (1979) 499-507).  A failed
+check raises CertificateError, also under ``python -O``, so an arithmetic
+fault can never produce a silently wrong group.
 
 Presentations used:
 
@@ -26,6 +34,7 @@ Presentations used:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -35,7 +44,7 @@ from .core import (
     SlopeQ,
     contact_to_topological,
 )
-from .errors import NotTwoComponent, UnsupportedComposition
+from .errors import CertificateError, NotTwoComponent, UnsupportedComposition
 
 
 @dataclass(frozen=True)
@@ -72,7 +81,7 @@ class IntMatrix:
         assert self.ncols == other.nrows
         cols = other.transpose().entries
         return IntMatrix(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+            tuple(sum(map(operator.mul, row, col)) for col in cols)
             for row in self.entries
         ))
 
@@ -130,334 +139,130 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-class _FastPathFailed(Exception):
-    """Internal: the bounded fast path could not certify its result."""
+def _hermite(rows, transform):
+    """Row Hermite normal form of rows, applying the same row operations to transform.
 
-
-def _apply_reduction(a, rows, cols, u, v, v_inv=None, modulus=None):
-    """In-place diagonalization by unimodular row/column operations.
-
-    u (rows x rows) and v (cols x cols) optionally accumulate the operations;
-    v_inv, when given, accumulates the inverse column transform.  With a
-    modulus, block entries are folded into the balanced range (never onto
-    zero) after every stage; the caller makes that fold lattice-correct by
-    appending modulus rows and always verifies the outcome.  Pivots are
-    chosen globally minimal so that unit pivots keep the elimination
-    fraction-free and intermediate entries small.
+    Rows enter an echelon basis, keyed by pivot column, one at a time.  A row
+    whose leading column is already a pivot is combined with that basis row
+    by a 2x2 unimodular gcd step, which clears its leading entry; it then
+    moves on to its next nonzero column.  After each insertion every entry
+    above a pivot is size-reduced into [0, pivot), which keeps all entries
+    polynomially bounded (Kannan-Bachem).  Returns the basis rows by
+    increasing pivot column, pivots positive, followed by the zero rows.
     """
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-        if v_inv is not None:
-            v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
-
-    def add_row(dst, src, factor):
-        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-        if u is not None:
-            u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
-
-    def combine_rows(t, i, col):
-        """a[t][col] becomes gcd(a[t][col], a[i][col]); a[i][col] becomes 0."""
-        p, q = a[t][col], a[i][col]
-        if q == 0:
-            return
-        if p != 0 and q % p == 0:
-            add_row(i, t, -(q // p))
-            return
-        g, x, y = _xgcd(p, q)
-        pa, qa = p // g, q // g
-        a[t], a[i] = (
-            [x * s + y * w for s, w in zip(a[t], a[i])],
-            [-qa * s + pa * w for s, w in zip(a[t], a[i])],
-        )
-        if u is not None:
-            u[t], u[i] = (
-                [x * s + y * w for s, w in zip(u[t], u[i])],
-                [-qa * s + pa * w for s, w in zip(u[t], u[i])],
-            )
-
-    def combine_cols(t, j, row_idx):
-        p, q = a[row_idx][t], a[row_idx][j]
-        if q == 0:
-            return
-        if p != 0 and q % p == 0:
-            factor = -(q // p)
-            for row in a:
-                if row[t]:
-                    row[j] += factor * row[t]
-            if v is not None:
-                for row in v:
-                    if row[t]:
-                        row[j] += factor * row[t]
-            if v_inv is not None:
-                v_inv[t] = [x - factor * y for x, y in zip(v_inv[t], v_inv[j])]
-            return
-        g, x, y = _xgcd(p, q)
-        pa, qa = p // g, q // g
-        for row in a:
-            row[t], row[j] = x * row[t] + y * row[j], -qa * row[t] + pa * row[j]
-        if v is not None:
-            for row in v:
-                row[t], row[j] = x * row[t] + y * row[j], -qa * row[t] + pa * row[j]
-        if v_inv is not None:
-            v_inv[t], v_inv[j] = (
-                [pa * s + qa * w for s, w in zip(v_inv[t], v_inv[j])],
-                [-y * s + x * w for s, w in zip(v_inv[t], v_inv[j])],
-            )
-
-    limit = min(rows, cols)
-    t = 0
-    while t < limit:
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            if best == 1:
-                break
-            for j in range(t, cols):
-                x = a[i][j]
-                if x != 0 and (best is None or -best < x < best):
-                    best = abs(x)
-                    pivot = (i, j)
-                    if best == 1:
-                        break
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
+    basis = {}  # pivot column -> (row, transform row)
+    zero = []
+    for row, t in zip(rows, transform):
+        row, t = list(row), list(t)
         while True:
-            for i in range(t + 1, rows):
-                combine_rows(t, i, t)
-            for j in range(t + 1, cols):
-                combine_cols(t, j, t)
-            if any(a[i][t] for i in range(t + 1, rows)):
-                continue  # a gcd column step refilled the pivot column
-            if a[t][t] < 0:
-                negate_row(t)
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            j = next((k for k, x in enumerate(row) if x), None)
+            if j is None:
+                zero.append((row, t))
                 break
-            add_row(t, offender, 1)
-        if modulus is not None:
-            half = modulus // 2
-            for i in range(t + 1, rows):
-                row = a[i]
-                for j in range(t + 1, cols):
-                    e = row[j]
-                    if e > half or e < -half:
-                        r = e % modulus
-                        if r == 0:
-                            r = modulus if e > 0 else -modulus
-                        elif r > half:
-                            r -= modulus
-                        row[j] = r
-        t += 1
-
-    # zero diagonal entries move to the end
-    nonzero = [i for i in range(limit) if a[i][i] != 0]
-    for target, source in enumerate(nonzero):
-        if source != target:
-            swap_rows(target, source)
-            swap_cols(target, source)
-
-    # repair the divisibility chain two entries at a time
-    changed = True
-    while changed:
-        changed = False
-        for i in range(limit - 1):
-            p, q = a[i][i], a[i + 1][i + 1]
-            if q == 0 or (p != 0 and q % p == 0):
+            if j not in basis:
+                if row[j] < 0:
+                    row, t = [-x for x in row], [-x for x in t]
+                basis[j] = (row, t)
+                break
+            b, bt = basis[j]
+            f, rem = divmod(row[j], b[j])
+            if rem == 0:
+                row = [w - f * s for s, w in zip(b, row)]
+                t = [w - f * s for s, w in zip(bt, t)]
                 continue
-            changed = True
-            add_row(i, i + 1, 1)           # row i becomes (.., p, q, ..)
-            combine_cols(i, i + 1, i)      # (gcd, 0) in row i, junk below
-            combine_rows(i, i + 1, i)      # clean the junk; (i+1,i+1) = lcm
-            if a[i][i] < 0:
-                negate_row(i)
-            if a[i + 1][i + 1] < 0:
-                negate_row(i + 1)
+            g, x, y = _xgcd(b[j], row[j])
+            p, q = b[j] // g, row[j] // g
+            basis[j] = ([x * s + y * w for s, w in zip(b, row)],
+                        [x * s + y * w for s, w in zip(bt, t)])
+            row, t = ([p * w - q * s for s, w in zip(b, row)],
+                      [p * w - q * s for s, w in zip(bt, t)])
+        pivots = sorted(basis)
+        for k, j in enumerate(pivots):
+            pr, pt = basis[j]
+            for i in pivots[:k]:
+                r, rt = basis[i]
+                f = r[j] // pr[j]
+                if f:
+                    r[:] = [x - f * y for x, y in zip(r, pr)]
+                    rt[:] = [x - f * y for x, y in zip(rt, pt)]
+    ordered = [basis[j] for j in sorted(basis)] + zero
+    return [r for r, _ in ordered], [t for _, t in ordered]
 
 
-def _verify_form(m: IntMatrix, form: "SmithForm") -> None:
+def _check_certificate(m: IntMatrix, form: SmithForm) -> None:
+    """Raise CertificateError unless form is an exact Smith form of m."""
+    rows, cols = m.nrows, m.ncols
+    d = form.diagonal
+    shapes = (form.left.nrows, form.left.ncols, form.right.nrows, form.right.ncols, len(d))
+    if shapes != (rows, rows, cols, cols, min(rows, cols)):
+        raise CertificateError(f"Smith certificate has the wrong shape {shapes}")
     product = form.left.mul(m).mul(form.right)
-    for i in range(m.nrows):
-        for j in range(m.ncols):
-            expected = form.diagonal[i] if i == j and i < len(form.diagonal) else 0
-            assert product[i][j] == expected, "Smith certificate identity failed"
-    assert all(x >= 0 for x in form.diagonal)
-    for i in range(len(form.diagonal) - 1):
-        nxt = form.diagonal[i + 1]
-        if nxt != 0:
-            assert form.diagonal[i] != 0 and nxt % form.diagonal[i] == 0
-    assert abs(det(form.left)) == 1 and abs(det(form.right)) == 1
-
-
-def _adjugate(w: IntMatrix):
-    """(det, adj) with w * adj = det * I, via fraction-free elimination.
-
-    Forward Bareiss on [w | I] yields integer [T | S] with T upper triangular
-    and T = S * w, so adj = det * inverse(w) solves the integer triangular
-    system T * adj = det * S by back-substitution; every division is exact
-    because the adjugate is integral.  Raises on singular input.
-    """
-    n = w.nrows
-    a = [list(row) + [1 if i == j else 0 for j in range(n)]
-         for i, row in enumerate(w.entries)]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                raise _FastPathFailed  # singular
-        for i in range(k + 1, n):
-            if any(a[i][k + 1:]):
-                pk, aik = a[k][k], a[i][k]
-                a[i][k + 1:] = [(x * pk - aik * y) // prev
-                                for x, y in zip(a[i][k + 1:], a[k][k + 1:])]
-            a[i][k] = 0
-        prev = a[k][k]
-    determinant = sign * a[n - 1][n - 1]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        for j in range(n):
-            acc = determinant * a[i][n + j]
-            for k in range(i + 1, n):
-                acc -= a[i][k] * adj[k][j]
-            quotient, remainder = divmod(acc, a[i][i])
-            if remainder != 0:
-                raise _FastPathFailed
-            adj[i][j] = quotient
-    return determinant, adj
-
-
-def _smith_fast(m: IntMatrix) -> "SmithForm":
-    """Bounded-entry path for square nonsingular matrices.
-
-    Runs the elimination on the matrix with |det| * I appended below (the
-    appended rows lie in the row lattice, so folding block entries modulo
-    |det| is a lattice operation) while tracking the column transform and its
-    inverse.  The row transform is then recovered in closed form as
-    U = D * V_inverse * adj(M) / det, every division checked exact, the
-    identity U*M = D*V_inverse checked exactly, and V * V_inverse = I checked
-    by randomized vector probes; any mismatch raises and the caller falls
-    back to the general path with its full certificate check.
-    """
-    import random as _random
-
-    n = m.nrows
-    determinant, adj_m = _adjugate(m)
-    d_abs = abs(determinant)
-    a = [list(row) for row in m.entries]
-    a += [[d_abs if i == j else 0 for j in range(n)] for i in range(n)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    v_inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    _apply_reduction(a, 2 * n, n, None, v, v_inv=v_inv, modulus=d_abs)
-
-    for i in range(n, 2 * n):
-        if any(a[i]):
-            raise _FastPathFailed
-    diagonal = tuple(a[i][i] for i in range(n))
-    if any(x <= 0 for x in diagonal):
-        raise _FastPathFailed
-    product = 1
-    for x in diagonal:
-        product *= x
-    if product != d_abs:
-        raise _FastPathFailed
-    for i in range(n - 1):
-        if diagonal[i + 1] % diagonal[i] != 0:
-            raise _FastPathFailed
-
-    # U = D * V^-1 * adj(M) / det; exact by construction when the run is valid
-    left_rows = []
-    for i in range(n):
-        scaled = []
-        vi = v_inv[i]
-        for j in range(n):
-            acc = 0
-            for k in range(n):
-                acc += vi[k] * adj_m[k][j]
-            value = diagonal[i] * acc
-            quotient, remainder = divmod(value, determinant)
-            if remainder != 0:
-                raise _FastPathFailed
-            scaled.append(quotient)
-        left_rows.append(scaled)
-
-    # exact identity on the cheap side: U * M = D * V^-1
-    left = IntMatrix.from_rows(left_rows)
-    um = left.mul(m)
-    for i in range(n):
-        di = diagonal[i]
-        for j in range(n):
-            if um[i][j] != di * v_inv[i][j]:
-                raise _FastPathFailed
-
-    # randomized probes for V * V^-1 = I (the exact product is the one
-    # expensive multiplication; any discrepancy survives a probe with
-    # probability below 2**-64 per round)
-    rng = _random.Random(0x5EED)
-    for _ in range(8):
-        x = [rng.getrandbits(64) for _ in range(n)]
-        vx = [sum(row[k] * x[k] for k in range(n)) for row in v]
-        back = [sum(v_inv[i][k] * vx[k] for k in range(n)) for i in range(n)]
-        if back != x:
-            raise _FastPathFailed
-
-    return SmithForm(diagonal, left, IntMatrix.from_rows(v))
+    for i, row in enumerate(product.entries):
+        for j, x in enumerate(row):
+            if x != (d[i] if i == j else 0):
+                raise CertificateError(f"U*M*V differs from D at ({i}, {j})")
+    if any(x < 0 for x in d):
+        raise CertificateError("negative Smith diagonal entry")
+    for p, q in zip(d, d[1:]):
+        if (q % p if p else q) != 0:
+            raise CertificateError(f"Smith diagonal breaks the divisibility chain at {p}, {q}")
+    determinant = det(m) if rows == cols else 0
+    if determinant:
+        product_d = 1
+        for x in d:
+            product_d *= x
+        if product_d != abs(determinant):
+            raise CertificateError("Smith diagonal product differs from |det M|")
+    elif abs(det(form.left)) != 1 or abs(det(form.right)) != 1:
+        raise CertificateError("Smith certificate is not unimodular")
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Diagonalize over Z by unimodular row/column operations.
 
-    Returns the diagonal with unimodular certificates U, V; the certificate
-    identity, divisibility chain and unimodularity are re-checked before
-    returning.  Square nonsingular matrices of size 12 and up take a
-    bounded-entry path (entries folded modulo |det| against appended
-    determinant rows) that keeps 64x64 inputs well under a second; everything
-    else, and any fast-path integrity miss, uses direct elimination with the
-    full exact certificate check.
+    Returns the diagonal d1 | d2 | ... (zeros last) with unimodular
+    certificates U, V such that U*M*V = D.  Row and column Hermite normal
+    forms of M alternate until it is diagonal (Kannan-Bachem 1979).  The
+    loop ends: call the rows and columns before k finished when their only
+    nonzero entry is on the diagonal; every later pass keeps them so.  After
+    a column pass row k is clean, with positive entry e at (k, k) (or the
+    remaining block is zero).  The next row pass puts the gcd of column k
+    there.  If that gcd is e, row k and column k are both clean and k
+    advances; otherwise the positive entry at (k, k) has strictly dropped.
+    2x2 gcd/lcm steps then repair the divisibility chain.  One exact check
+    -- U*M*V = D entry by entry, d_i >= 0 with d_i | d_(i+1), and
+    |det M| = prod d_i for square nonsingular M, |det U| = |det V| = 1
+    otherwise -- runs before returning; a failure raises CertificateError.
     """
     rows, cols = m.nrows, m.ncols
-    if rows == cols and rows >= 12:
-        try:
-            return _smith_fast(m)
-        except _FastPathFailed:
-            pass
     a = [list(row) for row in m.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    _apply_reduction(a, rows, cols, u, v, modulus=None)
-    diagonal = tuple(a[i][i] for i in range(min(rows, cols)))
-    form = SmithForm(diagonal, IntMatrix.from_rows(u), IntMatrix.from_rows(v))
-    _verify_form(m, form)
+    # sides[0] is U; sides[1] is V transposed, since column operations on M
+    # are row operations on its transpose
+    sides = [IntMatrix.identity(n).entries for n in (rows, cols)]
+    side = 0
+    while True:
+        a, sides[side] = _hermite(a, sides[side])
+        a = [list(col) for col in zip(*a)]
+        side ^= 1
+        if not any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            break
+    u, v = sides[0], [list(col) for col in zip(*sides[1])]
+    d = [a[i][i] for i in range(min(rows, cols))]
+    # repair the divisibility chain: (d_i, d_j) becomes (gcd, lcm) by a
+    # unimodular 2x2 step on each side
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if d[i] == 0 or d[j] % d[i] == 0:
+                continue
+            g, x, y = _xgcd(d[i], d[j])
+            p, q = d[i] // g, d[j] // g
+            d[i], d[j] = g, p * d[j]
+            u[i], u[j] = ([x * s + y * w for s, w in zip(u[i], u[j])],
+                          [p * w - q * s for s, w in zip(u[i], u[j])])
+            for row in v:
+                row[i], row[j] = row[i] + row[j], x * p * row[j] - y * q * row[i]
+    form = SmithForm(tuple(d), IntMatrix.from_rows(u), IntMatrix.from_rows(v))
+    _check_certificate(m, form)
     return form
 
 

@@ -29,6 +29,7 @@ from typing import Iterable, List, Optional, Tuple
 from .core import Basis, SlopeQ, TaggedSlope
 from .dividing import ArcConfig, ParallelArc, TraversingArc
 from .errors import DomainError, NotNormalized
+from .homology import _xgcd
 
 
 @dataclass(frozen=True)
@@ -202,20 +203,6 @@ def _matrix_to_minus_one(s: SlopeQ) -> UnimodularMatrix:
     base = UnimodularMatrix(x, y, -p, q)  # sends (q, p) to (1, 0)
     tilt = UnimodularMatrix(1, 0, -1, 1)  # sends (1, 0) to (1, -1)
     return tilt.mul(base)
-
-
-def _xgcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quotient = old_r // r
-        old_r, r = r, old_r - quotient * r
-        old_s, s = s, old_s - quotient * s
-        old_t, t = t, old_t - quotient * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def _candidate_key(m: UnimodularMatrix):

@@ -80,6 +80,20 @@ def run_cli(args):
     return code, buffer.getvalue()
 
 
+def corrupt_certificates(monkeypatch):
+    """Make every Hermite pass return its transform with one entry off by one."""
+    import crsdiag.homology as homology
+
+    real = homology._hermite
+
+    def corrupt(rows, transform):
+        rows, transform = real(rows, transform)
+        transform[0][0] += 1
+        return rows, transform
+
+    monkeypatch.setattr(homology, "_hermite", corrupt)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240811)

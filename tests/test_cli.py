@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import FIXTURES, run_cli
+from conftest import FIXTURES, corrupt_certificates, run_cli
 
 
 def fixture(name):
@@ -185,6 +185,15 @@ def test_exit_code_3_on_self_test_failure(monkeypatch, tmp_path):
     code, out = run_cli(["gadget", "--m", "1"])
     assert code == 3
     assert json.loads(out)["error"]["code"] == 3
+
+
+def test_exit_code_3_on_certificate_failure(monkeypatch):
+    corrupt_certificates(monkeypatch)
+    code, out = run_cli(["homology", fixture("hopf_contact_minus1.crs")])
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["code"] == 3
+    assert error["kind"] == "CertificateError"
 
 
 ALL_COMMANDS = [

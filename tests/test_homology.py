@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from conftest import corrupt_certificates
 from crsdiag import (
     ContactSurgeryDiagram,
     H1Class,
@@ -23,24 +29,59 @@ from crsdiag import (
     h1_round_diagram,
     smith_normal_form,
 )
-from crsdiag.errors import UnsupportedComposition
-from crsdiag.homology import cokernel
+from crsdiag import homology
+from crsdiag.errors import CertificateError, UnsupportedComposition
+from crsdiag.homology import SmithForm, cokernel
+
+
+def sparse_matrix(rng, rows, cols):
+    """Entries in [-9, 9], about 30% of them zero, sometimes with a zero row and column."""
+    entries = [[0 if rng.random() < 0.3 else rng.randint(-9, 9) for _ in range(cols)]
+               for _ in range(rows)]
+    if rng.random() < 0.25:
+        entries[rng.randrange(rows)] = [0] * cols
+        j = rng.randrange(cols)
+        for row in entries:
+            row[j] = 0
+    return entries
+
+
+# inputs that exercise divisibility-chain repair, zero rows and columns, and
+# 1 x n / n x 1 shapes, with their invariant factors
+STRUCTURED = [
+    ([[2, 0], [0, 3]], (1, 6)),
+    ([[0]], (0,)),
+    ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], (2, 2, 60)),
+    ([[6, 0], [0, 4]], (2, 12)),
+    ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], (2, 6, 12)),
+    ([[0, 0], [0, 0]], (0, 0)),
+    ([[0, 0, 0], [0, 2, 0]], (2, 0)),
+    ([[0, 3], [0, 0], [0, 6]], (3, 0)),
+    ([[4, 6, 10]], (2,)),
+    ([[4], [6], [10]], (2,)),
+    ([[0, 0, -7, 0]], (7,)),
+    ([[0], [0]], (0,)),
+    ([[9, 0, 0, 0], [0, 0, 0, 0], [0, 0, 12, 0], [0, 0, 0, 0]], (3, 36, 0, 0)),
+]
+
+
+def snf_inputs(rng, count, max_size):
+    yield from (entries for entries, _ in STRUCTURED)
+    for _ in range(count):
+        yield sparse_matrix(rng, rng.randint(1, max_size), rng.randint(1, max_size))
 
 
 def test_snf_fixtures():
-    assert smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]])).diagonal == (1, 6)
-    assert smith_normal_form(IntMatrix.from_rows([[0]])).diagonal == (0,)
+    for entries, diagonal in STRUCTURED:
+        assert smith_normal_form(IntMatrix.from_rows(entries)).diagonal == diagonal
     identity = IntMatrix.identity(4)
     assert smith_normal_form(identity).diagonal == (1, 1, 1, 1)
 
 
 def test_snf_certificates_random(rng):
-    for _ in range(120):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        m = IntMatrix.from_rows(
-            [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        )
+    for entries in snf_inputs(rng, 200, 8):
+        m = IntMatrix.from_rows(entries)
+        rows, cols = m.nrows, m.ncols
         snf = smith_normal_form(m)
         # independent re-check of the certificate identity and unimodularity
         product = snf.left.mul(m).mul(snf.right)
@@ -50,16 +91,16 @@ def test_snf_certificates_random(rng):
                 assert product[i][j] == expected
         assert abs(det(snf.left)) == 1
         assert abs(det(snf.right)) == 1
+        assert all(d >= 0 for d in snf.diagonal)
         nonzero = [d for d in snf.diagonal if d]
+        assert list(snf.diagonal) == nonzero + [0] * (len(snf.diagonal) - len(nonzero))
         for a, b in zip(nonzero, nonzero[1:]):
             assert b % a == 0
 
 
 def test_snf_matches_sympy(rng):
-    for _ in range(60):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        entries = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+    for entries in snf_inputs(rng, 150, 8):
+        rows, cols = len(entries), len(entries[0])
         ours = smith_normal_form(IntMatrix.from_rows(entries)).diagonal
         theirs = sympy_snf(Matrix(entries))
         diag = [abs(theirs[i, i]) for i in range(min(rows, cols))]
@@ -70,8 +111,79 @@ def test_snf_performance_64x64():
     rng = random.Random(7)
     m = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(64)] for _ in range(64)])
     start = time.monotonic()
-    smith_normal_form(m)
+    snf = smith_normal_form(m)
     assert time.monotonic() - start < 1.0
+    # size reduction keeps the certificates small
+    bits = max(abs(x).bit_length() for c in (snf.left, snf.right) for row in c.entries for x in row)
+    assert bits <= 1000
+
+
+def test_snf_singular_presentation_regression():
+    # a split 0-framed unknot (row and column 0 zero) beside a dense
+    # symmetric 29 x 29 block: a singular presentation
+    draw = random.Random(2)
+    n = 30
+    entries = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        entries[i][i] = draw.choice((-1, 1)) + draw.randint(-5, -1)
+        for j in range(i + 1, n):
+            entries[i][j] = entries[j][i] = draw.randint(-3, 3)
+    block = IntMatrix.from_rows([row[1:] for row in entries[1:]])
+    start = time.monotonic()
+    h1 = cokernel(IntMatrix.from_rows(entries), n)
+    assert time.monotonic() - start < 1.0
+    block_h1 = cokernel(block, n - 1)
+    assert block_h1.free_rank == 0
+    assert h1 == block_h1.plus_free(1)
+    order = 1
+    for d in h1.torsion:
+        order *= d
+    assert order == abs(det(block)) > 1
+
+
+def test_corrupt_certificate_raises(monkeypatch):
+    corrupt_certificates(monkeypatch)
+    with pytest.raises(CertificateError):
+        smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
+
+
+@pytest.mark.parametrize("entries, diagonal, left, right, reason", [
+    ([[1, 0], [0, 1]], (1, 1), [[1, 0]], [[1, 0], [0, 1]], "wrong shape"),
+    ([[1, 2], [3, 4]], (1, 2), [[1, 0], [0, 1]], [[1, 0], [0, 1]], "differs from D"),
+    ([[-1]], (-1,), [[1]], [[1]], "negative"),
+    ([[2, 0], [0, 3]], (2, 3), [[1, 0], [0, 1]], [[1, 0], [0, 1]], "divisibility chain"),
+    ([[1]], (2,), [[2]], [[1]], "det M"),
+    ([[1, 0], [0, 0]], (2, 0), [[2, 0], [0, 1]], [[1, 0], [0, 1]], "not unimodular"),
+    ([[1, 0]], (1,), [[1]], [[1, 0], [0, 2]], "not unimodular"),
+])
+def test_certificate_check_rejects(entries, diagonal, left, right, reason):
+    m = IntMatrix.from_rows(entries)
+    form = SmithForm(diagonal, IntMatrix.from_rows(left), IntMatrix.from_rows(right))
+    with pytest.raises(CertificateError, match=reason):
+        homology._check_certificate(m, form)
+
+
+def test_corrupt_certificate_raises_under_optimize():
+    script = textwrap.dedent("""
+        import sys
+        import pytest
+        from conftest import corrupt_certificates
+        from crsdiag.errors import CertificateError
+        from crsdiag.homology import IntMatrix, smith_normal_form
+
+        corrupt_certificates(pytest.MonkeyPatch())
+        try:
+            smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
+        except CertificateError:
+            print("raised", sys.flags.optimize)
+    """)
+    here = Path(__file__).resolve().parent
+    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    result = subprocess.run([sys.executable, "-O", "-c", script],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "raised 1\n"
 
 
 def test_h1_class_invariants():
