@@ -8,6 +8,7 @@ byte-identical output (no timestamps, no unordered iteration).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -32,6 +33,7 @@ from .errors import (
     DiagramError,
     DslSyntaxError,
     GadgetSelfTestFailed,
+    InvalidParameter,
     NoJointPartner,
     SemanticError,
 )
@@ -60,6 +62,13 @@ def _load(path: str, name: Optional[str]) -> dsl.NamedDiagram:
     return dsl.parse_file(text).get(name)
 
 
+def _parse_slope(text: str) -> SlopeQ:
+    try:
+        return SlopeQ.parse(text)
+    except ValueError as exc:
+        raise InvalidParameter(f"bad slope {text!r}: {exc}") from None
+
+
 def _parse_arcs(text: str, top_marks: int, bottom_marks: int) -> ArcConfig:
     arcs = []
     for item in text.replace(";", " ").split():
@@ -67,12 +76,15 @@ def _parse_arcs(text: str, top_marks: int, bottom_marks: int) -> ArcConfig:
         if not rest.endswith(")"):
             raise SemanticError(f"bad arc literal {item!r}")
         args = [a.strip() for a in rest[:-1].split(",")]
-        if kind == "T" and len(args) == 3:
-            arcs.append(TraversingArc(int(args[0]), int(args[1]), int(args[2])))
-        elif kind == "P" and len(args) == 3 and args[0] in ("top", "bottom"):
-            arcs.append(ParallelArc(args[0], int(args[1]), int(args[2])))
-        else:
-            raise SemanticError(f"bad arc literal {item!r}")
+        try:
+            if kind == "T" and len(args) == 3:
+                arcs.append(TraversingArc(int(args[0]), int(args[1]), int(args[2])))
+            elif kind == "P" and len(args) == 3 and args[0] in ("top", "bottom"):
+                arcs.append(ParallelArc(args[0], int(args[1]), int(args[2])))
+            else:
+                raise ValueError
+        except ValueError:
+            raise SemanticError(f"bad arc literal {item!r}") from None
     return ArcConfig(top_marks, bottom_marks, tuple(arcs))
 
 
@@ -109,7 +121,9 @@ def _config_json(cfg: ArcConfig) -> dict:
     return {"top_marks": cfg.top_marks, "bottom_marks": cfg.bottom_marks, "arcs": arcs}
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by later main calls."""
     parser = argparse.ArgumentParser(
         prog="crsdiag",
         description="Contact Dehn / contact round surgery diagram calculator",
@@ -263,12 +277,12 @@ def _run(args) -> dict:
         return {"fillable": is_fillable_sufficient(rd)}
 
     if args.command == "cf":
-        slope = SlopeQ.parse(args.slope)
+        slope = _parse_slope(args.slope)
         return {"cf": list(neg_cf(slope).coefficients)}
 
     if args.command == "count-tight":
-        s0 = SlopeQ.parse(args.slope0)
-        s1 = SlopeQ.parse(args.slope1)
+        s0 = _parse_slope(args.slope0)
+        s1 = _parse_slope(args.slope1)
         matrix, image0, image1 = normalize_slopes(s0, s1)
         count = honda_count(
             BoundaryData.of(args.ndiv, image0, Basis.LAYER),
@@ -282,8 +296,8 @@ def _run(args) -> dict:
         }
 
     if args.command == "normalize-slopes":
-        s0 = SlopeQ.parse(args.slope0)
-        s1 = SlopeQ.parse(args.slope1)
+        s0 = _parse_slope(args.slope0)
+        s1 = _parse_slope(args.slope1)
         matrix, image0, image1 = normalize_slopes(s0, s1)
         return {
             "matrix": [[matrix.a, matrix.b], [matrix.c, matrix.d]],

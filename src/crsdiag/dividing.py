@@ -7,10 +7,12 @@ cutting off a disk).  Gluing two such annuli along both boundary circles
 produces a torus; the dividing set becomes a union of closed curves whose
 homology classes decide the Giroux criterion.
 
-Geometry is tracked exactly.  Fix a vertical cut of each annulus through the
-gap between marked point N-1 and marked point 0 on both circles; marked point
-j sits at angle (j + 1/2)/N, so the cut sits at integer angles.  Every arc
-stores enough data to recover a taut representative as lifted angles:
+Geometry is tracked exactly in integers.  On a circle with N marked points
+angles are measured in units of 1/(2N) of a turn: marked point j sits at
+2j + 1, a full turn is 2N, and a vertical cut of each annulus passes through
+0, the gap between marked point N-1 and marked point 0 on both circles.
+Every arc stores enough data to recover a taut representative as lifted
+angles:
 
 * traversing arcs share one family winding integer (its value equals the
   holonomy index of the layer the configuration models); sorting the arcs by
@@ -18,7 +20,12 @@ stores enough data to recover a taut representative as lifted angles:
   (i + winding) mod t and crosses the vertical cut floor((i + winding)/t)
   times,
 * a parallel arc spans counterclockwise from its start point to its end
-  point, crossing the cut exactly when the span wraps past the gap.
+  point, 2*start + 1 to 2*end + 1, adding 2N when the span wraps past the
+  cut.
+
+Gluing with an offset of k marked points shifts the second annulus's angles
+on that circle by 2k units.  The top and bottom circles keep their own units,
+so every cut crossing is one floor division by that circle's 2N.
 
 Homology bookkeeping on the glued torus: traversing the first annulus top to
 bottom adds +1 to the vertical class (bottom to top -1; the second annulus
@@ -30,12 +37,11 @@ contractibility verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import floor
 from typing import Dict, List, Tuple, Union
 
 from .core import TightLayerSpec
 from .errors import (
+    CertificateError,
     EmptyDividingSet,
     InvalidArcConfig,
     MarkMismatch,
@@ -59,7 +65,10 @@ class ParallelArc:
     end: int
 
     def __post_init__(self):
-        assert self.side in (TOP, BOTTOM)
+        if self.side not in (TOP, BOTTOM):
+            raise InvalidArcConfig(
+                f"parallel arc side must be {TOP!r} or {BOTTOM!r}, not {self.side!r}"
+            )
 
 
 Arc = Union[TraversingArc, ParallelArc]
@@ -94,17 +103,18 @@ class ArcConfig:
         return (self.top_marks, self.bottom_marks, tuple(trav), tuple(par))
 
 
-def _angle(point: int, marks: int) -> Fraction:
-    return Fraction(2 * point + 1, 2 * marks)
-
-
-def _span(arc: ParallelArc, marks: int) -> Tuple[Fraction, Fraction]:
+def _span(arc: ParallelArc, marks: int) -> Tuple[int, int]:
     """Lifted angular interval covered by the cut-off disk of a parallel arc."""
-    u = _angle(arc.start, marks)
-    v = _angle(arc.end, marks)
+    u = 2 * arc.start + 1
+    v = 2 * arc.end + 1
     if v < u:
-        v += 1  # the span wraps past the cut
+        v += 2 * marks  # the span wraps past the cut
     return u, v
+
+
+def _inside(w: int, u: int, v: int, marks: int) -> bool:
+    """Whether the angle w lies strictly inside the span (u, v) mod one turn."""
+    return (w - u) % (2 * marks) < v - u
 
 
 def _validate(cfg: ArcConfig) -> None:
@@ -151,8 +161,7 @@ def _validate(cfg: ArcConfig) -> None:
                 blocked = tops if arc.side == TOP else bottoms
                 u, v = _span(arc, marks)
                 for point in blocked:
-                    w = _angle(point, marks)
-                    if floor(v - w) - floor(u - w) != 0:
+                    if _inside(2 * point + 1, u, v, marks):
                         raise InvalidArcConfig(
                             f"parallel arc {arc} traps traversing endpoint {point}"
                         )
@@ -167,33 +176,32 @@ def _validate(cfg: ArcConfig) -> None:
 
 
 def _parallel_cross(a: ParallelArc, b: ParallelArc, marks: int) -> bool:
+    """Whether the spans of a and b overlap without being nested.
+
+    Lift b so that its start lies in [ua, ua + 2N).  The spans cross iff this
+    lift, or the one a turn lower, has exactly one endpoint strictly inside
+    a's span; no other lift reaches it.  Counting endpoints inside a's span
+    mod 2N alone would miss two spans that together cover the circle.
+    """
     ua, va = _span(a, marks)
     ub, vb = _span(b, marks)
-    for k in range(-2, 3):
-        inside = [x for x in (ub + k, vb + k) if ua < x < va]
-        if len(inside) == 1:
-            return True
-    return False
+    full = 2 * marks
+    start = (ub - ua) % full
+    end = start + vb - ub
+    width = va - ua
+    return start < width < end or full < end < full + width
 
 
-def _traversing_geometry(cfg: ArcConfig) -> Dict[Tuple[int, int], Tuple[Fraction, Fraction]]:
-    """Lifted (top, bottom) angles per traversing arc, keyed by endpoints."""
+def _traversing_lifts(cfg: ArcConfig) -> Dict[Tuple[int, int], int]:
+    """Vertical-cut crossings per traversing arc, keyed by endpoints."""
     trav = cfg.traversing()
-    out = {}
     if not trav:
-        return out
+        return {}
     rho = trav[0].winding
     tops = sorted(a.top for a in trav)
     bottoms = sorted(a.bottom for a in trav)
     t = len(trav)
-    for i, top in enumerate(tops):
-        k = i + rho
-        bottom = bottoms[k % t]
-        lift = k // t
-        u = _angle(top, cfg.top_marks)
-        v = _angle(bottom, cfg.bottom_marks) + lift
-        out[(top, bottom)] = (u, v)
-    return out
+    return {(top, bottoms[(i + rho) % t]): (i + rho) // t for i, top in enumerate(tops)}
 
 
 @dataclass(frozen=True)
@@ -242,26 +250,23 @@ def glue_annuli(a: ArcConfig, b: ArcConfig, offset_top: int = 0, offset_bottom: 
             for end_no, key in enumerate(endpoints):
                 ends[tag][key] = (idx, end_no)
 
+    full = {TOP: 2 * n_top, BOTTOM: 2 * n_bottom}
     h_contrib = {"a": {}, "b": {}}
     v_contrib = {"a": {}, "b": {}}
     for tag, cfg in (("a", a), ("b", b)):
-        geom = _traversing_geometry(cfg)
-        shift_top = Fraction(offsets[TOP], n_top) if tag == "b" else Fraction(0)
-        shift_bottom = Fraction(offsets[BOTTOM], n_bottom) if tag == "b" else Fraction(0)
+        shift = {side: 2 * offsets[side] if tag == "b" else 0 for side in (TOP, BOTTOM)}
+        lifts = _traversing_lifts(cfg)
         for idx, arc in enumerate(cfg.arcs):
             if isinstance(arc, TraversingArc):
-                u, v = geom[(arc.top, arc.bottom)]
-                u += shift_top
-                v += shift_bottom
+                h_contrib[tag][idx] = (lifts[(arc.top, arc.bottom)]
+                                       + (2 * arc.bottom + 1 + shift[BOTTOM]) // full[BOTTOM]
+                                       - (2 * arc.top + 1 + shift[TOP]) // full[TOP])
                 v_contrib[tag][idx] = 1 if tag == "a" else 0
             else:
-                marks = n_top if arc.side == TOP else n_bottom
-                u, v = _span(arc, marks)
-                shift = shift_top if arc.side == TOP else shift_bottom
-                u += shift
-                v += shift
+                u, v = _span(arc, n_top if arc.side == TOP else n_bottom)
+                u, v = u + shift[arc.side], v + shift[arc.side]
+                h_contrib[tag][idx] = v // full[arc.side] - u // full[arc.side]
                 v_contrib[tag][idx] = 0
-            h_contrib[tag][idx] = floor(v) - floor(u)
 
     def other_end(tag, idx, end_no):
         arc = (a if tag == "a" else b).arcs[idx]
@@ -297,10 +302,12 @@ def glue_annuli(a: ArcConfig, b: ArcConfig, offset_top: int = 0, offset_bottom: 
                 side, point = other_end(tag, idx, end_no)
                 tag, side, point = across(tag, side, point)
                 idx, end_no = ends[tag][(side, point)]
-            assert (tag, idx) == (start_tag, start_idx), "curve failed to close up"
+            if (tag, idx) != (start_tag, start_idx):
+                raise CertificateError("a glued dividing curve failed to close up")
             curves.append(ClosedCurve(h, v, tuple(path)))
 
-    assert sum(len(c.arcs) for c in curves) == len(a.arcs) + len(b.arcs)
+    if sum(len(c.arcs) for c in curves) != len(a.arcs) + len(b.arcs):
+        raise CertificateError("gluing did not use every arc exactly once")
     return GluedCurves(tuple(curves))
 
 

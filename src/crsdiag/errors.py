@@ -4,8 +4,7 @@ DiagramError covers everything a caller can provoke with bad input (CLI exit
 code 1). DslSyntaxError carries a source position (exit code 2).
 GadgetSelfTestFailed and CertificateError signal internal consistency
 failures (exit code 3): a shipped gadget configuration that no longer passes
-its homology self-test, or a Smith normal form whose certificate fails its
-exact check.
+its homology self-test, or a computed result that fails its exact check.
 """
 
 from __future__ import annotations
@@ -116,4 +115,8 @@ class GadgetSelfTestFailed(Exception):
 
 
 class CertificateError(Exception):
-    """A Smith normal form certificate failed its exact check (internal fault)."""
+    """A computed result failed its exact check (internal fault).
+
+    Raised when a Smith normal form certificate, a slope normalization, a
+    continued fraction expansion or a glued dividing set does not verify.
+    """

@@ -1,4 +1,4 @@
-"""Negative continued fractions, slope normalization and tight-layer counts.
+"""Negative continued fraction expansions, slope normalization and tight-layer counts.
 
 Counting tight structures on a thickened torus needs normalized boundary
 data: the back torus carries two dividing curves of slope -1 and the front
@@ -22,13 +22,12 @@ acts by plain matrix multiplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .core import Basis, SlopeQ, TaggedSlope
 from .dividing import ArcConfig, ParallelArc, TraversingArc
-from .errors import DomainError, NotNormalized
+from .errors import CertificateError, DomainError, InvalidParameter, NotNormalized
 from .homology import _xgcd
 
 
@@ -40,8 +39,10 @@ class NegCF:
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(int(r) for r in self.coefficients))
-        assert self.coefficients, "the expansion is never empty"
-        assert all(r <= -2 for r in self.coefficients)
+        if not self.coefficients:
+            raise InvalidParameter("a negative continued fraction has at least one coefficient")
+        if any(r > -2 for r in self.coefficients):
+            raise InvalidParameter(f"coefficients {self.coefficients} must all be <= -2")
 
     def value(self) -> SlopeQ:
         p, q = self.coefficients[-1], 1
@@ -66,7 +67,8 @@ def neg_cf(s: SlopeQ) -> NegCF:
             break
         p, q = -q, rem  # next level holds -1/(p/q - r)
     expansion = NegCF(tuple(coeffs))
-    assert expansion.value() == s, "reconstruction must reproduce the slope exactly"
+    if expansion.value() != s:
+        raise CertificateError(f"expansion {expansion.coefficients} does not reproduce {s}")
     return expansion
 
 
@@ -78,7 +80,11 @@ class BoundaryData:
     slope: TaggedSlope
 
     def __post_init__(self):
-        assert self.num_dividing >= 2 and self.num_dividing % 2 == 0
+        if self.num_dividing < 2 or self.num_dividing % 2:
+            raise InvalidParameter(
+                f"a boundary torus carries a positive even number of dividing curves, "
+                f"not {self.num_dividing}"
+            )
 
     @staticmethod
     def of(num_dividing: int, slope: SlopeQ, basis: Basis = Basis.LAYER) -> "BoundaryData":
@@ -95,7 +101,8 @@ class UnimodularMatrix:
     d: int
 
     def __post_init__(self):
-        assert self.a * self.d - self.b * self.c == 1, "matrix must lie in SL(2,Z)"
+        if self.a * self.d - self.b * self.c != 1:
+            raise InvalidParameter(f"matrix {self.entries()} does not lie in SL(2,Z)")
 
     @staticmethod
     def identity() -> "UnimodularMatrix":
@@ -189,24 +196,19 @@ def honda_count(b0: BoundaryData, b1: BoundaryData, twisting: int) -> TightCount
     return TightCount.finite(abs(product))
 
 
-def _stabilizer_power(n: int) -> UnimodularMatrix:
-    """n-th power of the parabolic stabilizer of slope -1 (column (1,-1))."""
-    return UnimodularMatrix(1 + n, n, -n, 1 - n)
-
-
 def _matrix_to_minus_one(s: SlopeQ) -> UnimodularMatrix:
     """Some SL(2,Z) matrix sending the slope s to -1."""
     q, p = s.q, s.p
     # complete the primitive column (q, p) to an SL(2,Z) basis: x*q + y*p = 1
     g, x, y = _xgcd(q, p)
-    assert g == 1
+    if g != 1:
+        raise CertificateError(f"slope {s} is not a primitive column")
     base = UnimodularMatrix(x, y, -p, q)  # sends (q, p) to (1, 0)
     tilt = UnimodularMatrix(1, 0, -1, 1)  # sends (1, 0) to (1, -1)
     return tilt.mul(base)
 
 
-def _candidate_key(m: UnimodularMatrix):
-    e = m.entries()
+def _candidate_key(e: Tuple[int, int, int, int]):
     absolutes = tuple(abs(x) for x in e)
     return (tuple(sorted(absolutes)), absolutes, tuple(-x for x in e))
 
@@ -218,37 +220,68 @@ def normalize_slopes(s0: SlopeQ, s1: SlopeQ) -> Tuple[UnimodularMatrix, SlopeQ, 
     sorted tuple of absolute entries (then the unsorted absolute tuple, then
     preferring positive entries), so already-normalized input returns the
     identity.
+
+    The minimum is found in closed form.  Let base = [[a, b], [c, d]] send s0
+    to -1.  The matrices sending s0 to -1 are exactly +-S(n)*base, where
+    S(n) = [[1+n, n], [-n, 1-n]] runs over the stabilizer of -1; their
+    entries a + n*alpha, b + n*beta, c - n*alpha, d - n*beta are linear in
+    n, with alpha = a + c and beta = b + d.  If base sends s1 to the column
+    (Q, P), S(n) sends it to (Q + n*sigma, P - n*sigma) with sigma = P + Q,
+    a finite slope <= -1 iff sigma*(Q + n*sigma) < 0, that is iff
+    n < -Q/sigma (every n when sigma = 0).
+
+    Call the roots of the entries and the crossings e_i = e_j and
+    e_i = -e_j breakpoints.  On a closed interval between consecutive
+    breakpoints no entry changes sign and no two absolute entries change
+    order, so every component of the key is linear in n.  The sorted absolute
+    entries are not all constant (alpha and beta are not both 0), so the
+    first component that is not constant is strictly monotone, and the key's
+    minimum over the valid integers of the interval lies at the first or the
+    last of them.  On the two unbounded intervals absolute entries only grow
+    away from the finite end, which is where the minimum lies.  So the
+    minimum is among the floors and ceilings of the 16 breakpoints and the
+    largest valid n, each with both signs.  The winner is then checked
+    exactly: determinant 1, s0 sent to -1 and s1 to a finite slope <= -1.
     """
     base = _matrix_to_minus_one(s0)
-    # every solution is (+-) stabilizer_power(n) * base; the validity
-    # condition on s1 is linear in n, so scan a window wide enough to contain
-    # the key minimum and the validity threshold
     image1 = base.apply(s1)
     sigma = image1.p + image1.q  # constant along the stabilizer orbit
-    spread = 64 + 4 * max(abs(x) for x in base.entries())
-    if sigma == 0:
-        window: Iterable[int] = range(-spread, spread + 1)
-    else:
-        center = int(-Fraction(image1.q, sigma))  # validity threshold for n
-        window = sorted(set(range(-spread, spread + 1))
-                        | set(range(center - spread, center + spread + 1)))
+    x = base.entries()
+    alpha, beta = x[0] + x[2], x[1] + x[3]
+    rate = (alpha, beta, -alpha, -beta)  # entry i is x[i] + n*rate[i]
+    breakpoints = []  # (numerator, denominator) of each n where the key may bend
+    for i in range(4):
+        for j in range(i, 4):
+            breakpoints.append((-x[i] - x[j], rate[i] + rate[j]))  # e_i = -e_j; roots at i == j
+            if i < j:
+                breakpoints.append((x[j] - x[i], rate[i] - rate[j]))  # e_i = e_j
+    candidates = set()
+    for num, den in breakpoints:
+        if den:
+            candidates.update((num // den, -(-num // den)))
+    if sigma:
+        n_max = -(image1.q // sigma) - 1  # largest n < -Q/sigma
+        candidates = {n for n in candidates if n <= n_max}
+        candidates.add(n_max)
 
-    minus_one = SlopeQ.of(-1)
-    best = None
-    best_key = None
-    for n in window:
-        candidate = _stabilizer_power(n).mul(base)
-        for m in (candidate, UnimodularMatrix(-candidate.a, -candidate.b, -candidate.c, -candidate.d)):
-            img1 = m.apply(s1)
-            if img1.is_infinite or not img1 <= minus_one:
-                continue
+    best = best_key = None
+    for n in candidates:
+        e = (x[0] + n * alpha, x[1] + n * beta, x[2] - n * alpha, x[3] - n * beta)
+        for m in (e, tuple(-v for v in e)):
             key = _candidate_key(m)
             if best_key is None or key < best_key:
                 best, best_key = m, key
-    assert best is not None, "a normalizing matrix always exists"
-    img0 = best.apply(s0)
-    assert img0 == minus_one
-    return best, img0, best.apply(s1)
+
+    a, b, c, d = best
+    if a * d - b * c != 1:
+        raise CertificateError(f"normalizing matrix {best} does not lie in SL(2,Z)")
+    matrix = UnimodularMatrix(a, b, c, d)
+    minus_one = SlopeQ.of(-1)
+    img0 = matrix.apply(s0)
+    img1 = matrix.apply(s1)
+    if img0 != minus_one or img1.is_infinite or not img1 <= minus_one:
+        raise CertificateError(f"matrix {best} sends ({s0}, {s1}) to ({img0}, {img1})")
+    return matrix, img0, img1
 
 
 # --- arc configuration enumeration -------------------------------------------
@@ -319,14 +352,16 @@ def enumerate_configurations(n0: int, n1: int, max_winding: int) -> List[ArcConf
     top_marks, bottom_marks = 2 * n0, 2 * n1
     out = []
     for t in range(2, min(top_marks, bottom_marks) + 1, 2):
+        bottom_subsets = []
+        for bottoms in combinations(range(bottom_marks), t):
+            bottom_options = _parallel_choices(bottom_marks, list(bottoms), "bottom")
+            if bottom_options:
+                bottom_subsets.append((bottoms, bottom_options))
         for tops in combinations(range(top_marks), t):
             top_options = _parallel_choices(top_marks, list(tops), "top")
             if not top_options:
                 continue
-            for bottoms in combinations(range(bottom_marks), t):
-                bottom_options = _parallel_choices(bottom_marks, list(bottoms), "bottom")
-                if not bottom_options:
-                    continue
+            for bottoms, bottom_options in bottom_subsets:
                 for rho in range(-max_winding, max_winding + 1):
                     arcs_trav = [
                         TraversingArc(tops[i], bottoms[(i + rho) % t], rho)

@@ -229,6 +229,47 @@ def test_determinism_byte_identical(args):
     assert json.loads(outp) == json.loads(out1)
 
 
+OUT_OF_DOMAIN = [
+    ["cf", "0/0"],
+    ["cf", "abc"],
+    ["count-tight", "--slope0=0/0", "--slope1=-3"],
+    ["count-tight", "--slope0=-2", "--slope1=abc"],
+    ["count-tight", "--slope0=-2", "--slope1=-3", "--ndiv", "3"],
+    ["normalize-slopes", "--slope0", "1/x", "--slope1", "0"],
+    ["glue-annuli", "--top-marks", "2", "--bottom-marks", "2",
+     "--a", "T(x,0,0) T(1,1,0)", "--b", "T(0,0,0) T(1,1,0)"],
+    ["glue-annuli", "--top-marks", "2", "--bottom-marks", "2",
+     "--a", "P(left,0,1) T(1,1,0)", "--b", "T(0,0,0) T(1,1,0)"],
+    ["glue-annuli", "--top-marks", "4", "--bottom-marks", "2",
+     "--a", "P(top,1,0) P(top,3,2) P(bottom,0,1)", "--b", "P(top,0,1) P(top,2,3) P(bottom,0,1)"],
+]
+
+
+@pytest.mark.parametrize("args", OUT_OF_DOMAIN, ids=lambda a: " ".join(a)[:40])
+def test_out_of_domain_input_gives_json_error(args):
+    code, out = run_cli(args)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == 1 and error["message"]
+
+
+def test_cached_parser_matches_fresh_parser():
+    """main reuses one parser; a sequence of calls prints what each call prints alone."""
+    from crsdiag.cli import _build_parser
+
+    argvs = ALL_COMMANDS + OUT_OF_DOMAIN + [["cf", "-7/3"], ["--pretty", "cf", "-7/3"],
+                                            ["count-tight", "--slope0", "-1", "--slope1", "-1",
+                                             "--ndiv", "4"]]
+    alone = []
+    for args in argvs:
+        _build_parser.cache_clear()
+        alone.append(run_cli(args))
+    for order in (argvs, argvs[::-1]):
+        in_sequence = {tuple(args): run_cli(args) for args in order}
+        assert [in_sequence[tuple(args)] for args in argvs] == alone
+    assert _build_parser.cache_info().currsize == 1
+
+
 def test_console_entry_point_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "crsdiag.cli", "cf", "-5/2"],

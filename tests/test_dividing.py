@@ -1,3 +1,7 @@
+from fractions import Fraction
+from itertools import permutations
+from math import floor
+
 import pytest
 
 from crsdiag import (
@@ -11,6 +15,7 @@ from crsdiag import (
     glue_annuli,
     layer_to_annulus,
 )
+from crsdiag.dividing import _parallel_cross
 from crsdiag.errors import EmptyDividingSet, InvalidArcConfig, MarkMismatch, UnsupportedLayer
 
 STRAIGHT = ArcConfig(2, 2, (TraversingArc(0, 0, 0), TraversingArc(1, 1, 0)))
@@ -162,3 +167,117 @@ def test_parallel_only_config_is_valid():
     # rotative layers have no traversing arcs; the type allows that
     cfg = ArcConfig(2, 2, (ParallelArc("top", 0, 1), ParallelArc("bottom", 1, 0)))
     assert cfg.family_winding() == 0
+
+
+def test_parallel_arc_side_is_checked():
+    with pytest.raises(InvalidArcConfig):
+        ParallelArc("left", 0, 1)
+
+
+# rational reference geometry: angles as fractions of a turn
+
+def _angle(point, marks):
+    return Fraction(2 * point + 1, 2 * marks)
+
+
+def _span(arc, marks):
+    u, v = _angle(arc.start, marks), _angle(arc.end, marks)
+    if v < u:
+        v += 1
+    return u, v
+
+
+def _shifted_cross(a, b, marks):
+    ua, va = _span(a, marks)
+    ub, vb = _span(b, marks)
+    for k in range(-2, 3):
+        if len([x for x in (ub + k, vb + k) if ua < x < va]) == 1:
+            return True
+    return False
+
+
+def test_parallel_cross_matches_shifted_comparisons():
+    for marks in (2, 4, 6, 8):
+        for ends_a in permutations(range(marks), 2):
+            for ends_b in permutations(range(marks), 2):
+                if set(ends_a) & set(ends_b):
+                    continue
+                a, b = ParallelArc("top", *ends_a), ParallelArc("top", *ends_b)
+                assert _parallel_cross(a, b, marks) == _shifted_cross(a, b, marks), (a, b)
+
+
+def test_spans_covering_the_circle_together_are_rejected():
+    with pytest.raises(InvalidArcConfig):
+        ArcConfig(4, 2, (ParallelArc("top", 1, 0), ParallelArc("top", 3, 2),
+                         ParallelArc("bottom", 0, 1)))
+
+
+def _fraction_h(cfg, arc, shift):
+    """Signed vertical-cut crossings of one arc, shifted by a fraction of a turn per side."""
+    if isinstance(arc, TraversingArc):
+        trav = cfg.traversing()
+        tops = sorted(x.top for x in trav)
+        lift = (tops.index(arc.top) + arc.winding) // len(trav)
+        u = _angle(arc.top, cfg.top_marks) + shift["top"]
+        v = _angle(arc.bottom, cfg.bottom_marks) + lift + shift["bottom"]
+    else:
+        u, v = _span(arc, cfg.top_marks if arc.side == "top" else cfg.bottom_marks)
+        u, v = u + shift[arc.side], v + shift[arc.side]
+    return floor(v) - floor(u)
+
+
+def _fraction_classes(a, b, offset_top, offset_bottom, glued):
+    shifts = {"a": {"top": Fraction(0), "bottom": Fraction(0)},
+              "b": {"top": Fraction(offset_top % a.top_marks, a.top_marks),
+                    "bottom": Fraction(offset_bottom % a.bottom_marks, a.bottom_marks)}}
+    classes = []
+    for curve in glued.curves:
+        h = v = 0
+        for tag, idx, forward in curve.arcs:
+            cfg = a if tag == "a" else b
+            arc = cfg.arcs[idx]
+            sign = 1 if forward else -1
+            h += sign * _fraction_h(cfg, arc, shifts[tag])
+            v += sign * (tag == "a" and isinstance(arc, TraversingArc))
+        classes.append((h, v))
+    return classes
+
+
+def _drawn_arcs(rng, t, parallel, rho):
+    """t traversing arcs of winding rho plus disjoint adjacent parallel arcs per side."""
+    arcs, ends = [], {}
+    for side in ("top", "bottom"):
+        marks = t + 2 * parallel[side]
+        starts = sorted(rng.sample(range(0, marks, 2), parallel[side]))
+        shift = rng.randrange(marks)
+        taken = set()
+        for start in starts:
+            p, q = (start + shift) % marks, (start + 1 + shift) % marks
+            arcs.append(ParallelArc(side, p, q))
+            taken |= {p, q}
+        ends[side] = [x for x in range(marks) if x not in taken]
+    tops, bottoms = ends["top"], ends["bottom"]
+    arcs += [TraversingArc(tops[i], bottoms[(i + rho) % t], rho) for i in range(t)]
+    return ArcConfig(t + 2 * parallel["top"], t + 2 * parallel["bottom"], tuple(arcs))
+
+
+def test_glued_classes_match_fraction_reference_under_offsets(rng):
+    """(h, v) of every curve against rational angles, top and bottom mark counts differing."""
+    pairs = []
+    for n0, n1 in ((1, 2), (2, 1), (2, 3), (3, 1)):
+        configs = enumerate_configurations(n0, n1, 2)
+        pairs += [(rng.choice(configs), rng.choice(configs)) for _ in range(25)]
+    for _ in range(40):
+        t = 2 * rng.randint(1, 6)
+        parallel = {"top": rng.randint(0, 3), "bottom": rng.randint(0, 3)}
+        if parallel["top"] == parallel["bottom"]:
+            parallel["top"] += 1
+        a, b = (_drawn_arcs(rng, t, parallel, rng.randint(-3, 3)) for _ in range(2))
+        pairs.append((a, b))
+    for a, b in pairs:
+        assert a.top_marks != a.bottom_marks
+        for _ in range(3):
+            offset_top = rng.randint(-3 * a.top_marks, 3 * a.top_marks)
+            offset_bottom = rng.randint(-3 * a.bottom_marks, 3 * a.bottom_marks)
+            glued = glue_annuli(a, b, offset_top, offset_bottom)
+            assert glued.classes() == _fraction_classes(a, b, offset_top, offset_bottom, glued)

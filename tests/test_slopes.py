@@ -1,6 +1,12 @@
+import os
+import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import combinations
 from math import floor
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +24,7 @@ from crsdiag import (
 )
 from crsdiag.core import Basis
 from crsdiag.errors import DomainError, NotNormalized
+from crsdiag.slopes import _matrix_to_minus_one
 
 
 def test_neg_cf_fixtures():
@@ -121,6 +128,35 @@ def _random_slope(rng):
     return SlopeQ.of(rng.randint(-12, 12), rng.randint(-12, 12) or 1)
 
 
+def _key(entries):
+    absolutes = tuple(abs(x) for x in entries)
+    return (tuple(sorted(absolutes)), absolutes, tuple(-x for x in entries))
+
+
+def _scan_normalize(s0, s1):
+    """Oracle: the windowed scan over stabilizer powers that the closed form replaced."""
+    base = _matrix_to_minus_one(s0)
+    image1 = base.apply(s1)
+    sigma = image1.p + image1.q
+    spread = 64 + 4 * max(abs(x) for x in base.entries())
+    window = set(range(-spread, spread + 1))
+    if sigma != 0:
+        center = int(-Fraction(image1.q, sigma))  # validity threshold for n
+        window |= set(range(center - spread, center + spread + 1))
+    minus_one = SlopeQ.of(-1)
+    best = best_key = None
+    for n in sorted(window):
+        candidate = UnimodularMatrix(1 + n, n, -n, 1 - n).mul(base)
+        for m in (candidate, UnimodularMatrix(*(-x for x in candidate.entries()))):
+            img1 = m.apply(s1)
+            if img1.is_infinite or not img1 <= minus_one:
+                continue
+            key = _key(m.entries())
+            if best_key is None or key < best_key:
+                best, best_key = m, key
+    return best, best.apply(s0), best.apply(s1)
+
+
 def test_normalize_random_pairs(rng):
     for _ in range(500):
         s0, s1 = _random_slope(rng), _random_slope(rng)
@@ -129,6 +165,23 @@ def test_normalize_random_pairs(rng):
         assert matrix.apply(s0) == image0 == SlopeQ.of(-1)
         assert matrix.apply(s1) == image1
         assert not image1.is_infinite and image1 <= SlopeQ.of(-1)
+        assert (matrix, image0, image1) == _scan_normalize(s0, s1)
+
+
+def test_normalize_matches_scan_large_slopes():
+    rng = random.Random(7)
+    for _ in range(300):
+        s0, s1 = (SlopeQ.of(rng.randint(-200, 200), rng.randint(1, 50)) for _ in range(2))
+        assert normalize_slopes(s0, s1) == _scan_normalize(s0, s1)
+
+
+def test_normalize_matches_scan_equal_slopes(rng):
+    slopes = [SlopeQ.infinity()] + [SlopeQ.of(p, q) for p in range(-9, 10) for q in (1, 2, 5)]
+    slopes += [SlopeQ.of(rng.randint(-200, 200), rng.randint(1, 50)) for _ in range(20)]
+    for s in slopes:
+        matrix, image0, image1 = normalize_slopes(s, s)
+        assert image0 == image1 == SlopeQ.of(-1)
+        assert (matrix, image0, image1) == _scan_normalize(s, s)
 
 
 def test_slope_action_axiom(rng):
@@ -189,6 +242,28 @@ def test_normalize_matches_bounded_brute_force():
         assert best_key is not None
         if max(abs(x) for x in entries) <= bound:
             assert our_key == best_key
+
+
+def test_typed_checks_raise_under_optimize():
+    script = textwrap.dedent("""
+        import sys
+        from crsdiag import BoundaryData, SlopeQ, UnimodularMatrix
+        from crsdiag.errors import InvalidParameter
+
+        for build in (lambda: BoundaryData.of(3, SlopeQ.of(-1)),
+                      lambda: UnimodularMatrix(1, 1, 1, 1)):
+            try:
+                build()
+            except InvalidParameter:
+                print("raised", sys.flags.optimize)
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    result = subprocess.run([sys.executable, "-O", "-c", script],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "raised 1\nraised 1\n"
 
 
 # --- configuration enumeration ------------------------------------------------
