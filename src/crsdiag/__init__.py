@@ -1,7 +1,6 @@
 """Exact-arithmetic calculator for contact Dehn and contact round surgery diagrams."""
 
 from .core import (
-    Basis,
     ContactSurgeryDiagram,
     LegendrianComponent,
     LinkingData,
@@ -10,14 +9,11 @@ from .core import (
     Round2Spec,
     RoundSurgeryDiagram,
     SlopeQ,
-    TaggedSlope,
     TightLayerSpec,
     Violation,
     boundary_slope,
     check_nice,
     contact_to_topological,
-    dividing_slope_canonical,
-    dividing_slope_layer,
     is_fillable_sufficient,
     is_pm1,
     surgery_meridian_coefficient,

@@ -20,7 +20,6 @@ _NEGATIVE_SLOPE = re.compile(r"^-\d+(/-?\d+)?$")
 from . import dsl
 from .bridge import joint_pairs_to_pm1, kirby1_gadget, pair_pm1_diagram
 from .core import (
-    Basis,
     ContactSurgeryDiagram,
     RoundSurgeryDiagram,
     SlopeQ,
@@ -229,7 +228,7 @@ def _run(args) -> dict:
         contact = _require_contact(nd)
         rd, plan = pair_pm1_diagram(contact, k=args.k, gadget_m=args.gadget_m,
                                     gadget_m2=args.gadget_m2)
-        named = dsl.named_from_round(nd.name, rd)
+        named = dsl.named(nd.name, rd)
         return {
             "diagrams": [dsl.diagram_json(named)],
             "plan": {
@@ -250,7 +249,7 @@ def _run(args) -> dict:
     if args.command == "to-pm1":
         nd = _load(args.file, args.diagram)
         contact = joint_pairs_to_pm1(_require_round(nd))
-        return {"diagrams": [dsl.diagram_json(dsl.named_from_contact(nd.name, contact))]}
+        return {"diagrams": [dsl.diagram_json(dsl.named(nd.name, contact))]}
 
     if args.command == "check-nice":
         rd = _require_round(_load(args.file, args.diagram))
@@ -285,8 +284,8 @@ def _run(args) -> dict:
         s1 = _parse_slope(args.slope1)
         matrix, image0, image1 = normalize_slopes(s0, s1)
         count = honda_count(
-            BoundaryData.of(args.ndiv, image0, Basis.LAYER),
-            BoundaryData.of(args.ndiv, image1, Basis.LAYER),
+            BoundaryData.of(args.ndiv, image0),
+            BoundaryData.of(args.ndiv, image1),
             args.twisting,
         )
         return {
@@ -323,7 +322,7 @@ def _run(args) -> dict:
 
     if args.command == "gadget":
         gadget = kirby1_gadget(args.m)
-        named = dsl.named_from_contact("gadget", gadget)
+        named = dsl.named("gadget", gadget)
         return {
             "diagrams": [dsl.diagram_json(named)],
             "selftest": {

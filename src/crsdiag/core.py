@@ -10,21 +10,18 @@ Conventions fixed here and reused by every other module:
   lambda -> (0,1), has slope b/a.  As a projectivized column vector the slope
   p/q is (q, p); SL(2,Z) acts by plain matrix multiplication on that vector.
 * Slopes and coefficients share one exact rational type with a point at
-  infinity (1/0).  Because several statements quote the same dividing-curve
-  slope in different coordinate frames, slopes that cross module boundaries
-  can carry an explicit basis tag (TaggedSlope).
+  infinity (1/0).
 
 All types are immutable values and all operations are pure functions.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import InvalidMeridian, NoJointPartner
+from .errors import InvalidMeridian, InvalidParameter, NoJointPartner
 
 
 @dataclass(frozen=True, order=False)
@@ -118,25 +115,6 @@ def _coerce_slope(value: Union[SlopeQ, int]) -> SlopeQ:
     raise TypeError(f"cannot interpret {value!r} as a slope")
 
 
-class Basis(enum.Enum):
-    """Coordinate frame a slope is expressed in."""
-
-    CANONICAL = "canonical"   # (mu, lambda) of a knot exterior in the 3-sphere
-    CONTACT = "contact"       # (mu, lambda_c)
-    LAYER = "layer"           # (x, y) inside a glued thickened torus
-
-
-@dataclass(frozen=True)
-class TaggedSlope:
-    """A slope together with the frame it is measured in."""
-
-    slope: SlopeQ
-    basis: Basis
-
-    def __str__(self):
-        return f"{self.slope}[{self.basis.value}]"
-
-
 # --- coefficient calculus ------------------------------------------------
 
 def contact_to_topological(c: SlopeQ, tb: int) -> SlopeQ:
@@ -163,16 +141,6 @@ def boundary_slope(tb: int) -> SlopeQ:
     tb = 0 yields the infinite slope.
     """
     return SlopeQ.of(1, tb)
-
-
-def dividing_slope_canonical(tb: int) -> TaggedSlope:
-    """Canonical-frame reading of the boundary dividing slope (1/tb)."""
-    return TaggedSlope(boundary_slope(tb), Basis.CANONICAL)
-
-
-def dividing_slope_layer(n: int) -> TaggedSlope:
-    """Layer-frame reading: boundary dividing curves of integer slope n."""
-    return TaggedSlope(SlopeQ.of(n, 1), Basis.LAYER)
 
 
 def surgery_meridian_coefficient(a: int, b: int) -> int:
@@ -276,12 +244,16 @@ class TightLayerSpec:
     twisting: int = 0
 
     def __post_init__(self):
-        assert self.kind in ("invariant", "nonrotative", "rotative_plus", "rotative_minus")
-        assert self.twisting >= 0
-        if self.kind == "invariant":
-            assert self.param == 0 and self.twisting == 0
-        if self.kind in ("rotative_plus", "rotative_minus"):
-            assert self.param >= 1, "rotative layers carry a positive index"
+        if self.kind not in ("invariant", "nonrotative", "rotative_plus", "rotative_minus"):
+            raise InvalidParameter(f"unknown layer kind {self.kind!r}")
+        if self.twisting < 0:
+            raise InvalidParameter(f"layer twisting {self.twisting} is negative")
+        if self.kind == "invariant" and (self.param != 0 or self.twisting != 0):
+            raise InvalidParameter("the invariant layer has no parameter and no twisting")
+        if self.kind in ("rotative_plus", "rotative_minus") and self.param < 1:
+            raise InvalidParameter(
+                f"rotative layers carry a positive index, not {self.param}"
+            )
 
     @staticmethod
     def invariant() -> "TightLayerSpec":
@@ -352,9 +324,6 @@ class ContactSurgeryDiagram:
                 return c
         raise KeyError(label)
 
-    def labels(self):
-        return [c.label for c in self.components]
-
     def __eq__(self, other):
         return (
             isinstance(other, ContactSurgeryDiagram)
@@ -387,9 +356,6 @@ class RoundSurgeryDiagram:
             if c.label == label:
                 return c
         raise KeyError(label)
-
-    def labels(self):
-        return [c.label for c in self.components]
 
     def joint_partner(self, idx: int) -> Optional[Round2Spec]:
         for r2 in self.round2:

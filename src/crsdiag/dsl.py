@@ -19,8 +19,12 @@ A file holds named blocks::
       round2 E { r2 = 5/2; }
     }
 
+Identifiers are ASCII letters, digits and underscores, not starting with a
+digit.  Space, tab and carriage return separate tokens.  Strings are
+double-quoted on one line, without escapes.  `#` starts a comment that runs
+to the end of the line.  Error positions are 1-based line:col.
 Rationals are written p/q with an optional sign, plain integers abbreviate
-n/1, and inf is the infinite coefficient.  `#` starts a line comment.
+n/1, and inf is the infinite coefficient.
 Front-derived tb/rot win over declared values; a disagreement is a semantic
 error.  Parsing canonicalizes (components and statements sorted, layers
 normalized), so parse -> print -> parse is the identity and printing is
@@ -30,8 +34,8 @@ idempotent.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import List, NamedTuple, Optional, Tuple
 
 from .core import (
     ContactSurgeryDiagram,
@@ -44,16 +48,18 @@ from .core import (
     TightLayerSpec,
     validate_diagram,
 )
-from .errors import DslSyntaxError, SemanticError
+from .errors import DslSyntaxError, InvalidParameter, SemanticError
 from .front import OrientedFront, classical_invariants, parse_front_word, trace_components
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT = re.compile(r"[0-9]+")
-_PUNCT = "{}()=,;/-"
+# One alternative per lexeme; `other` catches any character outside the
+# grammar, so the scan covers the whole text.
+_LEXEME = re.compile(
+    r'(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>#[^\n]*)|(?P<string>"[^"\n]*")'
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<punct>[{}()=,;/-])|(?P<other>.)"
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "string" | "punct" | "eof"
     value: str
     line: int
@@ -62,51 +68,26 @@ class Token:
 
 def _tokenize(text: str) -> List[Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    m = None
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0 or "\n" in text[i + 1:j]:
-                raise DslSyntaxError("unterminated string literal", line, col)
-            tokens.append(Token("string", text[i + 1:j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            tokens.append(Token("ident", m.group(0), line, col))
-            col += len(m.group(0))
-            i = m.end()
-            continue
-        m = _INT.match(text, i)
-        if m:
-            tokens.append(Token("int", m.group(0), line, col))
-            col += len(m.group(0))
-            i = m.end()
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+            line_start = m.end()
+        elif kind != "space" and kind != "comment":
+            value = m.group()
+            col = m.start() - line_start + 1
+            if kind == "string":
+                value = value[1:-1]
+            elif kind == "other":
+                if value == '"':
+                    raise DslSyntaxError("unterminated string literal", line, col)
+                raise DslSyntaxError(f"unexpected character {value!r}", line, col)
+            tokens.append(Token(kind, value, line, col))
+    # a trailing comment leaves the end position at its '#'
+    end = m.start() if m is not None and m.lastgroup == "comment" else len(text)
+    tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens
 
 
@@ -163,6 +144,10 @@ class _Parser:
         tok = self.peek()
         raise DslSyntaxError(message, tok.line, tok.col)
 
+    def at_punct(self, ch: str) -> bool:
+        tok = self.tokens[self.pos]
+        return tok.kind == "punct" and tok.value == ch
+
     def expect_punct(self, ch: str) -> Token:
         tok = self.next()
         if tok.kind != "punct" or tok.value != ch:
@@ -193,7 +178,7 @@ class _Parser:
             self.next()
             return SlopeQ.infinity()
         p = self.parse_sint()
-        if self.peek().kind == "punct" and self.peek().value == "/":
+        if self.at_punct("/"):
             self.next()
             q = self.parse_sint()
             if p == 0 and q == 0:
@@ -216,7 +201,7 @@ class _Parser:
             if tok.value == "rotative_plus":
                 return TightLayerSpec.rotative_plus(value)
             return TightLayerSpec.rotative_minus(value)
-        except AssertionError:
+        except InvalidParameter:
             raise DslSyntaxError(f"bad layer parameter {value}", tok.line, tok.col) from None
 
     def parse_file(self) -> DiagramFile:
@@ -245,7 +230,7 @@ class _Parser:
         label_tok = self.expect_ident()
         self.expect_punct("{")
         fields = {}
-        while not (self.peek().kind == "punct" and self.peek().value == "}"):
+        while not self.at_punct("}"):
             key = self.expect_ident()
             if key.value not in ("tb", "rot", "front", "orient"):
                 raise DslSyntaxError(f"unknown component field {key.value!r}", key.line, key.col)
@@ -280,7 +265,7 @@ class _Parser:
     def _parse_surgery_block(self, want_r1: bool, want_r2: bool):
         self.expect_punct("{")
         r1 = r2 = layer = None
-        while not (self.peek().kind == "punct" and self.peek().value == "}"):
+        while not self.at_punct("}"):
             key = self.expect_ident()
             self.expect_punct("=")
             if key.value == "r1" and want_r1:
@@ -308,12 +293,18 @@ class _Parser:
             self.fail("block needs an 'r2' field")
         return r1, r2, layer if layer is not None else TightLayerSpec.invariant().normalized()
 
-    def _parse_contact(self, name: str) -> NamedDiagram:
+    def _parse_body(self, statements):
+        """Parse a diagram body `{ ... }`.
+
+        component and lk statements are common to both diagram kinds;
+        statements maps every other keyword to a handler that parses the rest
+        of its statement.  Returns the declarations sorted by label, the
+        resolved components and the linking data.
+        """
         self.expect_punct("{")
         decls: List[ComponentDecl] = []
         linking: List[Tuple[str, str, int]] = []
-        surgeries = {}
-        while not (self.peek().kind == "punct" and self.peek().value == "}"):
+        while not self.at_punct("}"):
             tok = self.expect_ident()
             if tok.value == "component":
                 decls.append(self._parse_component())
@@ -325,88 +316,67 @@ class _Parser:
                 if a == b:
                     raise SemanticError(f"self-linking lk({a}, {a}) is not allowed", tok.line, tok.col)
                 linking.append((a, b, value))
-            elif tok.value == "contact_surgery":
-                label = self.expect_ident().value
-                self.expect_punct("=")
-                slope = self.parse_slope()
-                self.expect_punct(";")
-                if label in surgeries:
-                    raise SemanticError(f"component {label!r} has two coefficients", tok.line, tok.col)
-                surgeries[label] = slope
+            elif tok.value in statements:
+                statements[tok.value](tok)
             else:
                 raise DslSyntaxError(f"unknown statement {tok.value!r}", tok.line, tok.col)
         self.expect_punct("}")
-        components = _resolve_components(decls)
-        diagram = ContactSurgeryDiagram(
-            components=tuple(components),
-            linking=_build_linking(linking),
-            coefficients=surgeries,
-        )
-        _raise_violations(diagram)
-        return NamedDiagram(name, "contact", _sorted_decls(decls), diagram)
+        components = tuple(_resolve_components(decls))
+        return tuple(sorted(decls, key=lambda d: d.label)), components, _build_linking(linking)
+
+    def _parse_contact(self, name: str) -> NamedDiagram:
+        surgeries = {}
+
+        def contact_surgery(tok):
+            label = self.expect_ident().value
+            self.expect_punct("=")
+            slope = self.parse_slope()
+            self.expect_punct(";")
+            if label in surgeries:
+                raise SemanticError(f"component {label!r} has two coefficients", tok.line, tok.col)
+            surgeries[label] = slope
+
+        decls, components, linking = self._parse_body({"contact_surgery": contact_surgery})
+        diagram = ContactSurgeryDiagram(components, linking, surgeries)
+        return _validated(NamedDiagram(name, "contact", decls, diagram))
 
     def _parse_round(self, name: str) -> NamedDiagram:
-        self.expect_punct("{")
-        decls: List[ComponentDecl] = []
-        linking: List[Tuple[str, str, int]] = []
-        joints = []      # (pair, r1, layer, r2)
-        standalone1 = [] # (pair, r1, layer)
-        standalone2 = [] # (knot, r2)
-        while not (self.peek().kind == "punct" and self.peek().value == "}"):
-            tok = self.expect_ident()
-            if tok.value == "component":
-                decls.append(self._parse_component())
-            elif tok.value == "lk":
-                a, b = self._parse_pair()
-                self.expect_punct("=")
-                value = self.parse_sint()
-                self.expect_punct(";")
-                if a == b:
-                    raise SemanticError(f"self-linking lk({a}, {a}) is not allowed", tok.line, tok.col)
-                linking.append((a, b, value))
-            elif tok.value == "joint_pair":
-                pair = self._parse_pair()
-                r1, r2, layer = self._parse_surgery_block(want_r1=True, want_r2=True)
-                joints.append((pair, r1, layer, r2))
-            elif tok.value == "round1":
-                pair = self._parse_pair()
-                r1, _r2, layer = self._parse_surgery_block(want_r1=True, want_r2=False)
-                standalone1.append((pair, r1, layer))
-            elif tok.value == "round2":
-                knot = self.expect_ident().value
-                _r1, r2, _layer = self._parse_surgery_block(want_r1=False, want_r2=True)
-                standalone2.append((knot, r2))
-            else:
-                raise DslSyntaxError(f"unknown statement {tok.value!r}", tok.line, tok.col)
-        self.expect_punct("}")
-        components = _resolve_components(decls)
+        joints = []       # (pair, r1, layer, r2)
+        standalone1 = []  # (pair, r1, layer)
+        standalone2 = []  # (knot, r2)
 
+        def joint_pair(_tok):
+            pair = self._parse_pair()
+            r1, r2, layer = self._parse_surgery_block(want_r1=True, want_r2=True)
+            joints.append((pair, r1, layer, r2))
+
+        def round1(_tok):
+            pair = self._parse_pair()
+            r1, _r2, layer = self._parse_surgery_block(want_r1=True, want_r2=False)
+            standalone1.append((pair, r1, layer))
+
+        def round2(_tok):
+            knot = self.expect_ident().value
+            _r1, r2, _layer = self._parse_surgery_block(want_r1=False, want_r2=True)
+            standalone2.append((knot, r2))
+
+        decls, components, linking = self._parse_body(
+            {"joint_pair": joint_pair, "round1": round1, "round2": round2})
         joints.sort(key=lambda item: item[0])
         standalone1.sort(key=lambda item: item[0])
         standalone2.sort(key=lambda item: item[0])
-        round1 = []
-        round2 = []
+        round1_specs = []
+        round2_specs = []
         for pair, r1, layer, r2 in joints:
-            idx = len(round1)
-            round1.append(Round1Spec(pair, r1[0], r1[1], layer))
-            round2.append(Round2Spec(pair[1], r2, joint_with=idx))
+            idx = len(round1_specs)
+            round1_specs.append(Round1Spec(pair, r1[0], r1[1], layer))
+            round2_specs.append(Round2Spec(pair[1], r2, joint_with=idx))
         for pair, r1, layer in standalone1:
-            round1.append(Round1Spec(pair, r1[0], r1[1], layer))
+            round1_specs.append(Round1Spec(pair, r1[0], r1[1], layer))
         for knot, r2 in standalone2:
-            round2.append(Round2Spec(knot, r2, joint_with=None))
-
-        diagram = RoundSurgeryDiagram(
-            components=tuple(components),
-            linking=_build_linking(linking),
-            round1=tuple(round1),
-            round2=tuple(round2),
-        )
-        _raise_violations(diagram)
-        return NamedDiagram(name, "round", _sorted_decls(decls), diagram)
-
-
-def _sorted_decls(decls: List[ComponentDecl]) -> tuple:
-    return tuple(sorted(decls, key=lambda d: d.label))
+            round2_specs.append(Round2Spec(knot, r2, joint_with=None))
+        diagram = RoundSurgeryDiagram(components, linking, tuple(round1_specs), tuple(round2_specs))
+        return _validated(NamedDiagram(name, "round", decls, diagram))
 
 
 def _build_linking(entries) -> LinkingData:
@@ -416,10 +386,11 @@ def _build_linking(entries) -> LinkingData:
         raise SemanticError(str(exc)) from None
 
 
-def _raise_violations(diagram) -> None:
-    problems = validate_diagram(diagram)
+def _validated(nd: NamedDiagram) -> NamedDiagram:
+    problems = validate_diagram(nd.diagram)
     if problems:
         raise SemanticError("; ".join(v.message for v in problems))
+    return nd
 
 
 def _resolve_components(decls: List[ComponentDecl]) -> List[LegendrianComponent]:
@@ -519,32 +490,15 @@ def print_file(df: DiagramFile) -> str:
     return "\n\n".join(print_diagram(nd) for nd in df.diagrams) + "\n"
 
 
-def named_from_contact(name: str, d: ContactSurgeryDiagram) -> NamedDiagram:
-    decls = tuple(
-        ComponentDecl(c.label, c.tb, c.rot)
-        for c in sorted(d.components, key=lambda c: c.label)
-    )
-    ordered = ContactSurgeryDiagram(
-        components=tuple(sorted(d.components, key=lambda c: c.label)),
-        linking=d.linking,
-        coefficients=d.coefficients,
-        pm1_only=d.pm1_only,
-    )
-    return NamedDiagram(name, "contact", decls, ordered)
+def named(name: str, diagram) -> NamedDiagram:
+    """A computed contact or round diagram, named for printing.
 
-
-def named_from_round(name: str, rd: RoundSurgeryDiagram) -> NamedDiagram:
-    decls = tuple(
-        ComponentDecl(c.label, c.tb, c.rot)
-        for c in sorted(rd.components, key=lambda c: c.label)
-    )
-    ordered = RoundSurgeryDiagram(
-        components=tuple(sorted(rd.components, key=lambda c: c.label)),
-        linking=rd.linking,
-        round1=rd.round1,
-        round2=rd.round2,
-    )
-    return NamedDiagram(name, "round", decls, ordered)
+    Components are sorted by label and declared by their tb and rot.
+    """
+    components = tuple(sorted(diagram.components, key=lambda c: c.label))
+    decls = tuple(ComponentDecl(c.label, c.tb, c.rot) for c in components)
+    kind = "contact" if isinstance(diagram, ContactSurgeryDiagram) else "round"
+    return NamedDiagram(name, kind, decls, replace(diagram, components=components))
 
 
 # --- JSON form -----------------------------------------------------------------

@@ -21,7 +21,7 @@ first cup and runs rightward.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from .core import LinkingData
@@ -47,66 +47,6 @@ class Event:
 
 
 @dataclass(frozen=True)
-class FrontWord:
-    """A validated closed front word."""
-
-    events: tuple
-
-    def __str__(self):
-        return word_to_text(self)
-
-
-@dataclass(frozen=True)
-class OrientedFront:
-    """A front word plus an orientation choice per component."""
-
-    word: FrontWord
-    orientation: Dict[int, str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "orientation", dict(self.orientation))
-        n = trace_components(self.word).component_count
-        for cid in range(n):
-            if self.orientation.get(cid) not in ("forward", "reverse"):
-                raise InvalidParameter(f"component {cid} needs an orientation entry")
-
-    @staticmethod
-    def forward(word: FrontWord) -> "OrientedFront":
-        n = trace_components(word).component_count
-        return OrientedFront(word, {cid: "forward" for cid in range(n)})
-
-
-def parse_front_word(text: str) -> FrontWord:
-    """Tokenize and validate a front word; raises on malformed or open words."""
-    events = []
-    strands = 0
-    for token in text.split():
-        m = _TOKEN.match(token)
-        if not m:
-            raise FrontSyntaxError(f"bad front token {token!r}")
-        kind, pos = m.group(1), int(m.group(2))
-        if kind == CUP:
-            if not 1 <= pos <= strands + 1:
-                raise PositionError(f"{token}: cup position out of range with {strands} strands")
-            strands += 2
-        else:
-            if not 1 <= pos <= strands - 1:
-                raise PositionError(f"{token}: position out of range with {strands} strands")
-            if kind == CAP:
-                strands -= 2
-        events.append(Event(kind, pos))
-    if strands != 0:
-        raise OpenDiagram(f"front word leaves {strands} strands open")
-    return FrontWord(tuple(events))
-
-
-def word_to_text(word: FrontWord) -> str:
-    return " ".join(str(e) for e in word.events)
-
-
-# --- threading --------------------------------------------------------------
-
-@dataclass(frozen=True)
 class Threading:
     """Strand segments threaded through the word.
 
@@ -121,9 +61,46 @@ class Threading:
     crossings: tuple   # (event_index, under_strand, over_strand); under ascends
 
 
-def trace_components(word: FrontWord) -> Threading:
-    """Thread strands through the events and partition them into components."""
-    parent: Dict[int, int] = {}
+@dataclass(frozen=True)
+class FrontWord:
+    """A validated closed front word, threaded once by parse_front_word."""
+
+    events: tuple
+    threading: Threading = field(compare=False, repr=False)
+
+    def __str__(self):
+        return word_to_text(self)
+
+
+@dataclass(frozen=True)
+class OrientedFront:
+    """A front word plus an orientation choice per component."""
+
+    word: FrontWord
+    orientation: Dict[int, str]
+
+    def __post_init__(self):
+        object.__setattr__(self, "orientation", dict(self.orientation))
+        for cid in range(self.word.threading.component_count):
+            if self.orientation.get(cid) not in ("forward", "reverse"):
+                raise InvalidParameter(f"component {cid} needs an orientation entry")
+
+    @staticmethod
+    def forward(word: FrontWord) -> "OrientedFront":
+        n = word.threading.component_count
+        return OrientedFront(word, {cid: "forward" for cid in range(n)})
+
+
+def parse_front_word(text: str) -> FrontWord:
+    """Tokenize, validate and thread a front word; raises on malformed or open words.
+
+    Strand ids are handed out in cup order, and a union-find over them joins
+    the two strands of every cusp; each set's root is its least strand id.
+    """
+    events = []
+    parent: List[int] = []     # union-find over strand ids
+    positions: List[int] = []  # strand ids ordered bottom to top
+    cups, caps, crossings = [], [], []
 
     def find(x):
         while parent[x] != x:
@@ -131,54 +108,58 @@ def trace_components(word: FrontWord) -> Threading:
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    positions: List[int] = []  # strand ids ordered bottom to top
-    next_id = 0
-    cups, caps, crossings = [], [], []
-
-    for t, ev in enumerate(word.events):
-        i = ev.pos - 1
-        if ev.kind == CUP:
-            lo, hi = next_id, next_id + 1
-            next_id += 2
-            parent[lo] = lo
-            parent[hi] = hi
-            union(lo, hi)
-            positions[i:i] = [lo, hi]
-            cups.append((t, lo, hi))
-        elif ev.kind == CAP:
-            lo, hi = positions[i], positions[i + 1]
-            union(lo, hi)
-            caps.append((t, lo, hi))
-            del positions[i:i + 2]
+    for t, token in enumerate(text.split()):
+        m = _TOKEN.match(token)
+        if not m:
+            raise FrontSyntaxError(f"bad front token {token!r}")
+        kind, pos = m.group(1), int(m.group(2))
+        strands = len(positions)
+        i = pos - 1
+        if kind == CUP:
+            if not 1 <= pos <= strands + 1:
+                raise PositionError(f"{token}: cup position out of range with {strands} strands")
+            lo = len(parent)
+            parent += (lo, lo)
+            positions[i:i] = [lo, lo + 1]
+            cups.append((t, lo, lo + 1))
         else:
+            if not 1 <= pos <= strands - 1:
+                raise PositionError(f"{token}: position out of range with {strands} strands")
             lo, hi = positions[i], positions[i + 1]
-            positions[i], positions[i + 1] = hi, lo
-            crossings.append((t, lo, hi))
+            if kind == CAP:
+                rlo, rhi = find(lo), find(hi)
+                parent[max(rlo, rhi)] = min(rlo, rhi)
+                caps.append((t, lo, hi))
+                del positions[i:i + 2]
+            else:
+                positions[i], positions[i + 1] = hi, lo
+                crossings.append((t, lo, hi))
+        events.append(Event(kind, pos))
+    if positions:
+        raise OpenDiagram(f"front word leaves {len(positions)} strands open")
 
-    # earliest cup decides the component id; caps may have merged provisional
-    # components, so the roots are collected only after all unions
-    final_roots = {}
-    for t, lo, _hi in cups:
-        r = find(lo)
-        if r not in final_roots:
-            final_roots[r] = t
-    numbered = {r: cid for cid, (t, r) in enumerate(sorted((t, r) for r, t in final_roots.items()))}
-    strand_component = {s: numbered[find(s)] for s in parent}
-    return Threading(
-        strand_component=strand_component,
-        component_count=len(numbered),
-        cups=tuple(cups),
-        caps=tuple(caps),
-        crossings=tuple(crossings),
-    )
+    # a component's least strand id is the lower strand of its earliest cup,
+    # so numbering roots in id order numbers components by earliest cup
+    numbered: Dict[int, int] = {}
+    strand_component = {s: numbered.setdefault(find(s), len(numbered))
+                        for s in range(len(parent))}
+    threading = Threading(strand_component, len(numbered), tuple(cups), tuple(caps),
+                          tuple(crossings))
+    return FrontWord(tuple(events), threading)
 
 
-def _canonical_directions(word: FrontWord, threading: Threading):
+def word_to_text(word: FrontWord) -> str:
+    return " ".join(str(e) for e in word.events)
+
+
+# --- threading --------------------------------------------------------------
+
+def trace_components(word: FrontWord) -> Threading:
+    """The word's strands threaded into components (done once, when it was parsed)."""
+    return word.threading
+
+
+def _canonical_directions(threading: Threading):
     """Traverse every component forward; returns per-strand direction flags and
     per-component canonical cusp verdicts.
 
@@ -252,9 +233,8 @@ def classical_invariants(front: OrientedFront) -> FrontInvariants:
     tb = self-writhe - #right cusps and rot = (#down - #up)/2; crossing signs
     follow the calibrated table (+1 for opposite horizontal directions).
     """
-    word = front.word
-    threading = trace_components(word)
-    rightward, downs_fwd, ups_fwd = _canonical_directions(word, threading)
+    threading = front.word.threading
+    rightward, downs_fwd, ups_fwd = _canonical_directions(threading)
     comp = threading.strand_component
     reversed_flag = {cid: front.orientation[cid] == "reverse" for cid in range(threading.component_count)}
 
@@ -307,7 +287,7 @@ def stabilize(front: OrientedFront, component: int, sign: int) -> OrientedFront:
     """
     if sign not in (1, -1):
         raise InvalidParameter("stabilization sign must be +1 or -1")
-    threading = trace_components(front.word)
+    threading = front.word.threading
     if not 0 <= component < threading.component_count:
         raise UnknownComponent(f"front has no component {component}")
 

@@ -44,7 +44,7 @@ from .core import (
     SlopeQ,
     contact_to_topological,
 )
-from .errors import CertificateError, NotTwoComponent, UnsupportedComposition
+from .errors import CertificateError, InvalidParameter, NotTwoComponent, UnsupportedComposition
 
 
 @dataclass(frozen=True)
@@ -276,12 +276,14 @@ class H1Class:
     torsion: tuple
 
     def __post_init__(self):
-        assert self.free_rank >= 0
+        if self.free_rank < 0:
+            raise InvalidParameter(f"free rank {self.free_rank} is negative")
         tor = tuple(int(x) for x in self.torsion)
-        for x in tor:
-            assert x >= 2
+        if any(x < 2 for x in tor):
+            raise InvalidParameter(f"torsion coefficients {tor} must all be at least 2")
         for i in range(len(tor) - 1):
-            assert tor[i + 1] % tor[i] == 0, "torsion must form a divisibility chain"
+            if tor[i + 1] % tor[i]:
+                raise InvalidParameter(f"torsion {tor} does not form a divisibility chain")
         object.__setattr__(self, "torsion", tor)
 
     @staticmethod
@@ -332,7 +334,6 @@ def presentation_from_rows(rows: Sequence[Sequence[int]], generators: int) -> H1
 
 def h1_dehn(d: ContactSurgeryDiagram) -> H1Class:
     """First homology of the result of the contact Dehn surgery diagram."""
-    labels = [c.label for c in d.components]
     active = []
     topological = {}
     for c in d.components:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Optional, Tuple
 
-from .core import Basis, SlopeQ, TaggedSlope
+from .core import SlopeQ
 from .dividing import ArcConfig, ParallelArc, TraversingArc
 from .errors import CertificateError, DomainError, InvalidParameter, NotNormalized
 from .homology import _xgcd
@@ -74,10 +74,10 @@ def neg_cf(s: SlopeQ) -> NegCF:
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Dividing-curve data of one boundary torus: count and tagged slope."""
+    """Dividing-curve data of one boundary torus: count and slope."""
 
     num_dividing: int
-    slope: TaggedSlope
+    slope: SlopeQ
 
     def __post_init__(self):
         if self.num_dividing < 2 or self.num_dividing % 2:
@@ -87,8 +87,8 @@ class BoundaryData:
             )
 
     @staticmethod
-    def of(num_dividing: int, slope: SlopeQ, basis: Basis = Basis.LAYER) -> "BoundaryData":
-        return BoundaryData(num_dividing, TaggedSlope(slope, basis))
+    def of(num_dividing: int, slope: SlopeQ) -> "BoundaryData":
+        return BoundaryData(num_dividing, slope)
 
 
 @dataclass(frozen=True)
@@ -164,9 +164,9 @@ def honda_count(b0: BoundaryData, b1: BoundaryData, twisting: int) -> TightCount
     direction (0 = minimal).
     """
     minus_one = SlopeQ.of(-1)
-    if b0.slope.slope != minus_one:
-        raise NotNormalized(f"back torus slope is {b0.slope.slope}, not -1")
-    s1 = b1.slope.slope
+    if b0.slope != minus_one:
+        raise NotNormalized(f"back torus slope is {b0.slope}, not -1")
+    s1 = b1.slope
     if s1.is_infinite or not s1 <= minus_one:
         raise NotNormalized(f"front torus slope {s1} is not <= -1")
     if twisting < 0:

@@ -1,6 +1,9 @@
 import contextlib
 import io
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,6 +81,15 @@ def run_cli(args):
     except SystemExit as exc:  # argparse usage errors
         code = exc.code
     return code, buffer.getvalue()
+
+
+def run_optimized(script: str, stdin: str = None) -> subprocess.CompletedProcess:
+    """Run a Python script under `python -O`, with the sources and tests importable."""
+    here = Path(__file__).resolve().parent
+    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run([sys.executable, "-O", "-c", script], input=stdin,
+                          capture_output=True, text=True, env=env)
 
 
 def corrupt_certificates(monkeypatch):

@@ -39,7 +39,7 @@ from crsdiag import (
     topological_to_contact,
 )
 from crsdiag import dsl
-from crsdiag.core import Basis, Round1Spec, Round2Spec, RoundSurgeryDiagram
+from crsdiag.core import Round1Spec, Round2Spec, RoundSurgeryDiagram
 from crsdiag.errors import GadgetSelfTestFailed
 from crsdiag.slopes import BoundaryData, honda_count
 
@@ -142,10 +142,10 @@ def test_ac08_honda_counts():
             assert all(r <= -2 for r in expansion.coefficients)
             assert expansion.value() == slope
             count += 1
-    minus_one = BoundaryData.of(2, SlopeQ.of(-1), Basis.LAYER)
+    minus_one = BoundaryData.of(2, SlopeQ.of(-1))
 
     def front(s):
-        return BoundaryData.of(2, s, Basis.LAYER)
+        return BoundaryData.of(2, s)
 
     assert honda_count(minus_one, front(SlopeQ.of(-2)), 0).value == 2
     assert honda_count(minus_one, front(SlopeQ.of(-5, 2)), 0).value == 4

@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
-from conftest import FIXTURES, corrupt_certificates, run_cli
+from conftest import FIXTURES, corrupt_certificates, run_cli, run_optimized
 
 
 def fixture(name):
@@ -277,3 +278,42 @@ def test_console_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout == '{"cf":[-3,-2]}\n'
+
+
+def test_cli_under_optimize_matches_in_process(tmp_path):
+    bad_layer = tmp_path / "bad_layer.crs"
+    bad_layer.write_text(
+        "round_diagram d {\n"
+        "  component A { tb = -1; rot = 0; }\n"
+        "  component B { tb = -1; rot = 0; }\n"
+        "  joint_pair (A, B) { r1 = 0, 0; r2 = -1; layer = rotative_plus(0); }\n"
+        "}\n"
+    )
+    calls = [pretty + [command, str(path)]
+             for path in sorted(FIXTURES.glob("*.crs")) + [bad_layer]
+             for command in ("parse", "invariants", "homology", "to-round", "to-pm1",
+                             "check-nice", "fillable")
+             for pretty in ([], ["--pretty"])]
+    calls += [["gadget", "--m", str(m)] for m in (1, 2, 3)]
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from crsdiag.cli import main
+
+        results = []
+        for argv in json.load(sys.stdin):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            results.append([code, out.getvalue()])
+        print(json.dumps({"optimize": sys.flags.optimize, "results": results}))
+    """)
+    result = run_optimized(script, stdin=json.dumps(calls))
+    assert result.returncode == 0, result.stderr
+    optimized = json.loads(result.stdout)
+    assert optimized["optimize"] == 1
+    in_process = [list(run_cli(argv)) for argv in calls]
+    assert optimized["results"] == in_process
+    for argv, (code, out) in zip(calls, in_process):
+        if str(bad_layer) in argv:
+            error = json.loads(out)["error"]
+            assert (code, error["message"], error["line"]) == (2, "bad layer parameter 0", 4)

@@ -87,20 +87,6 @@ def test_self_linking_rejected():
         LinkingData([("A", "A", 1)])
 
 
-def test_dividing_slope_dual_readings():
-    from crsdiag import Basis, SlopeQ as S, dividing_slope_canonical, dividing_slope_layer
-
-    canonical = dividing_slope_canonical(-2)
-    assert canonical.basis is Basis.CANONICAL
-    assert canonical.slope == S.of(-1, 2)
-    assert dividing_slope_canonical(0).slope.is_infinite
-    layer = dividing_slope_layer(-2)
-    assert layer.basis is Basis.LAYER
-    assert layer.slope == S.of(-2)
-    # the two frames quote the same dividing curve differently; keep them apart
-    assert canonical != layer
-
-
 def test_layer_normalization():
     inv = TightLayerSpec.invariant()
     assert inv.normalized() == TightLayerSpec.nonrotative(0)

@@ -1,9 +1,12 @@
+import random
+import re
+
 import pytest
 
 from crsdiag import SlopeQ, TightLayerSpec
 from crsdiag import dsl
 from crsdiag.errors import DslSyntaxError, SemanticError
-from conftest import FIXTURES
+from conftest import FIXTURES, random_front_text, random_pm1_diagram
 
 
 def parse(text):
@@ -157,8 +160,11 @@ def test_one_over_zero_is_infinity():
 def test_syntax_error_carries_position():
     with pytest.raises(DslSyntaxError) as info:
         parse("diagram d {\n  component A { tb = x; }\n}")
-    assert info.value.line == 2
-    assert info.value.col > 0
+    assert (info.value.line, info.value.col) == (2, 22)
+    # at the end of the file a trailing comment keeps the column of its '#'
+    with pytest.raises(DslSyntaxError) as info:
+        parse("diagram d { # comment")
+    assert (info.value.line, info.value.col) == (1, 13)
 
 
 def test_joint_pair_wires_joint_with():
@@ -178,3 +184,96 @@ def test_get_by_name_and_default():
     two = parse(text + "\n" + text.replace("nice_pair", "other"))
     with pytest.raises(SemanticError):
         two.get()
+
+
+# --- the scanner against its character-by-character reference ------------------
+
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_INT = re.compile(r"[0-9]+")
+
+
+def _reference_tokenize(text):
+    """The scanner as a loop over characters: (kind, value, line, col) tuples."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == '"':
+            j = text.find('"', i + 1)
+            if j < 0 or "\n" in text[i + 1:j]:
+                raise DslSyntaxError("unterminated string literal", line, col)
+            tokens.append(("string", text[i + 1:j], line, col))
+            col += j - i + 1
+            i = j + 1
+            continue
+        m = _IDENT.match(text, i)
+        if m:
+            tokens.append(("ident", m.group(0), line, col))
+            col += len(m.group(0))
+            i = m.end()
+            continue
+        m = _INT.match(text, i)
+        if m:
+            tokens.append(("int", m.group(0), line, col))
+            col += len(m.group(0))
+            i = m.end()
+            continue
+        if ch in "{}()=,;/-":
+            tokens.append(("punct", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def _scan(tokenize, text):
+    try:
+        return [tuple(tok) for tok in tokenize(text)]
+    except DslSyntaxError as exc:
+        return exc.message, exc.line, exc.col
+
+
+def _scanner_inputs():
+    rng = random.Random(4)
+    texts = [path.read_text() for path in sorted(FIXTURES.glob("*.crs"))]
+    for i in range(12):
+        named = dsl.named(f"d{i}", random_pm1_diagram(rng))
+        front = random_front_text(rng)
+        texts.append(f'# generated\r\ndiagram f{i} {{\tcomponent F {{ front = "{front}"; }} }}\n'
+                     + dsl.print_file(dsl.DiagramFile((named,))))
+    mutated = []
+    for text in texts:
+        for _ in range(60):
+            at = rng.randrange(len(text) + 1)
+            ch = rng.choice(['"', "#", "\n", "\t", "\r", "\x0b", "\u00e9"])
+            drop = rng.randrange(2)  # replace the character at `at`, or insert before it
+            mutated.append(text[:at] + ch + text[at + drop:])
+        for _ in range(10):
+            mutated.append(text[:rng.randrange(len(text) + 1)])
+    return texts + mutated
+
+
+def test_scanner_matches_reference():
+    errors = 0
+    for text in _scanner_inputs():
+        expected = _scan(_reference_tokenize, text)
+        assert _scan(dsl._tokenize, text) == expected, repr(text)
+        errors += isinstance(expected, tuple)
+    assert errors > 300  # the mutations reach the error paths too

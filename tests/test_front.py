@@ -1,6 +1,7 @@
 import networkx as nx
 import pytest
 
+from crsdiag import dsl, front
 from crsdiag import (
     OrientedFront,
     classical_invariants,
@@ -15,7 +16,7 @@ from crsdiag.errors import (
     PositionError,
     UnknownComponent,
 )
-from conftest import random_front_text, random_front_word
+from conftest import FIXTURES, random_front_text, random_front_word
 
 UNKNOT = "U1 C1"
 CLASP = "U1 U1 X2 X2 C1 C1"
@@ -178,3 +179,21 @@ def test_parse_print_parse_identity(rng):
         word = parse_front_word(text)
         assert parse_front_word(word_to_text(word)) == word
         assert word_to_text(word) == text
+
+
+def test_front_word_threaded_once(monkeypatch):
+    built = []
+
+    class CountingThreading(front.Threading):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(front, "Threading", CountingThreading)
+    word = parse_front_word(CLASP)
+    classical_invariants(OrientedFront.forward(word))
+    assert trace_components(word) is word.threading
+    assert len(built) == 1
+    # front_pair.crs declares two components by front words
+    dsl.parse_file(FIXTURES.joinpath("front_pair.crs").read_text())
+    assert len(built) == 3

@@ -1,16 +1,12 @@
-import os
 import random
-import subprocess
-import sys
 import textwrap
 import time
-from pathlib import Path
 
 import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from conftest import corrupt_certificates
+from conftest import corrupt_certificates, run_optimized
 from crsdiag import (
     ContactSurgeryDiagram,
     H1Class,
@@ -30,7 +26,7 @@ from crsdiag import (
     smith_normal_form,
 )
 from crsdiag import homology
-from crsdiag.errors import CertificateError, UnsupportedComposition
+from crsdiag.errors import CertificateError, InvalidParameter, UnsupportedComposition
 from crsdiag.homology import SmithForm, cokernel
 
 
@@ -177,17 +173,13 @@ def test_corrupt_certificate_raises_under_optimize():
         except CertificateError:
             print("raised", sys.flags.optimize)
     """)
-    here = Path(__file__).resolve().parent
-    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    result = subprocess.run([sys.executable, "-O", "-c", script],
-                            capture_output=True, text=True, env=env)
+    result = run_optimized(script)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "raised 1\n"
 
 
 def test_h1_class_invariants():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidParameter):
         H1Class(0, (3, 2))  # not a divisibility chain
     assert str(H1Class(1, (3,))) == "Z + Z/3"
     assert H1Class.cyclic(0) == H1Class.free(1)

@@ -1,12 +1,8 @@
-import os
 import random
-import subprocess
-import sys
 import textwrap
 from fractions import Fraction
 from itertools import combinations
 from math import floor
-from pathlib import Path
 
 import pytest
 
@@ -22,9 +18,9 @@ from crsdiag import (
     neg_cf,
     normalize_slopes,
 )
-from crsdiag.core import Basis
 from crsdiag.errors import DomainError, NotNormalized
 from crsdiag.slopes import _matrix_to_minus_one
+from conftest import run_optimized
 
 
 def test_neg_cf_fixtures():
@@ -54,7 +50,7 @@ def test_neg_cf_reconstruction_sweep():
 
 
 def boundary(slope, ndiv=2):
-    return BoundaryData.of(ndiv, slope, Basis.LAYER)
+    return BoundaryData.of(ndiv, slope)
 
 
 def test_honda_count_finite():
@@ -247,23 +243,21 @@ def test_normalize_matches_bounded_brute_force():
 def test_typed_checks_raise_under_optimize():
     script = textwrap.dedent("""
         import sys
-        from crsdiag import BoundaryData, SlopeQ, UnimodularMatrix
+        from crsdiag import BoundaryData, H1Class, SlopeQ, TightLayerSpec, UnimodularMatrix
         from crsdiag.errors import InvalidParameter
 
         for build in (lambda: BoundaryData.of(3, SlopeQ.of(-1)),
-                      lambda: UnimodularMatrix(1, 1, 1, 1)):
+                      lambda: UnimodularMatrix(1, 1, 1, 1),
+                      lambda: TightLayerSpec.rotative_plus(0),
+                      lambda: H1Class(0, (3, 2))):
             try:
                 build()
             except InvalidParameter:
                 print("raised", sys.flags.optimize)
     """)
-    src = Path(__file__).resolve().parent.parent / "src"
-    paths = [str(src), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    result = subprocess.run([sys.executable, "-O", "-c", script],
-                            capture_output=True, text=True, env=env)
+    result = run_optimized(script)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "raised 1\nraised 1\n"
+    assert result.stdout == "raised 1\n" * 4
 
 
 # --- configuration enumeration ------------------------------------------------
