@@ -32,12 +32,15 @@ class SlopeQ:
     q: int
 
     def __post_init__(self):
-        assert isinstance(self.p, int) and isinstance(self.q, int)
+        if not (isinstance(self.p, int) and isinstance(self.q, int)):
+            raise InvalidParameter(f"slope {self.p!r}/{self.q!r} needs integer terms")
         if self.q == 0:
-            assert self.p == 1, "infinity is stored as 1/0"
-        else:
-            assert self.q > 0, "finite slopes keep a positive denominator"
-            assert gcd(abs(self.p), self.q) == 1, "slope must be reduced"
+            if self.p != 1:
+                raise InvalidParameter(f"infinity is stored as 1/0, not {self.p}/0")
+        elif self.q < 0:
+            raise InvalidParameter(f"slope {self.p}/{self.q} needs a positive denominator")
+        elif gcd(abs(self.p), self.q) != 1:
+            raise InvalidParameter(f"slope {self.p}/{self.q} must be reduced")
 
     @staticmethod
     def of(p: int, q: int = 1) -> "SlopeQ":
@@ -292,8 +295,11 @@ class Round1Spec:
     layer: TightLayerSpec
 
     def __post_init__(self):
-        assert len(self.pair) == 2
-        assert isinstance(self.coeff_a, int) and isinstance(self.coeff_b, int)
+        if len(self.pair) != 2:
+            raise InvalidParameter(f"round 1-surgery needs two components, not {self.pair!r}")
+        if not (isinstance(self.coeff_a, int) and isinstance(self.coeff_b, int)):
+            raise InvalidParameter(f"round 1-surgery coefficients {self.coeff_a!r}, "
+                                   f"{self.coeff_b!r} must be integers")
 
 
 @dataclass(frozen=True)

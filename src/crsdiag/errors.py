@@ -119,4 +119,8 @@ class CertificateError(Exception):
 
     Raised when a Smith normal form certificate, a slope normalization, a
     continued fraction expansion or a glued dividing set does not verify.
+    A Smith certificate is the log of the row and column operations that
+    took M to D; it fails when a logged operation is not an integer matrix
+    of determinant +-1 or when replaying the log on M does not give D, so a
+    certificate that passes proves U*M*V = D with U, V unimodular.
     """

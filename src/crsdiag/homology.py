@@ -2,16 +2,22 @@
 
 Everything runs in exact arbitrary-precision integer arithmetic.  Every
 matrix shape takes one Smith normal form path: row and column Hermite normal
-forms alternate until the matrix is diagonal, 2x2 gcd/lcm steps repair the
-divisibility chain, and one exact check of the unimodular certificates U, V
-with U*M*V = D runs before the result is returned (see smith_normal_form for
-the termination argument).  Each Hermite form is built one row at a time and
-size-reduces the entries above every pivot modulo that pivot, which keeps
-the matrix and both certificates polynomially bounded (R. Kannan and
-A. Bachem, "Polynomial algorithms for computing the Smith and Hermite normal
-forms of an integer matrix", SIAM J. Comput. 8 (1979) 499-507).  A failed
-check raises CertificateError, also under ``python -O``, so an arithmetic
-fault can never produce a silently wrong group.
+forms alternate until the matrix is diagonal, and 2x2 gcd/lcm steps repair
+the divisibility chain (see smith_normal_form for the termination argument).
+Each Hermite form is built one row at a time and size-reduces the entries
+above every pivot modulo that pivot, which keeps the matrix polynomially
+bounded (R. Kannan and A. Bachem, "Polynomial algorithms for computing the
+Smith and Hermite normal forms of an integer matrix", SIAM J. Comput. 8
+(1979) 499-507).
+
+The certificate is the log of every row and column operation applied.  Before
+the result is returned, an independent replay checks that each logged
+operation is an integer matrix of determinant +-1 and that the log, applied
+to a fresh copy of M, gives D entry by entry.  The row operations then
+multiply to a unimodular U and the column operations to a unimodular V, so
+the replay proves U*M*V = D without building U or V.  A failed check raises
+CertificateError, also under ``python -O``, so an arithmetic fault can never
+produce a silently wrong group.
 
 Presentations used:
 
@@ -35,7 +41,9 @@ Presentations used:
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 from .core import (
@@ -55,7 +63,8 @@ class IntMatrix:
 
     def __post_init__(self):
         rows = tuple(tuple(int(x) for x in row) for row in self.entries)
-        assert all(len(row) == len(rows[0]) for row in rows), "matrix must be rectangular"
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise InvalidParameter("matrix must be rectangular")
         object.__setattr__(self, "entries", rows)
 
     @staticmethod
@@ -78,7 +87,9 @@ class IntMatrix:
         return IntMatrix(tuple(zip(*self.entries))) if self.entries else IntMatrix(())
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
-        assert self.ncols == other.nrows
+        if self.ncols != other.nrows:
+            raise InvalidParameter(f"cannot multiply a {self.nrows}x{self.ncols} matrix "
+                                   f"by a {other.nrows}x{other.ncols} matrix")
         cols = other.transpose().entries
         return IntMatrix(tuple(
             tuple(sum(map(operator.mul, row, col)) for col in cols)
@@ -92,7 +103,8 @@ class IntMatrix:
 def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = m.nrows
-    assert n == m.ncols, "determinant needs a square matrix"
+    if n != m.ncols:
+        raise InvalidParameter(f"determinant needs a square matrix, not {n}x{m.ncols}")
     if n == 0:
         return 1
     a = [list(row) for row in m.entries]
@@ -117,11 +129,34 @@ def det(m: IntMatrix) -> int:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """U * M * V = D with U, V unimodular and D diagonal with d1 | d2 | ..."""
+    """Smith diagonal d1 | d2 | ... of an M of the given shape, with its operation log.
+
+    operations is a tuple of (side, steps) groups in the order applied.
+    Side 0 groups act on the rows of M, side 1 groups on its columns (as
+    row operations on the transpose).  Each step is an elementary operation
+    on the rows of the current matrix:
+
+    * ("sub", i, j, f): row i -= f * row j;
+    * ("gcd", b, r, x, y, p, q): (row b, row r) <- (x*b + y*r, p*r - q*b),
+      with x*p + y*q = 1;
+    * ("neg", i): row i <- -row i;
+    * ("perm", order): row t <- old row order[t].
+
+    left and right are the unimodular U and V with U*M*V = D, built from the
+    log only when read.
+    """
 
     diagonal: tuple
-    left: IntMatrix
-    right: IntMatrix
+    operations: tuple
+    shape: tuple  # (rows, cols) of M
+
+    @cached_property
+    def left(self) -> IntMatrix:
+        return IntMatrix.from_rows(_replay(IntMatrix.identity(self.shape[0]), self.operations, (0,)))
+
+    @cached_property
+    def right(self) -> IntMatrix:
+        return IntMatrix.from_rows(_replay(IntMatrix.identity(self.shape[1]), self.operations, (1,)))
 
 
 def _xgcd(a: int, b: int):
@@ -139,65 +174,152 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def _hermite(rows, transform):
-    """Row Hermite normal form of rows, applying the same row operations to transform.
+def _hermite(a, log):
+    """Row Hermite normal form of the rows a, appending each row operation to log.
 
-    Rows enter an echelon basis, keyed by pivot column, one at a time.  A row
-    whose leading column is already a pivot is combined with that basis row
-    by a 2x2 unimodular gcd step, which clears its leading entry; it then
-    moves on to its next nonzero column.  After each insertion every entry
-    above a pivot is size-reduced into [0, pivot), which keeps all entries
-    polynomially bounded (Kannan-Bachem).  Returns the basis rows by
-    increasing pivot column, pivots positive, followed by the zero rows.
+    Works on the rows of a in place.  Rows enter an echelon basis, keyed by
+    pivot column, one at a time; a row keeps its index in a, which the
+    logged operations refer to, until the pass ends with a permutation.  A
+    row whose leading column is already a pivot is combined with that basis
+    row by a 2x2 unimodular gcd step, which clears its leading entry; it
+    then moves on to its next nonzero column.  After each insertion every entry above a pivot
+    is size-reduced into [0, pivot), which keeps all entries polynomially
+    bounded (Kannan-Bachem).  Returns the basis rows by increasing pivot
+    column, pivots positive, followed by the zero rows.
+
+    Rows are updated in place from the pivot column on, since both rows of
+    an update are zero before it.  The size reduction after an insertion
+    starts at the lowest pivot that the insertion created or changed: the
+    entries above the lower pivots were reduced before and did not change.
     """
-    basis = {}  # pivot column -> (row, transform row)
+    width = len(a[0]) if a else 0
+    basis = {}  # pivot column -> row index
+    pivots = []  # sorted pivot columns
     zero = []
-    for row, t in zip(rows, transform):
-        row, t = list(row), list(t)
+    for r, row in enumerate(a):
+        j, low = 0, None
         while True:
-            j = next((k for k, x in enumerate(row) if x), None)
-            if j is None:
-                zero.append((row, t))
+            while j < width and not row[j]:
+                j += 1
+            if j == width:
+                zero.append(r)
                 break
-            if j not in basis:
+            b = basis.get(j)
+            if b is None:
                 if row[j] < 0:
-                    row, t = [-x for x in row], [-x for x in t]
-                basis[j] = (row, t)
+                    row[j:] = [-x for x in row[j:]]
+                    log.append(("neg", r))
+                basis[j] = r
+                insort(pivots, j)
+                if low is None:
+                    low = j
                 break
-            b, bt = basis[j]
-            f, rem = divmod(row[j], b[j])
+            brow = a[b]
+            f, rem = divmod(row[j], brow[j])
             if rem == 0:
-                row = [w - f * s for s, w in zip(b, row)]
-                t = [w - f * s for s, w in zip(bt, t)]
+                row[j:] = [w - f * s for s, w in zip(brow[j:], row[j:])]
+                log.append(("sub", r, b, f))
                 continue
-            g, x, y = _xgcd(b[j], row[j])
-            p, q = b[j] // g, row[j] // g
-            basis[j] = ([x * s + y * w for s, w in zip(b, row)],
-                        [x * s + y * w for s, w in zip(bt, t)])
-            row, t = ([p * w - q * s for s, w in zip(b, row)],
-                      [p * w - q * s for s, w in zip(bt, t)])
-        pivots = sorted(basis)
-        for k, j in enumerate(pivots):
-            pr, pt = basis[j]
+            g, x, y = _xgcd(brow[j], row[j])
+            p, q = brow[j] // g, row[j] // g
+            bs, rs = brow[j:], row[j:]
+            brow[j:] = [x * s + y * w for s, w in zip(bs, rs)]
+            row[j:] = [p * w - q * s for s, w in zip(bs, rs)]
+            log.append(("gcd", b, r, x, y, p, q))
+            if low is None:
+                low = j
+        if low is None:
+            continue
+        for k in range(bisect_left(pivots, low), len(pivots)):
+            j = pivots[k]
+            t = basis[j]
+            prow = a[t]
             for i in pivots[:k]:
-                r, rt = basis[i]
-                f = r[j] // pr[j]
+                s = basis[i]
+                srow = a[s]
+                f = srow[j] // prow[j]
                 if f:
-                    r[:] = [x - f * y for x, y in zip(r, pr)]
-                    rt[:] = [x - f * y for x, y in zip(rt, pt)]
-    ordered = [basis[j] for j in sorted(basis)] + zero
-    return [r for r, _ in ordered], [t for _, t in ordered]
+                    srow[j:] = [x - f * y for x, y in zip(srow[j:], prow[j:])]
+                    log.append(("sub", s, t, f))
+    order = tuple(basis[j] for j in pivots) + tuple(zero)
+    log.append(("perm", order))
+    return [a[k] for k in order]
+
+
+def _transpose(a, width):
+    """The transpose of the rows a, each of the given width."""
+    return [list(col) for col in zip(*a)] if a else [[] for _ in range(width)]
+
+
+def _apply(a, steps):
+    """Apply the logged row operations to the rows a at full width; returns the rows.
+
+    Each step is first checked to be an integer operation of determinant
+    +-1 on the current rows; CertificateError is raised if it is not.
+    """
+    n = len(a)
+    for step in steps:
+        kind = step[0]
+        if kind == "sub":
+            _, i, j, f = step
+            ok = i != j and 0 <= i < n and 0 <= j < n and isinstance(f, int)
+        elif kind == "gcd":
+            _, b, r, x, y, p, q = step
+            ok = (b != r and 0 <= b < n and 0 <= r < n
+                  and all(isinstance(v, int) for v in (x, y, p, q)) and x * p + y * q == 1)
+        elif kind == "neg":
+            ok = 0 <= step[1] < n
+        else:
+            ok = kind == "perm" and sorted(step[1]) == list(range(n))
+        if not ok:
+            raise CertificateError(f"logged operation {step!r} is not unimodular")
+        if kind == "sub":
+            a[i] = [x - f * y for x, y in zip(a[i], a[j])]
+        elif kind == "gcd":
+            rb, rr = a[b], a[r]
+            a[b] = [x * s + y * w for s, w in zip(rb, rr)]
+            a[r] = [p * w - q * s for s, w in zip(rb, rr)]
+        elif kind == "neg":
+            a[step[1]] = [-x for x in a[step[1]]]
+        else:
+            a = [a[k] for k in step[1]]
+    return a
+
+
+def _replay(m: IntMatrix, operations, sides=(0, 1)):
+    """Rows of m after the logged operations of the given sides.
+
+    Row operations (side 0) act on the rows of m, column operations (side 1)
+    on its columns, each group in log order.  A malformed log raises
+    CertificateError.
+    """
+    a, width, side = [list(row) for row in m.entries], m.ncols, 0
+    try:
+        for group_side, steps in operations:
+            if group_side not in (0, 1):
+                raise CertificateError(f"logged side {group_side!r} is neither 0 nor 1")
+            if group_side not in sides:
+                continue
+            if group_side != side:
+                a, width, side = _transpose(a, width), len(a), group_side
+            a = _apply(a, steps)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise CertificateError(f"malformed operation log: {exc}") from exc
+    return _transpose(a, width) if side else a
 
 
 def _check_certificate(m: IntMatrix, form: SmithForm) -> None:
-    """Raise CertificateError unless form is an exact Smith form of m."""
+    """Raise CertificateError unless form is an exact Smith form of m.
+
+    Replays the log on a fresh copy of m with its own full-width row code:
+    every logged operation must be unimodular, and the result must equal
+    diag(d) entry by entry, with d_i >= 0, d_i | d_(i+1) and zeros last.
+    """
     rows, cols = m.nrows, m.ncols
     d = form.diagonal
-    shapes = (form.left.nrows, form.left.ncols, form.right.nrows, form.right.ncols, len(d))
-    if shapes != (rows, rows, cols, cols, min(rows, cols)):
-        raise CertificateError(f"Smith certificate has the wrong shape {shapes}")
-    product = form.left.mul(m).mul(form.right)
-    for i, row in enumerate(product.entries):
+    if tuple(form.shape) != (rows, cols) or len(d) != min(rows, cols):
+        raise CertificateError(f"Smith certificate has the wrong shape {form.shape}, {len(d)}")
+    for i, row in enumerate(_replay(m, form.operations)):
         for j, x in enumerate(row):
             if x != (d[i] if i == j else 0):
                 raise CertificateError(f"U*M*V differs from D at ({i}, {j})")
@@ -206,50 +328,46 @@ def _check_certificate(m: IntMatrix, form: SmithForm) -> None:
     for p, q in zip(d, d[1:]):
         if (q % p if p else q) != 0:
             raise CertificateError(f"Smith diagonal breaks the divisibility chain at {p}, {q}")
-    determinant = det(m) if rows == cols else 0
-    if determinant:
-        product_d = 1
-        for x in d:
-            product_d *= x
-        if product_d != abs(determinant):
-            raise CertificateError("Smith diagonal product differs from |det M|")
-    elif abs(det(form.left)) != 1 or abs(det(form.right)) != 1:
-        raise CertificateError("Smith certificate is not unimodular")
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Diagonalize over Z by unimodular row/column operations.
+    """Diagonalize over Z by logged unimodular row/column operations.
 
-    Returns the diagonal d1 | d2 | ... (zeros last) with unimodular
-    certificates U, V such that U*M*V = D.  Row and column Hermite normal
-    forms of M alternate until it is diagonal (Kannan-Bachem 1979).  The
-    loop ends: call the rows and columns before k finished when their only
-    nonzero entry is on the diagonal; every later pass keeps them so.  After
-    a column pass row k is clean, with positive entry e at (k, k) (or the
+    Returns the diagonal d1 | d2 | ... (zeros last) with the log of the
+    operations that take M to D.  Row and column Hermite normal forms of M
+    alternate until it is diagonal (Kannan-Bachem 1979).  The loop ends:
+    call the rows and columns before k finished when their only nonzero
+    entry is on the diagonal; every later pass keeps them so.  After a
+    column pass row k is clean, with positive entry e at (k, k) (or the
     remaining block is zero).  The next row pass puts the gcd of column k
     there.  If that gcd is e, row k and column k are both clean and k
     advances; otherwise the positive entry at (k, k) has strictly dropped.
-    2x2 gcd/lcm steps then repair the divisibility chain.  One exact check
-    -- U*M*V = D entry by entry, d_i >= 0 with d_i | d_(i+1), and
-    |det M| = prod d_i for square nonsingular M, |det U| = |det V| = 1
-    otherwise -- runs before returning; a failure raises CertificateError.
+    2x2 gcd/lcm steps then repair the divisibility chain.
+
+    The log is the certificate, checked before returning: a replay on a
+    fresh copy of M checks that every operation is an integer matrix of
+    determinant +-1 and that the result is D entry by entry, with d_i >= 0
+    and d_i | d_(i+1).  The row operations multiply to a unimodular U and
+    the column operations to a unimodular V, so this proves U*M*V = D; a
+    failure raises CertificateError.
     """
     rows, cols = m.nrows, m.ncols
     a = [list(row) for row in m.entries]
-    # sides[0] is U; sides[1] is V transposed, since column operations on M
-    # are row operations on its transpose
-    sides = [IntMatrix.identity(n).entries for n in (rows, cols)]
-    side = 0
+    operations = []
+    side = 0  # a holds the rows of M (side 0) or of its transpose (side 1)
     while True:
-        a, sides[side] = _hermite(a, sides[side])
+        log = []
+        a = _hermite(a, log)
+        operations.append((side, tuple(log)))
         a = [list(col) for col in zip(*a)]
         side ^= 1
         if not any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
             break
-    u, v = sides[0], [list(col) for col in zip(*sides[1])]
     d = [a[i][i] for i in range(min(rows, cols))]
     # repair the divisibility chain: (d_i, d_j) becomes (gcd, lcm) by a
-    # unimodular 2x2 step on each side
+    # unimodular 2x2 step on each side; row and column steps commute, so the
+    # log keeps them in two groups
+    row_steps, col_steps = [], []
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
             if d[i] == 0 or d[j] % d[i] == 0:
@@ -257,11 +375,11 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             g, x, y = _xgcd(d[i], d[j])
             p, q = d[i] // g, d[j] // g
             d[i], d[j] = g, p * d[j]
-            u[i], u[j] = ([x * s + y * w for s, w in zip(u[i], u[j])],
-                          [p * w - q * s for s, w in zip(u[i], u[j])])
-            for row in v:
-                row[i], row[j] = row[i] + row[j], x * p * row[j] - y * q * row[i]
-    form = SmithForm(tuple(d), IntMatrix.from_rows(u), IntMatrix.from_rows(v))
+            row_steps.append(("gcd", i, j, x, y, p, q))
+            col_steps.append(("gcd", i, j, 1, 1, x * p, y * q))
+    if row_steps:
+        operations += [(0, tuple(row_steps)), (1, tuple(col_steps))]
+    form = SmithForm(tuple(d), tuple(operations), (rows, cols))
     _check_certificate(m, form)
     return form
 
@@ -314,7 +432,8 @@ class H1Class:
 
 def cokernel(relations: IntMatrix, generators: int) -> H1Class:
     """Z^generators modulo the column span of the relation matrix."""
-    assert relations.nrows == generators
+    if relations.nrows != generators:
+        raise InvalidParameter(f"relation matrix has {relations.nrows} rows for {generators} generators")
     if relations.ncols == 0 or generators == 0:
         return H1Class.free(generators)
     snf = smith_normal_form(relations)
@@ -343,15 +462,14 @@ def h1_dehn(d: ContactSurgeryDiagram) -> H1Class:
         active.append(c.label)
         topological[c.label] = t
     n = len(active)
-    rows = []
+    index = {lab: i for i, lab in enumerate(active)}
+    rows = [[0] * n for _ in range(n)]
     for i, lab in enumerate(active):
-        t = topological[lab]
-        row = [0] * n
-        row[i] = t.p
-        for j, other in enumerate(active):
-            if other != lab:
-                row[j] = t.q * d.linking.get(lab, other)
-        rows.append(row)
+        rows[i][i] = topological[lab].p
+    for a, b, value in d.linking.pairs():
+        if a in index and b in index:
+            rows[index[a]][index[b]] = topological[a].q * value
+            rows[index[b]][index[a]] = topological[b].q * value
     return presentation_from_rows(rows, n)
 
 
@@ -364,7 +482,9 @@ def linking_matrix(d: ContactSurgeryDiagram) -> IntMatrix:
     rows = []
     for c in d.components:
         t = contact_to_topological(d.coefficients[c.label], c.tb)
-        assert t.is_integer, "linking matrix needs integral topological framings"
+        if not t.is_integer:
+            raise InvalidParameter(f"linking matrix needs integral topological framings, "
+                                   f"{c.label!r} has {t}")
         row = [t.p if other == c.label else d.linking.get(c.label, other) for other in labels]
         rows.append(row)
     return IntMatrix.from_rows(rows)

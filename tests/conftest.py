@@ -93,17 +93,26 @@ def run_optimized(script: str, stdin: str = None) -> subprocess.CompletedProcess
 
 
 def corrupt_certificates(monkeypatch):
-    """Make every Hermite pass return its transform with one entry off by one."""
+    """Make every Smith form log its first factor off by one.
+
+    The first "sub" or "gcd" step of the log gets its f or x raised by one
+    (a log with neither is left as it is), so the certificate check must
+    catch the change.
+    """
     import crsdiag.homology as homology
 
-    real = homology._hermite
+    real = homology.SmithForm
 
-    def corrupt(rows, transform):
-        rows, transform = real(rows, transform)
-        transform[0][0] += 1
-        return rows, transform
+    def corrupt(diagonal, operations, shape):
+        groups = [(side, list(steps)) for side, steps in operations]
+        for _, steps in groups:
+            for k, step in enumerate(steps):
+                if step[0] in ("sub", "gcd"):
+                    steps[k] = step[:3] + (step[3] + 1,) + step[4:]
+                    return real(diagonal, tuple((side, tuple(s)) for side, s in groups), shape)
+        return real(diagonal, operations, shape)
 
-    monkeypatch.setattr(homology, "_hermite", corrupt)
+    monkeypatch.setattr(homology, "SmithForm", corrupt)
 
 
 @pytest.fixture

@@ -42,6 +42,96 @@ def sparse_matrix(rng, rows, cols):
     return entries
 
 
+def _reference_hermite(rows, transform):
+    """Row Hermite normal form of rows, applying the same row operations to transform.
+
+    The transform-tracking Kannan-Bachem pass that the logged one replaced.
+    """
+    basis = {}  # pivot column -> (row, transform row)
+    zero = []
+    for row, t in zip(rows, transform):
+        row, t = list(row), list(t)
+        while True:
+            j = next((k for k, x in enumerate(row) if x), None)
+            if j is None:
+                zero.append((row, t))
+                break
+            if j not in basis:
+                if row[j] < 0:
+                    row, t = [-x for x in row], [-x for x in t]
+                basis[j] = (row, t)
+                break
+            b, bt = basis[j]
+            f, rem = divmod(row[j], b[j])
+            if rem == 0:
+                row = [w - f * s for s, w in zip(b, row)]
+                t = [w - f * s for s, w in zip(bt, t)]
+                continue
+            g, x, y = homology._xgcd(b[j], row[j])
+            p, q = b[j] // g, row[j] // g
+            basis[j] = ([x * s + y * w for s, w in zip(b, row)],
+                        [x * s + y * w for s, w in zip(bt, t)])
+            row, t = ([p * w - q * s for s, w in zip(b, row)],
+                      [p * w - q * s for s, w in zip(bt, t)])
+        pivots = sorted(basis)
+        for k, j in enumerate(pivots):
+            pr, pt = basis[j]
+            for i in pivots[:k]:
+                r, rt = basis[i]
+                f = r[j] // pr[j]
+                if f:
+                    r[:] = [x - f * y for x, y in zip(r, pr)]
+                    rt[:] = [x - f * y for x, y in zip(rt, pt)]
+    ordered = [basis[j] for j in sorted(basis)] + zero
+    return [r for r, _ in ordered], [t for _, t in ordered]
+
+
+def _reference_smith(entries):
+    """(diagonal, U, V) with U*M*V = D, from dense transforms carried through every pass.
+
+    The Smith form that the logged one replaced, kept as its test oracle.
+    """
+    rows, cols = len(entries), len(entries[0])
+    a = [list(row) for row in entries]
+    sides = [IntMatrix.identity(n).entries for n in (rows, cols)]
+    side = 0
+    while True:
+        a, sides[side] = _reference_hermite(a, sides[side])
+        a = [list(col) for col in zip(*a)]
+        side ^= 1
+        if not any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            break
+    u, v = sides[0], [list(col) for col in zip(*sides[1])]
+    d = [a[i][i] for i in range(min(rows, cols))]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if d[i] == 0 or d[j] % d[i] == 0:
+                continue
+            g, x, y = homology._xgcd(d[i], d[j])
+            p, q = d[i] // g, d[j] // g
+            d[i], d[j] = g, p * d[j]
+            u[i], u[j] = ([x * s + y * w for s, w in zip(u[i], u[j])],
+                          [p * w - q * s for s, w in zip(u[i], u[j])])
+            for row in v:
+                row[i], row[j] = row[i] + row[j], x * p * row[j] - y * q * row[i]
+    return tuple(d), u, v
+
+
+def pm1_presentation(rng, n, density):
+    """Presentation matrix of a contact (+-1)-surgery on n components, as h1_dehn builds it.
+
+    Topological framings tb +- 1 with tb in [-5, -1] on the diagonal, and
+    symmetric linking numbers in [-3, 3], each nonzero with the given density.
+    """
+    entries = [[0] * n for _ in range(n)]
+    for i in range(n):
+        entries[i][i] = rng.randint(-5, -1) + rng.choice((-1, 1))
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                entries[i][j] = entries[j][i] = rng.randint(-3, 3)
+    return entries
+
+
 # inputs that exercise divisibility-chain repair, zero rows and columns, and
 # 1 x n / n x 1 shapes, with their invariant factors
 STRUCTURED = [
@@ -79,6 +169,12 @@ def test_snf_certificates_random(rng):
         m = IntMatrix.from_rows(entries)
         rows, cols = m.nrows, m.ncols
         snf = smith_normal_form(m)
+        assert "left" not in vars(snf) and "right" not in vars(snf)  # built only when read
+        # the log holds the reference's operations, so U and V come out the same
+        diagonal, u, v = _reference_smith(entries)
+        assert snf.diagonal == diagonal
+        assert snf.left == IntMatrix.from_rows(u)
+        assert snf.right == IntMatrix.from_rows(v)
         # independent re-check of the certificate identity and unimodularity
         product = snf.left.mul(m).mul(snf.right)
         for i in range(rows):
@@ -103,6 +199,13 @@ def test_snf_matches_sympy(rng):
         assert [abs(d) for d in ours] == diag
 
 
+@pytest.mark.parametrize("n, density", [(10, 1.0), (17, 0.1), (24, 1.0), (31, 0.1),
+                                        (40, 0.1), (47, 1.0), (66, 0.1), (66, 1.0)])
+def test_snf_matches_reference_on_pm1_presentations(n, density):
+    entries = pm1_presentation(random.Random(n), n, density)
+    assert smith_normal_form(IntMatrix.from_rows(entries)).diagonal == _reference_smith(entries)[0]
+
+
 def test_snf_performance_64x64():
     rng = random.Random(7)
     m = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(64)] for _ in range(64)])
@@ -124,6 +227,7 @@ def test_snf_singular_presentation_regression():
         entries[i][i] = draw.choice((-1, 1)) + draw.randint(-5, -1)
         for j in range(i + 1, n):
             entries[i][j] = entries[j][i] = draw.randint(-3, 3)
+    assert smith_normal_form(IntMatrix.from_rows(entries)).diagonal == _reference_smith(entries)[0]
     block = IntMatrix.from_rows([row[1:] for row in entries[1:]])
     start = time.monotonic()
     h1 = cokernel(IntMatrix.from_rows(entries), n)
@@ -143,20 +247,56 @@ def test_corrupt_certificate_raises(monkeypatch):
         smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
 
 
-@pytest.mark.parametrize("entries, diagonal, left, right, reason", [
-    ([[1, 0], [0, 1]], (1, 1), [[1, 0]], [[1, 0], [0, 1]], "wrong shape"),
-    ([[1, 2], [3, 4]], (1, 2), [[1, 0], [0, 1]], [[1, 0], [0, 1]], "differs from D"),
-    ([[-1]], (-1,), [[1]], [[1]], "negative"),
-    ([[2, 0], [0, 3]], (2, 3), [[1, 0], [0, 1]], [[1, 0], [0, 1]], "divisibility chain"),
-    ([[1]], (2,), [[2]], [[1]], "det M"),
-    ([[1, 0], [0, 0]], (2, 0), [[2, 0], [0, 1]], [[1, 0], [0, 1]], "not unimodular"),
-    ([[1, 0]], (1,), [[1]], [[1, 0], [0, 2]], "not unimodular"),
-])
-def test_certificate_check_rejects(entries, diagonal, left, right, reason):
+def forged(entries, diagonal, *groups, shape=None):
+    """A SmithForm of the matrix entries with a hand-written log."""
     m = IntMatrix.from_rows(entries)
-    form = SmithForm(diagonal, IntMatrix.from_rows(left), IntMatrix.from_rows(right))
+    return m, SmithForm(diagonal, groups, shape or (m.nrows, m.ncols))
+
+
+# one forged log per clause of the check; each forged sub and gcd step would
+# otherwise replay to its (wrong) diagonal
+@pytest.mark.parametrize("m, form, reason", [
+    pytest.param(*forged([[1, 0], [0, 1]], (1, 1), shape=(2, 1)), "wrong shape",
+                 id="wrong shape"),
+    pytest.param(*forged([[1, 2], [3, 4]], (1, 2)), "differs from D", id="differs from D"),
+    pytest.param(*forged([[-1]], (-1,)), "negative", id="negative"),
+    pytest.param(*forged([[2, 0], [0, 3]], (2, 3)), "divisibility chain", id="divisibility chain"),
+    pytest.param(*forged([[0, 0], [0, 1]], (0, 1)), "divisibility chain", id="zeros last"),
+    pytest.param(*forged([[2]], (4,), (0, (("sub", 0, 0, -1),))), "not unimodular",
+                 id="sub on one row"),
+    pytest.param(*forged([[2, 0], [0, 2]], (2, 4), (0, (("sub", 1, -1, -1),))),
+                 "not unimodular", id="sub out of range"),
+    # rational shears that multiply to diag(1/2, 2)
+    pytest.param(*forged([[2, 0], [0, 2]], (1, 4), (0, (("sub", 0, 1, 1), ("sub", 1, 0, -1),
+                                                        ("sub", 0, 1, 0.5), ("sub", 1, 0, 2),
+                                                        ("sub", 0, 1, -0.5)))),
+                 "not unimodular", id="sub not integral"),
+    pytest.param(*forged([[2, 0], [0, 2]], (2, 4), (0, (("gcd", 0, 1, 1, 0, 2, 0),))),
+                 "not unimodular", id="gcd not unimodular"),
+    pytest.param(*forged([[2, 0], [0, 2]], (2, 4), (1, (("gcd", 1, 1, 1, 0, 1, -1),))),
+                 "not unimodular", id="gcd on one column"),
+    pytest.param(*forged([[2, 0], [0, 4]], (1, 8), (0, (("gcd", 0, 1, 0.5, 0, 2, 0),))),
+                 "not unimodular", id="gcd not integral"),
+    pytest.param(*forged([[0, 0], [0, 1]], (1, 0), (0, (("perm", (1, 1)),))),
+                 "not unimodular", id="perm repeats a row"),
+    pytest.param(*forged([[0, 1], [1, 0]], (1, 1), (0, (("swap", 0, 1),))), "not unimodular",
+                 id="unknown operation"),
+    pytest.param(*forged([[0, 1], [1, 0]], (1, 1), (2, (("perm", (1, 0)),))), "neither 0 nor 1",
+                 id="unknown side"),
+    pytest.param(*forged([[0, 1], [1, 0]], (1, 1), (0, (("sub", 0, 1),))), "malformed",
+                 id="malformed step"),
+])
+def test_certificate_check_rejects(m, form, reason):
     with pytest.raises(CertificateError, match=reason):
         homology._check_certificate(m, form)
+
+
+def test_certificate_check_accepts_a_valid_forged_log():
+    # rows swapped, then column 1 cleared by column 0 and negated
+    m, form = forged([[0, -3], [1, 2]], (1, 3), (0, (("perm", (1, 0)),)),
+                     (1, (("sub", 1, 0, 2), ("neg", 1))))
+    homology._check_certificate(m, form)
+    assert form.left.mul(m).mul(form.right) == IntMatrix.from_rows([[1, 0], [0, 3]])
 
 
 def test_corrupt_certificate_raises_under_optimize():

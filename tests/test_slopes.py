@@ -243,13 +243,26 @@ def test_normalize_matches_bounded_brute_force():
 def test_typed_checks_raise_under_optimize():
     script = textwrap.dedent("""
         import sys
-        from crsdiag import BoundaryData, H1Class, SlopeQ, TightLayerSpec, UnimodularMatrix
+        from crsdiag import (BoundaryData, ContactSurgeryDiagram, H1Class, IntMatrix,
+                             LegendrianComponent, LinkingData, Round1Spec, SlopeQ,
+                             TightLayerSpec, UnimodularMatrix, det, linking_matrix)
         from crsdiag.errors import InvalidParameter
+        from crsdiag.homology import cokernel
 
+        half = ContactSurgeryDiagram((LegendrianComponent("K", -1),), LinkingData(),
+                                     {"K": SlopeQ.of(1, 2)})
+        square = IntMatrix.from_rows([[1, 2], [3, 4]])
         for build in (lambda: BoundaryData.of(3, SlopeQ.of(-1)),
                       lambda: UnimodularMatrix(1, 1, 1, 1),
                       lambda: TightLayerSpec.rotative_plus(0),
-                      lambda: H1Class(0, (3, 2))):
+                      lambda: H1Class(0, (3, 2)),
+                      lambda: IntMatrix(((1, 2), (3,))),
+                      lambda: square.mul(IntMatrix.from_rows([[1, 2, 3]])),
+                      lambda: det(IntMatrix.from_rows([[1, 2, 3]])),
+                      lambda: cokernel(square, 3),
+                      lambda: linking_matrix(half),
+                      lambda: SlopeQ(2, 4),
+                      lambda: Round1Spec(("A",), 1.5, 0, TightLayerSpec.invariant())):
             try:
                 build()
             except InvalidParameter:
@@ -257,7 +270,7 @@ def test_typed_checks_raise_under_optimize():
     """)
     result = run_optimized(script)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "raised 1\n" * 4
+    assert result.stdout == "raised 1\n" * 11
 
 
 # --- configuration enumeration ------------------------------------------------
