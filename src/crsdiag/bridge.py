@@ -46,6 +46,7 @@ from .core import (
     validate_diagram,
 )
 from .errors import (
+    CertificateError,
     GadgetSelfTestFailed,
     InvalidParameter,
     NoJointPartner,
@@ -60,7 +61,8 @@ from .homology import H1Class, det, h1_dehn, linking_matrix
 def pushoff_chain_linking(m: int, i: int, j: int) -> int:
     """Default gadget linking: component 0 is the (+1)-unknot, 1..m the chain."""
     lo, hi = min(i, j), max(i, j)
-    assert 0 <= lo < hi <= m
+    if not 0 <= lo < hi <= m:
+        raise InvalidParameter(f"gadget m={m} has no component pair ({i}, {j})")
     return -m if lo == 0 else -m - 1
 
 
@@ -100,7 +102,6 @@ def kirby1_gadget(
         components=tuple(components),
         linking=LinkingData(entries),
         coefficients=coefficients,
-        pm1_only=True,
     )
     _gadget_self_test(m, diagram)
     return diagram
@@ -133,7 +134,8 @@ class PairingPlan:
     pairs: tuple    # PlannedPair
 
     def __post_init__(self):
-        assert self.case_id in (1, 2, 3, 4)
+        if self.case_id not in (1, 2, 3, 4):
+            raise InvalidParameter(f"parity case must be 1, 2, 3 or 4, got {self.case_id!r}")
 
 
 def _fresh_prefix(existing: set, index: int) -> str:
@@ -196,7 +198,9 @@ def pair_pm1_diagram(
 
     total_plus = sum(1 for c in coefficients.values() if c == plus)
     total_minus = len(components) - total_plus
-    assert total_plus % 2 == 0 and total_minus % 2 == 0, "gadget insertion must even out both counts"
+    if total_plus % 2 or total_minus % 2:
+        raise CertificateError(f"case {case_id}: gadget insertion left {total_plus} (+1) and "
+                               f"{total_minus} (-1) components; both counts must be even")
 
     pool_plus = sorted(lab for lab, c in coefficients.items() if c == plus)
     pool_minus = sorted(lab for lab, c in coefficients.items() if c != plus)
@@ -211,9 +215,13 @@ def pair_pm1_diagram(
             planned.append(PlannedPair(a, b, k, coeff))
 
     rd = RoundSurgeryDiagram(tuple(components), linking, tuple(round1), tuple(round2))
-    assert not validate_diagram(rd)
+    problems = validate_diagram(rd)
+    if problems:
+        raise CertificateError("constructed diagram is invalid: " + "; ".join(v.message for v in problems))
     for idx in range(len(rd.round1)):
-        assert check_nice(rd, idx).nice, "constructed pairs must be nice"
+        report = check_nice(rd, idx)
+        if not report.nice:
+            raise CertificateError(f"constructed pair round1[{idx}] is not nice: " + "; ".join(report.reasons))
     return rd, PairingPlan(case_id, tuple(gadgets), tuple(planned))
 
 
@@ -250,7 +258,6 @@ def joint_pairs_to_pm1(rd: RoundSurgeryDiagram) -> ContactSurgeryDiagram:
         components=rd.components,
         linking=rd.linking,
         coefficients=coefficients,
-        pm1_only=False,
     )
 
 

@@ -174,10 +174,11 @@ class LinkingData:
     """Symmetric pairwise linking numbers keyed by unordered label pairs.
 
     Absent pairs link 0; zero entries are dropped so equal linking data
-    compare equal regardless of how they were assembled.
+    compare equal regardless of how they were assembled.  The value is
+    immutable, so its entries are sorted once, when it is built.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_pairs")
 
     def __init__(self, entries: Iterable[tuple] = ()):  # (a, b, value) triples
         table = {}
@@ -190,6 +191,10 @@ class LinkingData:
             if value != 0:
                 table[key] = value
         self._entries = table
+        self._pairs = tuple(
+            (a, b, table[a, b])
+            for a, b in sorted(table, key=lambda k: (_label_key(k[0]), _label_key(k[1])))
+        )
 
     def get(self, a, b) -> int:
         if a == b:
@@ -199,8 +204,7 @@ class LinkingData:
 
     def pairs(self):
         """Sorted (a, b, value) triples of the nonzero entries."""
-        for key in sorted(self._entries, key=lambda k: (_label_key(k[0]), _label_key(k[1]))):
-            yield key[0], key[1], self._entries[key]
+        return iter(self._pairs)
 
     def labels(self):
         out = set()
@@ -210,7 +214,7 @@ class LinkingData:
         return out
 
     def merged_with(self, other: "LinkingData") -> "LinkingData":
-        return LinkingData(list(self.pairs()) + list(other.pairs()))
+        return LinkingData(self._pairs + other._pairs)
 
     def relabeled(self, mapping: Mapping) -> "LinkingData":
         return LinkingData((mapping[a], mapping[b], v) for a, b, v in self.pairs())
@@ -222,7 +226,7 @@ class LinkingData:
         return hash(frozenset(self._entries.items()))
 
     def __repr__(self):
-        return f"LinkingData({list(self.pairs())!r})"
+        return f"LinkingData({list(self._pairs)!r})"
 
 
 def _label_key(label):
@@ -318,7 +322,6 @@ class ContactSurgeryDiagram:
     components: tuple
     linking: LinkingData
     coefficients: Mapping
-    pm1_only: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -336,7 +339,6 @@ class ContactSurgeryDiagram:
             and self.components == other.components
             and self.linking == other.linking
             and self.coefficients == other.coefficients
-            and self.pm1_only == other.pm1_only
         )
 
     def __hash__(self):
@@ -402,10 +404,6 @@ def validate_diagram(d: Diagram) -> list:
         for lab in d.coefficients:
             if lab not in seen:
                 out.append(Violation("extra_coefficient", f"coefficient on unknown component {lab!r}"))
-        if d.pm1_only:
-            for lab, c in d.coefficients.items():
-                if c not in (SlopeQ.of(1), SlopeQ.of(-1)):
-                    out.append(Violation("not_pm1", f"component {lab!r} has coefficient {c} in a pm1-only diagram"))
         return out
 
     used = set()

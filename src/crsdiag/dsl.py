@@ -22,7 +22,8 @@ A file holds named blocks::
 Identifiers are ASCII letters, digits and underscores, not starting with a
 digit.  Space, tab and carriage return separate tokens.  Strings are
 double-quoted on one line, without escapes.  `#` starts a comment that runs
-to the end of the line.  Error positions are 1-based line:col.
+to the end of the line.  Error positions are 1-based line:col, worked out
+from the text only when an error is raised.
 Rationals are written p/q with an optional sign, plain integers abbreviate
 n/1, and inf is the infinite coefficient.
 Front-derived tb/rot win over declared values; a disagreement is a semantic
@@ -35,7 +36,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import List, NamedTuple, Optional, Tuple
+from itertools import islice
+from typing import List, Optional, Tuple
 
 from .core import (
     ContactSurgeryDiagram,
@@ -51,44 +53,43 @@ from .core import (
 from .errors import DslSyntaxError, InvalidParameter, SemanticError
 from .front import OrientedFront, classical_invariants, parse_front_word, trace_components
 
-# One alternative per lexeme; `other` catches any character outside the
-# grammar, so the scan covers the whole text.
-_LEXEME = re.compile(
-    r'(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>#[^\n]*)|(?P<string>"[^"\n]*")'
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<punct>[{}()=,;/-])|(?P<other>.)"
-)
+# Blanks and comments separate lexemes.  A lexeme is a string (quotes kept),
+# an identifier, an integer or a punctuation mark.
+_SPACE = r"[ \t\r\n]+|#[^\n]*"
+_WORD = r'"[^"\n]*"|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[{}()=,;/-]'
+_SPACES = re.compile(rf"(?:{_SPACE})*")
+# One lexeme and the blanks after it.  `.` takes a character outside the
+# grammar, and the empty match at the end of the text is the end lexeme "".
+_LEXEME = re.compile(rf"({_WORD}|.|\Z)(?:{_SPACE})*")
+# The one-character lexemes of the grammar; any other one-character lexeme is
+# a character outside it or the quote of an unterminated string.
+_CHARS = frozenset(c for c in map(chr, range(128)) if re.fullmatch(_WORD, c))
 
 
-class Token(NamedTuple):
-    kind: str  # "ident" | "int" | "string" | "punct" | "eof"
-    value: str
-    line: int
-    col: int
+def _lexemes(text: str) -> List[str]:
+    lexemes = _LEXEME.findall(text, _SPACES.match(text).end())
+    bad = [x for x in set(lexemes).difference(_CHARS) if len(x) == 1]
+    if bad:
+        k = min(map(lexemes.index, bad))
+        ch = lexemes[k]
+        message = "unterminated string literal" if ch == '"' else f"unexpected character {ch!r}"
+        raise DslSyntaxError(message, *_position(text, k))
+    return lexemes
 
 
-def _tokenize(text: str) -> List[Token]:
-    tokens = []
-    line, line_start = 1, 0
-    m = None
-    for m in _LEXEME.finditer(text):
-        kind = m.lastgroup
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-        elif kind != "space" and kind != "comment":
-            value = m.group()
-            col = m.start() - line_start + 1
-            if kind == "string":
-                value = value[1:-1]
-            elif kind == "other":
-                if value == '"':
-                    raise DslSyntaxError("unterminated string literal", line, col)
-                raise DslSyntaxError(f"unexpected character {value!r}", line, col)
-            tokens.append(Token(kind, value, line, col))
-    # a trailing comment leaves the end position at its '#'
-    end = m.start() if m is not None and m.lastgroup == "comment" else len(text)
-    tokens.append(Token("eof", "", line, end - line_start + 1))
-    return tokens
+def _position(text: str, k: int) -> Tuple[int, int]:
+    """1-based line:col of lexeme k, found by scanning the text again.
+
+    At the end of the text, a trailing comment keeps the column of its '#'.
+    """
+    matches = list(islice(_LEXEME.finditer(text, _SPACES.match(text).end()), k + 1))
+    start = matches[k].start()
+    line_start = text.rfind("\n", 0, start) + 1
+    if start == len(text):
+        comment = text.find("#", max(matches[k - 1].end(1) if k else 0, line_start))
+        if comment >= 0:
+            start = comment
+    return text.count("\n", 0, start) + 1, start - line_start + 1
 
 
 @dataclass(frozen=True)
@@ -128,97 +129,88 @@ class DiagramFile:
 
 
 class _Parser:
+    """Recursive descent over the lexeme list; `pos` indexes the next lexeme."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _lexemes(text)
         self.pos = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def fail(self, message: str):
-        tok = self.peek()
-        raise DslSyntaxError(message, tok.line, tok.col)
+    def fail(self, message: str, at: Optional[int] = None, error=DslSyntaxError):
+        """Raise `error` at lexeme `at`, by default the next one."""
+        raise error(message, *_position(self.text, self.pos if at is None else at))
 
-    def at_punct(self, ch: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind == "punct" and tok.value == ch
-
-    def expect_punct(self, ch: str) -> Token:
+    def expect(self, ok, want: str) -> str:
+        """Take the next lexeme; unless ok(lexeme) holds, fail naming `want`."""
+        at = self.pos
         tok = self.next()
-        if tok.kind != "punct" or tok.value != ch:
-            raise DslSyntaxError(f"expected {ch!r}, found {tok.value!r}", tok.line, tok.col)
+        if not ok(tok):
+            found = tok[1:-1] if tok[:1] == '"' else tok  # a string shows without quotes
+            self.fail(f"expected {want}, found {found!r}", at)
         return tok
 
-    def expect_ident(self, value: Optional[str] = None) -> Token:
-        tok = self.next()
-        if tok.kind != "ident" or (value is not None and tok.value != value):
-            want = value if value is not None else "an identifier"
-            raise DslSyntaxError(f"expected {want!r}, found {tok.value!r}", tok.line, tok.col)
-        return tok
+    def expect_punct(self, ch: str) -> None:
+        self.expect(ch.__eq__, repr(ch))
+
+    def expect_ident(self) -> str:
+        return self.expect(str.isidentifier, "'an identifier'")
 
     def parse_sint(self) -> int:
-        tok = self.next()
-        negative = False
-        if tok.kind == "punct" and tok.value == "-":
-            negative = True
-            tok = self.next()
-        if tok.kind != "int":
-            raise DslSyntaxError(f"expected an integer, found {tok.value!r}", tok.line, tok.col)
-        value = int(tok.value)
+        negative = self.peek() == "-"
+        self.pos += negative
+        value = int(self.expect(str.isdigit, "an integer"))
         return -value if negative else value
 
     def parse_slope(self) -> SlopeQ:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.value == "inf":
+        at = self.pos
+        if self.peek() == "inf":
             self.next()
             return SlopeQ.infinity()
         p = self.parse_sint()
-        if self.at_punct("/"):
-            self.next()
-            q = self.parse_sint()
-            if p == 0 and q == 0:
-                raise DslSyntaxError("0/0 is not a coefficient", tok.line, tok.col)
-            return SlopeQ.of(p, q)
-        return SlopeQ.of(p, 1)
+        if self.peek() != "/":
+            return SlopeQ.of(p, 1)
+        self.next()
+        q = self.parse_sint()
+        if p == 0 and q == 0:
+            self.fail("0/0 is not a coefficient", at)
+        return SlopeQ.of(p, q)
 
     def parse_layer(self) -> TightLayerSpec:
-        tok = self.expect_ident()
-        if tok.value == "invariant":
+        at = self.pos
+        kind = self.expect_ident()
+        if kind == "invariant":
             return TightLayerSpec.invariant().normalized()
-        if tok.value not in ("nonrotative", "rotative_plus", "rotative_minus"):
-            raise DslSyntaxError(f"unknown layer {tok.value!r}", tok.line, tok.col)
+        if kind not in ("nonrotative", "rotative_plus", "rotative_minus"):
+            self.fail(f"unknown layer {kind!r}", at)
         self.expect_punct("(")
         value = self.parse_sint()
         self.expect_punct(")")
         try:
-            if tok.value == "nonrotative":
-                return TightLayerSpec.nonrotative(value)
-            if tok.value == "rotative_plus":
-                return TightLayerSpec.rotative_plus(value)
-            return TightLayerSpec.rotative_minus(value)
+            return getattr(TightLayerSpec, kind)(value)
         except InvalidParameter:
-            raise DslSyntaxError(f"bad layer parameter {value}", tok.line, tok.col) from None
+            self.fail(f"bad layer parameter {value}", at)
 
     def parse_file(self) -> DiagramFile:
         diagrams = []
         names = set()
-        while self.peek().kind != "eof":
-            tok = self.expect_ident()
-            if tok.value not in ("diagram", "round_diagram"):
-                raise DslSyntaxError(
-                    f"expected 'diagram' or 'round_diagram', found {tok.value!r}",
-                    tok.line, tok.col,
-                )
-            name = self.expect_ident().value
+        while self.peek():  # "" ends the text
+            at = self.pos
+            keyword = self.expect_ident()
+            if keyword not in ("diagram", "round_diagram"):
+                self.fail(f"expected 'diagram' or 'round_diagram', found {keyword!r}", at)
+            name = self.expect_ident()
             if name in names:
-                raise SemanticError(f"diagram name {name!r} repeats", tok.line, tok.col)
+                self.fail(f"diagram name {name!r} repeats", at, SemanticError)
             names.add(name)
-            if tok.value == "diagram":
+            if keyword == "diagram":
                 diagrams.append(self._parse_contact(name))
             else:
                 diagrams.append(self._parse_round(name))
@@ -227,64 +219,67 @@ class _Parser:
     # --- block parsers ----------------------------------------------------
 
     def _parse_component(self) -> ComponentDecl:
-        label_tok = self.expect_ident()
+        label = self.expect_ident()
         self.expect_punct("{")
         fields = {}
-        while not self.at_punct("}"):
+        while self.peek() != "}":
+            at = self.pos
             key = self.expect_ident()
-            if key.value not in ("tb", "rot", "front", "orient"):
-                raise DslSyntaxError(f"unknown component field {key.value!r}", key.line, key.col)
-            if key.value in fields:
-                raise SemanticError(f"field {key.value!r} repeats", key.line, key.col)
+            if key not in ("tb", "rot", "front", "orient"):
+                self.fail(f"unknown component field {key!r}", at)
+            if key in fields:
+                self.fail(f"field {key!r} repeats", at, SemanticError)
             self.expect_punct("=")
-            if key.value in ("tb", "rot"):
-                fields[key.value] = self.parse_sint()
-            elif key.value == "front":
-                tok = self.next()
-                if tok.kind != "string":
-                    raise DslSyntaxError("front takes a quoted word", tok.line, tok.col)
-                fields["front"] = tok.value
+            at = self.pos
+            if key in ("tb", "rot"):
+                fields[key] = self.parse_sint()
+            elif key == "front":
+                word = self.next()
+                if word[:1] != '"':
+                    self.fail("front takes a quoted word", at)
+                fields["front"] = word[1:-1]
             else:
-                tok = self.expect_ident()
-                if tok.value not in ("forward", "reverse"):
-                    raise DslSyntaxError("orient is 'forward' or 'reverse'", tok.line, tok.col)
-                fields["orient"] = tok.value
+                orient = self.expect_ident()
+                if orient not in ("forward", "reverse"):
+                    self.fail("orient is 'forward' or 'reverse'", at)
+                fields["orient"] = orient
             self.expect_punct(";")
         self.expect_punct("}")
-        return ComponentDecl(label_tok.value, fields.get("tb"), fields.get("rot"),
+        return ComponentDecl(label, fields.get("tb"), fields.get("rot"),
                              fields.get("front"), fields.get("orient"))
 
     def _parse_pair(self) -> Tuple[str, str]:
         self.expect_punct("(")
-        a = self.expect_ident().value
+        a = self.expect_ident()
         self.expect_punct(",")
-        b = self.expect_ident().value
+        b = self.expect_ident()
         self.expect_punct(")")
         return a, b
 
     def _parse_surgery_block(self, want_r1: bool, want_r2: bool):
         self.expect_punct("{")
         r1 = r2 = layer = None
-        while not self.at_punct("}"):
+        while self.peek() != "}":
+            at = self.pos
             key = self.expect_ident()
             self.expect_punct("=")
-            if key.value == "r1" and want_r1:
+            if key == "r1" and want_r1:
                 if r1 is not None:
-                    raise SemanticError("field 'r1' repeats", key.line, key.col)
+                    self.fail("field 'r1' repeats", at, SemanticError)
                 first = self.parse_sint()
                 self.expect_punct(",")
                 second = self.parse_sint()
                 r1 = (first, second)
-            elif key.value == "r2" and want_r2:
+            elif key == "r2" and want_r2:
                 if r2 is not None:
-                    raise SemanticError("field 'r2' repeats", key.line, key.col)
+                    self.fail("field 'r2' repeats", at, SemanticError)
                 r2 = self.parse_slope()
-            elif key.value == "layer" and want_r1:
+            elif key == "layer" and want_r1:
                 if layer is not None:
-                    raise SemanticError("field 'layer' repeats", key.line, key.col)
+                    self.fail("field 'layer' repeats", at, SemanticError)
                 layer = self.parse_layer()
             else:
-                raise DslSyntaxError(f"unknown field {key.value!r} here", key.line, key.col)
+                self.fail(f"unknown field {key!r} here", at)
             self.expect_punct(";")
         self.expect_punct("}")
         if want_r1 and r1 is None:
@@ -304,22 +299,23 @@ class _Parser:
         self.expect_punct("{")
         decls: List[ComponentDecl] = []
         linking: List[Tuple[str, str, int]] = []
-        while not self.at_punct("}"):
-            tok = self.expect_ident()
-            if tok.value == "component":
+        while self.peek() != "}":
+            at = self.pos
+            keyword = self.expect_ident()
+            if keyword == "component":
                 decls.append(self._parse_component())
-            elif tok.value == "lk":
+            elif keyword == "lk":
                 a, b = self._parse_pair()
                 self.expect_punct("=")
                 value = self.parse_sint()
                 self.expect_punct(";")
                 if a == b:
-                    raise SemanticError(f"self-linking lk({a}, {a}) is not allowed", tok.line, tok.col)
+                    self.fail(f"self-linking lk({a}, {a}) is not allowed", at, SemanticError)
                 linking.append((a, b, value))
-            elif tok.value in statements:
-                statements[tok.value](tok)
+            elif keyword in statements:
+                statements[keyword](at)
             else:
-                raise DslSyntaxError(f"unknown statement {tok.value!r}", tok.line, tok.col)
+                self.fail(f"unknown statement {keyword!r}", at)
         self.expect_punct("}")
         components = tuple(_resolve_components(decls))
         return tuple(sorted(decls, key=lambda d: d.label)), components, _build_linking(linking)
@@ -327,13 +323,13 @@ class _Parser:
     def _parse_contact(self, name: str) -> NamedDiagram:
         surgeries = {}
 
-        def contact_surgery(tok):
-            label = self.expect_ident().value
+        def contact_surgery(at):
+            label = self.expect_ident()
             self.expect_punct("=")
             slope = self.parse_slope()
             self.expect_punct(";")
             if label in surgeries:
-                raise SemanticError(f"component {label!r} has two coefficients", tok.line, tok.col)
+                self.fail(f"component {label!r} has two coefficients", at, SemanticError)
             surgeries[label] = slope
 
         decls, components, linking = self._parse_body({"contact_surgery": contact_surgery})
@@ -345,18 +341,18 @@ class _Parser:
         standalone1 = []  # (pair, r1, layer)
         standalone2 = []  # (knot, r2)
 
-        def joint_pair(_tok):
+        def joint_pair(_at):
             pair = self._parse_pair()
             r1, r2, layer = self._parse_surgery_block(want_r1=True, want_r2=True)
             joints.append((pair, r1, layer, r2))
 
-        def round1(_tok):
+        def round1(_at):
             pair = self._parse_pair()
             r1, _r2, layer = self._parse_surgery_block(want_r1=True, want_r2=False)
             standalone1.append((pair, r1, layer))
 
-        def round2(_tok):
-            knot = self.expect_ident().value
+        def round2(_at):
+            knot = self.expect_ident()
             _r1, r2, _layer = self._parse_surgery_block(want_r1=False, want_r2=True)
             standalone2.append((knot, r2))
 

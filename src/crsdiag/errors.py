@@ -118,7 +118,12 @@ class CertificateError(Exception):
     """A computed result failed its exact check (internal fault).
 
     Raised when a Smith normal form certificate, a slope normalization, a
-    continued fraction expansion or a glued dividing set does not verify.
+    continued fraction expansion or a glued dividing set does not verify,
+    and when a construction breaks an invariant it guarantees: a gadget
+    insertion that leaves a coefficient class of odd size, a constructed
+    joint-pair diagram that fails validate_diagram or check_nice, odd cusp
+    or mixed-crossing counts in classical_invariants, or a stabilize that
+    finds no right cusp or no zigzag with the requested rotation shift.
     A Smith certificate is the log of the row and column operations that
     took M to D; it fails when a logged operation is not an integer matrix
     of determinant +-1 or when replaying the log on M does not give D, so a

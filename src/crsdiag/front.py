@@ -26,6 +26,7 @@ from typing import Dict, List, Tuple
 
 from .core import LinkingData
 from .errors import (
+    CertificateError,
     FrontSyntaxError,
     InvalidParameter,
     OpenDiagram,
@@ -260,12 +261,11 @@ def classical_invariants(front: OrientedFront) -> FrontInvariants:
             down, up = ups_fwd[cid], downs_fwd[cid]
         else:
             down, up = downs_fwd[cid], ups_fwd[cid]
-        assert (down + up) % 2 == 0
-        rot2 = down - up
-        assert rot2 % 2 == 0
+        if (down - up) % 2:
+            raise CertificateError(f"component {cid} has {down} down and {up} up cusps, an odd total")
         invariants.append(ComponentInvariants(
             tb=self_writhe[cid] - caps_per[cid],
-            rot=rot2 // 2,
+            rot=(down - up) // 2,
             self_writhe=self_writhe[cid],
             cusps_up=up,
             cusps_down=down,
@@ -273,7 +273,9 @@ def classical_invariants(front: OrientedFront) -> FrontInvariants:
 
     entries = []
     for (a, b), total in lk_sums.items():
-        assert total % 2 == 0, "mixed crossings of two closed curves come in pairs"
+        if total % 2:
+            raise CertificateError(f"components {a} and {b} have an odd crossing sign sum {total}; "
+                                   "mixed crossings of two closed curves come in pairs")
         entries.append((a, b, total // 2))
     return FrontInvariants(tuple(invariants), LinkingData(entries))
 
@@ -297,7 +299,8 @@ def stabilize(front: OrientedFront, component: int, sign: int) -> OrientedFront:
         if comp[lo] == component:
             target = (t, front.word.events[t].pos)
             break
-    assert target is not None, "every closed component has a right cusp"
+    if target is None:
+        raise CertificateError(f"closed component {component} has no right cusp")
     t, pos = target
 
     before = classical_invariants(front).components[component].rot
@@ -309,4 +312,4 @@ def stabilize(front: OrientedFront, component: int, sign: int) -> OrientedFront:
         after = classical_invariants(candidate).components[component].rot
         if after - before == sign:
             return candidate
-    raise AssertionError("no zigzag variant realizes the requested rotation shift")
+    raise CertificateError("no zigzag variant realizes the requested rotation shift")

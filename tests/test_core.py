@@ -87,6 +87,20 @@ def test_self_linking_rejected():
         LinkingData([("A", "A", 1)])
 
 
+def test_linking_data_orders_its_entries():
+    lk = LinkingData([("B", "A", 2), (3, 1, -1), ("C", 1, 4), ("A", "C", 0)])
+    expected = [(1, 3, -1), (1, "C", 4), ("A", "B", 2)]
+    assert list(lk.pairs()) == expected
+    assert list(lk.pairs()) == expected  # every call yields the same triples
+    assert repr(lk) == f"LinkingData({expected!r})"
+    assert (lk.get("A", "B"), lk.get("B", "A"), lk.get("A", "C")) == (2, 2, 0)
+    assert lk == LinkingData(reversed(expected))
+    merged = lk.merged_with(LinkingData([("D", "A", 5)]))
+    assert list(merged.pairs()) == expected + [("A", "D", 5)]
+    relabeled = lk.relabeled({1: "Z", 3: "Y", "A": "A", "B": "B", "C": "C"})
+    assert list(relabeled.pairs()) == [("A", "B", 2), ("C", "Z", 4), ("Y", "Z", -1)]
+
+
 def test_layer_normalization():
     inv = TightLayerSpec.invariant()
     assert inv.normalized() == TightLayerSpec.nonrotative(0)

@@ -157,14 +157,41 @@ def test_one_over_zero_is_infinity():
     assert df.get().diagram.coefficients["A"] == SlopeQ.infinity()
 
 
-def test_syntax_error_carries_position():
-    with pytest.raises(DslSyntaxError) as info:
-        parse("diagram d {\n  component A { tb = x; }\n}")
-    assert (info.value.line, info.value.col) == (2, 22)
+_POSITIONED_ERRORS = [
+    ("diagram d {\n  component A { tb = x; }\n}", DslSyntaxError, 2, 22,
+     "expected an integer, found 'x'"),
     # at the end of the file a trailing comment keeps the column of its '#'
-    with pytest.raises(DslSyntaxError) as info:
-        parse("diagram d { # comment")
-    assert (info.value.line, info.value.col) == (1, 13)
+    ("diagram d { # comment", DslSyntaxError, 1, 13, "expected 'an identifier', found ''"),
+    # a '#' inside a string is no comment
+    ('diagram d { component A { front = "#";', DslSyntaxError, 1, 39,
+     "expected 'an identifier', found ''"),
+    ('diagram d { component A { front = "#"; # note', DslSyntaxError, 1, 40,
+     "expected 'an identifier', found ''"),
+    ("diagram d { component A { tb = -1; } contact_surgery A = 1; }\r\ndiagram d { }",
+     SemanticError, 2, 1, "diagram name 'd' repeats"),
+    ("diagram d {\n  component A {tb = -1; tb = -2; }\n}", SemanticError, 2, 25,
+     "field 'tb' repeats"),
+    ("round_diagram r {\n  component A { tb = -1; }\n  round2 A { r2 = 1; r2 = 2; }\n}",
+     SemanticError, 3, 22, "field 'r2' repeats"),
+    ('diagram d {\n\tcomponent A { front = "U1 C1"; }\n  lk(A, A) = 1;\n}', SemanticError, 3, 3,
+     "self-linking lk(A, A) is not allowed"),
+    ("diagram d {\n  component A { tb = -1; } contact_surgery A = 1;\n   contact_surgery A = -1;\n}",
+     SemanticError, 3, 4, "component 'A' has two coefficients"),
+    ('diagram dd { component A { front = "U1 C1"; orient = sideways; } }', DslSyntaxError, 1, 54,
+     "orient is 'forward' or 'reverse'"),
+    ("diagram d { component A { tb = -1; } contact_surgery A = 0/0; }", DslSyntaxError, 1, 58,
+     "0/0 is not a coefficient"),
+    ('diagram d { component A { tb = "5"; } }', DslSyntaxError, 1, 32,
+     "expected an integer, found '5'"),
+]
+
+
+def test_syntax_error_carries_position():
+    for text, error, line, col, message in _POSITIONED_ERRORS:
+        with pytest.raises(error) as info:
+            parse(text)
+        assert (info.value.line, info.value.col) == (line, col), text
+        assert str(info.value) == (f"{line}:{col}: {message}" if error is DslSyntaxError else message)
 
 
 def test_joint_pair_wires_joint_with():
@@ -250,6 +277,22 @@ def _scan(tokenize, text):
         return exc.message, exc.line, exc.col
 
 
+def _kind(lexeme):
+    if not lexeme:
+        return "eof"
+    if lexeme[0] == '"':
+        return "string"
+    if lexeme.isidentifier():
+        return "ident"
+    return "int" if lexeme.isdigit() else "punct"
+
+
+def _located_lexemes(text):
+    """dsl's lexemes in the reference's shape, each placed by `dsl._position`."""
+    return [(_kind(lexeme), lexeme.strip('"'), *dsl._position(text, k))
+            for k, lexeme in enumerate(dsl._lexemes(text))]
+
+
 def _scanner_inputs():
     rng = random.Random(4)
     texts = [path.read_text() for path in sorted(FIXTURES.glob("*.crs"))]
@@ -274,6 +317,6 @@ def test_scanner_matches_reference():
     errors = 0
     for text in _scanner_inputs():
         expected = _scan(_reference_tokenize, text)
-        assert _scan(dsl._tokenize, text) == expected, repr(text)
+        assert _scan(_located_lexemes, text) == expected, repr(text)
         errors += isinstance(expected, tuple)
     assert errors > 300  # the mutations reach the error paths too

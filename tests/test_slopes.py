@@ -1,11 +1,14 @@
+import ast
 import random
 import textwrap
 from fractions import Fraction
 from itertools import combinations
 from math import floor
+from pathlib import Path
 
 import pytest
 
+import crsdiag
 from crsdiag import (
     ArcConfig,
     BoundaryData,
@@ -246,6 +249,7 @@ def test_typed_checks_raise_under_optimize():
         from crsdiag import (BoundaryData, ContactSurgeryDiagram, H1Class, IntMatrix,
                              LegendrianComponent, LinkingData, Round1Spec, SlopeQ,
                              TightLayerSpec, UnimodularMatrix, det, linking_matrix)
+        from crsdiag.bridge import PairingPlan, pushoff_chain_linking
         from crsdiag.errors import InvalidParameter
         from crsdiag.homology import cokernel
 
@@ -262,7 +266,10 @@ def test_typed_checks_raise_under_optimize():
                       lambda: cokernel(square, 3),
                       lambda: linking_matrix(half),
                       lambda: SlopeQ(2, 4),
-                      lambda: Round1Spec(("A",), 1.5, 0, TightLayerSpec.invariant())):
+                      lambda: Round1Spec(("A",), 1.5, 0, TightLayerSpec.invariant()),
+                      lambda: pushoff_chain_linking(2, 0, 3),
+                      lambda: pushoff_chain_linking(2, 1, 1),
+                      lambda: PairingPlan(5, (), ())):
             try:
                 build()
             except InvalidParameter:
@@ -270,7 +277,17 @@ def test_typed_checks_raise_under_optimize():
     """)
     result = run_optimized(script)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "raised 1\n" * 11
+    assert result.stdout == "raised 1\n" * 14
+
+
+def test_no_assert_statement_in_src():
+    # python -O deletes assert statements, so no check in the library may be one
+    src = Path(crsdiag.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 # --- configuration enumeration ------------------------------------------------
