@@ -166,7 +166,12 @@ class _Parser:
     def parse_sint(self) -> int:
         negative = self.peek() == "-"
         self.pos += negative
-        value = int(self.expect(str.isdigit, "an integer"))
+        at = self.pos
+        digits = self.expect(str.isdigit, "an integer")
+        try:
+            value = int(digits)
+        except ValueError:  # more digits than the interpreter converts
+            self.fail(f"integer literal of {len(digits)} digits is too long", at)
         return -value if negative else value
 
     def parse_slope(self) -> SlopeQ:

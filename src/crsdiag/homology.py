@@ -1,23 +1,30 @@
 """First-homology oracle via Smith normal form of presentation matrices.
 
 Everything runs in exact arbitrary-precision integer arithmetic.  Every
-matrix shape takes one Smith normal form path: row and column Hermite normal
-forms alternate until the matrix is diagonal, and 2x2 gcd/lcm steps repair
-the divisibility chain (see smith_normal_form for the termination argument).
-Each Hermite form is built one row at a time and size-reduces the entries
-above every pivot modulo that pivot, which keeps the matrix polynomially
-bounded (R. Kannan and A. Bachem, "Polynomial algorithms for computing the
-Smith and Hermite normal forms of an integer matrix", SIAM J. Comput. 8
-(1979) 499-507).
+matrix shape takes one Smith normal form path.  A unit phase first
+eliminates on +-1 entries while any is left, choosing each pivot by the
+Markowitz rule, as sparse integer Smith solvers do (J.-G. Dumas, B. D.
+Saunders and G. Villard, "On efficient sparse integer matrix Smith normal
+form computations", J. Symbolic Comput. 32 (2001) 71-99); presentation
+matrices of surgery diagrams are full of such entries.  On the block that
+the pivots leave, row and column Hermite normal forms alternate until it is
+diagonal, and 2x2 gcd/lcm steps repair the divisibility chain (see
+smith_normal_form for the termination argument).  Each Hermite form is
+built one row at a time and size-reduces the entries above every pivot
+modulo that pivot, which keeps the matrix polynomially bounded (R. Kannan
+and A. Bachem, "Polynomial algorithms for computing the Smith and Hermite
+normal forms of an integer matrix", SIAM J. Comput. 8 (1979) 499-507).
 
 The certificate is the log of every row and column operation applied.  Before
 the result is returned, an independent replay checks that each logged
 operation is an integer matrix of determinant +-1 and that the log, applied
 to a fresh copy of M, gives D entry by entry.  The row operations then
 multiply to a unimodular U and the column operations to a unimodular V, so
-the replay proves U*M*V = D without building U or V.  A failed check raises
-CertificateError, also under ``python -O``, so an arithmetic fault can never
-produce a silently wrong group.
+the replay proves U*M*V = D without building U or V.  The unit phase logs
+only the ordinary sub, perm and neg steps of the Hermite passes, so the same
+replay certifies it.  A failed check raises CertificateError, also under
+``python -O``, so an arithmetic fault can never produce a silently wrong
+group.
 
 Presentations used:
 
@@ -174,8 +181,12 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def _hermite(a, log):
+def _hermite(a, log, shift):
     """Row Hermite normal form of the rows a, appending each row operation to log.
+
+    The rows a are rows shift, shift + 1, ... of the matrix that the log
+    acts on, so each logged row index is shifted by shift, and the pass's
+    permutation keeps the rows before them in place.
 
     Works on the rows of a in place.  Rows enter an echelon basis, keyed by
     pivot column, one at a time; a row keeps its index in a, which the
@@ -208,7 +219,7 @@ def _hermite(a, log):
             if b is None:
                 if row[j] < 0:
                     row[j:] = [-x for x in row[j:]]
-                    log.append(("neg", r))
+                    log.append(("neg", r + shift))
                 basis[j] = r
                 insort(pivots, j)
                 if low is None:
@@ -218,14 +229,14 @@ def _hermite(a, log):
             f, rem = divmod(row[j], brow[j])
             if rem == 0:
                 row[j:] = [w - f * s for s, w in zip(brow[j:], row[j:])]
-                log.append(("sub", r, b, f))
+                log.append(("sub", r + shift, b + shift, f))
                 continue
             g, x, y = _xgcd(brow[j], row[j])
             p, q = brow[j] // g, row[j] // g
             bs, rs = brow[j:], row[j:]
             brow[j:] = [x * s + y * w for s, w in zip(bs, rs)]
             row[j:] = [p * w - q * s for s, w in zip(bs, rs)]
-            log.append(("gcd", b, r, x, y, p, q))
+            log.append(("gcd", b + shift, r + shift, x, y, p, q))
             if low is None:
                 low = j
         if low is None:
@@ -240,10 +251,68 @@ def _hermite(a, log):
                 f = srow[j] // prow[j]
                 if f:
                     srow[j:] = [x - f * y for x, y in zip(srow[j:], prow[j:])]
-                    log.append(("sub", s, t, f))
-    order = tuple(basis[j] for j in pivots) + tuple(zero)
-    log.append(("perm", order))
+                    log.append(("sub", s + shift, t + shift, f))
+    order = [basis[j] for j in pivots] + zero
+    log.append(("perm", tuple(range(shift)) + tuple(k + shift for k in order)))
     return [a[k] for k in order]
+
+
+def _eliminate_units(a, width):
+    """Eliminate on +-1 entries of the rows a while any is left; returns the logs.
+
+    Works on the rows of a in place.  Each pivot is a +-1 entry of the
+    active block (rows and columns not yet pivots) with the fewest nonzeros
+    in its row and column (Markowitz cost (r-1)*(c-1), then the first in
+    row-major order).  Row sub steps clear its column and column sub steps
+    clear its row, so the pivot ends alone in both.  Nonzero counts and the
+    set of unit positions follow every changed entry instead of being
+    recounted.  Returns (row_steps, col_steps, pivots) with pivots the
+    (row, column) pairs in the order taken.
+    """
+    n = len(a)
+    row_count = [sum(map(bool, row)) for row in a]
+    col_count = [sum(map(bool, col)) for col in zip(*a)]
+    units = {i * width + j for i, row in enumerate(a)
+             for j, x in enumerate(row) if x == 1 or x == -1}
+    row_steps, col_steps, pivots = [], [], []
+
+    def markowitz(e):
+        i, j = divmod(e, width)
+        return (row_count[i] - 1) * (col_count[j] - 1), e
+
+    while units:
+        p, q = divmod(min(units, key=markowitz), width)
+        prow = a[p]
+        s = prow[q]
+        support = [j for j, x in enumerate(prow) if x]
+        for i in range(n):
+            row = a[i]
+            if i == p or not row[q]:
+                continue
+            f = row[q] * s
+            for j in support:
+                old = row[j]
+                new = old - f * prow[j]
+                row[j] = new
+                if not old:
+                    row_count[i] += 1
+                    col_count[j] += 1
+                elif not new:
+                    row_count[i] -= 1
+                    col_count[j] -= 1
+                if old == 1 or old == -1:
+                    units.discard(i * width + j)
+                if new == 1 or new == -1:
+                    units.add(i * width + j)
+            row_steps.append(("sub", i, p, f))
+        for j in support:
+            col_count[j] -= 1
+            units.discard(p * width + j)
+            if j != q:
+                col_steps.append(("sub", j, q, prow[j] * s))
+                prow[j] = 0
+        pivots.append((p, q))
+    return row_steps, col_steps, pivots
 
 
 def _transpose(a, width):
@@ -334,15 +403,24 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Diagonalize over Z by logged unimodular row/column operations.
 
     Returns the diagonal d1 | d2 | ... (zeros last) with the log of the
-    operations that take M to D.  Row and column Hermite normal forms of M
-    alternate until it is diagonal (Kannan-Bachem 1979).  The loop ends:
-    call the rows and columns before k finished when their only nonzero
-    entry is on the diagonal; every later pass keeps them so.  After a
-    column pass row k is clean, with positive entry e at (k, k) (or the
-    remaining block is zero).  The next row pass puts the gcd of column k
-    there.  If that gcd is e, row k and column k are both clean and k
-    advances; otherwise the positive entry at (k, k) has strictly dropped.
-    2x2 gcd/lcm steps then repair the divisibility chain.
+    operations that take M to D.  The unit phase (_eliminate_units) first
+    takes +-1 pivots while any is left and clears each pivot's column by
+    row sub steps and its row by column sub steps, logged as one row group
+    and one column group (row and column steps commute).  One perm per side
+    moves the pivots to the front and row negations make them +1, so M has
+    become diag(1, ..., 1) beside a block B with no +-1 entry.  These are
+    ordinary sub, perm and neg steps, so the check needs no clause for them.
+
+    Row and column Hermite normal forms of B then alternate until it is
+    diagonal (Kannan-Bachem 1979), logged at indices shifted past the
+    pivots.  The loop ends: call the rows and columns of B before k
+    finished when their only nonzero entry is on the diagonal; every later
+    pass keeps them so.  After a column pass row k is clean, with positive
+    entry e at (k, k) (or the remaining block is zero).  The next row pass
+    puts the gcd of column k there.  If that gcd is e, row k and column k
+    are both clean and k advances; otherwise the positive entry at (k, k)
+    has strictly dropped.  2x2 gcd/lcm steps then repair the divisibility
+    chain; the leading 1s need none.
 
     The log is the certificate, checked before returning: a replay on a
     fresh copy of M checks that every operation is an integer matrix of
@@ -353,17 +431,28 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     """
     rows, cols = m.nrows, m.ncols
     a = [list(row) for row in m.entries]
-    operations = []
-    side = 0  # a holds the rows of M (side 0) or of its transpose (side 1)
-    while True:
+    row_steps, col_steps, pivots = _eliminate_units(a, cols)
+    k = len(pivots)
+    row_order = [p for p, _ in pivots]
+    col_order = [q for _, q in pivots]
+    row_order += sorted(set(range(rows)).difference(row_order))
+    col_order += sorted(set(range(cols)).difference(col_order))
+    row_steps.append(("perm", tuple(row_order)))
+    row_steps += [("neg", t) for t, (p, q) in enumerate(pivots) if a[p][q] < 0]
+    col_steps.append(("perm", tuple(col_order)))
+    operations = [(0, tuple(row_steps)), (1, tuple(col_steps))]
+    # the Kannan-Bachem passes on the block that the pivots left
+    a = [[a[i][j] for j in col_order[k:]] for i in row_order[k:]]
+    side = 0  # a holds the rows of the block (side 0) or of its transpose (side 1)
+    while a and a[0]:  # a block without rows or columns needs no pass
         log = []
-        a = _hermite(a, log)
+        a = _hermite(a, log, k)
         operations.append((side, tuple(log)))
         a = [list(col) for col in zip(*a)]
         side ^= 1
         if not any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
             break
-    d = [a[i][i] for i in range(min(rows, cols))]
+    d = [1] * k + [a[i][i] for i in range(min(rows, cols) - k)]
     # repair the divisibility chain: (d_i, d_j) becomes (gcd, lcm) by a
     # unimodular 2x2 step on each side; row and column steps commute, so the
     # log keeps them in two groups

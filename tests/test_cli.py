@@ -197,6 +197,44 @@ def test_exit_code_3_on_certificate_failure(monkeypatch):
     assert error["kind"] == "CertificateError"
 
 
+def test_exit_code_3_on_unit_phase_certificate_failure_under_optimize():
+    # the Hopf presentation [[-2, 1], [1, -2]] has +-1 entries, so the first
+    # step that corrupt_certificates raises is a sub step of the unit phase
+    from crsdiag.homology import IntMatrix, smith_normal_form
+
+    first_group = smith_normal_form(IntMatrix.from_rows([[-2, 1], [1, -2]])).operations[0]
+    assert first_group[0] == 0 and first_group[1][0][0] == "sub"
+    script = textwrap.dedent(f"""
+        import contextlib, io, json, sys
+        import pytest
+        from conftest import corrupt_certificates
+        from crsdiag.cli import main
+
+        corrupt_certificates(pytest.MonkeyPatch())
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["homology", {fixture("hopf_contact_minus1.crs")!r}])
+        print(json.dumps([sys.flags.optimize, code, json.loads(out.getvalue())]))
+    """)
+    result = run_optimized(script)
+    assert result.returncode == 0, result.stderr
+    optimize, code, body = json.loads(result.stdout)
+    assert (optimize, code, body["error"]["code"], body["error"]["kind"]) == (
+        1, 3, 3, "CertificateError")
+
+
+def test_overlong_integer_literal_is_a_parse_error(tmp_path):
+    # more digits than int() converts by default (4300)
+    path = tmp_path / "long.crs"
+    path.write_text("diagram d {\n  component K { tb = -" + "9" * 5000 + "; rot = 0; }\n"
+                    "  contact_surgery K = 1;\n}\n")
+    code, out = run_cli(["parse", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "code": 2, "kind": "DslSyntaxError",
+        "message": "integer literal of 5000 digits is too long", "line": 2, "col": 23}
+
+
 ALL_COMMANDS = [
     ["parse", fixture("hopf_contact_minus1.crs")],
     ["parse", fixture("front_pair.crs")],

@@ -164,30 +164,31 @@ def test_snf_fixtures():
     assert smith_normal_form(identity).diagonal == (1, 1, 1, 1)
 
 
+def assert_certificate(m, snf):
+    """Independent re-check of U*M*V = D, unimodularity and the divisibility chain."""
+    product = snf.left.mul(m).mul(snf.right)
+    for i in range(m.nrows):
+        for j in range(m.ncols):
+            expected = snf.diagonal[i] if i == j and i < len(snf.diagonal) else 0
+            assert product[i][j] == expected
+    assert abs(det(snf.left)) == 1
+    assert abs(det(snf.right)) == 1
+    assert all(d >= 0 for d in snf.diagonal)
+    nonzero = [d for d in snf.diagonal if d]
+    assert list(snf.diagonal) == nonzero + [0] * (len(snf.diagonal) - len(nonzero))
+    for a, b in zip(nonzero, nonzero[1:]):
+        assert b % a == 0
+
+
 def test_snf_certificates_random(rng):
     for entries in snf_inputs(rng, 200, 8):
         m = IntMatrix.from_rows(entries)
-        rows, cols = m.nrows, m.ncols
         snf = smith_normal_form(m)
         assert "left" not in vars(snf) and "right" not in vars(snf)  # built only when read
-        # the log holds the reference's operations, so U and V come out the same
-        diagonal, u, v = _reference_smith(entries)
-        assert snf.diagonal == diagonal
-        assert snf.left == IntMatrix.from_rows(u)
-        assert snf.right == IntMatrix.from_rows(v)
-        # independent re-check of the certificate identity and unimodularity
-        product = snf.left.mul(m).mul(snf.right)
-        for i in range(rows):
-            for j in range(cols):
-                expected = snf.diagonal[i] if i == j and i < len(snf.diagonal) else 0
-                assert product[i][j] == expected
-        assert abs(det(snf.left)) == 1
-        assert abs(det(snf.right)) == 1
-        assert all(d >= 0 for d in snf.diagonal)
-        nonzero = [d for d in snf.diagonal if d]
-        assert list(snf.diagonal) == nonzero + [0] * (len(snf.diagonal) - len(nonzero))
-        for a, b in zip(nonzero, nonzero[1:]):
-            assert b % a == 0
+        # the unit phase logs other operations than the reference, so only
+        # the diagonal must agree; U and V are checked on their own
+        assert snf.diagonal == _reference_smith(entries)[0]
+        assert_certificate(m, snf)
 
 
 def test_snf_matches_sympy(rng):
@@ -204,6 +205,141 @@ def test_snf_matches_sympy(rng):
 def test_snf_matches_reference_on_pm1_presentations(n, density):
     entries = pm1_presentation(random.Random(n), n, density)
     assert smith_normal_form(IntMatrix.from_rows(entries)).diagonal == _reference_smith(entries)[0]
+
+
+# logged steps of the three 40- and 66-component presentations above, taken
+# by the Kannan-Bachem passes on the whole matrix without a unit phase
+WHOLE_MATRIX_STEPS = 13544
+
+
+def test_unit_phase_shrinks_the_log():
+    steps = 0
+    for n, density in [(40, 0.1), (66, 0.1), (66, 1.0)]:
+        entries = pm1_presentation(random.Random(n), n, density)
+        steps += sum(len(group) for _, group in
+                     smith_normal_form(IntMatrix.from_rows(entries)).operations)
+    assert steps < WHOLE_MATRIX_STEPS
+
+
+def signed_permutation(rng, n):
+    order = rng.sample(range(n), n)
+    return [[rng.choice((-1, 1)) if j == order[i] else 0 for j in range(n)] for i in range(n)]
+
+
+def elementary_product(rng, n, count):
+    """A product of count elementary unimodular matrices: shears, swaps and negations."""
+    a = [list(row) for row in IntMatrix.identity(n).entries]
+    for _ in range(count):
+        i, j = rng.sample(range(n), 2)
+        kind = rng.randrange(3)
+        if kind == 0:
+            f = rng.randint(-3, 3)
+            a[i] = [x + f * y for x, y in zip(a[i], a[j])]
+        elif kind == 1:
+            a[i], a[j] = a[j], a[i]
+        else:
+            a[i] = [-x for x in a[i]]
+    return a
+
+
+def assert_smith(entries, sympy_too=True):
+    """The Smith form of entries agrees with both oracles and its certificate holds."""
+    m = IntMatrix.from_rows(entries)
+    snf = smith_normal_form(m)
+    assert snf.diagonal == _reference_smith(entries)[0]
+    if sympy_too:
+        theirs = sympy_snf(Matrix(entries))
+        assert [abs(d) for d in snf.diagonal] == [abs(theirs[i, i])
+                                                  for i in range(len(snf.diagonal))]
+    assert_certificate(m, snf)
+    return snf
+
+
+def test_unit_phase_on_unimodular_inputs(rng):
+    for n in range(1, 9):
+        assert assert_smith(signed_permutation(rng, n)).diagonal == (1,) * n
+    for n in range(2, 9):
+        u = elementary_product(rng, n, 3 * n)
+        assert assert_smith(u).diagonal == (1,) * n
+        # U*D*V with a known divisibility chain D
+        d = [1] * (n - 2) + [2, 6]
+        v = IntMatrix.from_rows(elementary_product(rng, n, 3 * n))
+        scaled = IntMatrix.from_rows([[x * d[j] for j, x in enumerate(row)] for row in u])
+        assert assert_smith([list(row) for row in scaled.mul(v).entries]).diagonal == tuple(d)
+
+
+def test_unit_phase_on_gadget_chain_presentations(monkeypatch):
+    # the presentations that h1_round_diagram builds for the joint pairs of a
+    # to-round conversion: the input's linking matrix beside gadget chains
+    from crsdiag import pair_pm1_diagram
+
+    seen = []
+    real = homology.smith_normal_form
+    monkeypatch.setattr(homology, "smith_normal_form", lambda m: seen.append(m) or real(m))
+    for n, density, k, gadget_m in [(58, 0.1, 1, 2), (60, 1.0, 0, 1)]:
+        draw = random.Random(n)
+        labels = [f"K{i:02d}" for i in range(n)]
+        d = contact(
+            [LegendrianComponent(lab, draw.randint(-5, -1)) for lab in labels],
+            [(a, b, draw.choice((-3, -2, -1, 1, 2, 3)))
+             for i, a in enumerate(labels) for b in labels[i + 1:] if draw.random() < density],
+            {lab: SlopeQ.of(draw.choice((-1, 1))) for lab in labels},
+        )
+        rd, _plan = pair_pm1_diagram(d, k=k, gadget_m=gadget_m)
+        h1_round_diagram(rd)
+    sizes = sorted(m.nrows for m in seen)
+    assert sizes[-2:] == [60, 64]
+    for m in seen:  # also the unit-free 6 x 6 presentation of the gadget self-test
+        snf = assert_smith([list(row) for row in m.entries], sympy_too=m.nrows <= 8)
+        if m.nrows >= 60:
+            assert any(step[0] == "sub" for step in snf.operations[0][1])
+
+
+def test_unit_phase_logs_nothing_without_units():
+    draw = random.Random(5)
+    for _ in range(40):
+        rows, cols = draw.randint(1, 7), draw.randint(1, 7)
+        entries = [[draw.choice((0, 2, -2, 3, -3, 5, -5)) for _ in range(cols)]
+                   for _ in range(rows)]
+        snf = assert_smith(entries)
+        assert snf.operations[:2] == ((0, (("perm", tuple(range(rows))),)),
+                                      (1, (("perm", tuple(range(cols))),)))
+
+
+def test_unit_phase_uses_up_every_row_or_column(rng):
+    for rows, cols in [(1, 5), (3, 6), (5, 8)]:
+        # [I | R] with unit-free R, columns shuffled: every row gets a pivot
+        entries = [[int(i == j) for j in range(rows)]
+                   + [rng.choice((0, 2, -3, 5)) for _ in range(cols - rows)] for i in range(rows)]
+        order = rng.sample(range(cols), cols)
+        entries = [[row[j] for j in order] for row in entries]
+        for shape in (entries, [list(col) for col in zip(*entries)]):
+            snf = assert_smith(shape)
+            assert snf.diagonal == (1,) * rows
+            assert len(snf.operations) == 2  # no Kannan-Bachem pass on the empty block
+
+
+@pytest.mark.parametrize("entries, diagonal", [
+    ((), ()), (((), ()), ()), (((0, 0),), (0,)), (((0,), (0,)), (0,)),
+    (((1, 2, 3),), (1,)), (((1,), (2,), (3,)), (1,)),
+])
+def test_unit_phase_on_degenerate_shapes(entries, diagonal):
+    m = IntMatrix(entries)
+    snf = smith_normal_form(m)
+    assert snf.diagonal == diagonal
+    assert snf.shape == (m.nrows, m.ncols)
+    assert_certificate(m, snf)
+
+
+def test_forged_unit_phase_factor_raises():
+    m = IntMatrix.from_rows(pm1_presentation(random.Random(17), 17, 0.1))
+    snf = smith_normal_form(m)
+    (side, steps), *rest = snf.operations
+    k = next(k for k, step in enumerate(steps) if step[0] == "sub")
+    _, i, j, f = steps[k]
+    steps = steps[:k] + (("sub", i, j, f + 1),) + steps[k + 1:]
+    with pytest.raises(CertificateError, match="differs from D"):
+        homology._check_certificate(m, SmithForm(snf.diagonal, ((side, steps), *rest), snf.shape))
 
 
 def test_snf_performance_64x64():
