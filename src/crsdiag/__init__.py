@@ -67,6 +67,7 @@ from .slopes import (
     NegCF,
     TightCount,
     UnimodularMatrix,
+    count_configurations,
     enumerate_configurations,
     honda_count,
     neg_cf,

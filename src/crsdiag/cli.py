@@ -33,21 +33,47 @@ from .errors import (
     DslSyntaxError,
     GadgetSelfTestFailed,
     InvalidParameter,
+    LimitExceeded,
     NoJointPartner,
     SemanticError,
 )
 from .front import OrientedFront, classical_invariants, parse_front_word
 from .homology import H1Class, det, h1_dehn, h1_round_diagram, linking_matrix
-from .slopes import BoundaryData, enumerate_configurations, honda_count, neg_cf, normalize_slopes
+from .slopes import (
+    BoundaryData,
+    count_configurations,
+    enumerate_configurations,
+    honda_count,
+    neg_cf,
+    normalize_slopes,
+)
 
 EXIT_OK, EXIT_SEMANTIC, EXIT_PARSE, EXIT_INTERNAL = 0, 1, 2, 3
 
+# enum-configs refuses cells of more configurations before enumerating, unless
+# --limit raises the bound; (4,4,2) has 19,925 and (5,5,0) has 60,626
+ENUM_LIMIT = 100_000
+
+
+def _encode(payload: dict, pretty: bool) -> str:
+    if pretty:
+        return json.dumps(payload, indent=2)
+    return json.dumps(payload, separators=(",", ":"))
+
 
 def _emit(payload: dict, pretty: bool) -> None:
-    if pretty:
-        text = json.dumps(payload, indent=2)
-    else:
-        text = json.dumps(payload, separators=(",", ":"))
+    try:
+        text = _encode(payload, pretty)
+    except ValueError:
+        # An integer has more digits than the interpreter's int-to-str limit.
+        # Interpreters with that limit also have its setter (Python 3.11, and
+        # the 3.10 releases that took the limit), so lift it while encoding.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            text = _encode(payload, pretty)
+        finally:
+            sys.set_int_max_str_digits(limit)
     sys.stdout.write(text + "\n")
 
 
@@ -108,16 +134,26 @@ def _tight_count_json(count) -> dict:
     return data
 
 
-def _config_json(cfg: ArcConfig) -> dict:
-    arcs = []
-    for arc in cfg.arcs:
-        if isinstance(arc, TraversingArc):
-            arcs.append({"type": "traversing", "top": arc.top, "bottom": arc.bottom,
-                         "winding": arc.winding})
-        else:
-            arcs.append({"type": "parallel", "side": arc.side, "start": arc.start,
-                         "end": arc.end})
-    return {"top_marks": cfg.top_marks, "bottom_marks": cfg.bottom_marks, "arcs": arcs}
+def _configs_json(configs: List[ArcConfig]) -> list:
+    """JSON of each configuration, with one dict per distinct arc object:
+    enumerate_configurations shares arcs between configurations."""
+    arc_json = {}
+    out = []
+    for cfg in configs:
+        arcs = []
+        for arc in cfg.arcs:
+            data = arc_json.get(id(arc))
+            if data is None:
+                if isinstance(arc, TraversingArc):
+                    data = {"type": "traversing", "top": arc.top, "bottom": arc.bottom,
+                            "winding": arc.winding}
+                else:
+                    data = {"type": "parallel", "side": arc.side, "start": arc.start,
+                            "end": arc.end}
+                arc_json[id(arc)] = data
+            arcs.append(data)
+        out.append({"top_marks": cfg.top_marks, "bottom_marks": cfg.bottom_marks, "arcs": arcs})
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -165,6 +201,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n0", type=int, required=True)
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--max-winding", type=int, required=True)
+    p.add_argument("--count-only", action="store_true",
+                   help="print only the number of configurations, without enumerating them")
+    p.add_argument("--limit", type=int, default=ENUM_LIMIT,
+                   help="refuse cells of more configurations than this, before "
+                        f"enumerating (default {ENUM_LIMIT:,})")
     p = sub.add_parser("glue-annuli", help="glue two arc systems into a torus")
     p.add_argument("--top-marks", type=int, required=True)
     p.add_argument("--bottom-marks", type=int, required=True)
@@ -304,8 +345,13 @@ def _run(args) -> dict:
         }
 
     if args.command == "enum-configs":
+        count = count_configurations(args.n0, args.n1, args.max_winding)
+        if args.count_only:
+            return {"count": count}
+        if count > args.limit:
+            raise LimitExceeded(f"the cell has {count} configurations, more than --limit {args.limit}")
         configs = enumerate_configurations(args.n0, args.n1, args.max_winding)
-        return {"count": len(configs), "configs": [_config_json(c) for c in configs]}
+        return {"count": len(configs), "configs": _configs_json(configs)}
 
     if args.command == "glue-annuli":
         a = _parse_arcs(args.a, args.top_marks, args.bottom_marks)

@@ -32,6 +32,16 @@ bottom adds +1 to the vertical class (bottom to top -1; the second annulus
 adds nothing), and every signed crossing of the vertical cut adds +-1 to the
 horizontal class.  Any consistent sign convention reproduces the
 contractibility verdicts.
+
+The public ArcConfig constructor checks every condition of an arc system.
+Each condition involves one side only (its marked points, its parallel arcs
+and the traversing endpoints on it), except the traversing family's shared
+winding and rank-shift matching, which involve only the family.  So the
+checks are split by condition: _validate runs all of them in a fixed order,
+while _check_side and _check_family group them by factor.  This is the
+factored certificate of slopes.enumerate_configurations: it checks each side
+option and each family once, and builds their product through
+ArcConfig._trusted without checking any configuration again.
 """
 
 from __future__ import annotations
@@ -86,6 +96,14 @@ class ArcConfig:
         object.__setattr__(self, "arcs", tuple(self.arcs))
         _validate(self)
 
+    @classmethod
+    def _trusted(cls, top_marks: int, bottom_marks: int, arcs: tuple) -> "ArcConfig":
+        """An ArcConfig built without _validate, for arcs whose every condition
+        the caller has already checked (slopes.enumerate_configurations)."""
+        cfg = object.__new__(cls)
+        cfg.__dict__.update(top_marks=top_marks, bottom_marks=bottom_marks, arcs=arcs)
+        return cfg
+
     def traversing(self) -> List[TraversingArc]:
         return [a for a in self.arcs if isinstance(a, TraversingArc)]
 
@@ -112,67 +130,116 @@ def _span(arc: ParallelArc, marks: int) -> Tuple[int, int]:
     return u, v
 
 
-def _inside(w: int, u: int, v: int, marks: int) -> bool:
-    """Whether the angle w lies strictly inside the span (u, v) mod one turn."""
-    return (w - u) % (2 * marks) < v - u
-
-
 def _validate(cfg: ArcConfig) -> None:
-    if cfg.top_marks <= 0 or cfg.top_marks % 2 or cfg.bottom_marks <= 0 or cfg.bottom_marks % 2:
-        raise InvalidArcConfig("marked point counts must be positive and even")
+    """Check every condition of an arc system.
 
-    used = {TOP: [0] * cfg.top_marks, BOTTOM: [0] * cfg.bottom_marks}
+    The checks run in a fixed order, so that an input with several faults
+    always reports the same one: mark counts, endpoint ranges in arc order,
+    point use per side, the traversing family, traps in arc order, and
+    crossings per side.
+    """
+    _check_marks(cfg.top_marks, cfg.bottom_marks)
+    marks = {TOP: cfg.top_marks, BOTTOM: cfg.bottom_marks}
+    _check_ranges(cfg.arcs, marks)
+    trav, parallels, pars = [], [], {TOP: [], BOTTOM: []}
     for arc in cfg.arcs:
         if isinstance(arc, TraversingArc):
-            if not (0 <= arc.top < cfg.top_marks and 0 <= arc.bottom < cfg.bottom_marks):
-                raise InvalidArcConfig(f"arc endpoint out of range: {arc}")
-            used[TOP][arc.top] += 1
-            used[BOTTOM][arc.bottom] += 1
+            trav.append(arc)
         else:
-            marks = cfg.top_marks if arc.side == TOP else cfg.bottom_marks
-            if not (0 <= arc.start < marks and 0 <= arc.end < marks) or arc.start == arc.end:
-                raise InvalidArcConfig(f"arc endpoints out of range: {arc}")
-            used[arc.side][arc.start] += 1
-            used[arc.side][arc.end] += 1
-    for side, counts in used.items():
-        for point, count in enumerate(counts):
-            if count != 1:
-                raise InvalidArcConfig(f"{side} point {point} is endpoint of {count} arcs (need exactly 1)")
-
-    trav = cfg.traversing()
+            parallels.append(arc)
+            pars[arc.side].append(arc)
+    _check_counts(TOP, marks[TOP], [a.top for a in trav] + _ends(pars[TOP]))
+    _check_counts(BOTTOM, marks[BOTTOM], [a.bottom for a in trav] + _ends(pars[BOTTOM]))
     if trav:
-        windings = {a.winding for a in trav}
-        if len(windings) != 1:
-            raise InvalidArcConfig("traversing arcs must share one winding integer")
-        rho = windings.pop()
-        tops = sorted(a.top for a in trav)
-        bottoms = sorted(a.bottom for a in trav)
-        t = len(trav)
-        expected = {(tops[i], bottoms[(i + rho) % t]) for i in range(t)}
-        actual = {(a.top, a.bottom) for a in trav}
-        if expected != actual:
-            raise InvalidArcConfig(
-                "traversing pairing is not the rank-shift matching of its winding"
-            )
-        # parallel spans may not trap a traversing endpoint on their side
-        for arc in cfg.arcs:
-            if isinstance(arc, ParallelArc):
-                marks = cfg.top_marks if arc.side == TOP else cfg.bottom_marks
-                blocked = tops if arc.side == TOP else bottoms
-                u, v = _span(arc, marks)
-                for point in blocked:
-                    if _inside(2 * point + 1, u, v, marks):
-                        raise InvalidArcConfig(
-                            f"parallel arc {arc} traps traversing endpoint {point}"
-                        )
-
+        tops, bottoms = _check_family(trav)
+        _check_traps(parallels, marks, {TOP: tops, BOTTOM: bottoms})
     for side in (TOP, BOTTOM):
-        marks = cfg.top_marks if side == TOP else cfg.bottom_marks
-        pars = cfg.parallels(side)
-        for i in range(len(pars)):
-            for j in range(i + 1, len(pars)):
-                if _parallel_cross(pars[i], pars[j], marks):
-                    raise InvalidArcConfig(f"parallel arcs {pars[i]} and {pars[j]} cross")
+        _check_crossings(pars[side], marks[side])
+
+
+def _check_side(side: str, marks: Dict[str, int], points: List[int],
+                parallels: List[ParallelArc]) -> None:
+    """Every condition of one side: the parallel arcs on it and the sorted
+    traversing endpoints `points` use each marked point once, no parallel arc
+    traps one of `points`, and no two parallel arcs cross."""
+    for arc in parallels:
+        if arc.side != side:
+            raise InvalidArcConfig(f"parallel arc {arc} is not on the {side} side")
+    _check_ranges(parallels, marks)
+    _check_counts(side, marks[side], points + _ends(parallels))
+    _check_traps(parallels, marks, {side: points})
+    _check_crossings(parallels, marks[side])
+
+
+def _ends(parallels: List[ParallelArc]) -> List[int]:
+    return [p for arc in parallels for p in (arc.start, arc.end)]
+
+
+def _check_marks(top_marks: int, bottom_marks: int) -> None:
+    if top_marks <= 0 or top_marks % 2 or bottom_marks <= 0 or bottom_marks % 2:
+        raise InvalidArcConfig("marked point counts must be positive and even")
+
+
+def _check_ranges(arcs, marks: Dict[str, int]) -> None:
+    """Every endpoint is a marked point, and a parallel arc has two distinct ends."""
+    for arc in arcs:
+        if isinstance(arc, TraversingArc):
+            if not (0 <= arc.top < marks[TOP] and 0 <= arc.bottom < marks[BOTTOM]):
+                raise InvalidArcConfig(f"arc endpoint out of range: {arc}")
+        else:
+            n = marks[arc.side]
+            if not (0 <= arc.start < n and 0 <= arc.end < n) or arc.start == arc.end:
+                raise InvalidArcConfig(f"arc endpoints out of range: {arc}")
+
+
+def _check_counts(side: str, marks: int, endpoints: List[int]) -> None:
+    """Each of the side's marked points is the endpoint of exactly one arc."""
+    counts = [0] * marks
+    for point in endpoints:
+        counts[point] += 1
+    for point, count in enumerate(counts):
+        if count != 1:
+            raise InvalidArcConfig(f"{side} point {point} is endpoint of {count} arcs (need exactly 1)")
+
+
+def _check_family(trav: List[TraversingArc]) -> Tuple[List[int], List[int]]:
+    """One shared winding and its rank-shift matching; returns the sorted top
+    and bottom endpoints of the family."""
+    windings = {a.winding for a in trav}
+    if len(windings) != 1:
+        raise InvalidArcConfig("traversing arcs must share one winding integer")
+    rho = windings.pop()
+    tops = sorted(a.top for a in trav)
+    bottoms = sorted(a.bottom for a in trav)
+    t = len(trav)
+    expected = {(tops[i], bottoms[(i + rho) % t]) for i in range(t)}
+    actual = {(a.top, a.bottom) for a in trav}
+    if expected != actual:
+        raise InvalidArcConfig(
+            "traversing pairing is not the rank-shift matching of its winding"
+        )
+    return tops, bottoms
+
+
+def _check_traps(parallels: List[ParallelArc], marks: Dict[str, int],
+                 blocked: Dict[str, List[int]]) -> None:
+    """No parallel span contains a traversing endpoint of its side."""
+    for arc in parallels:
+        full = 2 * marks[arc.side]
+        u, v = _span(arc, marks[arc.side])
+        for point in blocked[arc.side]:
+            if (2 * point + 1 - u) % full < v - u:  # strictly inside the span
+                raise InvalidArcConfig(
+                    f"parallel arc {arc} traps traversing endpoint {point}"
+                )
+
+
+def _check_crossings(parallels: List[ParallelArc], marks: int) -> None:
+    """No two parallel arcs of one side cross."""
+    for i in range(len(parallels)):
+        for j in range(i + 1, len(parallels)):
+            if _parallel_cross(parallels[i], parallels[j], marks):
+                raise InvalidArcConfig(f"parallel arcs {parallels[i]} and {parallels[j]} cross")
 
 
 def _parallel_cross(a: ParallelArc, b: ParallelArc, marks: int) -> bool:
@@ -190,18 +257,6 @@ def _parallel_cross(a: ParallelArc, b: ParallelArc, marks: int) -> bool:
     end = start + vb - ub
     width = va - ua
     return start < width < end or full < end < full + width
-
-
-def _traversing_lifts(cfg: ArcConfig) -> Dict[Tuple[int, int], int]:
-    """Vertical-cut crossings per traversing arc, keyed by endpoints."""
-    trav = cfg.traversing()
-    if not trav:
-        return {}
-    rho = trav[0].winding
-    tops = sorted(a.top for a in trav)
-    bottoms = sorted(a.bottom for a in trav)
-    t = len(trav)
-    return {(top, bottoms[(i + rho) % t]): (i + rho) // t for i, top in enumerate(tops)}
 
 
 @dataclass(frozen=True)
@@ -232,81 +287,80 @@ def glue_annuli(a: ArcConfig, b: ArcConfig, offset_top: int = 0, offset_bottom: 
     (p + offset_top) mod N on b's top circle, and likewise on the bottom.
     Returns every closed curve with its torus homology class; all arc ends are
     consumed exactly once.
+
+    Arc g numbers a's arcs first, then b's; end k of arc g (0 = top or start,
+    1 = bottom or end) is the half-edge 2g + k, and link[e] is the half-edge
+    glued to e.  A curve enters an arc through one half-edge and leaves
+    through its partner e ^ 1.
     """
     if a.top_marks != b.top_marks or a.bottom_marks != b.bottom_marks:
         raise MarkMismatch(
             f"mark counts differ: ({a.top_marks}, {a.bottom_marks}) vs ({b.top_marks}, {b.bottom_marks})"
         )
-    n_top, n_bottom = a.top_marks, a.bottom_marks
-    offsets = {TOP: offset_top % n_top, BOTTOM: offset_bottom % n_bottom}
+    marks = {TOP: a.top_marks, BOTTOM: a.bottom_marks}
+    offsets = {TOP: offset_top % marks[TOP], BOTTOM: offset_bottom % marks[BOTTOM]}
+    full = {side: 2 * n for side, n in marks.items()}
 
-    ends = {"a": {}, "b": {}}
-    for tag, cfg in (("a", a), ("b", b)):
-        for idx, arc in enumerate(cfg.arcs):
-            if isinstance(arc, TraversingArc):
-                endpoints = ((TOP, arc.top), (BOTTOM, arc.bottom))
-            else:
-                endpoints = ((arc.side, arc.start), (arc.side, arc.end))
-            for end_no, key in enumerate(endpoints):
-                ends[tag][key] = (idx, end_no)
-
-    full = {TOP: 2 * n_top, BOTTOM: 2 * n_bottom}
-    h_contrib = {"a": {}, "b": {}}
-    v_contrib = {"a": {}, "b": {}}
+    at = []  # per annulus and side: the half-edge at each marked point
+    h_contrib, v_contrib, steps = [], [], []
     for tag, cfg in (("a", a), ("b", b)):
         shift = {side: 2 * offsets[side] if tag == "b" else 0 for side in (TOP, BOTTOM)}
-        lifts = _traversing_lifts(cfg)
+        ends = {TOP: [None] * marks[TOP], BOTTOM: [None] * marks[BOTTOM]}
+        trav = sorted((arc.top, idx) for idx, arc in enumerate(cfg.arcs)
+                      if isinstance(arc, TraversingArc))
+        lift = {idx: (rank + cfg.arcs[idx].winding) // len(trav)
+                for rank, (_top, idx) in enumerate(trav)}
+        base = 2 * len(h_contrib)
         for idx, arc in enumerate(cfg.arcs):
             if isinstance(arc, TraversingArc):
-                h_contrib[tag][idx] = (lifts[(arc.top, arc.bottom)]
-                                       + (2 * arc.bottom + 1 + shift[BOTTOM]) // full[BOTTOM]
-                                       - (2 * arc.top + 1 + shift[TOP]) // full[TOP])
-                v_contrib[tag][idx] = 1 if tag == "a" else 0
+                ends[TOP][arc.top] = base + 2 * idx
+                ends[BOTTOM][arc.bottom] = base + 2 * idx + 1
+                h_contrib.append(lift[idx]
+                                 + (2 * arc.bottom + 1 + shift[BOTTOM]) // full[BOTTOM]
+                                 - (2 * arc.top + 1 + shift[TOP]) // full[TOP])
+                v_contrib.append(1 if tag == "a" else 0)
             else:
-                u, v = _span(arc, n_top if arc.side == TOP else n_bottom)
-                u, v = u + shift[arc.side], v + shift[arc.side]
-                h_contrib[tag][idx] = v // full[arc.side] - u // full[arc.side]
-                v_contrib[tag][idx] = 0
+                ends[arc.side][arc.start] = base + 2 * idx
+                ends[arc.side][arc.end] = base + 2 * idx + 1
+                lo, hi = _span(arc, marks[arc.side])
+                side_full, side_shift = full[arc.side], shift[arc.side]
+                h_contrib.append((hi + side_shift) // side_full - (lo + side_shift) // side_full)
+                v_contrib.append(0)
+            steps.append(((tag, idx, True), (tag, idx, False)))
+        at.append(ends)
 
-    def other_end(tag, idx, end_no):
-        arc = (a if tag == "a" else b).arcs[idx]
-        if isinstance(arc, TraversingArc):
-            pts = ((TOP, arc.top), (BOTTOM, arc.bottom))
-        else:
-            pts = ((arc.side, arc.start), (arc.side, arc.end))
-        return pts[1 - end_no]
+    link = [0] * (2 * len(h_contrib))
+    for side, n in marks.items():
+        ends_a, ends_b, off = at[0][side], at[1][side], offsets[side]
+        for point in range(n):
+            e, f = ends_a[point], ends_b[(point + off) % n]
+            link[e], link[f] = f, e
 
-    def across(tag, side, point):
-        n = n_top if side == TOP else n_bottom
-        if tag == "a":
-            return "b", side, (point + offsets[side]) % n
-        return "a", side, (point - offsets[side]) % n
-
-    used = set()
+    used = [False] * len(h_contrib)
     curves = []
-    for start_tag in ("a", "b"):
-        cfg = a if start_tag == "a" else b
-        for start_idx in range(len(cfg.arcs)):
-            if (start_tag, start_idx) in used:
-                continue
-            h = v = 0
-            path = []
-            tag, idx, end_no = start_tag, start_idx, 0
-            while (tag, idx) not in used:
-                used.add((tag, idx))
-                forward = end_no == 0
-                sign = 1 if forward else -1
-                h += sign * h_contrib[tag][idx]
-                v += sign * v_contrib[tag][idx]
-                path.append((tag, idx, forward))
-                side, point = other_end(tag, idx, end_no)
-                tag, side, point = across(tag, side, point)
-                idx, end_no = ends[tag][(side, point)]
-            if (tag, idx) != (start_tag, start_idx):
-                raise CertificateError("a glued dividing curve failed to close up")
-            curves.append(ClosedCurve(h, v, tuple(path)))
+    for start in range(len(h_contrib)):
+        if used[start]:
+            continue
+        h = v = 0
+        path = []
+        arc, enter = start, 2 * start
+        while not used[arc]:
+            used[arc] = True
+            back = enter & 1
+            if back:
+                h -= h_contrib[arc]
+                v -= v_contrib[arc]
+            else:
+                h += h_contrib[arc]
+                v += v_contrib[arc]
+            path.append(steps[arc][back])
+            enter = link[enter ^ 1]
+            arc = enter >> 1
+        if arc != start:
+            raise CertificateError("a glued dividing curve failed to close up")
+        curves.append(ClosedCurve(h, v, tuple(path)))
 
-    if sum(len(c.arcs) for c in curves) != len(a.arcs) + len(b.arcs):
+    if sum(len(c.arcs) for c in curves) != len(h_contrib):
         raise CertificateError("gluing did not use every arc exactly once")
     return GluedCurves(tuple(curves))
 

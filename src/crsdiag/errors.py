@@ -75,6 +75,10 @@ class InvalidArcConfig(DiagramError):
     """The arc system violates matching, disjointness or winding consistency."""
 
 
+class LimitExceeded(DiagramError):
+    """The requested work is larger than the bound the caller set for it."""
+
+
 class FrontError(DiagramError):
     """Base class for front-word errors."""
 

@@ -17,16 +17,43 @@ honda_count then dispatches on the classified boundary shape:
 
 Slopes act as projectivized column vectors (q, p) for slope p/q, so SL(2,Z)
 acts by plain matrix multiplication.
+
+enumerate_configurations carries a factored certificate.  A configuration is
+a traversing family (t top points, t bottom points and a winding) plus one
+parallel-arc option per side, and every validity condition concerns one side
+or the family alone (see the dividing module).  So:
+
+* each side option and each family passes its checks once, which makes every
+  configuration of their product valid;
+* the configurations come out in canonical_key order, compared through the
+  factors' keys, and the keys must strictly increase, so no two are equal;
+* their number must equal count_configurations, a count by gap lengths that
+  shares no code with the enumeration, so distinct valid configurations as
+  many as all valid ones are all of them.
+
+Any failure raises InvalidArcConfig or CertificateError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Optional, Tuple
+from math import comb
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple
 
 from .core import SlopeQ
-from .dividing import ArcConfig, ParallelArc, TraversingArc
+from .dividing import (
+    BOTTOM,
+    TOP,
+    ArcConfig,
+    ParallelArc,
+    TraversingArc,
+    _check_family,
+    _check_marks,
+    _check_ranges,
+    _check_side,
+)
 from .errors import CertificateError, DomainError, InvalidParameter, NotNormalized
 from .homology import _xgcd
 
@@ -337,41 +364,100 @@ def _parallel_choices(marks: int, traversing_points: List[int], side: str) -> Li
     return out
 
 
+def _check_cell(n0: int, n1: int, max_winding: int) -> None:
+    if n0 < 1 or n1 < 1:
+        raise DomainError("need at least one pair of dividing curves per side")
+    if max_winding < 0:
+        raise DomainError("max_winding is a non-negative bound")
+
+
+def _side_count(marks: int, t: int) -> int:
+    """Parallel-arc systems on one side with t traversing endpoints.
+
+    Sums over the t-subsets of the marks cyclic points whose gaps are all
+    even the product of Catalan(gap/2) over the gaps, by a recurrence on gap
+    lengths: runs[L] is the weighted number of ways to fill L free points
+    with t - 1 consecutive gaps.  The remaining gap, of length g, wraps past
+    point 0 and leaves g + 1 places for the first traversing point.
+    """
+    free = marks - t
+    weight = [comb(g, g // 2) // (g // 2 + 1) if g % 2 == 0 else 0 for g in range(free + 1)]
+    runs = [1] + [0] * free
+    for _ in range(t - 1):
+        runs = [sum(weight[g] * runs[length - g] for g in range(length + 1))
+                for length in range(free + 1)]
+    return sum((g + 1) * weight[g] * runs[free - g] for g in range(free + 1))
+
+
+def count_configurations(n0: int, n1: int, max_winding: int) -> int:
+    """Number of configurations enumerate_configurations returns, without
+    building them: the sum over t of T(t) * B(t) * (2 * max_winding + 1)."""
+    _check_cell(n0, n1, max_winding)
+    return (2 * max_winding + 1) * sum(
+        _side_count(2 * n0, t) * _side_count(2 * n1, t)
+        for t in range(2, 2 * min(n0, n1) + 1, 2)
+    )
+
+
+def _side_options(side: str, marks: Dict[str, int], points: List[int]) -> list:
+    """The checked parallel-arc options of one side with the sorted traversing
+    endpoints `points`, as (key, arcs), sorted by key."""
+    options = []
+    for choice in _parallel_choices(marks[side], points, side):
+        _check_side(side, marks, points, choice)
+        options.append((tuple(sorted((arc.start, arc.end) for arc in choice)), tuple(choice)))
+    options.sort(key=itemgetter(0))
+    return options
+
+
 def enumerate_configurations(n0: int, n1: int, max_winding: int) -> List[ArcConfig]:
     """All annulus arc systems with 2*n0 top and 2*n1 bottom marked points.
 
     Configurations satisfy: every marked point is one arc endpoint, at least
     two traversing arcs, no closed curves, pairwise disjoint; the traversing
     family winding ranges over [-max_winding, max_winding].  The full set is
-    infinite (windings range over Z), so the bound is the caller's.
+    infinite (windings range over Z), so the bound is the caller's.  The
+    result is sorted by ArcConfig.canonical_key and certified as the module
+    docstring describes.
     """
-    if n0 < 1 or n1 < 1:
-        raise DomainError("need at least one pair of dividing curves per side")
-    if max_winding < 0:
-        raise DomainError("max_winding is a non-negative bound")
-    top_marks, bottom_marks = 2 * n0, 2 * n1
-    out = []
-    for t in range(2, min(top_marks, bottom_marks) + 1, 2):
-        bottom_subsets = []
-        for bottoms in combinations(range(bottom_marks), t):
-            bottom_options = _parallel_choices(bottom_marks, list(bottoms), "bottom")
-            if bottom_options:
-                bottom_subsets.append((bottoms, bottom_options))
-        for tops in combinations(range(top_marks), t):
-            top_options = _parallel_choices(top_marks, list(tops), "top")
-            if not top_options:
-                continue
-            for bottoms, bottom_options in bottom_subsets:
+    _check_cell(n0, n1, max_winding)
+    marks = {TOP: 2 * n0, BOTTOM: 2 * n1}
+    _check_marks(marks[TOP], marks[BOTTOM])
+    families = []  # (key, traversing arcs, top options, bottom options)
+    for t in range(2, min(marks.values()) + 1, 2):
+        sides = {}
+        for side in (TOP, BOTTOM):
+            sides[side] = []
+            for points in combinations(range(marks[side]), t):
+                options = _side_options(side, marks, list(points))
+                if options:
+                    sides[side].append((points, options))
+        for tops, top_options in sides[TOP]:
+            for bottoms, bottom_options in sides[BOTTOM]:
                 for rho in range(-max_winding, max_winding + 1):
-                    arcs_trav = [
-                        TraversingArc(tops[i], bottoms[(i + rho) % t], rho)
-                        for i in range(t)
-                    ]
-                    for top_choice in top_options:
-                        for bottom_choice in bottom_options:
-                            out.append(ArcConfig(
-                                top_marks, bottom_marks,
-                                tuple(arcs_trav) + tuple(top_choice) + tuple(bottom_choice),
-                            ))
-    out.sort(key=lambda cfg: cfg.canonical_key())
+                    trav = tuple(TraversingArc(tops[i], bottoms[(i + rho) % t], rho)
+                                 for i in range(t))
+                    _check_ranges(trav, marks)
+                    _check_family(trav)
+                    key = tuple(sorted((arc.top, arc.bottom, rho) for arc in trav))
+                    families.append((key, trav, top_options, bottom_options))
+    families.sort(key=itemgetter(0))
+
+    # the order of (family key, bottom key, top key) is that of canonical_key:
+    # its parallel part lists the bottom arcs first ("bottom" < "top"), and
+    # the family fixes how many arcs each side has
+    out = []
+    previous = ()
+    trusted = ArcConfig._trusted
+    for trav_key, trav, top_options, bottom_options in families:
+        for bottom_key, bottom_arcs in bottom_options:
+            for top_key, top_arcs in top_options:
+                key = (trav_key, bottom_key, top_key)
+                if not previous < key:
+                    raise CertificateError(f"configuration keys do not strictly increase at {key}")
+                previous = key
+                out.append(trusted(marks[TOP], marks[BOTTOM], trav + top_arcs + bottom_arcs))
+    expected = count_configurations(n0, n1, max_winding)
+    if len(out) != expected:
+        raise CertificateError(f"enumerated {len(out)} configurations, but the count is {expected}")
     return out

@@ -76,6 +76,74 @@ def test_enum_configs_command():
     assert json.loads(out)["count"] == 5
 
 
+def _forbid_enumeration(monkeypatch):
+    import crsdiag.cli as cli
+    import crsdiag.dividing as dividing
+
+    def forbidden(*args):
+        raise AssertionError("an ArcConfig was built")
+
+    monkeypatch.setattr(cli, "enumerate_configurations", forbidden)
+    monkeypatch.setattr(dividing.ArcConfig, "_trusted", forbidden)
+    monkeypatch.setattr(dividing, "_validate", forbidden)
+
+
+def test_enum_configs_count_only_builds_no_configuration(monkeypatch):
+    _forbid_enumeration(monkeypatch)
+    code, out = run_cli(["enum-configs", "--count-only", "--n0", "5", "--n1", "5",
+                         "--max-winding", "0"])
+    assert (code, out) == (0, '{"count":60626}\n')
+
+
+def test_enum_configs_limit_refuses_before_enumerating(monkeypatch):
+    from crsdiag.cli import ENUM_LIMIT
+
+    assert ENUM_LIMIT >= 100_000
+    _forbid_enumeration(monkeypatch)
+    code, out = run_cli(["enum-configs", "--n0", "2", "--n1", "2", "--max-winding", "0",
+                         "--limit", "16"])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "code": 1, "kind": "LimitExceeded",
+        "message": "the cell has 17 configurations, more than --limit 16"}
+    code, out = run_cli(["enum-configs", "--n0", "5", "--n1", "5", "--max-winding", "1"])
+    assert code == 1
+    assert json.loads(out)["error"]["message"] == (
+        f"the cell has 181878 configurations, more than --limit {ENUM_LIMIT}")
+
+
+def test_enum_configs_limit_admits_its_own_count():
+    code, out = run_cli(["enum-configs", "--n0", "2", "--n1", "2", "--max-winding", "0",
+                         "--limit", "17"])
+    assert code == 0
+    assert out == run_cli(["enum-configs", "--n0", "2", "--n1", "2", "--max-winding", "0"])[1]
+    assert json.loads(out)["count"] == 17
+
+
+def test_enum_configs_domain_error_comes_first():
+    for extra in ([], ["--count-only"], ["--limit", "0"]):
+        code, out = run_cli(["enum-configs", "--n0", "0", "--n1", "2", "--max-winding", "0"] + extra)
+        assert (code, out) == (1, '{"error":{"code":1,"kind":"DomainError",'
+                                  '"message":"need at least one pair of dividing curves per side"}}\n')
+
+
+def test_homology_prints_torsion_longer_than_the_str_digit_limit(tmp_path):
+    # lk = 10**3000 - 1 on two tb = -1 components with contact -1 surgery:
+    # the order of H1 is lk**2 - 4, a 6,000-digit integer
+    path = tmp_path / "big.crs"
+    path.write_text("diagram big {\n  component A { tb = -1; rot = 0; }\n"
+                    "  component B { tb = -1; rot = 0; }\n  lk(A, B) = " + "9" * 3000 + ";\n"
+                    "  contact_surgery A = -1;\n  contact_surgery B = -1;\n}\n")
+    order = "9" * 2999 + "7" + "9" * 2999 + "7"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out = run_cli(["homology", str(path)])
+    assert (code, out) == (0, '{"components":[{"free_rank":0,"torsion":[' + order + ']}]}\n')
+    code, out = run_cli(["--pretty", "homology", str(path)])
+    assert code == 0 and out.split() == ['{', '"components":', '[', '{', '"free_rank":', '0,',
+                                         '"torsion":', '[', order, ']', '}', ']', '}']
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_glue_annuli_command():
     code, out = run_cli([
         "glue-annuli", "--top-marks", "2", "--bottom-marks", "2",
@@ -250,6 +318,7 @@ ALL_COMMANDS = [
     ["count-tight", "--slope0", "inf", "--slope1", "0"],
     ["normalize-slopes", "--slope0", "-1", "--slope1", "-7/3"],
     ["enum-configs", "--n0", "2", "--n1", "1", "--max-winding", "1"],
+    ["enum-configs", "--count-only", "--n0", "3", "--n1", "4", "--max-winding", "2"],
     ["glue-annuli", "--top-marks", "2", "--bottom-marks", "2",
      "--a", "T(0,0,0) T(1,1,0)", "--b", "T(0,0,0) T(1,1,0)"],
     ["gadget", "--m", "4"],
@@ -281,6 +350,7 @@ OUT_OF_DOMAIN = [
      "--a", "P(left,0,1) T(1,1,0)", "--b", "T(0,0,0) T(1,1,0)"],
     ["glue-annuli", "--top-marks", "4", "--bottom-marks", "2",
      "--a", "P(top,1,0) P(top,3,2) P(bottom,0,1)", "--b", "P(top,0,1) P(top,2,3) P(bottom,0,1)"],
+    ["enum-configs", "--n0", "2", "--n1", "2", "--max-winding", "0", "--limit", "16"],
 ]
 
 

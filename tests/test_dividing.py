@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import permutations
 from math import floor
@@ -15,8 +16,10 @@ from crsdiag import (
     glue_annuli,
     layer_to_annulus,
 )
-from crsdiag.dividing import _parallel_cross
+from crsdiag.dividing import _parallel_cross, _validate
 from crsdiag.errors import EmptyDividingSet, InvalidArcConfig, MarkMismatch, UnsupportedLayer
+
+import reference_arcs as reference
 
 STRAIGHT = ArcConfig(2, 2, (TraversingArc(0, 0, 0), TraversingArc(1, 1, 0)))
 BOUNDARY_PARALLEL = ArcConfig(2, 2, (ParallelArc("top", 0, 1), ParallelArc("bottom", 0, 1)))
@@ -281,3 +284,146 @@ def test_glued_classes_match_fraction_reference_under_offsets(rng):
             offset_bottom = rng.randint(-3 * a.bottom_marks, 3 * a.bottom_marks)
             glued = glue_annuli(a, b, offset_top, offset_bottom)
             assert glued.classes() == _fraction_classes(a, b, offset_top, offset_bottom, glued)
+
+
+# --- the replaced condition-by-condition code as oracle -----------------------
+
+def _random_matching(rng, points):
+    """A random non-crossing perfect matching of an even, linearly ordered point list."""
+    if not points:
+        return []
+    k = rng.randrange(1, len(points), 2)
+    return ([(points[0], points[k])] + _random_matching(rng, points[1:k])
+            + _random_matching(rng, points[k + 1:]))
+
+
+def _random_side(rng, side, marks, t):
+    """t traversing endpoints and random nested parallel arcs on one side."""
+    shift = rng.randrange(marks)
+    if t == 0:
+        run = [(i + shift) % marks for i in range(marks)]
+        return [], [ParallelArc(side, a, b) for a, b in _random_matching(rng, run)]
+    gaps = [0] * t
+    for _ in range((marks - t) // 2):
+        gaps[rng.randrange(t)] += 2
+    points, arcs, position = [], [], 0
+    for gap in gaps:
+        points.append((position + shift) % marks)
+        run = [(position + 1 + i + shift) % marks for i in range(gap)]
+        arcs += [ParallelArc(side, a, b) for a, b in _random_matching(rng, run)]
+        position += gap + 1
+    return sorted(points), arcs
+
+
+def _random_system(rng, top_marks, bottom_marks, parallel_only=0.1):
+    """A valid arc system: nested parallel arcs, any winding, and with
+    probability parallel_only no traversing arcs."""
+    t = 0 if rng.random() < parallel_only else 2 * rng.randint(1, min(top_marks, bottom_marks) // 2)
+    tops, top_arcs = _random_side(rng, "top", top_marks, t)
+    bottoms, bottom_arcs = _random_side(rng, "bottom", bottom_marks, t)
+    rho = rng.randint(-3, 3)
+    arcs = [TraversingArc(tops[i], bottoms[(i + rho) % t], rho) for i in range(t)]
+    arcs += top_arcs + bottom_arcs
+    rng.shuffle(arcs)
+    return ArcConfig(top_marks, bottom_marks, tuple(arcs))
+
+
+def test_glue_matches_reference_on_random_systems(rng):
+    glued = 0
+    for _ in range(320):
+        top_marks, bottom_marks = 2 * rng.randint(1, 7), 2 * rng.randint(1, 7)
+        a = _random_system(rng, top_marks, bottom_marks)
+        b = _random_system(rng, top_marks, bottom_marks)
+        offset_top = rng.randint(-2 * top_marks, 2 * top_marks)
+        offset_bottom = rng.randint(-2 * bottom_marks, 2 * bottom_marks)
+        ours = glue_annuli(a, b, offset_top, offset_bottom)
+        assert ours == reference.glue_annuli(a, b, offset_top, offset_bottom), (a, b)
+        glued += any(isinstance(arc, ParallelArc) for arc in a.arcs + b.arcs)
+    assert glued >= 300
+
+
+def _mutate(rng, top_marks, bottom_marks, arcs):
+    """One random edit; most edits break some condition of the arc system."""
+    arcs = list(arcs)
+    trav = [k for k, arc in enumerate(arcs) if isinstance(arc, TraversingArc)]
+    pars = [k for k, arc in enumerate(arcs) if isinstance(arc, ParallelArc)]
+    kind = rng.choice(["marks", "drop", "repeat", "endpoint", "endpoint", "winding", "windings",
+                       "swap", "swap", "reverse", "reverse", "flip", "rewire", "rewire"])
+    if kind == "marks":
+        if rng.random() < 0.5:
+            top_marks += rng.choice((-2, -1, 1, 2, -top_marks))
+        else:
+            bottom_marks += rng.choice((-2, -1, 1, 2))
+    elif kind == "drop" and arcs:
+        del arcs[rng.randrange(len(arcs))]
+    elif kind == "repeat" and arcs:
+        arcs.insert(rng.randrange(len(arcs) + 1), rng.choice(arcs))
+    elif kind == "endpoint" and arcs:
+        k = rng.randrange(len(arcs))
+        arc = arcs[k]
+        field = rng.choice(("top", "bottom") if k in trav else ("start", "end"))
+        side = field if k in trav else arc.side
+        bound = max(top_marks if side == "top" else bottom_marks, 1)
+        arcs[k] = type(arc)(**{**vars(arc), field: rng.randint(-1, bound)})
+    elif kind == "winding" and trav:
+        k = rng.choice(trav)
+        arcs[k] = TraversingArc(arcs[k].top, arcs[k].bottom, arcs[k].winding + rng.choice((-1, 1)))
+    elif kind == "windings" and trav:
+        step = rng.choice((-1, 1))
+        for k in trav:
+            arcs[k] = TraversingArc(arcs[k].top, arcs[k].bottom, arcs[k].winding + step)
+    elif kind == "swap" and len(trav) > 1:
+        i, j = rng.sample(trav, 2)
+        a, b = arcs[i], arcs[j]
+        arcs[i], arcs[j] = TraversingArc(a.top, b.bottom, a.winding), TraversingArc(b.top, a.bottom, b.winding)
+    elif kind == "reverse" and pars:
+        k = rng.choice(pars)
+        arcs[k] = ParallelArc(arcs[k].side, arcs[k].end, arcs[k].start)
+    elif kind == "flip" and pars:
+        k = rng.choice(pars)
+        arc = arcs[k]
+        arcs[k] = ParallelArc("top" if arc.side == "bottom" else "bottom", arc.start, arc.end)
+    elif kind == "rewire" and len(pars) > 1:
+        i, j = rng.sample(pars, 2)
+        a, b = arcs[i], arcs[j]
+        if a.side == b.side:
+            if rng.random() < 0.5:
+                arcs[i], arcs[j] = ParallelArc(a.side, a.start, b.start), ParallelArc(a.side, a.end, b.end)
+            else:
+                arcs[i], arcs[j] = ParallelArc(a.side, a.start, b.end), ParallelArc(a.side, b.start, a.end)
+    return top_marks, bottom_marks, tuple(arcs)
+
+
+def _outcome(check, cfg):
+    try:
+        check(cfg)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_validate_matches_reference_on_mutations(rng):
+    invalid = multiple = 0
+    for _ in range(1500):
+        top_marks, bottom_marks = 2 * rng.randint(1, 4), 2 * rng.randint(1, 4)
+        cfg = _random_system(rng, top_marks, bottom_marks, parallel_only=0.3)
+        shape = (cfg.top_marks, cfg.bottom_marks, cfg.arcs)
+        edits = rng.randint(1, 3)
+        for _ in range(edits):
+            shape = _mutate(rng, *shape)
+        mutated = ArcConfig._trusted(*shape)
+        expected = _outcome(reference.validate, mutated)
+        assert _outcome(_validate, mutated) == expected, mutated
+        if expected is not None:
+            with pytest.raises(expected[0], match=re.escape(expected[1])):
+                ArcConfig(*shape)
+            invalid += 1
+            multiple += edits > 1
+    assert invalid >= 300 and multiple >= 150
+
+
+def test_trusted_constructor_equals_validated_one():
+    arcs = (TraversingArc(0, 1, 1), TraversingArc(1, 0, 1), ParallelArc("top", 2, 3))
+    assert ArcConfig._trusted(4, 2, arcs) == ArcConfig(4, 2, arcs)
+    with pytest.raises(InvalidArcConfig):
+        ArcConfig(4, 2, arcs[:1] + arcs[2:])

@@ -1,9 +1,10 @@
 import ast
+import json
 import random
 import textwrap
 from fractions import Fraction
 from itertools import combinations
-from math import floor
+from math import comb, floor, prod
 from pathlib import Path
 
 import pytest
@@ -16,14 +17,19 @@ from crsdiag import (
     SlopeQ,
     TraversingArc,
     UnimodularMatrix,
+    count_configurations,
     enumerate_configurations,
     honda_count,
     neg_cf,
     normalize_slopes,
 )
-from crsdiag.errors import DomainError, NotNormalized
+import crsdiag.dividing as dividing
+import crsdiag.slopes as slopes
+from crsdiag.errors import CertificateError, DomainError, InvalidArcConfig, NotNormalized
 from crsdiag.slopes import _matrix_to_minus_one
 from conftest import run_optimized
+
+import reference_arcs as reference
 
 
 def test_neg_cf_fixtures():
@@ -451,3 +457,120 @@ def test_enumerate_matches_brute_force_at_winding_zero(n0, n1):
     ours = {_config_raw(cfg) for cfg in enumerate_configurations(n0, n1, 0)}
     brute = _brute_force_raw(n0, n1, 0)
     assert ours == brute
+
+
+# --- the factored enumeration against the code it replaced ---------------------
+
+@pytest.mark.parametrize("n0", [1, 2, 3, 4])
+def test_enumerate_matches_reference(n0):
+    for n1 in range(1, 5):
+        for w in (0, 1):
+            assert enumerate_configurations(n0, n1, w) == reference.enumerate_configurations(n0, n1, w)
+
+
+def test_enumeration_runs_no_per_configuration_validate(monkeypatch):
+    calls = []
+    real = dividing._validate
+    monkeypatch.setattr(dividing, "_validate", lambda cfg: calls.append(cfg) or real(cfg))
+    assert len(enumerate_configurations(4, 4, 0)) == 3985
+    assert calls == []
+    ArcConfig(2, 2, (TraversingArc(0, 0, 0), TraversingArc(1, 1, 0)))
+    assert len(calls) == 1  # the public constructor still validates
+
+
+# Each forgery edits the top options _parallel_choices returns for one
+# (top marks, traversing points) factor of a cell; the enumeration must raise.
+FORGERIES = [
+    ("crossing", (3, 1, 0), 6, (0, 1),
+     lambda options: [[ParallelArc("top", 2, 4), ParallelArc("top", 3, 5)]] + options[1:],
+     "InvalidArcConfig"),
+    ("trapping", (2, 1, 0), 4, (0, 1), lambda options: [[ParallelArc("top", 3, 2)]],
+     "InvalidArcConfig"),
+    ("wrong side", (2, 1, 0), 4, (0, 1), lambda options: [[ParallelArc("bottom", 2, 3)]],
+     "InvalidArcConfig"),
+    ("repeated", (3, 1, 0), 6, (0, 1), lambda options: [options[0], options[0]],
+     "CertificateError"),
+    ("extra repeat", (3, 1, 0), 6, (0, 1), lambda options: options + options[:1],
+     "CertificateError"),
+    ("missing", (3, 1, 0), 6, (0, 1), lambda options: options[:1], "CertificateError"),
+]
+
+
+def forged_outcomes():
+    """Run every forgery; returns (name, raised exception type name, expected name)."""
+    real = slopes._parallel_choices
+    results = []
+    for name, cell, marks, points, edit, expected in FORGERIES:
+        def forged(m, pts, side, marks=marks, points=points, edit=edit):
+            options = real(m, pts, side)
+            if side == "top" and m == marks and tuple(pts) == points:
+                return edit(options)
+            return options
+        slopes._parallel_choices = forged
+        try:
+            enumerate_configurations(*cell)
+        except (InvalidArcConfig, CertificateError) as exc:
+            results.append((name, type(exc).__name__, expected))
+        else:
+            results.append((name, None, expected))
+        finally:
+            slopes._parallel_choices = real
+    return results
+
+
+def test_forged_factors_raise():
+    for name, raised, expected in forged_outcomes():
+        assert raised == expected, name
+
+
+def test_forged_factors_raise_under_optimize():
+    result = run_optimized(textwrap.dedent("""
+        import json, sys
+        from test_slopes import forged_outcomes
+        print(json.dumps([sys.flags.optimize, forged_outcomes()]))
+    """))
+    assert result.returncode == 0, result.stderr
+    optimize, outcomes = json.loads(result.stdout)
+    assert optimize == 1 and len(outcomes) == len(FORGERIES)
+    for name, raised, expected in outcomes:
+        assert raised == expected, name
+
+
+# --- count_configurations -------------------------------------------------------
+
+def test_count_matches_enumeration():
+    for n0 in range(1, 5):
+        for n1 in range(1, 5):
+            for w in range(3):
+                assert count_configurations(n0, n1, w) == len(enumerate_configurations(n0, n1, w))
+
+
+def _catalan(k):
+    return comb(2 * k, k) // (k + 1)
+
+
+def _brute_side(marks, t):
+    """Sum over t-subsets with all cyclic gaps even of the Catalan product of the half-gaps."""
+    total = 0
+    for chosen in combinations(range(marks), t):
+        gaps = [(chosen[(i + 1) % t] - chosen[i] - 1) % marks for i in range(t)]
+        if all(g % 2 == 0 for g in gaps):
+            total += prod(_catalan(g // 2) for g in gaps)
+    return total
+
+
+def test_count_matches_subset_brute_force_at_winding_zero():
+    side = {(marks, t): _brute_side(marks, t) for marks in range(2, 13, 2) for t in range(2, marks + 1, 2)}
+    for n0 in range(1, 7):
+        for n1 in range(1, 7):
+            brute = sum(side[2 * n0, t] * side[2 * n1, t] for t in range(2, 2 * min(n0, n1) + 1, 2))
+            assert count_configurations(n0, n1, 0) == brute, (n0, n1)
+
+
+def test_count_known_values_and_domain():
+    assert count_configurations(5, 5, 0) == 60626
+    assert count_configurations(4, 4, 0) == 3985
+    assert count_configurations(5, 5, 1) == 3 * 60626
+    for cell in ((0, 2, 0), (2, 0, 0), (2, 2, -1)):
+        with pytest.raises(DomainError):
+            count_configurations(*cell)
