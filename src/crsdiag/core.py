@@ -239,11 +239,10 @@ def _label_key(label):
 class TightLayerSpec:
     """Choice of tight structure on the glued thickened torus.
 
-    kind is one of "invariant", "nonrotative", "rotative_plus",
-    "rotative_minus"; param is the holonomy integer for nonrotative layers and
-    the positive family index for rotative ones.  The invariant neighborhood
-    is identified with the zero-holonomy minimal-twisting layer, so
-    normalized() maps it to nonrotative(0).
+    kind is one of "nonrotative", "rotative_plus", "rotative_minus"; param is
+    the holonomy integer for nonrotative layers and the positive family index
+    for rotative ones.  The invariant neighborhood is the zero-holonomy
+    minimal-twisting layer, so invariant() is nonrotative(0, 0).
     """
 
     kind: str
@@ -251,12 +250,10 @@ class TightLayerSpec:
     twisting: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("invariant", "nonrotative", "rotative_plus", "rotative_minus"):
+        if self.kind not in ("nonrotative", "rotative_plus", "rotative_minus"):
             raise InvalidParameter(f"unknown layer kind {self.kind!r}")
         if self.twisting < 0:
             raise InvalidParameter(f"layer twisting {self.twisting} is negative")
-        if self.kind == "invariant" and (self.param != 0 or self.twisting != 0):
-            raise InvalidParameter("the invariant layer has no parameter and no twisting")
         if self.kind in ("rotative_plus", "rotative_minus") and self.param < 1:
             raise InvalidParameter(
                 f"rotative layers carry a positive index, not {self.param}"
@@ -264,7 +261,7 @@ class TightLayerSpec:
 
     @staticmethod
     def invariant() -> "TightLayerSpec":
-        return TightLayerSpec("invariant", 0, 0)
+        return TightLayerSpec("nonrotative", 0, 0)
 
     @staticmethod
     def nonrotative(holonomy: int, twisting: int = 0) -> "TightLayerSpec":
@@ -278,15 +275,9 @@ class TightLayerSpec:
     def rotative_minus(m: int) -> "TightLayerSpec":
         return TightLayerSpec("rotative_minus", m, 0)
 
-    def normalized(self) -> "TightLayerSpec":
-        if self.kind == "invariant":
-            return TightLayerSpec("nonrotative", 0, 0)
-        return self
-
     def is_zero_layer(self) -> bool:
         """True for the zero-holonomy minimal-twisting (invariant) layer."""
-        n = self.normalized()
-        return n.kind == "nonrotative" and n.param == 0 and n.twisting == 0
+        return self.kind == "nonrotative" and self.param == 0 and self.twisting == 0
 
 
 @dataclass(frozen=True)

@@ -381,17 +381,16 @@ def layer_to_annulus(layer: TightLayerSpec, n: int = 1) -> ArcConfig:
     """
     if n < 1:
         raise UnsupportedLayer("need at least one arc per side")
-    spec = layer.normalized()
-    if spec.twisting >= 1:
+    if layer.twisting >= 1:
         raise UnsupportedLayer("layers with positive twisting have no annulus model here")
     marks = 2 * n
-    if spec.kind == "nonrotative":
-        k = spec.param
+    if layer.kind == "nonrotative":
+        k = layer.param
         arcs = [TraversingArc(i, (i + k) % marks, k) for i in range(marks)]
         return ArcConfig(marks, marks, tuple(arcs))
     if n != 1:
         raise UnsupportedLayer("rotative layers are modelled with two marked points per side")
-    if spec.kind == "rotative_plus":
+    if layer.kind == "rotative_plus":
         arcs = (ParallelArc(TOP, 0, 1), ParallelArc(BOTTOM, 0, 1))
     else:
         arcs = (ParallelArc(TOP, 1, 0), ParallelArc(BOTTOM, 1, 0))

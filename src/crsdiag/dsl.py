@@ -27,9 +27,8 @@ from the text only when an error is raised.
 Rationals are written p/q with an optional sign, plain integers abbreviate
 n/1, and inf is the infinite coefficient.
 Front-derived tb/rot win over declared values; a disagreement is a semantic
-error.  Parsing canonicalizes (components and statements sorted, layers
-normalized), so parse -> print -> parse is the identity and printing is
-idempotent.
+error.  Parsing canonicalizes (components and statements sorted), so
+parse -> print -> parse is the identity and printing is idempotent.
 """
 
 from __future__ import annotations
@@ -192,7 +191,7 @@ class _Parser:
         at = self.pos
         kind = self.expect_ident()
         if kind == "invariant":
-            return TightLayerSpec.invariant().normalized()
+            return TightLayerSpec.invariant()
         if kind not in ("nonrotative", "rotative_plus", "rotative_minus"):
             self.fail(f"unknown layer {kind!r}", at)
         self.expect_punct("(")
@@ -291,7 +290,7 @@ class _Parser:
             self.fail("block needs an 'r1' field")
         if want_r2 and r2 is None:
             self.fail("block needs an 'r2' field")
-        return r1, r2, layer if layer is not None else TightLayerSpec.invariant().normalized()
+        return r1, r2, layer if layer is not None else TightLayerSpec.invariant()
 
     def _parse_body(self, statements):
         """Parse a diagram body `{ ... }`.
@@ -437,10 +436,9 @@ def parse_file(text: str) -> DiagramFile:
 # --- canonical printer --------------------------------------------------------
 
 def _layer_text(layer: TightLayerSpec) -> str:
-    spec = layer.normalized()
-    if spec.is_zero_layer():
+    if layer.is_zero_layer():
         return "invariant"
-    return f"{spec.kind}({spec.param})"
+    return f"{layer.kind}({layer.param})"
 
 
 def _component_text(decl: ComponentDecl) -> str:
@@ -505,8 +503,7 @@ def named(name: str, diagram) -> NamedDiagram:
 # --- JSON form -----------------------------------------------------------------
 
 def _layer_json(layer: TightLayerSpec) -> dict:
-    spec = layer.normalized()
-    return {"kind": spec.kind, "param": spec.param, "twisting": spec.twisting}
+    return {"kind": layer.kind, "param": layer.param, "twisting": layer.twisting}
 
 
 def diagram_json(nd: NamedDiagram) -> dict:

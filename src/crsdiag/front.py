@@ -7,6 +7,11 @@ horizontal strands, numbered from 1 at the bottom:
 * ``C<i>``: a right cusp, the strands at positions i, i+1 join and vanish;
 * ``X<i>``: a crossing, the strands at positions i, i+1 exchange positions.
 
+A parsed word keeps its events as canonical token strings: leading zeros of
+a position are dropped, so ``U01`` is kept as ``"U1"``.  Strand ids are
+handed out in cup order: cup k gives birth to strand 2k, the lower one, and
+strand 2k+1.  So the cup mate of strand s is s ^ 1.
+
 At a crossing the descending strand has the lesser slope and therefore passes
 in front.  Crossing signs are a function of the over/under roles and the two
 strands' horizontal traversal directions; the table is pinned by two
@@ -20,7 +25,6 @@ first cup and runs rightward.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -34,39 +38,26 @@ from .errors import (
     UnknownComponent,
 )
 
-CUP, CROSS, CAP = "U", "X", "C"
-_TOKEN = re.compile(r"^([UXC])([0-9]+)$")
-
-
-@dataclass(frozen=True)
-class Event:
-    kind: str
-    pos: int
-
-    def __str__(self):
-        return f"{self.kind}{self.pos}"
-
 
 @dataclass(frozen=True)
 class Threading:
     """Strand segments threaded through the word.
 
-    strand_component maps every strand id to its component id; components are
-    numbered by the event index of their earliest cup.
+    strand_component[s] is the component id of strand s; components are
+    numbered by their least strand id, that is by their earliest cup.
     """
 
-    strand_component: Dict[int, int]
+    strand_component: List[int]
     component_count: int
-    cups: tuple        # (event_index, lo_strand, hi_strand)
-    caps: tuple
-    crossings: tuple   # (event_index, under_strand, over_strand); under ascends
+    caps: tuple        # (event_index, lo_strand, hi_strand)
+    crossings: tuple   # (under_strand, over_strand); under ascends
 
 
 @dataclass(frozen=True)
 class FrontWord:
     """A validated closed front word, threaded once by parse_front_word."""
 
-    events: tuple
+    events: tuple      # canonical token strings such as "U1"
     threading: Threading = field(compare=False, repr=False)
 
     def __str__(self):
@@ -93,64 +84,64 @@ class OrientedFront:
 
 
 def parse_front_word(text: str) -> FrontWord:
-    """Tokenize, validate and thread a front word; raises on malformed or open words.
-
-    Strand ids are handed out in cup order, and a union-find over them joins
-    the two strands of every cusp; each set's root is its least strand id.
-    """
+    """Tokenize, validate and thread a front word; raises on malformed or open words."""
+    tokens = text.split()
+    # a word of n tokens has at most 2n strands, so a position with more
+    # digits than 2n + 1 is out of range and is never handed to int()
+    max_digits = len(str(2 * len(tokens) + 1))
     events = []
-    parent: List[int] = []     # union-find over strand ids
     positions: List[int] = []  # strand ids ordered bottom to top
-    cups, caps, crossings = [], [], []
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for t, token in enumerate(text.split()):
-        m = _TOKEN.match(token)
-        if not m:
+    cap_mate: List[int] = []   # the strand each strand joins at its right cusp
+    caps, crossings = [], []
+    for t, token in enumerate(tokens):
+        kind, digits = token[0], token[1:]
+        if kind not in "UXC" or not (digits.isascii() and digits.isdigit()):
             raise FrontSyntaxError(f"bad front token {token!r}")
-        kind, pos = m.group(1), int(m.group(2))
+        event = token
+        if digits[0] == "0":
+            digits = digits.lstrip("0") or "0"
+            event = kind + digits
+        pos = int(digits) if len(digits) <= max_digits else 0  # 0 is out of range
         strands = len(positions)
         i = pos - 1
-        if kind == CUP:
+        if kind == "U":
             if not 1 <= pos <= strands + 1:
                 raise PositionError(f"{token}: cup position out of range with {strands} strands")
-            lo = len(parent)
-            parent += (lo, lo)
-            positions[i:i] = [lo, lo + 1]
-            cups.append((t, lo, lo + 1))
+            lo = len(cap_mate)
+            cap_mate += (lo, lo)
+            positions[i:i] = (lo, lo + 1)
         else:
             if not 1 <= pos <= strands - 1:
                 raise PositionError(f"{token}: position out of range with {strands} strands")
             lo, hi = positions[i], positions[i + 1]
-            if kind == CAP:
-                rlo, rhi = find(lo), find(hi)
-                parent[max(rlo, rhi)] = min(rlo, rhi)
+            if kind == "C":
+                cap_mate[lo], cap_mate[hi] = hi, lo
                 caps.append((t, lo, hi))
                 del positions[i:i + 2]
             else:
                 positions[i], positions[i + 1] = hi, lo
-                crossings.append((t, lo, hi))
-        events.append(Event(kind, pos))
+                crossings.append((lo, hi))
+        events.append(event)
     if positions:
         raise OpenDiagram(f"front word leaves {len(positions)} strands open")
 
-    # a component's least strand id is the lower strand of its earliest cup,
-    # so numbering roots in id order numbers components by earliest cup
-    numbered: Dict[int, int] = {}
-    strand_component = {s: numbered.setdefault(find(s), len(numbered))
-                        for s in range(len(parent))}
-    threading = Threading(strand_component, len(numbered), tuple(cups), tuple(caps),
-                          tuple(crossings))
+    # each component is a cycle of alternate cup and cap joins; the first
+    # unnumbered even strand is the least strand id of the next component
+    strand_component = [-1] * len(cap_mate)
+    count = 0
+    for start in range(0, len(cap_mate), 2):
+        if strand_component[start] < 0:
+            s = start
+            while strand_component[s] < 0:
+                strand_component[s] = strand_component[s ^ 1] = count
+                s = cap_mate[s ^ 1]
+            count += 1
+    threading = Threading(strand_component, count, tuple(caps), tuple(crossings))
     return FrontWord(tuple(events), threading)
 
 
 def word_to_text(word: FrontWord) -> str:
-    return " ".join(str(e) for e in word.events)
+    return " ".join(word.events)
 
 
 # --- threading --------------------------------------------------------------
@@ -161,56 +152,38 @@ def trace_components(word: FrontWord) -> Threading:
 
 
 def _canonical_directions(threading: Threading):
-    """Traverse every component forward; returns per-strand direction flags and
-    per-component canonical cusp verdicts.
+    """Traverse every component forward; returns per-strand direction flags
+    and per-component counts of upward cusps and of right cusps.
 
     rightward[s] is True when the forward traversal runs strand s left to
-    right.  Cusp verdicts count, per component, cusps traversed downward and
-    upward under the forward orientation.
+    right.  The traversal of a component passes its right cusps and as many
+    left cusps, so its downward cusps number 2 * caps - ups.
     """
-    cup_mate, cup_is_lower = {}, {}
-    cap_mate, cap_is_lower = {}, {}
-    for _t, lo, hi in threading.cups:
-        cup_mate[lo], cup_mate[hi] = hi, lo
-        cup_is_lower[lo], cup_is_lower[hi] = True, False
+    comp = threading.strand_component
+    n = len(comp)
+    cap_mate, cap_lower = [0] * n, [False] * n
     for _t, lo, hi in threading.caps:
         cap_mate[lo], cap_mate[hi] = hi, lo
-        cap_is_lower[lo], cap_is_lower[hi] = True, False
-
-    first_cup_lo = {}
-    for _t, lo, _hi in threading.cups:
-        cid = threading.strand_component[lo]
-        if cid not in first_cup_lo:
-            first_cup_lo[cid] = lo
-
-    rightward: Dict[int, bool] = {}
-    downs = {cid: 0 for cid in range(threading.component_count)}
-    ups = {cid: 0 for cid in range(threading.component_count)}
-
-    for cid in range(threading.component_count):
-        start = first_cup_lo[cid]
-        strand, moving_right = start, True
-        while True:
-            rightward[strand] = moving_right
-            if moving_right:
-                # run right into the death cap; entering along the lower
-                # strand turns the curve upward through the cusp
-                if cap_is_lower[strand]:
-                    ups[cid] += 1
-                else:
-                    downs[cid] += 1
-                strand, moving_right = cap_mate[strand], False
-            else:
-                # run left into the birth cup; entering along the lower
-                # strand exits upward along the mate
-                if cup_is_lower[strand]:
-                    ups[cid] += 1
-                else:
-                    downs[cid] += 1
-                strand, moving_right = cup_mate[strand], True
-            if strand == start and moving_right:
-                break
-    return rightward, downs, ups
+        cap_lower[lo] = True
+    rightward = [False] * n
+    ups = [0] * threading.component_count
+    caps = [0] * threading.component_count
+    cid = 0
+    for start in range(0, n, 2):
+        if comp[start] != cid:
+            continue
+        # start is the lower strand of the component's first cup
+        s = start
+        while not rightward[s]:
+            rightward[s] = True
+            mate = cap_mate[s]
+            # run right into the cap, then left along its mate into a cup;
+            # entering either cusp along its lower strand turns upward
+            ups[cid] += cap_lower[s] + (mate % 2 == 0)
+            caps[cid] += 1
+            s = mate ^ 1
+        cid += 1
+    return rightward, ups, caps
 
 
 @dataclass(frozen=True)
@@ -235,36 +208,32 @@ def classical_invariants(front: OrientedFront) -> FrontInvariants:
     follow the calibrated table (+1 for opposite horizontal directions).
     """
     threading = front.word.threading
-    rightward, downs_fwd, ups_fwd = _canonical_directions(threading)
+    n = threading.component_count
     comp = threading.strand_component
-    reversed_flag = {cid: front.orientation[cid] == "reverse" for cid in range(threading.component_count)}
+    rightward, ups_fwd, caps = _canonical_directions(threading)
+    reverse = [front.orientation[cid] == "reverse" for cid in range(n)]
+    rightward = [right ^ reverse[c] for right, c in zip(rightward, comp)]
 
-    self_writhe = {cid: 0 for cid in range(threading.component_count)}
+    self_writhe = [0] * n
     lk_sums: Dict[Tuple[int, int], int] = {}
-    for _t, under, over in threading.crossings:
-        dir_under = rightward[under] ^ reversed_flag[comp[under]]
-        dir_over = rightward[over] ^ reversed_flag[comp[over]]
-        sign = 1 if dir_over != dir_under else -1
-        if comp[under] == comp[over]:
-            self_writhe[comp[under]] += sign
+    for under, over in threading.crossings:
+        sign = 1 if rightward[under] != rightward[over] else -1
+        a, b = comp[under], comp[over]
+        if a == b:
+            self_writhe[a] += sign
         else:
-            key = tuple(sorted((comp[under], comp[over])))
+            key = (a, b) if a < b else (b, a)
             lk_sums[key] = lk_sums.get(key, 0) + sign
 
-    caps_per = {cid: 0 for cid in range(threading.component_count)}
-    for _t, lo, _hi in threading.caps:
-        caps_per[comp[lo]] += 1
-
     invariants = []
-    for cid in range(threading.component_count):
-        if reversed_flag[cid]:
-            down, up = ups_fwd[cid], downs_fwd[cid]
-        else:
-            down, up = downs_fwd[cid], ups_fwd[cid]
+    for cid in range(n):
+        up, down = ups_fwd[cid], 2 * caps[cid] - ups_fwd[cid]
+        if reverse[cid]:
+            down, up = up, down
         if (down - up) % 2:
             raise CertificateError(f"component {cid} has {down} down and {up} up cusps, an odd total")
         invariants.append(ComponentInvariants(
-            tb=self_writhe[cid] - caps_per[cid],
+            tb=self_writhe[cid] - caps[cid],
             rot=(down - up) // 2,
             self_writhe=self_writhe[cid],
             cusps_up=up,
@@ -294,20 +263,15 @@ def stabilize(front: OrientedFront, component: int, sign: int) -> OrientedFront:
         raise UnknownComponent(f"front has no component {component}")
 
     comp = threading.strand_component
-    target = None
-    for t, lo, _hi in threading.caps:
-        if comp[lo] == component:
-            target = (t, front.word.events[t].pos)
-            break
-    if target is None:
+    t = next((t for t, lo, _hi in threading.caps if comp[lo] == component), None)
+    if t is None:
         raise CertificateError(f"closed component {component} has no right cusp")
-    t, pos = target
+    events = front.word.events
+    pos = int(events[t][1:])
 
     before = classical_invariants(front).components[component].rot
-    for variant in ((Event(CUP, pos), Event(CAP, pos + 1)),
-                    (Event(CUP, pos + 1), Event(CAP, pos))):
-        events = front.word.events[:t] + variant + front.word.events[t:]
-        word = parse_front_word(" ".join(str(e) for e in events))
+    for variant in ((f"U{pos}", f"C{pos + 1}"), (f"U{pos + 1}", f"C{pos}")):
+        word = parse_front_word(" ".join(events[:t] + variant + events[t:]))
         candidate = OrientedFront(word, front.orientation)
         after = classical_invariants(candidate).components[component].rot
         if after - before == sign:

@@ -27,11 +27,33 @@ or the family alone (see the dividing module).  So:
   configuration of their product valid;
 * the configurations come out in canonical_key order, compared through the
   factors' keys, and the keys must strictly increase, so no two are equal;
-* their number must equal count_configurations, a count by gap lengths that
-  shares no code with the enumeration, so distinct valid configurations as
-  many as all valid ones are all of them.
+* their number must equal count_configurations, a closed form that shares
+  no code with the enumeration, so distinct valid configurations as many as
+  all valid ones are all of them.
 
 Any failure raises InvalidArcConfig or CertificateError.
+
+The closed form.  On a side with m marked points (m even) and t traversing
+endpoints, the parallel arcs are a non-crossing matching of each cyclic gap
+between consecutive traversing points, and there are C(m, (m - t)/2) such
+systems.  Read each gap from the traversing point before it: every
+traversing point and every arc's first point is an up-step, every arc's
+second point a down-step.  That picks (m - t)/2 of the m cyclic points as
+down-steps.  Conversely, mark any (m - t)/2 points as down-steps and the
+rest as up-steps, and cancel an up-step followed by a down-step, cyclically,
+until none is left.  What is left has no up-step followed by a down-step, so
+it is constant, and it keeps the total t > 0: it is t up-steps.  These are
+the traversing points, and the cancelled pairs are non-crossing arcs that
+stay within the gaps; cancelling recovers the arcs of the first map, so the
+two maps are inverse.  With n0 and n1 pairs of marks, N = n0 + n1 and
+t = 2j, the count is
+
+    (2w + 1) * sum_{j >= 1} C(2 n0, n0 - j) C(2 n1, n1 - j)
+        = (2w + 1) * (C(2N, N) - C(2 n0, n0) C(2 n1, n1)) / 2,
+
+because C(2 n1, n1 - j) = C(2 n1, n1 + j), the sum over all integers j is
+C(2N, N) by Vandermonde's identity, j and -j contribute equally, and j = 0
+contributes C(2 n0, n0) C(2 n1, n1).
 """
 
 from __future__ import annotations
@@ -371,32 +393,12 @@ def _check_cell(n0: int, n1: int, max_winding: int) -> None:
         raise DomainError("max_winding is a non-negative bound")
 
 
-def _side_count(marks: int, t: int) -> int:
-    """Parallel-arc systems on one side with t traversing endpoints.
-
-    Sums over the t-subsets of the marks cyclic points whose gaps are all
-    even the product of Catalan(gap/2) over the gaps, by a recurrence on gap
-    lengths: runs[L] is the weighted number of ways to fill L free points
-    with t - 1 consecutive gaps.  The remaining gap, of length g, wraps past
-    point 0 and leaves g + 1 places for the first traversing point.
-    """
-    free = marks - t
-    weight = [comb(g, g // 2) // (g // 2 + 1) if g % 2 == 0 else 0 for g in range(free + 1)]
-    runs = [1] + [0] * free
-    for _ in range(t - 1):
-        runs = [sum(weight[g] * runs[length - g] for g in range(length + 1))
-                for length in range(free + 1)]
-    return sum((g + 1) * weight[g] * runs[free - g] for g in range(free + 1))
-
-
 def count_configurations(n0: int, n1: int, max_winding: int) -> int:
     """Number of configurations enumerate_configurations returns, without
-    building them: the sum over t of T(t) * B(t) * (2 * max_winding + 1)."""
+    building them, by the closed form of the module docstring."""
     _check_cell(n0, n1, max_winding)
-    return (2 * max_winding + 1) * sum(
-        _side_count(2 * n0, t) * _side_count(2 * n1, t)
-        for t in range(2, 2 * min(n0, n1) + 1, 2)
-    )
+    n = n0 + n1
+    return (2 * max_winding + 1) * (comb(2 * n, n) - comb(2 * n0, n0) * comb(2 * n1, n1)) // 2
 
 
 def _side_options(side: str, marks: Dict[str, int], points: List[int]) -> list:

@@ -303,6 +303,24 @@ def test_overlong_integer_literal_is_a_parse_error(tmp_path):
         "message": "integer literal of 5000 digits is too long", "line": 2, "col": 23}
 
 
+def test_overlong_front_position_is_a_json_error(tmp_path):
+    # more digits than int() converts by default (4300), and more than any
+    # strand position of the word
+    token = "U" + "1" * 5000
+    expected = {"error": {"code": 1, "kind": "PositionError",
+                          "message": f"{token}: cup position out of range with 0 strands"}}
+    code, out = run_cli(["invariants", "--word", f"{token} C1"])
+    assert (code, json.loads(out)) == (1, expected)
+    path = tmp_path / "long_front.crs"
+    path.write_text(f'diagram d {{\n  component K {{ front = "{token} C1"; }}\n'
+                    "  contact_surgery K = 1;\n}\n")
+    for command in ("parse", "invariants"):
+        code, out = run_cli([command, str(path)])
+        assert (code, json.loads(out)) == (1, expected)
+    code, out = run_cli(["invariants", "--word", "U" + "0" * 5000 + "1 C01"])
+    assert code == 0 and json.loads(out)["word"] == "U1 C1"
+
+
 ALL_COMMANDS = [
     ["parse", fixture("hopf_contact_minus1.crs")],
     ["parse", fixture("front_pair.crs")],

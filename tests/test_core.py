@@ -13,7 +13,7 @@ from crsdiag import (
     is_fillable_sufficient,
     validate_diagram,
 )
-from crsdiag.errors import NoJointPartner
+from crsdiag.errors import InvalidParameter, NoJointPartner
 
 
 def hopf_components():
@@ -103,12 +103,15 @@ def test_linking_data_orders_its_entries():
 
 def test_layer_normalization():
     inv = TightLayerSpec.invariant()
-    assert inv.normalized() == TightLayerSpec.nonrotative(0)
+    assert inv == TightLayerSpec.nonrotative(0) == TightLayerSpec.nonrotative(0, 0)
+    assert hash(inv) == hash(TightLayerSpec.nonrotative(0))
     assert inv.is_zero_layer()
     assert TightLayerSpec.nonrotative(0).is_zero_layer()
     assert not TightLayerSpec.nonrotative(1).is_zero_layer()
     assert not TightLayerSpec.nonrotative(0, twisting=2).is_zero_layer()
     assert not TightLayerSpec.rotative_plus(1).is_zero_layer()
+    with pytest.raises(InvalidParameter, match="unknown layer kind 'invariant'"):
+        TightLayerSpec("invariant")
 
 
 @pytest.mark.parametrize("k", range(-3, 4))

@@ -1,5 +1,10 @@
+import itertools
+import random
+
 import networkx as nx
 import pytest
+
+import reference_front as reference
 
 from crsdiag import dsl, front
 from crsdiag import (
@@ -11,6 +16,7 @@ from crsdiag import (
     word_to_text,
 )
 from crsdiag.errors import (
+    DiagramError,
     FrontSyntaxError,
     OpenDiagram,
     PositionError,
@@ -50,11 +56,18 @@ def test_nested_unlink_components():
     assert trace_components(word).component_count == 2
 
 
+def _cups(word):
+    """(lo, hi) strands of each cup, read off the word's U events: strand ids
+    are handed out in cup order, two per cup."""
+    ups = sum(1 for event in word.events if event[0] == "U")
+    return [(2 * k, 2 * k + 1) for k in range(ups)]
+
+
 def _oracle_component_count(word):
     """Independent threading oracle: strand ids as graph nodes, cusp joins as edges."""
     graph = nx.Graph()
     threading = trace_components(word)
-    for _t, lo, hi in threading.cups:
+    for lo, hi in _cups(word):
         graph.add_edge(("s", lo), ("s", hi))
     for _t, lo, hi in threading.caps:
         graph.add_edge(("s", lo), ("s", hi))
@@ -135,7 +148,7 @@ def test_cusp_balance_per_component(rng):
         threading = trace_components(word)
         cups = [0] * threading.component_count
         caps = [0] * threading.component_count
-        for _t, lo, _hi in threading.cups:
+        for lo, _hi in _cups(word):
             cups[threading.strand_component[lo]] += 1
         for _t, lo, _hi in threading.caps:
             caps[threading.strand_component[lo]] += 1
@@ -197,3 +210,93 @@ def test_front_word_threaded_once(monkeypatch):
     # front_pair.crs declares two components by front words
     dsl.parse_file(FIXTURES.joinpath("front_pair.crs").read_text())
     assert len(built) == 3
+
+
+def _pad_zeros(rng, text):
+    """The word with a few leading zeros put in front of some positions."""
+    return " ".join(token[0] + "0" * rng.choice((0, 0, 1, 3)) + token[1:] for token in text.split())
+
+
+def test_matches_reference_on_random_words():
+    """Every component's invariants under every orientation, the linking and
+    the printed word agree with the replaced implementation."""
+    rng = random.Random(8420)
+    orientations = 0
+    for _ in range(2000):
+        text = random_front_text(rng, max_cups=rng.randint(1, 6), cap=rng.choice((8, 24, 48)))
+        if rng.random() < 0.3:
+            text = _pad_zeros(rng, text)
+        old, new = reference.parse_front_word(text), parse_front_word(text)
+        assert str(new) == str(old) == " ".join(new.events)
+        assert all(event == f"{event[0]}{int(event[1:])}" for event in new.events)
+        n = trace_components(new).component_count
+        assert n == old.threading.component_count
+        for choice in itertools.product(("forward", "reverse"), repeat=n):
+            orientation = dict(enumerate(choice))
+            components, lk = reference.classical_invariants(old, orientation)
+            got = classical_invariants(OrientedFront(new, orientation))
+            assert [vars(c) for c in got.components] == [vars(c) for c in components], text
+            assert list(got.lk.pairs()) == list(lk.pairs()), text
+            orientations += 1
+    assert orientations > 4000
+
+
+# "X\u00b2", "U\u0661" and "C\uff11" hold digits that str.isdigit or int accept
+# and the token grammar does not; "U\u00a01" splits at its no-break space
+_BAD_TOKENS = ("Q2", "U", "C", "u1", "x2", "U-1", "U+1", "U1x", "UX1", "U1.0", "X\u00b2",
+               "U\u0661", "C\uff11", "\u00e9", "1U", "U\u00a01")
+
+
+def _mutate(rng, text):
+    """One token-level edit of a front word."""
+    tokens = text.split()
+    k = rng.randrange(len(tokens) + 1)
+    edit = rng.randrange(6)
+    if edit == 0:
+        tokens[k:k + 1] = [rng.choice(_BAD_TOKENS)]
+    elif edit == 1:  # a position that is likely out of range
+        kind = rng.choice("UXC")
+        tokens[k:k + 1] = [kind + str(rng.choice((0, rng.randint(3, 40), 10 ** rng.randint(3, 60))))]
+    elif edit == 2:
+        tokens[k:k + 1] = [t[0] + "0" * rng.randint(1, 4) + t[1:] for t in tokens[k:k + 1]]
+    elif edit == 3:  # usually leaves strands open
+        del tokens[k:k + 1]
+    elif edit == 4:
+        tokens = tokens[:k]
+    else:
+        tokens.insert(k, rng.choice("UXC") + str(rng.randint(0, 6)))
+    return " ".join(tokens)
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", str(parse(text))
+    except DiagramError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_errors_match_reference_on_mutated_words():
+    rng = random.Random(1000)
+    texts = ["", "   ", "\t\n"]
+    while len(texts) < 1200:
+        texts.append(_mutate(rng, random_front_text(rng, max_cups=rng.randint(1, 5))))
+    outcomes = [_outcome(parse_front_word, text) for text in texts]
+    assert outcomes == [_outcome(reference.parse_front_word, text) for text in texts]
+    kinds = {kind for kind, _ in outcomes}
+    assert {"ok", "FrontSyntaxError", "PositionError", "OpenDiagram"} <= kinds
+
+
+def test_oversized_positions_are_out_of_range_without_int():
+    big = "1" * 5000
+    for text, strands in ((f"U{big} C1", 0), (f"U1 X{big} C1", 2), (f"U1 U1 C{big}", 4)):
+        token = next(t for t in text.split() if len(t) > 100)
+        with pytest.raises(PositionError) as caught:
+            parse_front_word(text)
+        assert str(caught.value).startswith(f"{token}: ")
+        assert str(caught.value).endswith(f"out of range with {strands} strands")
+    with pytest.raises(PositionError, match="out of range with 0 strands"):
+        parse_front_word("U" + "0" * 5000)
+    # leading zeros do not count towards the bound
+    word = parse_front_word("U" + "0" * 5000 + "1 C01")
+    assert word.events == ("U1", "C1") and str(word) == "U1 C1"
+    assert word == parse_front_word("U1 C1")

@@ -567,6 +567,34 @@ def test_count_matches_subset_brute_force_at_winding_zero():
             assert count_configurations(n0, n1, 0) == brute, (n0, n1)
 
 
+def _side_count(marks, t):
+    """The gap-length recurrence that counted one side's parallel-arc systems
+    before the closed form: runs[L] is the Catalan-weighted number of ways to
+    fill L free points with t - 1 consecutive gaps, and the remaining gap, of
+    length g, wraps past point 0 and leaves g + 1 places for the first
+    traversing point."""
+    free = marks - t
+    weight = [_catalan(g // 2) if g % 2 == 0 else 0 for g in range(free + 1)]
+    runs = [1] + [0] * free
+    for _ in range(t - 1):
+        runs = [sum(weight[g] * runs[length - g] for g in range(length + 1))
+                for length in range(free + 1)]
+    return sum((g + 1) * weight[g] * runs[free - g] for g in range(free + 1))
+
+
+def test_count_matches_gap_recurrence():
+    for marks in range(2, 61, 2):
+        for t in range(2, marks + 1, 2):
+            assert _side_count(marks, t) == comb(marks, (marks - t) // 2), (marks, t)
+    side = {(marks, t): _side_count(marks, t) for marks in range(2, 33, 2) for t in range(2, marks + 1, 2)}
+    for n0 in range(1, 17):
+        for n1 in range(1, 17):
+            for w in range(3):
+                expected = (2 * w + 1) * sum(side[2 * n0, t] * side[2 * n1, t]
+                                             for t in range(2, 2 * min(n0, n1) + 1, 2))
+                assert count_configurations(n0, n1, w) == expected, (n0, n1, w)
+
+
 def test_count_known_values_and_domain():
     assert count_configurations(5, 5, 0) == 60626
     assert count_configurations(4, 4, 0) == 3985
