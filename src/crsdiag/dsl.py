@@ -27,8 +27,11 @@ from the text only when an error is raised.
 Rationals are written p/q with an optional sign, plain integers abbreviate
 n/1, and inf is the infinite coefficient.
 Front-derived tb/rot win over declared values; a disagreement is a semantic
-error.  Parsing canonicalizes (components and statements sorted), so
-parse -> print -> parse is the identity and printing is idempotent.
+error.  A block key is checked (unknown or repeated) before its `=`.
+Parsing and `named` both put statements in canonical order: components and
+contact surgeries by label; joint pairs by pair, then standalone round1 by
+pair, then standalone round2 by knot.  So parse -> print -> parse is the
+identity and printing is idempotent, also for computed diagrams.
 """
 
 from __future__ import annotations
@@ -128,255 +131,219 @@ class DiagramFile:
 
 
 class _Parser:
-    """Recursive descent over the lexeme list; `pos` indexes the next lexeme."""
+    """Recursive descent over the lexeme list; `pos` indexes the next lexeme.
+
+    The last lexeme is "", which no reader takes, so `pos` stays in range.
+    """
 
     def __init__(self, text: str):
         self.text = text
         self.tokens = _lexemes(text)
         self.pos = 0
 
-    def peek(self) -> str:
-        return self.tokens[self.pos]
-
-    def next(self) -> str:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def fail(self, message: str, at: Optional[int] = None, error=DslSyntaxError):
         """Raise `error` at lexeme `at`, by default the next one."""
         raise error(message, *_position(self.text, self.pos if at is None else at))
 
-    def expect(self, ok, want: str) -> str:
-        """Take the next lexeme; unless ok(lexeme) holds, fail naming `want`."""
-        at = self.pos
-        tok = self.next()
-        if not ok(tok):
-            found = tok[1:-1] if tok[:1] == '"' else tok  # a string shows without quotes
-            self.fail(f"expected {want}, found {found!r}", at)
+    def expected(self, want: str):
+        """Fail at the next lexeme, naming `want` and the lexeme found."""
+        tok = self.tokens[self.pos]
+        found = tok[1:-1] if tok[:1] == '"' else tok  # a string shows without quotes
+        self.fail(f"expected {want}, found {found!r}")
+
+    def punct(self, ch: str) -> None:
+        if self.tokens[self.pos] != ch:
+            self.expected(repr(ch))
+        self.pos += 1
+
+    def ident(self) -> str:
+        tok = self.tokens[self.pos]
+        if not tok.isidentifier():
+            self.expected("'an identifier'")
+        self.pos += 1
         return tok
 
-    def expect_punct(self, ch: str) -> None:
-        self.expect(ch.__eq__, repr(ch))
-
-    def expect_ident(self) -> str:
-        return self.expect(str.isidentifier, "'an identifier'")
-
-    def parse_sint(self) -> int:
-        negative = self.peek() == "-"
+    def sint(self) -> int:
+        negative = self.tokens[self.pos] == "-"
         self.pos += negative
-        at = self.pos
-        digits = self.expect(str.isdigit, "an integer")
+        digits = self.tokens[self.pos]
+        if not digits.isdigit():
+            self.expected("an integer")
         try:
             value = int(digits)
         except ValueError:  # more digits than the interpreter converts
-            self.fail(f"integer literal of {len(digits)} digits is too long", at)
+            self.fail(f"integer literal of {len(digits)} digits is too long")
+        self.pos += 1
         return -value if negative else value
 
-    def parse_slope(self) -> SlopeQ:
+    def slope(self) -> SlopeQ:
         at = self.pos
-        if self.peek() == "inf":
-            self.next()
+        if self.tokens[at] == "inf":
+            self.pos += 1
             return SlopeQ.infinity()
-        p = self.parse_sint()
-        if self.peek() != "/":
+        p = self.sint()
+        if self.tokens[self.pos] != "/":
             return SlopeQ.of(p, 1)
-        self.next()
-        q = self.parse_sint()
+        self.pos += 1
+        q = self.sint()
         if p == 0 and q == 0:
             self.fail("0/0 is not a coefficient", at)
         return SlopeQ.of(p, q)
 
-    def parse_layer(self) -> TightLayerSpec:
+    def layer(self) -> TightLayerSpec:
         at = self.pos
-        kind = self.expect_ident()
+        kind = self.ident()
         if kind == "invariant":
             return TightLayerSpec.invariant()
         if kind not in ("nonrotative", "rotative_plus", "rotative_minus"):
             self.fail(f"unknown layer {kind!r}", at)
-        self.expect_punct("(")
-        value = self.parse_sint()
-        self.expect_punct(")")
+        self.punct("(")
+        value = self.sint()
+        self.punct(")")
         try:
             return getattr(TightLayerSpec, kind)(value)
         except InvalidParameter:
             self.fail(f"bad layer parameter {value}", at)
 
+    def front(self) -> str:
+        word = self.tokens[self.pos]
+        if word[:1] != '"':
+            self.fail("front takes a quoted word")
+        self.pos += 1
+        return word[1:-1]
+
+    def orient(self) -> str:
+        at = self.pos
+        orient = self.ident()
+        if orient not in ("forward", "reverse"):
+            self.fail("orient is 'forward' or 'reverse'", at)
+        return orient
+
+    def coefficients(self) -> Tuple[int, int]:
+        first = self.sint()
+        self.punct(",")
+        return first, self.sint()
+
+    def pair(self) -> Tuple[str, str]:
+        self.punct("(")
+        a = self.ident()
+        self.punct(",")
+        b = self.ident()
+        self.punct(")")
+        return a, b
+
+    def fields(self, readers, required=(), unknown="unknown field {!r} here") -> dict:
+        """Read a field block `{ key = value; ... }` into a dict.
+
+        readers maps each allowed key to the reader of its value.  A key is
+        checked for unknown (`unknown` formats the message) or repeated
+        before its '='.  A missing required key fails after the block.
+        """
+        self.punct("{")
+        tokens = self.tokens
+        values = {}
+        while tokens[self.pos] != "}":
+            at = self.pos
+            key = self.ident()
+            if key not in readers:
+                self.fail(unknown.format(key), at)
+            if key in values:
+                self.fail(f"field {key!r} repeats", at, SemanticError)
+            self.punct("=")
+            values[key] = readers[key](self)
+            self.punct(";")
+        self.pos += 1
+        for key in required:
+            if key not in values:
+                self.fail(f"block needs an {key!r} field")
+        return values
+
+    _COMPONENT = {"tb": sint, "rot": sint, "front": front, "orient": orient}
+    # the field readers and the required keys of each round statement's block
+    _ROUND_BLOCKS = {"joint_pair": ({"r1": coefficients, "r2": slope, "layer": layer}, ("r1", "r2")),
+                     "round1": ({"r1": coefficients, "layer": layer}, ("r1",)),
+                     "round2": ({"r2": slope}, ("r2",))}
+    # the surgery statements each diagram keyword allows
+    _SURGERIES = {"diagram": ("contact_surgery",), "round_diagram": ("joint_pair", "round1", "round2")}
+
     def parse_file(self) -> DiagramFile:
         diagrams = []
         names = set()
-        while self.peek():  # "" ends the text
+        while self.tokens[self.pos]:  # "" ends the text
             at = self.pos
-            keyword = self.expect_ident()
-            if keyword not in ("diagram", "round_diagram"):
+            keyword = self.ident()
+            if keyword not in self._SURGERIES:
                 self.fail(f"expected 'diagram' or 'round_diagram', found {keyword!r}", at)
-            name = self.expect_ident()
+            name = self.ident()
             if name in names:
                 self.fail(f"diagram name {name!r} repeats", at, SemanticError)
             names.add(name)
-            if keyword == "diagram":
-                diagrams.append(self._parse_contact(name))
-            else:
-                diagrams.append(self._parse_round(name))
+            diagrams.append(_validated(self.diagram(name, keyword)))
         return DiagramFile(tuple(diagrams))
 
-    # --- block parsers ----------------------------------------------------
-
-    def _parse_component(self) -> ComponentDecl:
-        label = self.expect_ident()
-        self.expect_punct("{")
-        fields = {}
-        while self.peek() != "}":
-            at = self.pos
-            key = self.expect_ident()
-            if key not in ("tb", "rot", "front", "orient"):
-                self.fail(f"unknown component field {key!r}", at)
-            if key in fields:
-                self.fail(f"field {key!r} repeats", at, SemanticError)
-            self.expect_punct("=")
-            at = self.pos
-            if key in ("tb", "rot"):
-                fields[key] = self.parse_sint()
-            elif key == "front":
-                word = self.next()
-                if word[:1] != '"':
-                    self.fail("front takes a quoted word", at)
-                fields["front"] = word[1:-1]
-            else:
-                orient = self.expect_ident()
-                if orient not in ("forward", "reverse"):
-                    self.fail("orient is 'forward' or 'reverse'", at)
-                fields["orient"] = orient
-            self.expect_punct(";")
-        self.expect_punct("}")
-        return ComponentDecl(label, fields.get("tb"), fields.get("rot"),
-                             fields.get("front"), fields.get("orient"))
-
-    def _parse_pair(self) -> Tuple[str, str]:
-        self.expect_punct("(")
-        a = self.expect_ident()
-        self.expect_punct(",")
-        b = self.expect_ident()
-        self.expect_punct(")")
-        return a, b
-
-    def _parse_surgery_block(self, want_r1: bool, want_r2: bool):
-        self.expect_punct("{")
-        r1 = r2 = layer = None
-        while self.peek() != "}":
-            at = self.pos
-            key = self.expect_ident()
-            self.expect_punct("=")
-            if key == "r1" and want_r1:
-                if r1 is not None:
-                    self.fail("field 'r1' repeats", at, SemanticError)
-                first = self.parse_sint()
-                self.expect_punct(",")
-                second = self.parse_sint()
-                r1 = (first, second)
-            elif key == "r2" and want_r2:
-                if r2 is not None:
-                    self.fail("field 'r2' repeats", at, SemanticError)
-                r2 = self.parse_slope()
-            elif key == "layer" and want_r1:
-                if layer is not None:
-                    self.fail("field 'layer' repeats", at, SemanticError)
-                layer = self.parse_layer()
-            else:
-                self.fail(f"unknown field {key!r} here", at)
-            self.expect_punct(";")
-        self.expect_punct("}")
-        if want_r1 and r1 is None:
-            self.fail("block needs an 'r1' field")
-        if want_r2 and r2 is None:
-            self.fail("block needs an 'r2' field")
-        return r1, r2, layer if layer is not None else TightLayerSpec.invariant()
-
-    def _parse_body(self, statements):
-        """Parse a diagram body `{ ... }`.
-
-        component and lk statements are common to both diagram kinds;
-        statements maps every other keyword to a handler that parses the rest
-        of its statement.  Returns the declarations sorted by label, the
-        resolved components and the linking data.
-        """
-        self.expect_punct("{")
+    def diagram(self, name: str, keyword: str) -> NamedDiagram:
+        """Parse the body `{ ... }` of a `diagram` or `round_diagram`: component
+        and lk statements, and the surgery statements its keyword allows."""
+        statements = self._SURGERIES[keyword]
+        self.punct("{")
+        tokens = self.tokens
         decls: List[ComponentDecl] = []
         linking: List[Tuple[str, str, int]] = []
-        while self.peek() != "}":
+        surgeries = {}
+        joints, round1, round2 = [], [], []
+        while tokens[self.pos] != "}":
             at = self.pos
-            keyword = self.expect_ident()
-            if keyword == "component":
-                decls.append(self._parse_component())
-            elif keyword == "lk":
-                a, b = self._parse_pair()
-                self.expect_punct("=")
-                value = self.parse_sint()
-                self.expect_punct(";")
+            statement = self.ident()
+            if statement == "component":
+                label = self.ident()
+                fields = self.fields(self._COMPONENT, unknown="unknown component field {!r}")
+                decls.append(ComponentDecl(label, **fields))
+            elif statement == "lk":
+                a, b = self.pair()
+                self.punct("=")
+                value = self.sint()
+                self.punct(";")
                 if a == b:
                     self.fail(f"self-linking lk({a}, {a}) is not allowed", at, SemanticError)
                 linking.append((a, b, value))
-            elif keyword in statements:
-                statements[keyword](at)
+            elif statement not in statements:
+                self.fail(f"unknown statement {statement!r}", at)
+            elif statement == "contact_surgery":
+                label = self.ident()
+                self.punct("=")
+                slope = self.slope()
+                self.punct(";")
+                if label in surgeries:
+                    self.fail(f"component {label!r} has two coefficients", at, SemanticError)
+                surgeries[label] = slope
+            elif statement == "round2":
+                knot = self.ident()
+                round2.append(Round2Spec(knot, self.fields(*self._ROUND_BLOCKS[statement])["r2"]))
             else:
-                self.fail(f"unknown statement {keyword!r}", at)
-        self.expect_punct("}")
-        components = tuple(_resolve_components(decls))
-        return tuple(sorted(decls, key=lambda d: d.label)), components, _build_linking(linking)
+                pair = self.pair()
+                block = self.fields(*self._ROUND_BLOCKS[statement])
+                r1 = Round1Spec(pair, *block["r1"], block.get("layer", TightLayerSpec.invariant()))
+                if statement == "joint_pair":
+                    joints.append((r1, Round2Spec(pair[1], block["r2"])))
+                else:
+                    round1.append(r1)
+        self.pos += 1
+        decls, components = _resolve_components(decls)
+        linking = _build_linking(linking)
+        if keyword == "diagram":
+            return NamedDiagram(name, "contact", decls, ContactSurgeryDiagram(components, linking, surgeries))
+        return NamedDiagram(name, "round", decls, _round_diagram(components, linking, joints, round1, round2))
 
-    def _parse_contact(self, name: str) -> NamedDiagram:
-        surgeries = {}
 
-        def contact_surgery(at):
-            label = self.expect_ident()
-            self.expect_punct("=")
-            slope = self.parse_slope()
-            self.expect_punct(";")
-            if label in surgeries:
-                self.fail(f"component {label!r} has two coefficients", at, SemanticError)
-            surgeries[label] = slope
-
-        decls, components, linking = self._parse_body({"contact_surgery": contact_surgery})
-        diagram = ContactSurgeryDiagram(components, linking, surgeries)
-        return _validated(NamedDiagram(name, "contact", decls, diagram))
-
-    def _parse_round(self, name: str) -> NamedDiagram:
-        joints = []       # (pair, r1, layer, r2)
-        standalone1 = []  # (pair, r1, layer)
-        standalone2 = []  # (knot, r2)
-
-        def joint_pair(_at):
-            pair = self._parse_pair()
-            r1, r2, layer = self._parse_surgery_block(want_r1=True, want_r2=True)
-            joints.append((pair, r1, layer, r2))
-
-        def round1(_at):
-            pair = self._parse_pair()
-            r1, _r2, layer = self._parse_surgery_block(want_r1=True, want_r2=False)
-            standalone1.append((pair, r1, layer))
-
-        def round2(_at):
-            knot = self.expect_ident()
-            _r1, r2, _layer = self._parse_surgery_block(want_r1=False, want_r2=True)
-            standalone2.append((knot, r2))
-
-        decls, components, linking = self._parse_body(
-            {"joint_pair": joint_pair, "round1": round1, "round2": round2})
-        joints.sort(key=lambda item: item[0])
-        standalone1.sort(key=lambda item: item[0])
-        standalone2.sort(key=lambda item: item[0])
-        round1_specs = []
-        round2_specs = []
-        for pair, r1, layer, r2 in joints:
-            idx = len(round1_specs)
-            round1_specs.append(Round1Spec(pair, r1[0], r1[1], layer))
-            round2_specs.append(Round2Spec(pair[1], r2, joint_with=idx))
-        for pair, r1, layer in standalone1:
-            round1_specs.append(Round1Spec(pair, r1[0], r1[1], layer))
-        for knot, r2 in standalone2:
-            round2_specs.append(Round2Spec(knot, r2, joint_with=None))
-        diagram = RoundSurgeryDiagram(components, linking, tuple(round1_specs), tuple(round2_specs))
-        return _validated(NamedDiagram(name, "round", decls, diagram))
+def _round_diagram(components, linking, joints, round1, round2) -> RoundSurgeryDiagram:
+    """The round diagram with joint pairs by pair, then standalone round 1 by
+    pair, then standalone round 2 by knot.  joints holds (Round1Spec,
+    Round2Spec) items; each Round2Spec is pointed at its Round1Spec here."""
+    joints = sorted(joints, key=lambda joint: joint[0].pair)
+    round1 = [r1 for r1, _r2 in joints] + sorted(round1, key=lambda r1: r1.pair)
+    round2 = ([replace(r2, joint_with=idx) for idx, (_r1, r2) in enumerate(joints)]
+              + sorted(round2, key=lambda r2: r2.knot))
+    return RoundSurgeryDiagram(components, linking, round1, round2)
 
 
 def _build_linking(entries) -> LinkingData:
@@ -393,14 +360,19 @@ def _validated(nd: NamedDiagram) -> NamedDiagram:
     return nd
 
 
-def _resolve_components(decls: List[ComponentDecl]) -> List[LegendrianComponent]:
+def _resolve_components(decls: List[ComponentDecl]) -> Tuple[tuple, tuple]:
+    """The declarations sorted by label, and the components they declare.
+
+    A repeated label is reported in source order.
+    """
     seen = set()
     for decl in decls:
         if decl.label in seen:
             raise SemanticError(f"component label {decl.label!r} repeats")
         seen.add(decl.label)
+    decls = tuple(sorted(decls, key=lambda d: d.label))
     out = []
-    for decl in sorted(decls, key=lambda d: d.label):
+    for decl in decls:
         if decl.orient is not None and decl.front is None:
             raise SemanticError(f"component {decl.label!r} has an orient but no front")
         if decl.front is not None:
@@ -411,22 +383,17 @@ def _resolve_components(decls: List[ComponentDecl]) -> List[LegendrianComponent]
                 )
             orient = decl.orient if decl.orient is not None else "forward"
             invariants = classical_invariants(OrientedFront(word, {0: orient})).components[0]
-            if decl.tb is not None and decl.tb != invariants.tb:
-                raise SemanticError(
-                    f"component {decl.label!r}: declared tb {decl.tb} disagrees with "
-                    f"front-derived {invariants.tb}"
-                )
-            if decl.rot is not None and decl.rot != invariants.rot:
-                raise SemanticError(
-                    f"component {decl.label!r}: declared rot {decl.rot} disagrees with "
-                    f"front-derived {invariants.rot}"
-                )
+            for key, declared, derived in (("tb", decl.tb, invariants.tb),
+                                           ("rot", decl.rot, invariants.rot)):
+                if declared is not None and declared != derived:
+                    raise SemanticError(f"component {decl.label!r}: declared {key} {declared} "
+                                        f"disagrees with front-derived {derived}")
             out.append(LegendrianComponent(decl.label, invariants.tb, invariants.rot))
         else:
             if decl.tb is None:
                 raise SemanticError(f"component {decl.label!r} needs tb (or a front)")
             out.append(LegendrianComponent(decl.label, decl.tb, decl.rot if decl.rot is not None else 0))
-    return out
+    return decls, tuple(out)
 
 
 def parse_file(text: str) -> DiagramFile:
@@ -436,6 +403,8 @@ def parse_file(text: str) -> DiagramFile:
 # --- canonical printer --------------------------------------------------------
 
 def _layer_text(layer: TightLayerSpec) -> str:
+    if layer.twisting:
+        raise InvalidParameter(f"the .crs format has no syntax for layer twisting {layer.twisting}")
     if layer.is_zero_layer():
         return "invariant"
     return f"{layer.kind}({layer.param})"
@@ -454,11 +423,8 @@ def _component_text(decl: ComponentDecl) -> str:
 
 
 def print_diagram(nd: NamedDiagram) -> str:
-    lines = []
     keyword = "diagram" if nd.kind == "contact" else "round_diagram"
-    lines.append(f"{keyword} {nd.name} {{")
-    for decl in nd.decls:
-        lines.append(_component_text(decl))
+    lines = [f"{keyword} {nd.name} {{"] + [_component_text(decl) for decl in nd.decls]
     for a, b, value in nd.diagram.linking.pairs():
         lines.append(f"  lk({a}, {b}) = {value};")
     if nd.kind == "contact":
@@ -466,18 +432,11 @@ def print_diagram(nd: NamedDiagram) -> str:
             lines.append(f"  contact_surgery {label} = {nd.diagram.coefficients[label]};")
     else:
         rd = nd.diagram
-        joint_indices = {r2.joint_with for r2 in rd.round2 if r2.joint_with is not None}
         for idx, r1 in enumerate(rd.round1):
-            a, b = r1.pair
-            body = f"r1 = {r1.coeff_a}, {r1.coeff_b};"
-            if idx in joint_indices:
-                partner = rd.joint_partner(idx)
-                lines.append(
-                    f"  joint_pair ({a}, {b}) {{ {body} r2 = {partner.coeff}; "
-                    f"layer = {_layer_text(r1.layer)}; }}"
-                )
-            else:
-                lines.append(f"  round1 ({a}, {b}) {{ {body} layer = {_layer_text(r1.layer)}; }}")
+            partner = rd.joint_partner(idx)
+            head, r2 = ("round1", "") if partner is None else ("joint_pair", f" r2 = {partner.coeff};")
+            lines.append(f"  {head} ({r1.pair[0]}, {r1.pair[1]}) {{ r1 = {r1.coeff_a}, {r1.coeff_b};{r2} "
+                         f"layer = {_layer_text(r1.layer)}; }}")
         for r2 in rd.round2:
             if r2.joint_with is None:
                 lines.append(f"  round2 {r2.knot} {{ r2 = {r2.coeff}; }}")
@@ -492,12 +451,19 @@ def print_file(df: DiagramFile) -> str:
 def named(name: str, diagram) -> NamedDiagram:
     """A computed contact or round diagram, named for printing.
 
-    Components are sorted by label and declared by their tb and rot.
+    Components are sorted by label and declared by their tb and rot; the
+    round statements of a round diagram are put in canonical order.
     """
     components = tuple(sorted(diagram.components, key=lambda c: c.label))
     decls = tuple(ComponentDecl(c.label, c.tb, c.rot) for c in components)
-    kind = "contact" if isinstance(diagram, ContactSurgeryDiagram) else "round"
-    return NamedDiagram(name, kind, decls, replace(diagram, components=components))
+    if isinstance(diagram, ContactSurgeryDiagram):
+        return NamedDiagram(name, "contact", decls, replace(diagram, components=components))
+    partners = [diagram.joint_partner(idx) for idx in range(len(diagram.round1))]
+    joints = [(r1, r2) for r1, r2 in zip(diagram.round1, partners) if r2 is not None]
+    round1 = [r1 for r1, r2 in zip(diagram.round1, partners) if r2 is None]
+    round2 = [r2 for r2 in diagram.round2 if r2.joint_with is None]
+    return NamedDiagram(name, "round", decls,
+                        _round_diagram(components, diagram.linking, joints, round1, round2))
 
 
 # --- JSON form -----------------------------------------------------------------

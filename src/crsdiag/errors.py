@@ -125,8 +125,8 @@ class CertificateError(Exception):
     continued fraction expansion or a glued dividing set does not verify,
     and when a construction breaks an invariant it guarantees: a gadget
     insertion that leaves a coefficient class of odd size, a constructed
-    joint-pair diagram that fails validate_diagram or check_nice, odd cusp
-    or mixed-crossing counts in classical_invariants, or a stabilize that
+    joint-pair diagram that fails validate_diagram or check_nice, an odd
+    mixed-crossing sign sum in classical_invariants, or a stabilize that
     finds no right cusp or no zigzag with the requested rotation shift.
     A Smith certificate is the log of the row and column operations that
     took M to D; it fails when a logged operation is not an integer matrix

@@ -204,8 +204,10 @@ class FrontInvariants:
 def classical_invariants(front: OrientedFront) -> FrontInvariants:
     """Per-component tb, rot, writhe and cusp counts, plus pairwise linking.
 
-    tb = self-writhe - #right cusps and rot = (#down - #up)/2; crossing signs
-    follow the calibrated table (+1 for opposite horizontal directions).
+    tb = self-writhe - #right cusps and rot = (#down - #up)/2, which is
+    #right cusps - #up forward (see _canonical_directions) and its negative
+    reversed; crossing signs follow the calibrated table (+1 for opposite
+    horizontal directions).
     """
     threading = front.word.threading
     n = threading.component_count
@@ -228,13 +230,12 @@ def classical_invariants(front: OrientedFront) -> FrontInvariants:
     invariants = []
     for cid in range(n):
         up, down = ups_fwd[cid], 2 * caps[cid] - ups_fwd[cid]
+        rot = caps[cid] - up
         if reverse[cid]:
-            down, up = up, down
-        if (down - up) % 2:
-            raise CertificateError(f"component {cid} has {down} down and {up} up cusps, an odd total")
+            down, up, rot = up, down, -rot
         invariants.append(ComponentInvariants(
             tb=self_writhe[cid] - caps[cid],
-            rot=(down - up) // 2,
+            rot=rot,
             self_writhe=self_writhe[cid],
             cusps_up=up,
             cusps_down=down,

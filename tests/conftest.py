@@ -70,6 +70,105 @@ def random_pm1_diagram(rng: random.Random, max_components: int = 6) -> ContactSu
     return ContactSurgeryDiagram(components, LinkingData(entries), coefficients)
 
 
+def random_contact_text(rng: random.Random, name: str = "c") -> str:
+    """A random (+-1)-diagram of up to four components as canonical .crs text."""
+    from crsdiag import dsl
+
+    nd = dsl.named(name, random_pm1_diagram(rng, max_components=4))
+    return dsl.print_file(dsl.DiagramFile((nd,)))
+
+
+def _block(rng: random.Random, fields) -> str:
+    fields = list(fields)
+    rng.shuffle(fields)
+    return "{ " + " ".join(fields) + " }"
+
+
+_LAYERS = ("invariant", "nonrotative(0)", "nonrotative(2)", "nonrotative(-1)",
+           "rotative_plus(1)", "rotative_minus(3)")
+_SLOPES = ("1", "-1", "5/2", "-3/7", "0", "inf", "2/-3")
+
+
+def random_round_text(rng: random.Random, name: str = "r") -> str:
+    """A random round diagram as .crs text, its statements in random order:
+    joint pairs, standalone round1 and standalone round2 on distinct labels."""
+    labels = [f"K{i}" for i in range(rng.randint(1, 6))]
+    rng.shuffle(labels)
+    lines = [f"  component {lab} {_block(rng, [f'tb = {rng.randint(-4, -1)};', 'rot = 0;'])}"
+             for lab in labels]
+    for i, a in enumerate(labels):
+        for b in labels[i + 1:]:
+            if rng.random() < 0.4:
+                lines.append(f"  lk({a}, {b}) = {rng.randint(-3, 3)};")
+    while labels:
+        kind = rng.choice(("joint_pair", "round1", "round2") if len(labels) > 1 else ("round2",))
+        if kind == "round2":
+            lines.append(f"  round2 {labels.pop()} {{ r2 = {rng.choice(_SLOPES)}; }}")
+            continue
+        a, b = labels.pop(), labels.pop()
+        fields = [f"r1 = {rng.randint(-2, 2)}, {rng.randint(-2, 2)};"]
+        if kind == "joint_pair":
+            fields.append(f"r2 = {rng.choice(_SLOPES[:4])};")
+        if rng.random() < 0.8:
+            fields.append(f"layer = {rng.choice(_LAYERS)};")
+        lines.append(f"  {kind} ({a}, {b}) {_block(rng, fields)}")
+    rng.shuffle(lines)
+    return f"round_diagram {name} {{\n" + "\n".join(lines) + "\n}\n"
+
+
+def random_front_file_text(rng: random.Random, name: str = "f") -> str:
+    """A random contact diagram whose components are one-component front words."""
+    lines = []
+    for i in range(rng.randint(1, 3)):
+        word = random_front_text(rng, max_cups=3)
+        while parse_front_word(word).threading.component_count != 1:
+            word = random_front_text(rng, max_cups=3)
+        fields = [f'front = "{word}";']
+        if rng.random() < 0.5:
+            fields.append(f"orient = {rng.choice(('forward', 'reverse'))};")
+        lines.append(f"  component F{i} {_block(rng, fields)}")
+        lines.append(f"  contact_surgery F{i} = {rng.choice(_SLOPES)};")
+    if len(lines) > 2:
+        lines.append(f"  lk(F0, F1) = {rng.randint(-2, 2)};")
+    rng.shuffle(lines)
+    return f"# fronts\ndiagram {name} {{\n" + "\n".join(lines) + "\n}\n"
+
+
+def random_crs_text(rng: random.Random) -> str:
+    """A fixture or a generated contact, round or front file."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice(sorted(FIXTURES.glob("*.crs"))).read_text()
+    return (random_contact_text, random_round_text, random_front_file_text)[kind - 1](rng)
+
+
+# lexemes that token-level edits insert or substitute
+EDIT_LEXEMES = ("{", "}", "(", ")", "=", ",", ";", "/", "-", "0", "1", "12", "inf", "A", "K0", "L1",
+                "F0", "tb", "rot", "front", "orient", "forward", "reverse", "r1", "r2", "layer",
+                "invariant", "nonrotative", "rotative_plus", "component", "lk", "contact_surgery",
+                "joint_pair", "round1", "round2", "diagram", "round_diagram", '"U1 C1"', '"U1 X1"', '""')
+
+
+def edit_lexemes(rng: random.Random, text: str, edits: int) -> str:
+    """Apply `edits` random token-level edits (replace, insert, delete or
+    duplicate one lexeme), keeping the rest of the text as it is."""
+    from crsdiag import dsl
+
+    for _ in range(edits):
+        spans = [m.span(1) for m in dsl._LEXEME.finditer(text, dsl._SPACES.match(text).end())]
+        start, end = spans[rng.randrange(len(spans))]  # the last span is the end of the text
+        edit = rng.randrange(4)
+        if edit == 0:
+            text = text[:start] + rng.choice(EDIT_LEXEMES) + text[end:]
+        elif edit == 1:
+            text = text[:start] + rng.choice(EDIT_LEXEMES) + " " + text[start:]
+        elif edit == 2:
+            text = text[:start] + text[end:]
+        else:
+            text = text[:end] + " " + text[start:]
+    return text
+
+
 def run_cli(args):
     """Invoke the CLI in-process; returns (exit_code, stdout_text)."""
     from crsdiag.cli import main

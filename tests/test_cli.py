@@ -5,7 +5,8 @@ import textwrap
 
 import pytest
 
-from conftest import FIXTURES, corrupt_certificates, run_cli, run_optimized
+from crsdiag import dsl
+from conftest import FIXTURES, corrupt_certificates, random_contact_text, run_cli, run_optimized
 
 
 def fixture(name):
@@ -204,6 +205,26 @@ def test_round_trip_to_round_to_pm1(tmp_path):
     code, back_out = run_cli(["to-pm1", str(round_file)])
     assert code == 0
     assert back_out == parse_out  # byte-identical canonical JSON
+
+
+def test_to_round_text_is_a_fixed_point(tmp_path, rng):
+    """The .crs text that to-round prints is canonical: parsing and printing
+    it gives it back byte for byte, in every parity case."""
+    paths = [fixture(name) for name in ("four_unknots_pm1.crs", "hopf_contact_minus1.crs",
+                                        "single_plus1_unknot.crs")]
+    for i in range(20):
+        path = tmp_path / f"d{i}.crs"
+        path.write_text(random_contact_text(rng, f"d{i}"))
+        paths.append(str(path))
+    cases = set()
+    for path in paths:
+        for k, m in ((1, 1), (0, 2), (-2, 3)):
+            code, out = run_cli(["to-round", "--k", str(k), "--gadget-m", str(m), path])
+            assert code == 0, out
+            payload = json.loads(out)
+            assert dsl.print_file(dsl.parse_file(payload["dsl"])) == payload["dsl"]
+            cases.add(payload["plan"]["case_id"])
+    assert cases == {1, 2, 3, 4}
 
 
 def test_diagram_selection_by_name(tmp_path):

@@ -1,4 +1,5 @@
-"""Fuzzed CLI inputs: front words and .crs files with edited front fields.
+"""Fuzzed CLI inputs: front words, .crs files with edited front fields, and
+token-edited fixtures and generated .crs files under every file subcommand.
 
 Every run must end in exit code 0, 1 or 2 with one JSON object on stdout and
 nothing on stderr; an uncaught exception (a traceback) fails the test.  The
@@ -15,7 +16,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from crsdiag.cli import main
-from conftest import FIXTURES, random_front_text
+from conftest import FIXTURES, edit_lexemes, random_crs_text, random_front_text
 
 FUZZ = settings(derandomize=True, database=None, max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -90,3 +91,25 @@ def test_file_front_field_fuzz(words, command):
         path = Path(tmp) / "fuzzed.crs"
         path.write_text(text, encoding="utf-8")
         check_run([command, str(path)])
+
+
+@st.composite
+def crs_files(draw):
+    """A fixture or a generated contact, round or front file with up to three
+    token-level edits."""
+    rng = draw(st.randoms(use_true_random=False))
+    return edit_lexemes(rng, random_crs_text(rng), draw(st.integers(0, 3)))
+
+
+FILE_COMMANDS = ("parse", "homology", "check-nice", "fillable", "to-round", "to-pm1")
+
+
+@FUZZ
+@given(text=crs_files(), command=st.sampled_from(FILE_COMMANDS),
+       k=st.integers(-2, 3), gadget_m=st.integers(-1, 3))
+def test_file_commands_fuzz(text, command, k, gadget_m):
+    options = ["--k", str(k), "--gadget-m", str(gadget_m)] if command == "to-round" else []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.crs"
+        path.write_text(text, encoding="utf-8")
+        check_run([command, *options, str(path)])

@@ -1,12 +1,22 @@
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
 from crsdiag import SlopeQ, TightLayerSpec
 from crsdiag import dsl
-from crsdiag.errors import DslSyntaxError, SemanticError
-from conftest import FIXTURES, random_front_text, random_pm1_diagram
+from crsdiag.errors import DslSyntaxError, InvalidParameter, SemanticError
+import reference_dsl
+from conftest import (
+    FIXTURES,
+    edit_lexemes,
+    random_contact_text,
+    random_front_file_text,
+    random_front_text,
+    random_pm1_diagram,
+    random_round_text,
+)
 
 
 def parse(text):
@@ -51,30 +61,46 @@ def test_layer_spellings_identified():
     assert invariant.get().diagram.round1[0].layer == TightLayerSpec.nonrotative(0)
 
 
-def _round_statements(rd):
-    """The round statements of rd, in no order: each round 1-surgery with its
-    joint round 2-surgery (or None), and the standalone round 2-surgeries."""
-    joint = {r2.joint_with: (r2.knot, r2.coeff) for r2 in rd.round2 if r2.joint_with is not None}
-    return ({(r1, joint.get(i)) for i, r1 in enumerate(rd.round1)},
-            {r2 for r2 in rd.round2 if r2.joint_with is None})
-
-
 def test_printed_pair_diagrams_parse_back_equal(rng):
-    """The standard layer has one representation, so a computed round diagram
-    survives print -> parse.  Parsing sorts the statements and the pairing
-    need not emit them sorted, so seeded inputs compare them as sets."""
+    """The standard layer has one representation and `named` puts the round
+    statements in the parser's canonical order, so a computed round diagram
+    survives print -> parse unchanged."""
     from crsdiag import kirby1_gadget, pair_pm1_diagram
 
     for m in (1, 2, 3):
         nd = dsl.named("x", pair_pm1_diagram(kirby1_gadget(m))[0])
         assert parse(dsl.print_diagram(nd)).get() == nd
+    reordered = 0
     for _ in range(40):
-        nd = dsl.named("x", pair_pm1_diagram(random_pm1_diagram(rng))[0])
-        back = parse(dsl.print_diagram(nd)).get()
-        assert (back.name, back.kind, back.decls) == (nd.name, nd.kind, nd.decls)
-        assert back.diagram.components == nd.diagram.components
-        assert back.diagram.linking == nd.diagram.linking
-        assert _round_statements(back.diagram) == _round_statements(nd.diagram)
+        rd = pair_pm1_diagram(random_pm1_diagram(rng))[0]
+        nd = dsl.named("x", rd)
+        assert parse(dsl.print_diagram(nd)).get() == nd
+        reordered += nd.diagram.round1 != rd.round1
+    assert reordered > 10  # the pairing order is often not the canonical one
+
+
+def test_named_round_diagram_keeps_its_statements(rng):
+    """named() reorders the round statements and keeps each joint pair joint."""
+    from crsdiag import pair_pm1_diagram
+
+    def statements(rd):
+        joint = {r2.joint_with: r2.coeff for r2 in rd.round2 if r2.joint_with is not None}
+        return sorted((r1.pair, r1.coeff_a, r1.coeff_b, str(joint.get(i))) for i, r1 in enumerate(rd.round1))
+
+    for _ in range(20):
+        rd = pair_pm1_diagram(random_pm1_diagram(rng))[0]
+        assert statements(dsl.named("x", rd).diagram) == statements(rd)
+
+
+def test_printer_refuses_layer_twisting():
+    """The format has no twisting syntax, so a twisted layer is not printed as
+    one that would parse back with twisting 0."""
+    nd = parse(FIXTURES.joinpath("hopf_round1_invariant.crs").read_text()).get()
+    rd = nd.diagram
+    layer = TightLayerSpec.nonrotative(0, 2)
+    twisted = replace(nd, diagram=replace(rd, round1=(replace(rd.round1[0], layer=layer),)))
+    with pytest.raises(InvalidParameter):
+        dsl.print_diagram(twisted)
 
 
 def test_front_derived_invariants():
@@ -209,6 +235,13 @@ _POSITIONED_ERRORS = [
      "0/0 is not a coefficient"),
     ('diagram d { component A { tb = "5"; } }', DslSyntaxError, 1, 32,
      "expected an integer, found '5'"),
+    # a missing required field is reported after the block, r1 before r2
+    ("round_diagram r {\n  joint_pair (A, B) { layer = invariant; }\n}", DslSyntaxError, 3, 1,
+     "block needs an 'r1' field"),
+    ("round_diagram r { round2 K { } }", DslSyntaxError, 1, 32, "block needs an 'r2' field"),
+    # a block key is checked before its '='
+    ("round_diagram r {\n  round1 (A, B) { r2 r1 = 0, 0; }\n}", DslSyntaxError, 2, 19,
+     "unknown field 'r2' here"),
 ]
 
 
@@ -346,3 +379,62 @@ def test_scanner_matches_reference():
         assert _scan(_located_lexemes, text) == expected, repr(text)
         errors += isinstance(expected, tuple)
     assert errors > 300  # the mutations reach the error paths too
+
+
+# --- the statement reader against the parser it replaced ------------------------
+
+def _outcome(parse_file, text):
+    try:
+        return dsl.print_file(parse_file(text))
+    except Exception as exc:  # the comparison covers every error, typed or not
+        return type(exc).__name__, str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+
+
+def _key_checked_before_equals(text, old, new):
+    """The one allowed difference: a key inside a joint_pair, round1 or round2
+    block that is unknown or repeated and not followed by '='.  The reference
+    fails at the lexeme after the key with "expected '='"; the reader fails at
+    the key itself."""
+    lexemes = dsl._lexemes(text)
+    k = next(i for i in range(len(lexemes)) if dsl._position(text, i) == old[2:])
+    key = lexemes[k - 1]
+    brace = max(i for i in range(k) if lexemes[i] == "{")
+    in_round_block = (lexemes[brace - 6:brace - 4] in (["joint_pair", "("], ["round1", "("])
+                      or lexemes[brace - 2] == "round2")
+    return (old[:2] == ("DslSyntaxError", f"{old[2]}:{old[3]}: expected '=', found {lexemes[k]!r}")
+            and in_round_block
+            and new[2:] == dsl._position(text, k - 1)
+            and new[:2] in (("DslSyntaxError", f"{new[2]}:{new[3]}: unknown field {key!r} here"),
+                            ("SemanticError", f"field {key!r} repeats")))
+
+
+def _edited_texts():
+    rng = random.Random(10)
+    texts = [path.read_text() for path in sorted(FIXTURES.glob("*.crs"))]
+    for i in range(40):
+        texts.append(random_contact_text(rng, f"c{i}"))
+        texts.append(random_round_text(rng, f"r{i}"))
+        texts.append(random_front_file_text(rng, f"f{i}"))
+    texts.append("\n".join(texts[8:20]))  # a file of several diagrams
+    edited = []
+    for text in texts:
+        for _ in range(42):
+            edited.append(edit_lexemes(rng, text, rng.randint(1, 3)))
+    return texts + edited
+
+
+def test_reader_matches_reference_parser():
+    """Every edit ends the same way in both parsers, except the key-before-'='
+    case, which is checked exactly."""
+    texts = _edited_texts()
+    assert len(texts) >= 5000
+    parsed = errors = key_first = 0
+    for text in texts:
+        old, new = _outcome(reference_dsl.parse_file, text), _outcome(dsl.parse_file, text)
+        if old != new:
+            assert _key_checked_before_equals(text, old, new), (text, old, new)
+            key_first += 1
+        parsed += isinstance(new, str)
+        errors += isinstance(new, tuple)
+    # the 129 unedited texts parse, and so do some edited ones
+    assert parsed > 150 and errors > 2000 and key_first > 5, (parsed, errors, key_first)
