@@ -12,10 +12,16 @@ import functools
 import json
 import re
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional, Union
 
 # let bare negative rationals like -5/2 pass as argument values
 _NEGATIVE_SLOPE = re.compile(r"^-\d+(/-?\d+)?$")
+# One item of a glue-annuli arc list and the separators before it.  An item
+# is a run of characters other than whitespace and ';'.  It is either a whole
+# literal T(x,y,z) or P(x,y,z), whose fields int() or the side check judge,
+# or anything else, in the last group, which is a bad literal.
+_ARC_ITEM = re.compile(r"[\s;]*(?:([TP])\(([^\s;,]*),([^\s;,]*),([^\s;,]*)\)(?![^\s;])"
+                       r"|([^\s;]+))")
 
 from . import dsl
 from .bridge import joint_pairs_to_pm1, kirby1_gadget, pair_pm1_diagram
@@ -96,19 +102,16 @@ def _parse_slope(text: str) -> SlopeQ:
 
 def _parse_arcs(text: str, top_marks: int, bottom_marks: int) -> ArcConfig:
     arcs = []
-    for item in text.replace(";", " ").split():
-        kind, _, rest = item.partition("(")
-        if not rest.endswith(")"):
-            raise SemanticError(f"bad arc literal {item!r}")
-        args = [a.strip() for a in rest[:-1].split(",")]
+    for kind, x, y, z, bad in _ARC_ITEM.findall(text):
         try:
-            if kind == "T" and len(args) == 3:
-                arcs.append(TraversingArc(int(args[0]), int(args[1]), int(args[2])))
-            elif kind == "P" and len(args) == 3 and args[0] in ("top", "bottom"):
-                arcs.append(ParallelArc(args[0], int(args[1]), int(args[2])))
+            if kind == "T":
+                arcs.append(TraversingArc(int(x), int(y), int(z)))
+            elif kind == "P" and x in ("top", "bottom"):
+                arcs.append(ParallelArc(x, int(y), int(z)))
             else:
                 raise ValueError
         except ValueError:
+            item = bad or f"{kind}({x},{y},{z})"
             raise SemanticError(f"bad arc literal {item!r}") from None
     return ArcConfig(top_marks, bottom_marks, tuple(arcs))
 
@@ -134,26 +137,38 @@ def _tight_count_json(count) -> dict:
     return data
 
 
-def _configs_json(configs: List[ArcConfig]) -> list:
-    """JSON of each configuration, with one dict per distinct arc object:
-    enumerate_configurations shares arcs between configurations."""
-    arc_json = {}
-    out = []
+def _write_configs(configs: List[ArcConfig], pretty: bool) -> None:
+    """Write {"count": ..., "configs": [...]} to stdout as _emit would, one
+    configuration at a time.  enumerate_configurations shares arc objects
+    between configurations, so each distinct arc is encoded once."""
+    nl = ["\n" + "  " * depth if pretty else "" for depth in range(6)]
+    colon = ": " if pretty else ":"
+
+    def template(kind, *keys):  # an arc object as a str.format template
+        fields = [f'"type"{colon}"{kind}"'] + [f'"{key}"{colon}{{}}' for key in keys]
+        return "{{" + nl[5] + ("," + nl[5]).join(fields) + nl[4] + "}}"
+
+    traversing = template("traversing", "top", "bottom", "winding").format
+    parallel = template("parallel", "side", "start", "end").format
+    encoded = {}
     for cfg in configs:
-        arcs = []
         for arc in cfg.arcs:
-            data = arc_json.get(id(arc))
-            if data is None:
-                if isinstance(arc, TraversingArc):
-                    data = {"type": "traversing", "top": arc.top, "bottom": arc.bottom,
-                            "winding": arc.winding}
-                else:
-                    data = {"type": "parallel", "side": arc.side, "start": arc.start,
-                            "end": arc.end}
-                arc_json[id(arc)] = data
-            arcs.append(data)
-        out.append({"top_marks": cfg.top_marks, "bottom_marks": cfg.bottom_marks, "arcs": arcs})
-    return out
+            if id(arc) not in encoded:
+                encoded[id(arc)] = (
+                    traversing(arc.top, arc.bottom, arc.winding)
+                    if isinstance(arc, TraversingArc)
+                    else parallel(f'"{arc.side}"', arc.start, arc.end))
+    write = sys.stdout.write  # looked up per call: callers redirect stdout
+    write(f'{{{nl[1]}"count"{colon}{len(configs)},{nl[1]}"configs"{colon}[')
+    arc_sep = "," + nl[4]
+    sep = nl[2]
+    for cfg in configs:
+        write(f'{sep}{{{nl[3]}"top_marks"{colon}{cfg.top_marks},{nl[3]}"bottom_marks"{colon}'
+              f'{cfg.bottom_marks},{nl[3]}"arcs"{colon}[{nl[4]}'
+              + arc_sep.join([encoded[id(arc)] for arc in cfg.arcs])
+              + f"{nl[3]}]{nl[2]}}}")
+        sep = "," + nl[2]
+    write(f"{nl[1]}]{nl[0]}}}\n")  # a valid cell has at least one configuration
 
 
 @functools.lru_cache(maxsize=None)
@@ -218,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args) -> dict:
+def _run(args) -> Union[dict, Callable[[bool], None]]:
     if args.command == "parse":
         with open(args.file, "r", encoding="utf-8") as handle:
             df = dsl.parse_file(handle.read())
@@ -351,18 +366,16 @@ def _run(args) -> dict:
         if count > args.limit:
             raise LimitExceeded(f"the cell has {count} configurations, more than --limit {args.limit}")
         configs = enumerate_configurations(args.n0, args.n1, args.max_winding)
-        return {"count": len(configs), "configs": _configs_json(configs)}
+        # the keys and the count are certified by now, so the output can stream
+        return functools.partial(_write_configs, configs)
 
     if args.command == "glue-annuli":
         a = _parse_arcs(args.a, args.top_marks, args.bottom_marks)
         b = _parse_arcs(args.b, args.top_marks, args.bottom_marks)
         glued = glue_annuli(a, b, args.offset_top, args.offset_bottom)
         return {
-            "curves": [
-                {"h": c.h, "v": c.v,
-                 "arcs": [[tag, idx, forward] for tag, idx, forward in c.arcs]}
-                for c in glued.curves
-            ],
+            # json encodes each (tag, index, forward) tuple as an array
+            "curves": [{"h": c.h, "v": c.v, "arcs": c.arcs} for c in glued.curves],
             "overtwisted": giroux_overtwisted(glued),
         }
 
@@ -409,7 +422,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         _emit({"error": {"code": EXIT_SEMANTIC, "kind": "IOError", "message": str(exc)}},
               args.pretty)
         return EXIT_SEMANTIC
-    _emit(payload, args.pretty)
+    if isinstance(payload, dict):
+        _emit(payload, args.pretty)
+    else:  # a streamed result writes itself
+        payload(args.pretty)
     return EXIT_OK
 
 

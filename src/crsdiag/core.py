@@ -182,18 +182,22 @@ class LinkingData:
 
     def __init__(self, entries: Iterable[tuple] = ()):  # (a, b, value) triples
         table = {}
+        order = {}  # label -> _label_key(label), computed once per label
         for a, b, value in entries:
             if a == b:
                 raise ValueError(f"self-linking lk({a!r}, {a!r}) is not defined")
-            key = (a, b) if _label_key(a) <= _label_key(b) else (b, a)
+            if a not in order:
+                order[a] = _label_key(a)
+            if b not in order:
+                order[b] = _label_key(b)
+            key = (a, b) if order[a] <= order[b] else (b, a)
             if key in table and table[key] != value:
                 raise ValueError(f"conflicting linking numbers for {key}")
             if value != 0:
                 table[key] = value
         self._entries = table
         self._pairs = tuple(
-            (a, b, table[a, b])
-            for a, b in sorted(table, key=lambda k: (_label_key(k[0]), _label_key(k[1])))
+            (a, b, table[a, b]) for a, b in sorted(table, key=lambda k: (order[k[0]], order[k[1]]))
         )
 
     def get(self, a, b) -> int:

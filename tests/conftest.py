@@ -182,13 +182,17 @@ def run_cli(args):
     return code, buffer.getvalue()
 
 
-def run_optimized(script: str, stdin: str = None) -> subprocess.CompletedProcess:
-    """Run a Python script under `python -O`, with the sources and tests importable."""
+def optimized_env() -> dict:
+    """The environment with the sources and tests importable."""
     here = Path(__file__).resolve().parent
     paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+def run_optimized(script: str, stdin: str = None) -> subprocess.CompletedProcess:
+    """Run a Python script under `python -O`, with the sources and tests importable."""
     return subprocess.run([sys.executable, "-O", "-c", script], input=stdin,
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=optimized_env())
 
 
 def corrupt_certificates(monkeypatch):

@@ -4,9 +4,12 @@ enumeration and the flat-array gluing replaced, kept as test oracles.
 `validate` checks one ArcConfig condition by condition, `enumerate_configurations`
 builds every configuration through the validating ArcConfig constructor and sorts
 by canonical_key, and `glue_annuli` follows the glued curves through
-(side, point)-keyed dicts.
+(side, point)-keyed dicts.  Two replaced pieces of the CLI are here too:
+`parse_arcs` reads a glue-annuli arc list item by item, and `configs_stdout`
+prints enum-configs' result with one json.dumps of the whole payload.
 """
 
+import json
 from itertools import combinations
 from typing import Dict, List, Tuple
 
@@ -21,7 +24,13 @@ from crsdiag.dividing import (
     _parallel_cross,
     _span,
 )
-from crsdiag.errors import CertificateError, DomainError, InvalidArcConfig, MarkMismatch
+from crsdiag.errors import (
+    CertificateError,
+    DomainError,
+    InvalidArcConfig,
+    MarkMismatch,
+    SemanticError,
+)
 from crsdiag.slopes import _parallel_choices
 
 
@@ -233,3 +242,54 @@ def enumerate_configurations(n0: int, n1: int, max_winding: int) -> List[ArcConf
                             ))
     out.sort(key=lambda cfg: cfg.canonical_key())
     return out
+
+
+def parse_arcs(text: str, top_marks: int, bottom_marks: int) -> ArcConfig:
+    """A glue-annuli arc list, split at whitespace and ';' and read item by item."""
+    arcs = []
+    for item in text.replace(";", " ").split():
+        kind, _, rest = item.partition("(")
+        if not rest.endswith(")"):
+            raise SemanticError(f"bad arc literal {item!r}")
+        args = [a.strip() for a in rest[:-1].split(",")]
+        try:
+            if kind == "T" and len(args) == 3:
+                arcs.append(TraversingArc(int(args[0]), int(args[1]), int(args[2])))
+            elif kind == "P" and len(args) == 3 and args[0] in ("top", "bottom"):
+                arcs.append(ParallelArc(args[0], int(args[1]), int(args[2])))
+            else:
+                raise ValueError
+        except ValueError:
+            raise SemanticError(f"bad arc literal {item!r}") from None
+    return ArcConfig(top_marks, bottom_marks, tuple(arcs))
+
+
+def _configs_json(configs: List[ArcConfig]) -> list:
+    """JSON of each configuration, with one dict per distinct arc object:
+    enumerate_configurations shares arcs between configurations."""
+    arc_json = {}
+    out = []
+    for cfg in configs:
+        arcs = []
+        for arc in cfg.arcs:
+            data = arc_json.get(id(arc))
+            if data is None:
+                if isinstance(arc, TraversingArc):
+                    data = {"type": "traversing", "top": arc.top, "bottom": arc.bottom,
+                            "winding": arc.winding}
+                else:
+                    data = {"type": "parallel", "side": arc.side, "start": arc.start,
+                            "end": arc.end}
+                arc_json[id(arc)] = data
+            arcs.append(data)
+        out.append({"top_marks": cfg.top_marks, "bottom_marks": cfg.bottom_marks, "arcs": arcs})
+    return out
+
+
+def configs_stdout(configs: List[ArcConfig], pretty: bool) -> str:
+    """enum-configs' stdout for these configurations: the whole payload
+    encoded by one json.dumps call."""
+    payload = {"count": len(configs), "configs": _configs_json(configs)}
+    if pretty:
+        return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, separators=(",", ":")) + "\n"

@@ -1,12 +1,22 @@
+import hashlib
 import json
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
 from crsdiag import dsl
-from conftest import FIXTURES, corrupt_certificates, random_contact_text, run_cli, run_optimized
+from conftest import (
+    FIXTURES,
+    corrupt_certificates,
+    optimized_env,
+    random_contact_text,
+    run_cli,
+    run_optimized,
+)
+import reference_arcs
 
 
 def fixture(name):
@@ -75,6 +85,41 @@ def test_enum_configs_command():
     code, out = run_cli(["enum-configs", "--n0", "1", "--n1", "1", "--max-winding", "2"])
     assert code == 0
     assert json.loads(out)["count"] == 5
+
+
+ENUM_CELLS = [(n0, n1, w) for n0 in range(1, 5) for n1 in range(1, 5) for w in range(3)]
+
+
+def test_enum_configs_streams_the_bytes_of_one_json_dumps():
+    """enum-configs writes its configurations one at a time, each arc encoded
+    once; stdout is what one json.dumps of the whole payload printed.  The
+    indented layout is checked on the cells of up to 2,000 configurations,
+    where json.dumps takes under half a second in all; on the seven larger
+    cells it takes seconds more."""
+    from crsdiag.slopes import count_configurations, enumerate_configurations
+
+    pretty_cells = 0
+    for n0, n1, w in ENUM_CELLS:
+        argv = ["enum-configs", "--n0", str(n0), "--n1", str(n1), "--max-winding", str(w)]
+        configs = enumerate_configurations(n0, n1, w)
+        assert run_cli(argv) == (0, reference_arcs.configs_stdout(configs, pretty=False))
+        if count_configurations(n0, n1, w) <= 2_000:
+            pretty_cells += 1
+            assert run_cli(["--pretty"] + argv) == (
+                0, reference_arcs.configs_stdout(configs, pretty=True))
+    assert pretty_cells == len(ENUM_CELLS) - 7
+
+
+def test_enum_configs_on_a_real_stdout_under_optimize():
+    """The streamed writes reach the interpreter's own stdout, a TextIOWrapper
+    over a pipe, and end in one newline under python -O."""
+    argv = ["enum-configs", "--n0", "3", "--n1", "3", "--max-winding", "1"]
+    result = subprocess.run([sys.executable, "-O", "-m", "crsdiag.cli", *argv],
+                            capture_output=True, env=optimized_env())
+    assert (result.returncode, result.stderr) == (0, b"")
+    code, out = run_cli(argv)
+    assert code == 0 and out.count("\n") == 1
+    assert result.stdout == out.encode()
 
 
 def _forbid_enumeration(monkeypatch):
@@ -164,6 +209,67 @@ def test_gadget_command():
     assert abs(data["selftest"]["determinant"]) == 1
     assert data["selftest"]["h1"] == {"free_rank": 0, "torsion": []}
     assert len(data["diagrams"][0]["components"]) == 4
+
+
+# sha256 of `gadget --m 1..7` stdout, printed before the gadget size was bounded
+GADGET_DIGESTS = {
+    1: "b95c70c1cbd5438b220d61b6014627c73098aa09367873334fd77e6cc7842210",
+    2: "e014b45ba8487e953f27561ae3497f962cef8b4869d7f0197db690ad218cfd8a",
+    3: "e3df28bdf4ce8736c28ac753035974e7079e7ac3b3dde2d2d5513867b866933a",
+    4: "fea0488c3cdc8517c42219698ba540cf51ef3e803bf365a08b81fdc4f4aa56ca",
+    5: "38d9ae2b10a89d3d01ee00bdc684043fe053b77cd6af452aac9b2fce154d6add",
+    6: "4ac566dcdca04ced24bf3579086c34caa6c8ecc1b99efa94e4fab964134bba34",
+    7: "a3533a2dda0a5761217168222a247f6a321a17b6fdefe24d182aeb50e0fc5115",
+}
+
+
+def test_gadget_output_is_unchanged():
+    for m, digest in GADGET_DIGESTS.items():
+        code, out = run_cli(["gadget", "--m", str(m)])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, m
+
+
+def test_gadget_bound_refuses_before_building(monkeypatch):
+    import crsdiag.bridge as bridge
+    from crsdiag.bridge import GADGET_MAX_M
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a gadget component was built")
+
+    monkeypatch.setattr(bridge, "LegendrianComponent", forbidden)
+    # single_plus1_unknot takes one gadget of 2 * gadget_m components
+    half = GADGET_MAX_M // 2 + 1
+    calls = [(["gadget", "--m", str(GADGET_MAX_M + 1)], GADGET_MAX_M + 1),
+             (["to-round", "--gadget-m", str(half), fixture("single_plus1_unknot.crs")], 2 * half)]
+    for argv, m in calls:
+        code, out = run_cli(argv)
+        assert (code, json.loads(out)) == (1, {"error": {
+            "code": 1, "kind": "LimitExceeded",
+            "message": f"gadget parameter {m} is more than {GADGET_MAX_M}, "
+                       "the largest gadget built"}}), argv
+
+
+def test_gadget_bound_covers_the_second_gadget(tmp_path):
+    from crsdiag.bridge import GADGET_MAX_M
+
+    # even/odd: no +1 component and one -1 component, so two gadgets are
+    # inserted, of 2 * gadget_m + 1 and 2 * gadget_m2 components
+    path = tmp_path / "minus1.crs"
+    path.write_text("diagram d {\n  component K { tb = -1; rot = 0; }\n"
+                    "  contact_surgery K = -1;\n}\n")
+    code, out = run_cli(["to-round", "--gadget-m", "1", "--gadget-m2", str(GADGET_MAX_M // 2),
+                         str(path)])
+    assert code == 0
+    assert [g["m"] for g in json.loads(out)["plan"]["gadgets"]] == [3, GADGET_MAX_M]
+    # unbounded, a gadget of m = 8 * GADGET_MAX_M would take minutes
+    start = time.process_time()
+    refused = [run_cli(["to-round", "--gadget-m", "1", "--gadget-m2", str(4 * GADGET_MAX_M),
+                        str(path)]),
+               run_cli(["gadget", "--m", str(8 * GADGET_MAX_M)])]
+    assert time.process_time() - start < 0.5
+    for code, out in refused:
+        assert code == 1 and json.loads(out)["error"]["kind"] == "LimitExceeded"
 
 
 def test_check_nice_and_fillable():
@@ -370,10 +476,10 @@ def test_determinism_byte_identical(args):
     code2, out2 = run_cli(args)
     assert code1 == code2 == 0
     assert out1 == out2
-    # and pretty mode only adds whitespace
+    # and pretty mode is json.dumps' indent=2 layout of the same value
     codep, outp = run_cli(["--pretty"] + args)
     assert codep == 0
-    assert json.loads(outp) == json.loads(out1)
+    assert outp == json.dumps(json.loads(out1), indent=2) + "\n"
 
 
 OUT_OF_DOMAIN = [

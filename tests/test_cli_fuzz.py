@@ -4,6 +4,10 @@ token-edited fixtures and generated .crs files under every file subcommand.
 Every run must end in exit code 0, 1 or 2 with one JSON object on stdout and
 nothing on stderr; an uncaught exception (a traceback) fails the test.  The
 examples are derandomized and few, so the tests stay fast and repeatable.
+
+glue-annuli arc lists, valid and edited, must read as the replaced item by
+item reader in reference_arcs.py reads them: the same ArcConfig, or the same
+error and message.
 """
 
 import contextlib
@@ -13,10 +17,16 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import crsdiag.cli as cli
 from crsdiag.cli import main
+from crsdiag.dividing import TraversingArc
+from crsdiag.slopes import enumerate_configurations
 from conftest import FIXTURES, edit_lexemes, random_crs_text, random_front_text
+import reference_arcs
 
 FUZZ = settings(derandomize=True, database=None, max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -113,3 +123,94 @@ def test_file_commands_fuzz(text, command, k, gadget_m):
         path = Path(tmp) / "fuzzed.crs"
         path.write_text(text, encoding="utf-8")
         check_run([command, *options, str(path)])
+
+
+# configurations of a small cell, rendered as literals below
+ARC_SYSTEMS = enumerate_configurations(2, 3, 1)[::7]
+SEPARATORS = st.text(st.sampled_from(" ;\t\n\xa0\u2003\x1c"), min_size=1, max_size=3)
+# fields that int() refuses, or reads only up to 4,300 digits
+BAD_FIELDS = st.sampled_from(["", " 1", "1__0", "_1", "1_", "0x1", "1.0", "--1", "1" * 5000,
+                              "9" * 4300, "top", "(1", "1)"])
+EDIT_CHARS = st.sampled_from(list("TP(),; _+-0123456789xyt\t\u0663\xa0") + ["top", "bottom"])
+
+
+def spell(draw, value: int) -> str:
+    """value spelled as int() reads it: signs, leading zeros, an underscore,
+    or the digits of another script."""
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "", "+"]))
+    digits = draw(st.sampled_from(["", "0", "00", "0_"])) + str(abs(value))
+    zero = draw(st.sampled_from(["0", "0", "\u0660", "\uff10"]))
+    return sign + "".join(chr(ord(zero) + int(d)) if d.isdigit() else d for d in digits)
+
+
+def literal(arc, field) -> str:
+    if isinstance(arc, TraversingArc):
+        return f"T({field(arc.top)},{field(arc.bottom)},{field(arc.winding)})"
+    return f"P({arc.side},{field(arc.start)},{field(arc.end)})"
+
+
+@st.composite
+def arc_lists(draw):
+    """An enumerated arc system as literals, with random separators and
+    respelled fields.  Every other list is edited: some fields replaced by
+    bad ones, and up to three character-level edits."""
+    cfg = draw(st.sampled_from(ARC_SYSTEMS))
+    edited = draw(st.booleans())
+
+    def field(value):
+        if edited and draw(st.integers(0, 9)) == 0:
+            return draw(BAD_FIELDS)
+        return spell(draw, value)
+
+    items = [literal(arc, field) for arc in cfg.arcs]
+    text = draw(SEPARATORS).strip(" ") + "".join(item + draw(SEPARATORS) for item in items)
+    for _ in range(draw(st.integers(0, 3)) if edited else 0):
+        k = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("insert", "delete", "replace", "duplicate")))
+        if edit == "insert":
+            text = text[:k] + draw(EDIT_CHARS) + text[k:]
+        elif edit == "delete":
+            text = text[:k] + text[k + 1:]
+        elif edit == "replace":
+            text = text[:k] + draw(EDIT_CHARS) + text[k + 1:]
+        else:
+            j = draw(st.integers(k, len(text)))
+            text = text[:j] + text[k:j] + text[j:]
+    return cfg.top_marks, cfg.bottom_marks, text
+
+
+def read(parse, text, top_marks, bottom_marks):
+    try:
+        return parse(text, top_marks, bottom_marks)
+    except Exception as exc:  # the error is compared, not raised
+        return type(exc), str(exc)
+
+
+@FUZZ
+@given(arc_lists())
+def test_arc_reader_matches_reference(case):
+    top_marks, bottom_marks, text = case
+    assert read(cli._parse_arcs, text, top_marks, bottom_marks) == read(
+        reference_arcs.parse_arcs, text, top_marks, bottom_marks)
+
+
+# inputs that a reader which only counts regex matches, or checks less than
+# the whole item, gets wrong
+ARC_EDGE_CASES = [
+    "xT(1,2,3) T(4,5,6)y", "T(0,0,0) T(1,1,0)y", "T(1,2,3)T(4,5,6)", "T(1,2,3),4)",
+    "T(1,2,3))", "T((1,2,3)", "T(1,2,3", "T(+1,0,0) T(1,1,0)", "T(1_0,0,0)",
+    "T(\u0663,0,0) T(1,1,0)", "T(0,0,0);T(1,1,0)", ";;T(0,0,0) ;\tT(1,1,0);",
+    "T(0,0,0);;P(top,1,2)", "P(left,0,1) T(1,1,0)", "P(top,0,1)x",
+    "T(" + "1" * 5000 + ",0,0) T(1,1,0)", "T(" + "9" * 4300 + ",0,0) T(1,1,0)", "", " ; ",
+]
+
+
+@pytest.mark.parametrize("arcs", ARC_EDGE_CASES, ids=lambda a: a[:24])
+def test_arc_reader_edge_cases_match_reference(arcs):
+    argv = ["glue-annuli", "--top-marks", "2", "--bottom-marks", "2",
+            "--a", arcs, "--b", "T(0,0,0) T(1,1,0)"]
+    expected = run(argv)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_parse_arcs", reference_arcs.parse_arcs)
+        assert run(argv) == expected
+    check_run(argv)

@@ -101,6 +101,23 @@ def test_linking_data_orders_its_entries():
     assert list(relabeled.pairs()) == [("A", "B", 2), ("C", "Z", 4), ("Y", "Z", -1)]
 
 
+def test_linking_data_order_matches_the_label_key_sort(rng):
+    """Pairs are oriented and sorted as _label_key orders labels: ints
+    before strings, ints by value and strings by text."""
+    from crsdiag.core import _label_key
+
+    labels = [-3, 0, 2, 10, 11, "10", "2", "-3", "A", "B", "K1", "K10", "a", "z"]
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+    for _ in range(100):
+        entries = [(a, b) if rng.random() < 0.5 else (b, a)
+                   for a, b in rng.sample(pairs, rng.randint(0, 30))]
+        entries = [(a, b, rng.randint(-3, 3)) for a, b in entries]
+        oriented = [((a, b) if _label_key(a) <= _label_key(b) else (b, a)) + (v,)
+                    for a, b, v in entries if v]
+        expected = sorted(oriented, key=lambda t: (_label_key(t[0]), _label_key(t[1])))
+        assert list(LinkingData(entries).pairs()) == expected
+
+
 def test_layer_normalization():
     inv = TightLayerSpec.invariant()
     assert inv == TightLayerSpec.nonrotative(0) == TightLayerSpec.nonrotative(0, 0)
