@@ -16,6 +16,7 @@ from .core import (
     contact_to_topological,
     is_fillable_sufficient,
     is_pm1,
+    joint_pairs_to_pm1,
     surgery_meridian_coefficient,
     topological_to_contact,
     validate_diagram,
@@ -26,7 +27,6 @@ from .bridge import (
     PlannedPair,
     adachi_round1,
     adachi_round2_realize,
-    joint_pairs_to_pm1,
     kirby1_gadget,
     pair_pm1_diagram,
 )

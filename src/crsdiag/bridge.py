@@ -11,9 +11,10 @@ parity cases of the counts (n1, n2) = (#(+1), #(-1)):
 3. even/odd: two gadgets, sized 2*m1 + 1 and 2*m2;
 4. odd/odd: one gadget sized 2m + 1.
 
-Direction two (joint_pairs_to_pm1) reads a diagram of nice joint pairs back
-as the contact (+-1)-diagram where both members of a pair carry the pair's
-round-2 coefficient.
+Direction two (joint_pairs_to_pm1, defined in core beside the joint-pair
+rule and imported here) reads a diagram of nice joint pairs back as the
+contact (+-1)-diagram where both members of a pair carry the pair's round-2
+coefficient.  Direction one certifies its output with direction two.
 
 The cosmetic gadget for parameter m is a contact (m+1)-surgery on an unknot
 with tb = -m presented as one contact (+1)-unknot (tb = -m) plus m contact
@@ -22,7 +23,7 @@ internal linking pattern is the pushoff chain: the (+1)-unknot links each
 stabilized copy tb(K) = -m times and two stabilized copies link -m - 1 times
 (each is a contact pushoff of the previous one).  The pattern is
 configuration, not hard-code, and every construction re-runs the homology
-self-test (trivial first homology, unit determinant); a failure aborts with
+self-test (trivial first homology); a failure aborts with
 GadgetSelfTestFailed rather than returning silently wrong output.
 """
 
@@ -40,8 +41,8 @@ from .core import (
     RoundSurgeryDiagram,
     SlopeQ,
     TightLayerSpec,
-    check_nice,
     is_pm1,
+    joint_pairs_to_pm1,
     surgery_meridian_coefficient,
     validate_diagram,
 )
@@ -50,13 +51,11 @@ from .errors import (
     GadgetSelfTestFailed,
     InvalidParameter,
     LimitExceeded,
-    NoJointPartner,
-    NotNice,
     NotPm1Diagram,
     UnknownComponent,
     UnsupportedComposition,
 )
-from .homology import H1Class, det, h1_dehn, linking_matrix
+from .homology import H1Class, h1_dehn
 
 
 # kirby1_gadget refuses larger m before building anything.  The work grows
@@ -117,11 +116,11 @@ def kirby1_gadget(
 
 
 def _gadget_self_test(m: int, diagram: ContactSurgeryDiagram) -> None:
-    determinant = det(linking_matrix(diagram))
+    # The presentation is square, so a trivial cokernel also means |det| = 1.
     h1 = h1_dehn(diagram)
-    if abs(determinant) != 1 or h1 != H1Class.trivial():
+    if h1 != H1Class.trivial():
         raise GadgetSelfTestFailed(
-            f"gadget m={m}: linking determinant {determinant}, first homology {h1}; "
+            f"gadget m={m}: first homology {h1}; "
             "the configured linking pattern does not present the 3-sphere"
         )
 
@@ -167,7 +166,9 @@ def pair_pm1_diagram(
     parameters.  Gadgets are inserted split from the input (no linking with
     pre-existing components), components with equal coefficients are paired
     two at a time in label order, and each pair's round-2 coefficient is the
-    shared contact coefficient.  Every produced pair passes check_nice.
+    shared contact coefficient.  The result is certified by reading it back:
+    joint_pairs_to_pm1 must give the input plus its gadgets, or
+    CertificateError is raised.
     """
     problems = validate_diagram(d)
     if problems:
@@ -205,12 +206,6 @@ def pair_pm1_diagram(
         coefficients.update(gadget.coefficients)
         existing.update(gadget.coefficients)
 
-    total_plus = sum(1 for c in coefficients.values() if c == plus)
-    total_minus = len(components) - total_plus
-    if total_plus % 2 or total_minus % 2:
-        raise CertificateError(f"case {case_id}: gadget insertion left {total_plus} (+1) and "
-                               f"{total_minus} (-1) components; both counts must be even")
-
     pool_plus = sorted(lab for lab, c in coefficients.items() if c == plus)
     pool_minus = sorted(lab for lab, c in coefficients.items() if c != plus)
     round1 = []
@@ -224,50 +219,16 @@ def pair_pm1_diagram(
             planned.append(PlannedPair(a, b, k, coeff))
 
     rd = RoundSurgeryDiagram(tuple(components), linking, tuple(round1), tuple(round2))
-    problems = validate_diagram(rd)
-    if problems:
-        raise CertificateError("constructed diagram is invalid: " + "; ".join(v.message for v in problems))
-    for idx in range(len(rd.round1)):
-        report = check_nice(rd, idx)
-        if not report.nice:
-            raise CertificateError(f"constructed pair round1[{idx}] is not nice: " + "; ".join(report.reasons))
+    # certificate: the pairs read back as the input plus its gadgets
+    try:
+        back = joint_pairs_to_pm1(rd)
+    except UnsupportedComposition as exc:
+        raise CertificateError(f"case {case_id}: constructed diagram is not all nice "
+                               f"joint pairs: {exc}") from exc
+    if back != ContactSurgeryDiagram(components, linking, coefficients):
+        raise CertificateError(f"case {case_id}: constructed pairs do not read back as "
+                               "the input plus its gadgets")
     return rd, PairingPlan(case_id, tuple(gadgets), tuple(planned))
-
-
-def joint_pairs_to_pm1(rd: RoundSurgeryDiagram) -> ContactSurgeryDiagram:
-    """Read a diagram of nice joint pairs as a contact (+-1)-surgery diagram.
-
-    Each pair with round-2 coefficient m yields contact coefficient m on both
-    of its components; components, invariants and linking carry over verbatim.
-    """
-    problems = validate_diagram(rd)
-    if problems:
-        raise UnsupportedComposition("invalid diagram: " + "; ".join(v.message for v in problems))
-    for j, r2 in enumerate(rd.round2):
-        if r2.joint_with is None:
-            raise UnsupportedComposition(f"round2[{j}] is not joint with any round 1-surgery")
-    paired = set()
-    coefficients = {}
-    for idx, r1 in enumerate(rd.round1):
-        try:
-            report = check_nice(rd, idx)
-        except NoJointPartner as exc:
-            raise NotNice(idx, "no joint round 2-surgery partner") from exc
-        if not report.nice:
-            raise NotNice(idx, "; ".join(report.reasons))
-        partner = rd.joint_partner(idx)
-        a, b = r1.pair
-        coefficients[a] = partner.coeff
-        coefficients[b] = partner.coeff
-        paired.update((a, b))
-    for c in rd.components:
-        if c.label not in paired:
-            raise UnsupportedComposition(f"component {c.label!r} is not in any joint pair")
-    return ContactSurgeryDiagram(
-        components=rd.components,
-        linking=rd.linking,
-        coefficients=coefficients,
-    )
 
 
 def adachi_round1(

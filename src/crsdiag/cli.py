@@ -1,8 +1,10 @@
 """Command line interface: deterministic JSON on stdout, diagnostics as data.
 
-Exit codes: 0 success, 1 semantic/validation failure, 2 parse failure,
-3 internal self-test or certificate failure.  Identical inputs and flags produce
-byte-identical output (no timestamps, no unordered iteration).
+Exit codes: 0 success, 1 semantic/validation failure, 2 parse failure (of a
+file or of the command line), 3 internal self-test or certificate failure.
+Every failure prints one JSON error object; only -h/--help prints text.
+Identical inputs and flags produce byte-identical output (no timestamps, no
+unordered iteration).
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ _ARC_ITEM = re.compile(r"[\s;]*(?:([TP])\(([^\s;,]*),([^\s;,]*),([^\s;,]*)\)(?![
                        r"|([^\s;]+))")
 
 from . import dsl
-from .bridge import joint_pairs_to_pm1, kirby1_gadget, pair_pm1_diagram
+from .bridge import kirby1_gadget, pair_pm1_diagram
 from .core import (
     ContactSurgeryDiagram,
     RoundSurgeryDiagram,
     SlopeQ,
     check_nice,
     is_fillable_sufficient,
+    joint_pairs_to_pm1,
 )
 from .dividing import ArcConfig, ParallelArc, TraversingArc, giroux_overtwisted, glue_annuli
 from .errors import (
@@ -42,6 +45,7 @@ from .errors import (
     LimitExceeded,
     NoJointPartner,
     SemanticError,
+    UsageError,
 )
 from .front import OrientedFront, classical_invariants, parse_front_word
 from .homology import H1Class, det, h1_dehn, h1_round_diagram, linking_matrix
@@ -61,10 +65,18 @@ EXIT_OK, EXIT_SEMANTIC, EXIT_PARSE, EXIT_INTERNAL = 0, 1, 2, 3
 ENUM_LIMIT = 100_000
 
 
+def _slope_text(value):
+    # json.dumps calls this for the slopes of a payload while it encodes, so
+    # _emit's lifted digit limit covers their terms too
+    if isinstance(value, SlopeQ):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _encode(payload: dict, pretty: bool) -> str:
     if pretty:
-        return json.dumps(payload, indent=2)
-    return json.dumps(payload, separators=(",", ":"))
+        return json.dumps(payload, indent=2, default=_slope_text)
+    return json.dumps(payload, separators=(",", ":"), default=_slope_text)
 
 
 def _emit(payload: dict, pretty: bool) -> None:
@@ -171,10 +183,18 @@ def _write_configs(configs: List[ArcConfig], pretty: bool) -> None:
     write(f"{nl[1]}]{nl[0]}}}\n")  # a valid cell has at least one configuration
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, also for each subcommand, that raises UsageError
+    where argparse would print usage to stderr and exit."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and reused by later main calls."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crsdiag",
         description="Contact Dehn / contact round surgery diagram calculator",
     )
@@ -346,7 +366,7 @@ def _run(args) -> Union[dict, Callable[[bool], None]]:
         )
         return {
             "matrix": [[matrix.a, matrix.b], [matrix.c, matrix.d]],
-            "normalized": [str(image0), str(image1)],
+            "normalized": [image0, image1],
             "count": _tight_count_json(count),
         }
 
@@ -356,7 +376,7 @@ def _run(args) -> Union[dict, Callable[[bool], None]]:
         matrix, image0, image1 = normalize_slopes(s0, s1)
         return {
             "matrix": [[matrix.a, matrix.b], [matrix.c, matrix.d]],
-            "images": [str(image0), str(image1)],
+            "images": [image0, image1],
         }
 
     if args.command == "enum-configs":
@@ -394,8 +414,12 @@ def _run(args) -> Union[dict, Callable[[bool], None]]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except UsageError as exc:  # before --pretty is known, so always compact
+        _emit({"error": {"code": EXIT_PARSE, "kind": type(exc).__name__,
+                         "message": str(exc)}}, False)
+        return EXIT_PARSE
     try:
         payload = _run(args)
     except DslSyntaxError as exc:

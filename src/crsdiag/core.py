@@ -21,7 +21,13 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import InvalidMeridian, InvalidParameter, NoJointPartner
+from .errors import (
+    InvalidMeridian,
+    InvalidParameter,
+    NoJointPartner,
+    NotNice,
+    UnsupportedComposition,
+)
 
 
 @dataclass(frozen=True, order=False)
@@ -481,6 +487,48 @@ def check_nice(d: RoundSurgeryDiagram, idx: int) -> NicenessReport:
     return NicenessReport(r1.pair, equal, pm1, standard, tuple(reasons))
 
 
+def _nice_partners(d: RoundSurgeryDiagram) -> list:
+    """The joint round 2-spec of each round 1-spec, in order.
+
+    This is the one place that checks the rule "every surgery sits in a nice
+    joint pair": a round 2-spec outside a joint pair raises
+    UnsupportedComposition, a round 1-spec with no partner or with a pair
+    that check_nice rejects raises NotNice.
+    """
+    for j, r2 in enumerate(d.round2):
+        if r2.joint_with is None:
+            raise UnsupportedComposition(f"round2[{j}] is not joint with any round 1-surgery")
+    partners = []
+    for idx in range(len(d.round1)):
+        try:
+            report = check_nice(d, idx)
+        except NoJointPartner as exc:
+            raise NotNice(idx, "no joint round 2-surgery partner") from exc
+        if not report.nice:
+            raise NotNice(idx, "; ".join(report.reasons))
+        partners.append(d.joint_partner(idx))
+    return partners
+
+
+def joint_pairs_to_pm1(rd: RoundSurgeryDiagram) -> ContactSurgeryDiagram:
+    """Read a diagram of nice joint pairs as a contact (+-1)-surgery diagram.
+
+    Each pair with round-2 coefficient m yields contact coefficient m on both
+    of its components; components, invariants and linking carry over verbatim.
+    """
+    problems = validate_diagram(rd)
+    if problems:
+        raise UnsupportedComposition("invalid diagram: " + "; ".join(v.message for v in problems))
+    coefficients = {}
+    for r1, partner in zip(rd.round1, _nice_partners(rd)):
+        a, b = r1.pair
+        coefficients[a] = coefficients[b] = partner.coeff
+    for c in rd.components:
+        if c.label not in coefficients:
+            raise UnsupportedComposition(f"component {c.label!r} is not in any joint pair")
+    return ContactSurgeryDiagram(rd.components, rd.linking, coefficients)
+
+
 def is_fillable_sufficient(d: RoundSurgeryDiagram) -> bool:
     """Sufficient condition for symplectic fillability of the described manifold.
 
@@ -488,18 +536,9 @@ def is_fillable_sufficient(d: RoundSurgeryDiagram) -> bool:
     coefficient is -1, and no surgery outside those joint pairs is present.
     A diagram with no surgeries at all qualifies vacuously.
     """
+    try:
+        partners = _nice_partners(d)
+    except UnsupportedComposition:
+        return False
     minus_one = SlopeQ.of(-1)
-    for idx in range(len(d.round1)):
-        try:
-            report = check_nice(d, idx)
-        except NoJointPartner:
-            return False
-        if not report.nice:
-            return False
-        partner = d.joint_partner(idx)
-        if partner.coeff != minus_one:
-            return False
-    for r2 in d.round2:
-        if r2.joint_with is None:
-            return False
-    return True
+    return all(partner.coeff == minus_one for partner in partners)

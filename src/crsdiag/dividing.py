@@ -46,6 +46,7 @@ ArcConfig._trusted without checking any configuration again.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Tuple, Union
 
@@ -193,13 +194,23 @@ def _check_ranges(arcs, marks: Dict[str, int]) -> None:
 
 
 def _check_counts(side: str, marks: int, endpoints: List[int]) -> None:
-    """Each of the side's marked points is the endpoint of exactly one arc."""
-    counts = [0] * marks
-    for point in endpoints:
-        counts[point] += 1
-    for point, count in enumerate(counts):
-        if count != 1:
-            raise InvalidArcConfig(f"{side} point {point} is endpoint of {count} arcs (need exactly 1)")
+    """Each of the side's marked points is the endpoint of exactly one arc.
+
+    The endpoints are marked points (_check_ranges ran first), so they use
+    every point once exactly when they are `marks` distinct points.  Else the
+    least bad point is the least one used more than once or the least unused
+    one, and finding it takes memory in the number of endpoints, not of marks.
+    """
+    if len(endpoints) == marks == len(set(endpoints)):
+        return
+    counts = Counter(endpoints)
+    used = sorted(counts)
+    bad = [point for point in used if counts[point] > 1]
+    unused = next((i for i, point in enumerate(used) if i != point), len(used))
+    if unused < marks:
+        bad.append(unused)
+    point = min(bad)
+    raise InvalidArcConfig(f"{side} point {point} is endpoint of {counts[point]} arcs (need exactly 1)")
 
 
 def _check_family(trav: List[TraversingArc]) -> Tuple[List[int], List[int]]:

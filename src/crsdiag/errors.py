@@ -1,7 +1,8 @@
 """Exception types shared across the library.
 
 DiagramError covers everything a caller can provoke with bad input (CLI exit
-code 1). DslSyntaxError carries a source position (exit code 2).
+code 1). DslSyntaxError carries a source position and UsageError reports a
+command line that does not parse (both exit code 2).
 GadgetSelfTestFailed and CertificateError signal internal consistency
 failures (exit code 3): a shipped gadget configuration that no longer passes
 its homology self-test, or a computed result that fails its exact check.
@@ -34,7 +35,11 @@ class NotPm1Diagram(DiagramError):
     """The contact surgery diagram has a coefficient outside {+1, -1}."""
 
 
-class NotNice(DiagramError):
+class UnsupportedComposition(DiagramError):
+    """The round surgery diagram mixes surgeries outside the supported shapes."""
+
+
+class NotNice(UnsupportedComposition):
     """A joint pair fails a niceness condition."""
 
     def __init__(self, index: int, reason: str):
@@ -45,10 +50,6 @@ class NotNice(DiagramError):
 
 class NotTwoComponent(DiagramError):
     """Standalone round 1-surgery homology requires exactly two components."""
-
-
-class UnsupportedComposition(DiagramError):
-    """The round surgery diagram mixes surgeries outside the supported shapes."""
 
 
 class DomainError(DiagramError):
@@ -114,6 +115,11 @@ class DslSyntaxError(Exception):
         self.col = col
 
 
+class UsageError(Exception):
+    """The command line does not parse: an unknown or missing argument or a
+    malformed option value (exit code 2)."""
+
+
 class GadgetSelfTestFailed(Exception):
     """A cosmetic-surgery gadget failed its homology self-test (misconfiguration)."""
 
@@ -123,9 +129,8 @@ class CertificateError(Exception):
 
     Raised when a Smith normal form certificate, a slope normalization, a
     continued fraction expansion or a glued dividing set does not verify,
-    and when a construction breaks an invariant it guarantees: a gadget
-    insertion that leaves a coefficient class of odd size, a constructed
-    joint-pair diagram that fails validate_diagram or check_nice, an odd
+    and when a construction breaks an invariant it guarantees: a constructed
+    joint-pair diagram that does not read back as its input plus gadgets, an odd
     mixed-crossing sign sum in classical_invariants, or a stabilize that
     finds no right cusp or no zigzag with the requested rotation shift.
     A Smith certificate is the log of the row and column operations that

@@ -58,6 +58,7 @@ from .core import (
     RoundSurgeryDiagram,
     SlopeQ,
     contact_to_topological,
+    joint_pairs_to_pm1,
 )
 from .errors import CertificateError, InvalidParameter, NotTwoComponent, UnsupportedComposition
 
@@ -620,18 +621,11 @@ def h1_round2(tb: int, c: SlopeQ) -> Tuple[H1Class, H1Class]:
 def h1_round_diagram(rd: RoundSurgeryDiagram) -> List[H1Class]:
     """First homology per resulting component of a round surgery diagram.
 
-    Supported shapes: (i) every surgery sits in a nice joint pair (converted
-    to a contact diagram first), (ii) a single standalone round 1-spec on a
-    two-component diagram, (iii) a single standalone round 2-spec on a knot.
+    Supported shapes: (i) a single standalone round 1-spec on a
+    two-component diagram, (ii) a single standalone round 2-spec on a knot,
+    (iii) every surgery sits in a nice joint pair (read as a contact diagram
+    by joint_pairs_to_pm1, whose errors are all UnsupportedComposition).
     """
-    from .bridge import joint_pairs_to_pm1  # local import to avoid a cycle
-    from .core import check_nice
-    from .errors import NoJointPartner
-
-    paired_components = set()
-    for r1 in rd.round1:
-        paired_components.update(r1.pair)
-
     if len(rd.round1) == 1 and not rd.round2:
         if len(rd.components) != 2:
             raise NotTwoComponent(
@@ -652,18 +646,4 @@ def h1_round_diagram(rd: RoundSurgeryDiagram) -> List[H1Class]:
         outer, inner = h1_round2(knot.tb, r2.coeff)
         return [outer, inner]
 
-    # remaining supported shape: all surgeries are nice joint pairs
-    for j, r2 in enumerate(rd.round2):
-        if r2.joint_with is None:
-            raise UnsupportedComposition(f"round2[{j}] is not joint with any round 1-surgery")
-    for idx in range(len(rd.round1)):
-        try:
-            report = check_nice(rd, idx)
-        except NoJointPartner as exc:
-            raise UnsupportedComposition(f"round1[{idx}] has no joint round 2-surgery") from exc
-        if not report.nice:
-            raise UnsupportedComposition(f"round1[{idx}] is not a nice joint pair: " + "; ".join(report.reasons))
-    for c in rd.components:
-        if c.label not in paired_components:
-            raise UnsupportedComposition(f"component {c.label!r} carries no supported surgery")
     return [h1_dehn(joint_pairs_to_pm1(rd))]

@@ -76,8 +76,19 @@ from .dividing import (
     _check_ranges,
     _check_side,
 )
-from .errors import CertificateError, DomainError, InvalidParameter, NotNormalized
+from .errors import CertificateError, DomainError, InvalidParameter, LimitExceeded, NotNormalized
 from .homology import _xgcd
+
+# neg_cf refuses longer expansions before building them: one of 100,000
+# terms takes about 0.03 s, and the slopes of the layer_geometry benchmark
+# (|p| <= 200, q <= 50, normalized) need at most a few hundred
+NEG_CF_MAX_LENGTH = 100_000
+# count_configurations and enumerate_configurations refuse larger cells before
+# any binomial is computed.  At n0 + n1 = 5,000 the count takes 3.5 ms and has
+# 3,010 digits; with the winding bound it stays under 3,020 digits, within
+# the interpreter's 4,300-digit int-to-str limit that error messages need.
+ENUM_MAX_PAIRS = 5_000
+ENUM_MAX_WINDING = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -100,12 +111,37 @@ class NegCF:
         return SlopeQ.of(p, q)
 
 
+def neg_cf_length(s: SlopeQ) -> int:
+    """Number of terms of neg_cf(s), in O(log q) steps.
+
+    If |p|/q has the regular continued fraction [a0; a1, ..., an], the
+    negative expansion of p/q has 1 + a1 + a3 + ... terms, one fewer when n
+    is odd: a0 gives the first term, and each odd-index quotient a gives a
+    run of a - 1 terms equal to -2 plus the term of the quotient after it,
+    which the last one, at an odd n, does not have.
+    """
+    p, q = abs(s.p), s.q
+    length, n = 1, 0
+    while q:
+        a, p, q = p // q, q, p % q
+        if n % 2:
+            length += a
+        n += 1
+    return length - (n % 2 == 0)
+
+
 def neg_cf(s: SlopeQ) -> NegCF:
-    """Unique all-entries-<=-2 expansion of a rational slope < -1."""
+    """Unique all-entries-<=-2 expansion of a rational slope < -1.
+
+    An expansion of more than NEG_CF_MAX_LENGTH terms raises LimitExceeded
+    before any term is built.
+    """
     if s.is_infinite:
         raise DomainError("infinite slope has no negative continued fraction")
     if not s < SlopeQ.of(-1):
         raise DomainError(f"slope {s} is not < -1")
+    if neg_cf_length(s) > NEG_CF_MAX_LENGTH:
+        raise LimitExceeded(f"the expansion has more than {NEG_CF_MAX_LENGTH} terms")
     coeffs = []
     p, q = s.p, s.q
     while True:
@@ -391,6 +427,11 @@ def _check_cell(n0: int, n1: int, max_winding: int) -> None:
         raise DomainError("need at least one pair of dividing curves per side")
     if max_winding < 0:
         raise DomainError("max_winding is a non-negative bound")
+    if n0 + n1 > ENUM_MAX_PAIRS:
+        raise LimitExceeded(f"n0 + n1 is more than {ENUM_MAX_PAIRS}, the largest cell counted")
+    if max_winding > ENUM_MAX_WINDING:
+        raise LimitExceeded(f"max_winding is more than {ENUM_MAX_WINDING}, "
+                            "the largest winding counted")
 
 
 def count_configurations(n0: int, n1: int, max_winding: int) -> int:

@@ -1,0 +1,103 @@
+"""Reference implementations of the joint-pair checks that `core._nice_partners`
+replaced, kept as test oracles.
+
+Each function writes the rule "every surgery sits in a nice joint pair" out
+in its own loop, as `bridge.joint_pairs_to_pm1`, `core.is_fillable_sufficient`
+and the general shape of `homology.h1_round_diagram` did.  They use only
+`check_nice`, `validate_diagram` and the homology presentations, never
+`_nice_partners`.
+"""
+
+from crsdiag.core import ContactSurgeryDiagram, SlopeQ, check_nice, validate_diagram
+from crsdiag.errors import NoJointPartner, NotNice, NotTwoComponent, UnsupportedComposition
+from crsdiag.homology import h1_dehn, h1_round1, h1_round2
+
+
+def joint_pairs_to_pm1(rd):
+    problems = validate_diagram(rd)
+    if problems:
+        raise UnsupportedComposition("invalid diagram: " + "; ".join(v.message for v in problems))
+    for j, r2 in enumerate(rd.round2):
+        if r2.joint_with is None:
+            raise UnsupportedComposition(f"round2[{j}] is not joint with any round 1-surgery")
+    paired = set()
+    coefficients = {}
+    for idx, r1 in enumerate(rd.round1):
+        try:
+            report = check_nice(rd, idx)
+        except NoJointPartner as exc:
+            raise NotNice(idx, "no joint round 2-surgery partner") from exc
+        if not report.nice:
+            raise NotNice(idx, "; ".join(report.reasons))
+        partner = rd.joint_partner(idx)
+        a, b = r1.pair
+        coefficients[a] = partner.coeff
+        coefficients[b] = partner.coeff
+        paired.update((a, b))
+    for c in rd.components:
+        if c.label not in paired:
+            raise UnsupportedComposition(f"component {c.label!r} is not in any joint pair")
+    return ContactSurgeryDiagram(
+        components=rd.components,
+        linking=rd.linking,
+        coefficients=coefficients,
+    )
+
+
+def is_fillable_sufficient(d):
+    minus_one = SlopeQ.of(-1)
+    for idx in range(len(d.round1)):
+        try:
+            report = check_nice(d, idx)
+        except NoJointPartner:
+            return False
+        if not report.nice:
+            return False
+        partner = d.joint_partner(idx)
+        if partner.coeff != minus_one:
+            return False
+    for r2 in d.round2:
+        if r2.joint_with is None:
+            return False
+    return True
+
+
+def h1_round_diagram(rd):
+    paired_components = set()
+    for r1 in rd.round1:
+        paired_components.update(r1.pair)
+
+    if len(rd.round1) == 1 and not rd.round2:
+        if len(rd.components) != 2:
+            raise NotTwoComponent(
+                "standalone round 1-surgery needs a two-component diagram, "
+                f"found {len(rd.components)} components"
+            )
+        r1 = rd.round1[0]
+        a = rd.component(r1.pair[0])
+        b = rd.component(r1.pair[1])
+        lk = rd.linking.get(a.label, b.label)
+        return [h1_round1(a.tb, b.tb, lk, r1.coeff_a, r1.coeff_b)]
+
+    if not rd.round1 and len(rd.round2) == 1 and len(rd.components) == 1:
+        r2 = rd.round2[0]
+        if r2.joint_with is not None:
+            raise UnsupportedComposition("round2[0] claims a joint partner that does not exist")
+        knot = rd.component(r2.knot)
+        outer, inner = h1_round2(knot.tb, r2.coeff)
+        return [outer, inner]
+
+    for j, r2 in enumerate(rd.round2):
+        if r2.joint_with is None:
+            raise UnsupportedComposition(f"round2[{j}] is not joint with any round 1-surgery")
+    for idx in range(len(rd.round1)):
+        try:
+            report = check_nice(rd, idx)
+        except NoJointPartner as exc:
+            raise UnsupportedComposition(f"round1[{idx}] has no joint round 2-surgery") from exc
+        if not report.nice:
+            raise UnsupportedComposition(f"round1[{idx}] is not a nice joint pair: " + "; ".join(report.reasons))
+    for c in rd.components:
+        if c.label not in paired_components:
+            raise UnsupportedComposition(f"component {c.label!r} carries no supported surgery")
+    return [h1_dehn(joint_pairs_to_pm1(rd))]

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -173,6 +175,26 @@ def test_enum_configs_domain_error_comes_first():
                                   '"message":"need at least one pair of dividing curves per side"}}\n')
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--n0", "5000", "--n1", "5000", "--max-winding", "0"],
+     "n0 + n1 is more than 5000, the largest cell counted"),
+    (["--count-only", "--n0", "300000", "--n1", "300000", "--max-winding", "0"],
+     "n0 + n1 is more than 5000, the largest cell counted"),
+    (["--n0", "3", "--n1", "3", "--max-winding", "9" * 4299],
+     "max_winding is more than 1000000, the largest winding counted"),
+])
+def test_enum_configs_bounds_refuse_before_any_binomial(monkeypatch, args, message):
+    import crsdiag.slopes as slopes
+
+    def forbidden(*_):
+        raise AssertionError("a binomial was computed")
+
+    monkeypatch.setattr(slopes, "comb", forbidden)
+    code, out = run_cli(["enum-configs"] + args)
+    assert (code, json.loads(out)) == (1, {"error": {"code": 1, "kind": "LimitExceeded",
+                                                     "message": message}})
+
+
 def test_homology_prints_torsion_longer_than_the_str_digit_limit(tmp_path):
     # lk = 10**3000 - 1 on two tb = -1 components with contact -1 surgery:
     # the order of H1 is lk**2 - 4, a 6,000-digit integer
@@ -200,6 +222,17 @@ def test_glue_annuli_command():
     assert data["overtwisted"] is True
     assert [(c["h"], c["v"]) for c in data["curves"]] == [[0, 0]] or \
         [(c["h"], c["v"]) for c in data["curves"]] == [(0, 0)]
+
+
+def test_glue_annuli_marks_cost_no_memory_per_mark():
+    # a list with one entry per marked point would need about 8 TB here
+    code, out = run_cli([
+        "glue-annuli", "--top-marks", str(10**12), "--bottom-marks", "2",
+        "--a", "T(0,0,0) T(1,1,0)", "--b", "T(0,0,0) T(1,1,0)",
+    ])
+    assert (code, json.loads(out)) == (1, {"error": {
+        "code": 1, "kind": "InvalidArcConfig",
+        "message": "top point 2 is endpoint of 0 arcs (need exactly 1)"}})
 
 
 def test_gadget_command():
@@ -505,6 +538,38 @@ def test_out_of_domain_input_gives_json_error(args):
     assert code == 1
     error = json.loads(out)["error"]
     assert error["code"] == 1 and error["message"]
+
+
+def run_cli_with_stderr(args):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(args)
+    return code, out, err.getvalue()
+
+
+@pytest.mark.parametrize("args", [
+    ["gadget", "--m", "x"], ["frob"], ["enum-configs", "--n0", "1"], [], ["--pretty"],
+    ["cf", "-5/2", "extra"], ["glue-annuli", "--top-marks"], ["count-tight", "--slope0=-2"],
+], ids=lambda a: " ".join(a) or "no-args")
+def test_usage_error_is_one_json_error(args):
+    code, out, err = run_cli_with_stderr(args)
+    assert (code, err) == (2, "")
+    assert out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert (error["code"], error["kind"]) == (2, "UsageError") and error["message"]
+
+
+def test_usage_error_names_the_subcommand():
+    code, out, err = run_cli_with_stderr(["gadget", "--m", "x"])
+    assert out == ('{"error":{"code":2,"kind":"UsageError",'
+                   '"message":"crsdiag gadget: argument --m: invalid int value: \'x\'"}}\n')
+
+
+@pytest.mark.parametrize("args", [["-h"], ["--help"], ["gadget", "-h"], ["enum-configs", "--help"]])
+def test_help_still_prints_text(args):
+    code, out, err = run_cli_with_stderr(args)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: crsdiag")
 
 
 def test_cached_parser_matches_fresh_parser():

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import crsdiag.cli as cli
 from crsdiag.cli import main
@@ -71,8 +71,8 @@ def check_run(argv):
     code, out, err = run(argv)
     assert code in (0, 1, 2), (argv, code, out, err)
     assert err == ""
-    assert out.endswith("\n") and out.count("\n") == 1, out
-    payload = json.loads(out)
+    assert out.endswith("\n") and (out.count("\n") == 1 or "--pretty" in argv), out
+    payload = json.loads(out)  # one object: json.loads refuses trailing data
     assert isinstance(payload, dict)
     if code:
         assert payload["error"]["code"] == code
@@ -213,4 +213,82 @@ def test_arc_reader_edge_cases_match_reference(arcs):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_parse_arcs", reference_arcs.parse_arcs)
         assert run(argv) == expected
+    check_run(argv)
+
+
+# --- argv of the subcommands that read no file --------------------------------
+
+HUGE = ["9" * 4299, "1" + "0" * 5000, "-" + "9" * 4299, str(10**30), "4000"]
+BIG = 10**4299 - 1  # int() reads at most 4,300 digits; two odd numbers 2 apart are coprime
+INTS = st.sampled_from(["-1", "0", "1", "2", "3", "", "x", "2.5", "0x10", *HUGE])
+SLOPES = st.sampled_from(["-5/2", "-2", "-1", "0", "inf", "1/0", "0/0", "3/-2", "-7/3",
+                          "-1000000000001/1000000000000", "x", "-", "/", "-" + "9" * 4299,
+                          f"-{BIG}/{BIG - 2}", f"{BIG - 4}/{BIG - 6}", f"-1/{BIG}"])
+ARCS = st.sampled_from(["T(0,0,0) T(1,1,0)", "P(top,0,1) P(bottom,0,1)", "T(0,1,0) T(1,0,0)",
+                        "T(x,0,0)", "", "T(" + "9" * 5000 + ",0,0)", "P(top,0,0)"])
+# --limit raises the enumeration bound at the caller's request, so it is drawn
+# no higher than its default: a huge one would let a fuzzed cell enumerate for ever
+LIMITS = st.sampled_from(["-1", "0", "10", "100000", "x"])
+# option -> values; None is a flag without a value
+OPTIONS = {
+    "cf": {None: SLOPES},
+    "count-tight": {"--slope0": SLOPES, "--slope1": SLOPES, "--twisting": INTS, "--ndiv": INTS},
+    "normalize-slopes": {"--slope0": SLOPES, "--slope1": SLOPES},
+    "enum-configs": {"--n0": INTS, "--n1": INTS, "--max-winding": INTS,
+                     "--count-only": None, "--limit": LIMITS},
+    "glue-annuli": {"--top-marks": INTS, "--bottom-marks": INTS, "--a": ARCS, "--b": ARCS,
+                    "--offset-top": INTS, "--offset-bottom": INTS},
+    "gadget": {"--m": INTS},
+    "invariants": {"--word": st.one_of(front_words(), TOKENS)},
+}
+STRAY = st.sampled_from(["--bogus", "-z", "--n0=", "extra", "--pretty", "--", "-5", "=", "--m"])
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with each of its options present or not, values drawn
+    from small, huge and non-numeric ones, and up to two stray words."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    words = []
+    for option, values in OPTIONS[command].items():
+        if draw(st.integers(0, 4)) == 0:
+            continue
+        if option is None:  # a positional
+            words.append([draw(values)])
+        elif values is None:
+            words.append([option])
+        elif draw(st.integers(0, 3)) == 0:
+            words.append([f"{option}={draw(values)}"])
+        else:
+            words.append([option, draw(values)])
+    words += [[draw(STRAY)] for _ in range(draw(st.integers(0, 2)))]
+    order = draw(st.permutations(range(len(words))))
+    argv = ["--pretty"] * draw(st.booleans()) + [command]
+    return argv + [word for i in order for word in words[i]]
+
+
+ARGV_EXAMPLES = [
+    ["gadget", "--m", "x"], ["frob"], ["enum-configs", "--n0", "1"], [],
+    ["enum-configs", "--n0", "5000", "--n1", "5000", "--max-winding", "0"],
+    ["enum-configs", "--n0", "3", "--n1", "3", "--max-winding", "9" * 4299],
+    ["enum-configs", "--count-only", "--n0", "300000", "--n1", "300000", "--max-winding", "0"],
+    ["cf", "-1000000000001/1000000000000"],
+    ["normalize-slopes", f"--slope0=-{BIG}/{BIG - 2}", f"--slope1={BIG - 4}/{BIG - 6}"],
+    ["count-tight", "--slope0", "-1", "--slope1", "-1000000000001/1000000000000"],
+    ["glue-annuli", "--top-marks", str(10**12), "--bottom-marks", "2",
+     "--a", "T(0,0,0) T(1,1,0)", "--b", "T(0,0,0) T(1,1,0)"],
+]
+
+
+def _with_examples(test):
+    for argv in ARGV_EXAMPLES:
+        test = example(argv)(test)
+    return test
+
+
+@FUZZ
+@_with_examples
+@given(argvs())
+def test_argv_fuzz(argv):
+    # -h/--help prints text by design, so argvs never draws it
     check_run(argv)

@@ -25,7 +25,13 @@ from crsdiag import (
 )
 import crsdiag.dividing as dividing
 import crsdiag.slopes as slopes
-from crsdiag.errors import CertificateError, DomainError, InvalidArcConfig, NotNormalized
+from crsdiag.errors import (
+    CertificateError,
+    DomainError,
+    InvalidArcConfig,
+    LimitExceeded,
+    NotNormalized,
+)
 from crsdiag.slopes import _matrix_to_minus_one
 from conftest import run_optimized
 
@@ -56,6 +62,34 @@ def test_neg_cf_reconstruction_sweep():
             cf = neg_cf(s)
             assert all(r <= -2 for r in cf.coefficients)
             assert cf.value() == s
+
+
+def test_neg_cf_length_matches_the_expansion(rng):
+    cases = [SlopeQ.of(p, q) for q in range(1, 40) for p in range(-150, -q)]
+    cases += [SlopeQ.of(-rng.randint(q + 1, 20_000 + q), q)
+              for q in (rng.randint(1, 5_000) for _ in range(300))]
+    for s in cases:
+        assert slopes.neg_cf_length(s) == len(neg_cf(s).coefficients), s
+
+
+def test_neg_cf_refuses_long_expansions_before_building():
+    # -(n+1)/n expands to n terms equal to -2
+    longest = slopes.NEG_CF_MAX_LENGTH
+    assert neg_cf(SlopeQ.of(-(longest + 1), longest)).coefficients == (-2,) * longest
+    for n in (longest + 1, 10**12, 10**4000):
+        with pytest.raises(LimitExceeded, match="more than 100000 terms"):
+            neg_cf(SlopeQ.of(-(n + 1), n))
+
+
+def test_enum_bounds_keep_every_count_printable():
+    most, widest = slopes.ENUM_MAX_PAIRS, slopes.ENUM_MAX_WINDING
+    for n0 in (1, most // 2):
+        count = count_configurations(n0, most - n0, widest)
+        assert len(str(count)) < 4300  # str() itself refuses more digits
+    with pytest.raises(LimitExceeded):
+        count_configurations(1, most, 0)
+    with pytest.raises(LimitExceeded):
+        enumerate_configurations(1, 1, widest + 1)
 
 
 def boundary(slope, ndiv=2):
@@ -294,6 +328,35 @@ def test_no_assert_statement_in_src():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_import_cycle_in_src():
+    # every relative import counts, also one inside a function body
+    src = Path(crsdiag.__file__).parent
+    imports = {}
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        targets = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    targets.add(node.module.split(".")[0])
+                else:
+                    targets.update(alias.name for alias in node.names)
+        imports[path.stem] = targets
+
+    def cycle_from(module, path):
+        if module in path:
+            return path[path.index(module):] + [module]
+        for target in sorted(imports.get(module, ())):
+            found = cycle_from(target, path + [module])
+            if found:
+                return found
+        return None
+
+    cycles = [" -> ".join(c) for c in (cycle_from(m, []) for m in sorted(imports)) if c]
+    assert cycles == []
 
 
 # --- configuration enumeration ------------------------------------------------
