@@ -414,11 +414,15 @@ def _run(args) -> Union[dict, Callable[[bool], None]]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    args = argparse.Namespace()
     try:
-        args = _build_parser().parse_args(argv)
-    except UsageError as exc:  # before --pretty is known, so always compact
+        _build_parser().parse_args(argv, namespace=args)
+    except UsageError as exc:
+        # args holds what parsed before the error: a --pretty read before a
+        # valid subcommand word indents the error like any other output
+        pretty = args.pretty and args.command is not None
         _emit({"error": {"code": EXIT_PARSE, "kind": type(exc).__name__,
-                         "message": str(exc)}}, False)
+                         "message": str(exc)}}, pretty)
         return EXIT_PARSE
     try:
         payload = _run(args)

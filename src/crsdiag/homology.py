@@ -26,6 +26,14 @@ replay certifies it.  A failed check raises CertificateError, also under
 ``python -O``, so an arithmetic fault can never produce a silently wrong
 group.
 
+Most logged steps are subs, row i -= f * row j, and echelon rows are mostly
+zero.  Both the Hermite passes and the replay update row i in place, only at
+the nonzero entries of row j, which each finds in the row it holds (the
+replay never reads them from the log).  This is exact, not an
+approximation: at every other column the full-width update would compute
+x - f*0 = x.  So the log, the diagonal and the replay's result are those of
+the full-width code, which the tests keep as their reference.
+
 Presentations used:
 
 * Dehn surgery on a link in the 3-sphere: generators are the meridians, one
@@ -51,6 +59,7 @@ import operator
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import List, Sequence, Tuple
 
 from .core import (
@@ -65,12 +74,19 @@ from .errors import CertificateError, InvalidParameter, NotTwoComponent, Unsuppo
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable rectangular integer matrix."""
+    """Immutable rectangular integer matrix.
+
+    Entries must be integers (anything with __index__); a float, string or
+    NaN entry raises InvalidParameter instead of being truncated or parsed.
+    """
 
     entries: tuple  # tuple of row tuples
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
+        try:
+            rows = tuple(tuple(map(operator.index, row)) for row in self.entries)
+        except TypeError as exc:
+            raise InvalidParameter(f"matrix rows must hold integers: {exc}") from None
         if any(len(row) != len(rows[0]) for row in rows):
             raise InvalidParameter("matrix must be rectangular")
         object.__setattr__(self, "entries", rows)
@@ -199,10 +215,13 @@ def _hermite(a, log, shift):
     bounded (Kannan-Bachem).  Returns the basis rows by increasing pivot
     column, pivots positive, followed by the zero rows.
 
-    Rows are updated in place from the pivot column on, since both rows of
-    an update are zero before it.  The size reduction after an insertion
-    starts at the lowest pivot that the insertion created or changed: the
-    entries above the lower pivots were reduced before and did not change.
+    A sub step updates its target row in place, only at the nonzero columns
+    of its source row; the size reduction finds those columns once per pivot
+    row and sweep.  The gcd and neg steps rewrite rows from the pivot column
+    on, since both rows of an update are zero before it.  The size reduction
+    after an insertion starts at the lowest pivot that the insertion created
+    or changed: the entries above the lower pivots were reduced before and
+    did not change.
     """
     width = len(a[0]) if a else 0
     basis = {}  # pivot column -> row index
@@ -229,7 +248,8 @@ def _hermite(a, log, shift):
             brow = a[b]
             f, rem = divmod(row[j], brow[j])
             if rem == 0:
-                row[j:] = [w - f * s for s, w in zip(brow[j:], row[j:])]
+                for c in compress(range(j, width), brow[j:]):
+                    row[c] -= f * brow[c]
                 log.append(("sub", r + shift, b + shift, f))
                 continue
             g, x, y = _xgcd(brow[j], row[j])
@@ -246,12 +266,14 @@ def _hermite(a, log, shift):
             j = pivots[k]
             t = basis[j]
             prow = a[t]
+            support = list(compress(range(j, width), prow[j:]))
             for i in pivots[:k]:
                 s = basis[i]
                 srow = a[s]
                 f = srow[j] // prow[j]
                 if f:
-                    srow[j:] = [x - f * y for x, y in zip(srow[j:], prow[j:])]
+                    for c in support:
+                        srow[c] -= f * prow[c]
                     log.append(("sub", s + shift, t + shift, f))
     order = [basis[j] for j in pivots] + zero
     log.append(("perm", tuple(range(shift)) + tuple(k + shift for k in order)))
@@ -322,10 +344,15 @@ def _transpose(a, width):
 
 
 def _apply(a, steps):
-    """Apply the logged row operations to the rows a at full width; returns the rows.
+    """Apply the logged row operations to the rows a; returns the rows.
 
     Each step is first checked to be an integer operation of determinant
-    +-1 on the current rows; CertificateError is raised if it is not.
+    +-1 on the current rows; CertificateError is raised if it is not.  A sub
+    step updates row i in place, only at the columns where row j is nonzero,
+    which it finds in row j itself: every other entry would become
+    x - f*0 = x, so the result is exactly the full-width update.  The rows
+    are private lists (a perm only reorders them, as a checked bijection), so
+    no other row sees the change.
     """
     n = len(a)
     for step in steps:
@@ -344,7 +371,9 @@ def _apply(a, steps):
         if not ok:
             raise CertificateError(f"logged operation {step!r} is not unimodular")
         if kind == "sub":
-            a[i] = [x - f * y for x, y in zip(a[i], a[j])]
+            row, src = a[i], a[j]
+            for c in compress(range(len(src)), src):
+                row[c] -= f * src[c]
         elif kind == "gcd":
             rb, rr = a[b], a[r]
             a[b] = [x * s + y * w for s, w in zip(rb, rr)]

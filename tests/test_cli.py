@@ -559,6 +559,19 @@ def test_usage_error_is_one_json_error(args):
     assert (error["code"], error["kind"]) == (2, "UsageError") and error["message"]
 
 
+@pytest.mark.parametrize("args", [
+    ["--pretty", "gadget", "--m", "x"], ["--pretty", "cf", "-5/2", "extra"],
+    ["--pretty", "enum-configs", "--n0", "1"],
+], ids=" ".join)
+def test_usage_error_after_pretty_and_a_subcommand_is_indented(args):
+    code, out, err = run_cli_with_stderr(args)
+    assert (code, err) == (2, "")
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    compact = run_cli_with_stderr(args[1:])
+    assert compact[:2] == (2, json.dumps(payload, separators=(",", ":")) + "\n")
+
+
 def test_usage_error_names_the_subcommand():
     code, out, err = run_cli_with_stderr(["gadget", "--m", "x"])
     assert out == ('{"error":{"code":2,"kind":"UsageError",'

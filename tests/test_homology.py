@@ -6,6 +6,7 @@ import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+import reference_smith as reference
 from conftest import corrupt_certificates, run_optimized
 from crsdiag import (
     ContactSurgeryDiagram,
@@ -27,7 +28,7 @@ from crsdiag import (
 )
 from crsdiag import homology
 from crsdiag.errors import CertificateError, InvalidParameter, UnsupportedComposition
-from crsdiag.homology import SmithForm, cokernel
+from crsdiag.homology import SmithForm, cokernel, presentation_from_rows
 
 
 def sparse_matrix(rng, rows, cols):
@@ -319,10 +320,13 @@ def test_unit_phase_uses_up_every_row_or_column(rng):
             assert len(snf.operations) == 2  # no Kannan-Bachem pass on the empty block
 
 
-@pytest.mark.parametrize("entries, diagonal", [
+DEGENERATE = [
     ((), ()), (((), ()), ()), (((0, 0),), (0,)), (((0,), (0,)), (0,)),
     (((1, 2, 3),), (1,)), (((1,), (2,), (3,)), (1,)),
-])
+]
+
+
+@pytest.mark.parametrize("entries, diagonal", DEGENERATE)
 def test_unit_phase_on_degenerate_shapes(entries, diagonal):
     m = IntMatrix(entries)
     snf = smith_normal_form(m)
@@ -391,7 +395,7 @@ def forged(entries, diagonal, *groups, shape=None):
 
 # one forged log per clause of the check; each forged sub and gcd step would
 # otherwise replay to its (wrong) diagonal
-@pytest.mark.parametrize("m, form, reason", [
+FORGED = [
     pytest.param(*forged([[1, 0], [0, 1]], (1, 1), shape=(2, 1)), "wrong shape",
                  id="wrong shape"),
     pytest.param(*forged([[1, 2], [3, 4]], (1, 2)), "differs from D", id="differs from D"),
@@ -421,10 +425,59 @@ def forged(entries, diagonal, *groups, shape=None):
                  id="unknown side"),
     pytest.param(*forged([[0, 1], [1, 0]], (1, 1), (0, (("sub", 0, 1),))), "malformed",
                  id="malformed step"),
-])
+]
+
+
+@pytest.mark.parametrize("m, form, reason", FORGED)
 def test_certificate_check_rejects(m, form, reason):
     with pytest.raises(CertificateError, match=reason):
         homology._check_certificate(m, form)
+
+
+# --- the nonzero-only row updates against the full-width reference ------------
+
+def _smith_outcome(m):
+    """The Smith form of m with its log replayed on both sides, on each side
+    alone, and into U and V."""
+    form = smith_normal_form(m)
+    replays = [homology._replay(m, form.operations, sides) for sides in ((0, 1), (0,), (1,))]
+    return form, replays, form.left, form.right
+
+
+def _assert_matches_full_width(matrices, monkeypatch):
+    new = [_smith_outcome(m) for m in matrices]
+    with monkeypatch.context() as patch:
+        reference.patch_full_width(patch)
+        old = [_smith_outcome(m) for m in matrices]
+    for m, (form, *rest), (old_form, *old_rest) in zip(matrices, new, old):
+        assert form == old_form, m  # the same diagonal and log, step for step
+        assert rest == old_rest
+
+
+@pytest.mark.parametrize("n", [10, 17, 24, 31, 40, 47, 66])
+@pytest.mark.parametrize("density", [0.1, 1.0])
+def test_row_updates_match_full_width_reference_on_pm1_presentations(n, density, monkeypatch):
+    entries = pm1_presentation(random.Random(n), n, density)
+    _assert_matches_full_width([IntMatrix.from_rows(entries)], monkeypatch)
+
+
+def test_row_updates_match_full_width_reference_on_sparse_and_degenerate(monkeypatch):
+    matrices = [IntMatrix.from_rows(entries) for entries in snf_inputs(random.Random(3), 80, 12)]
+    matrices += [IntMatrix(entries) for entries, _ in DEGENERATE]
+    _assert_matches_full_width(matrices, monkeypatch)
+
+
+def _check_message(m, form):
+    with pytest.raises(CertificateError) as info:
+        homology._check_certificate(m, form)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("m, form, reason", FORGED)
+def test_forged_logs_fail_alike_under_full_width_reference(m, form, reason, monkeypatch):
+    new = _check_message(m, form)
+    reference.patch_full_width(monkeypatch)
+    assert _check_message(m, form) == new
 
 
 def test_certificate_check_accepts_a_valid_forged_log():
@@ -452,6 +505,41 @@ def test_corrupt_certificate_raises_under_optimize():
     result = run_optimized(script)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "raised 1\n"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: IntMatrix(((1.5, 0), (0, 2.9))),
+    lambda: presentation_from_rows([[2.5]], 1),
+    lambda: IntMatrix(((float("nan"),),)),
+    lambda: IntMatrix((("7",),)),
+], ids=["float", "float relation", "nan", "string"])
+def test_int_matrix_refuses_non_integer_entries(build):
+    with pytest.raises(InvalidParameter, match="must hold integers"):
+        build()
+
+
+def test_int_matrix_reads_other_integer_types():
+    assert IntMatrix(((True, 2),)).entries == ((1, 2),)
+
+
+def test_int_matrix_refuses_non_integer_entries_under_optimize():
+    script = textwrap.dedent("""
+        import sys
+        from crsdiag.errors import InvalidParameter
+        from crsdiag.homology import IntMatrix, presentation_from_rows
+
+        for build in (lambda: IntMatrix(((1.5, 0), (0, 2.9))),
+                      lambda: presentation_from_rows([[2.5]], 1),
+                      lambda: IntMatrix(((float("nan"),),)),
+                      lambda: IntMatrix((("7",),))):
+            try:
+                build()
+            except InvalidParameter:
+                print("raised", sys.flags.optimize)
+    """)
+    result = run_optimized(script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "raised 1\n" * 4
 
 
 def test_h1_class_invariants():
