@@ -63,6 +63,9 @@ EXIT_OK, EXIT_SEMANTIC, EXIT_PARSE, EXIT_INTERNAL = 0, 1, 2, 3
 # enum-configs refuses cells of more configurations before enumerating, unless
 # --limit raises the bound; (4,4,2) has 19,925 and (5,5,0) has 60,626
 ENUM_LIMIT = 100_000
+# --limit may raise the bound no further: the result is held in memory, and
+# (5,5,2), with 303,130 configurations, takes about 4 s and 420 MB
+ENUM_MAX_LIMIT = 500_000
 
 
 def _slope_text(value):
@@ -240,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="print only the number of configurations, without enumerating them")
     p.add_argument("--limit", type=int, default=ENUM_LIMIT,
                    help="refuse cells of more configurations than this, before "
-                        f"enumerating (default {ENUM_LIMIT:,})")
+                        f"enumerating (default {ENUM_LIMIT:,}, at most {ENUM_MAX_LIMIT:,})")
     p = sub.add_parser("glue-annuli", help="glue two arc systems into a torus")
     p.add_argument("--top-marks", type=int, required=True)
     p.add_argument("--bottom-marks", type=int, required=True)
@@ -383,6 +386,9 @@ def _run(args) -> Union[dict, Callable[[bool], None]]:
         count = count_configurations(args.n0, args.n1, args.max_winding)
         if args.count_only:
             return {"count": count}
+        if args.limit > ENUM_MAX_LIMIT:
+            raise LimitExceeded(f"--limit is more than {ENUM_MAX_LIMIT}, "
+                                "the most configurations enumerated")
         if count > args.limit:
             raise LimitExceeded(f"the cell has {count} configurations, more than --limit {args.limit}")
         configs = enumerate_configurations(args.n0, args.n1, args.max_winding)

@@ -410,9 +410,10 @@ def _replay(m: IntMatrix, operations, sides=(0, 1)):
 def _check_certificate(m: IntMatrix, form: SmithForm) -> None:
     """Raise CertificateError unless form is an exact Smith form of m.
 
-    Replays the log on a fresh copy of m with its own full-width row code:
-    every logged operation must be unimodular, and the result must equal
-    diag(d) entry by entry, with d_i >= 0, d_i | d_(i+1) and zeros last.
+    Replays the log on a fresh copy of m with _apply, whose sub step updates
+    a row only at the source row's nonzeros: every logged operation must be
+    unimodular, and the result must equal diag(d) entry by entry, with
+    d_i >= 0, d_i | d_(i+1) and zeros last.
     """
     rows, cols = m.nrows, m.ncols
     d = form.diagonal
@@ -507,20 +508,30 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
 
 @dataclass(frozen=True)
 class H1Class:
-    """Finitely generated abelian group: free rank plus a divisibility chain."""
+    """Finitely generated abelian group: free rank plus a divisibility chain.
+
+    The free rank and the torsion coefficients are read as IntMatrix entries
+    are: a float or string raises InvalidParameter instead of being truncated
+    or parsed.
+    """
 
     free_rank: int
     torsion: tuple
 
     def __post_init__(self):
-        if self.free_rank < 0:
-            raise InvalidParameter(f"free rank {self.free_rank} is negative")
-        tor = tuple(int(x) for x in self.torsion)
+        try:
+            rank = operator.index(self.free_rank)
+            tor = tuple(map(operator.index, self.torsion))
+        except TypeError as exc:
+            raise InvalidParameter(f"free rank and torsion must be integers: {exc}") from None
+        if rank < 0:
+            raise InvalidParameter(f"free rank {rank} is negative")
         if any(x < 2 for x in tor):
             raise InvalidParameter(f"torsion coefficients {tor} must all be at least 2")
         for i in range(len(tor) - 1):
             if tor[i + 1] % tor[i]:
                 raise InvalidParameter(f"torsion {tor} does not form a divisibility chain")
+        object.__setattr__(self, "free_rank", rank)
         object.__setattr__(self, "torsion", tor)
 
     @staticmethod

@@ -45,8 +45,9 @@ until none is left.  What is left has no up-step followed by a down-step, so
 it is constant, and it keeps the total t > 0: it is t up-steps.  These are
 the traversing points, and the cancelled pairs are non-crossing arcs that
 stay within the gaps; cancelling recovers the arcs of the first map, so the
-two maps are inverse.  With n0 and n1 pairs of marks, N = n0 + n1 and
-t = 2j, the count is
+two maps are inverse.  The enumeration generates each side's systems by the
+second map, one per set of down-steps, and checks every one it generates.
+With n0 and n1 pairs of marks, N = n0 + n1 and t = 2j, the count is
 
     (2w + 1) * sum_{j >= 1} C(2 n0, n0 - j) C(2 n1, n1 - j)
         = (2w + 1) * (C(2N, N) - C(2 n0, n0) C(2 n1, n1)) / 2,
@@ -59,7 +60,7 @@ contributes C(2 n0, n0) C(2 n1, n1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
@@ -371,57 +372,6 @@ def normalize_slopes(s0: SlopeQ, s1: SlopeQ) -> Tuple[UnimodularMatrix, SlopeQ, 
 
 # --- arc configuration enumeration -------------------------------------------
 
-def _noncrossing_matchings(points: List[int]) -> List[List[Tuple[int, int]]]:
-    """Non-crossing perfect matchings of a linearly ordered point list."""
-    if not points:
-        return [[]]
-    if len(points) % 2:
-        return []
-    out = []
-    first = points[0]
-    for k in range(1, len(points), 2):
-        mate = points[k]
-        inside = points[1:k]
-        outside = points[k + 1:]
-        for m_in in _noncrossing_matchings(inside):
-            for m_out in _noncrossing_matchings(outside):
-                out.append([(first, mate)] + m_in + m_out)
-    return out
-
-
-def _gaps(marks: int, traversing_points: List[int]) -> List[List[int]]:
-    """Cyclic runs of non-traversing points between consecutive traversing ones."""
-    t = sorted(traversing_points)
-    gaps = []
-    for i, start in enumerate(t):
-        end = t[(i + 1) % len(t)]
-        gap = []
-        point = (start + 1) % marks
-        while point != end:
-            gap.append(point)
-            point = (point + 1) % marks
-        gaps.append(gap)
-    return gaps
-
-
-def _parallel_choices(marks: int, traversing_points: List[int], side: str) -> List[List[ParallelArc]]:
-    free = [p for p in range(marks) if p not in set(traversing_points)]
-    if not free:
-        return [[]]
-    per_gap = []
-    for gap in _gaps(marks, traversing_points):
-        if len(gap) % 2:
-            return []
-        per_gap.append(_noncrossing_matchings(gap))
-    out = [[]]
-    for options in per_gap:
-        if not options:
-            return []
-        out = [prefix + [ParallelArc(side, a, b) for a, b in choice]
-               for prefix in out for choice in options]
-    return out
-
-
 def _check_cell(n0: int, n1: int, max_winding: int) -> None:
     if n0 < 1 or n1 < 1:
         raise DomainError("need at least one pair of dividing curves per side")
@@ -442,15 +392,44 @@ def count_configurations(n0: int, n1: int, max_winding: int) -> int:
     return (2 * max_winding + 1) * (comb(2 * n, n) - comb(2 * n0, n0) * comb(2 * n1, n1)) // 2
 
 
-def _side_options(side: str, marks: Dict[str, int], points: List[int]) -> list:
-    """The checked parallel-arc options of one side with the sorted traversing
-    endpoints `points`, as (key, arcs), sorted by key."""
-    options = []
-    for choice in _parallel_choices(marks[side], points, side):
-        _check_side(side, marks, points, choice)
-        options.append((tuple(sorted((arc.start, arc.end) for arc in choice)), tuple(choice)))
-    options.sort(key=itemgetter(0))
-    return options
+def _side_systems(side: str, m: int, t: int):
+    """Every parallel-arc system of one side with m marked points and t
+    traversing endpoints, unchecked, as (points, arcs): one per set of
+    (m - t)/2 down-steps, by the bijection of the module docstring.
+
+    Reading the cycle from the point after the least running sum, every
+    down-step pops an open up-step, and the pair is an arc; the up-steps left
+    on the stack are the traversing points.  The arcs are listed from the
+    first traversing point on, each by its up-step.
+    """
+    for downs in combinations(range(m), (m - t) // 2):
+        step = [1] * m
+        for p in downs:
+            step[p] = -1
+        sums = list(accumulate(step))
+        start = sums.index(min(sums)) + 1
+        stack, arcs = [], []
+        for i in range(start, start + m):
+            p = i % m
+            if step[p] > 0:
+                stack.append(p)
+            else:
+                arcs.append(ParallelArc(side, stack.pop(), p))
+        points = tuple(sorted(stack))
+        arcs.sort(key=lambda arc: (arc.start - points[0]) % m)
+        yield points, tuple(arcs)
+
+
+def _side_options(side: str, marks: Dict[str, int], t: int) -> list:
+    """The checked parallel-arc options of one side with t traversing
+    endpoints, as (points, options) sorted by the sorted endpoints `points`,
+    each option a (key, arcs) and each group sorted by key."""
+    groups = {}
+    for points, arcs in _side_systems(side, marks[side], t):
+        _check_side(side, marks, list(points), arcs)
+        key = tuple(sorted((arc.start, arc.end) for arc in arcs))
+        groups.setdefault(points, []).append((key, arcs))
+    return [(points, sorted(groups[points], key=itemgetter(0))) for points in sorted(groups)]
 
 
 def enumerate_configurations(n0: int, n1: int, max_winding: int) -> List[ArcConfig]:
@@ -468,13 +447,7 @@ def enumerate_configurations(n0: int, n1: int, max_winding: int) -> List[ArcConf
     _check_marks(marks[TOP], marks[BOTTOM])
     families = []  # (key, traversing arcs, top options, bottom options)
     for t in range(2, min(marks.values()) + 1, 2):
-        sides = {}
-        for side in (TOP, BOTTOM):
-            sides[side] = []
-            for points in combinations(range(marks[side]), t):
-                options = _side_options(side, marks, list(points))
-                if options:
-                    sides[side].append((points, options))
+        sides = {side: _side_options(side, marks, t) for side in (TOP, BOTTOM)}
         for tops, top_options in sides[TOP]:
             for bottoms, bottom_options in sides[BOTTOM]:
                 for rho in range(-max_winding, max_winding + 1):

@@ -3,8 +3,9 @@ enumeration and the flat-array gluing replaced, kept as test oracles.
 
 `validate` checks one ArcConfig condition by condition, `enumerate_configurations`
 builds every configuration through the validating ArcConfig constructor and sorts
-by canonical_key, and `glue_annuli` follows the glued curves through
-(side, point)-keyed dicts.  Two replaced pieces of the CLI are here too:
+by canonical_key, `_parallel_choices` lists one side's parallel-arc systems for
+given traversing points by matching each gap between them recursively, and
+`glue_annuli` follows the glued curves through (side, point)-keyed dicts.  Two replaced pieces of the CLI are here too:
 `parse_arcs` reads a glue-annuli arc list item by item, and `configs_stdout`
 prints enum-configs' result with one json.dumps of the whole payload.
 """
@@ -31,7 +32,6 @@ from crsdiag.errors import (
     MarkMismatch,
     SemanticError,
 )
-from crsdiag.slopes import _parallel_choices
 
 
 def _inside(w: int, u: int, v: int, marks: int) -> bool:
@@ -202,6 +202,57 @@ def glue_annuli(a: ArcConfig, b: ArcConfig, offset_top: int = 0, offset_bottom: 
     if sum(len(c.arcs) for c in curves) != len(a.arcs) + len(b.arcs):
         raise CertificateError("gluing did not use every arc exactly once")
     return GluedCurves(tuple(curves))
+
+
+def _noncrossing_matchings(points: List[int]) -> List[List[Tuple[int, int]]]:
+    """Non-crossing perfect matchings of a linearly ordered point list."""
+    if not points:
+        return [[]]
+    if len(points) % 2:
+        return []
+    out = []
+    first = points[0]
+    for k in range(1, len(points), 2):
+        mate = points[k]
+        inside = points[1:k]
+        outside = points[k + 1:]
+        for m_in in _noncrossing_matchings(inside):
+            for m_out in _noncrossing_matchings(outside):
+                out.append([(first, mate)] + m_in + m_out)
+    return out
+
+
+def _gaps(marks: int, traversing_points: List[int]) -> List[List[int]]:
+    """Cyclic runs of non-traversing points between consecutive traversing ones."""
+    t = sorted(traversing_points)
+    gaps = []
+    for i, start in enumerate(t):
+        end = t[(i + 1) % len(t)]
+        gap = []
+        point = (start + 1) % marks
+        while point != end:
+            gap.append(point)
+            point = (point + 1) % marks
+        gaps.append(gap)
+    return gaps
+
+
+def _parallel_choices(marks: int, traversing_points: List[int], side: str) -> List[List[ParallelArc]]:
+    free = [p for p in range(marks) if p not in set(traversing_points)]
+    if not free:
+        return [[]]
+    per_gap = []
+    for gap in _gaps(marks, traversing_points):
+        if len(gap) % 2:
+            return []
+        per_gap.append(_noncrossing_matchings(gap))
+    out = [[]]
+    for options in per_gap:
+        if not options:
+            return []
+        out = [prefix + [ParallelArc(side, a, b) for a, b in choice]
+               for prefix in out for choice in options]
+    return out
 
 
 def enumerate_configurations(n0: int, n1: int, max_winding: int) -> List[ArcConfig]:

@@ -168,6 +168,23 @@ def test_enum_configs_limit_admits_its_own_count():
     assert json.loads(out)["count"] == 17
 
 
+def test_enum_configs_limit_has_a_ceiling(monkeypatch):
+    from crsdiag.cli import ENUM_LIMIT, ENUM_MAX_LIMIT
+
+    assert ENUM_LIMIT <= ENUM_MAX_LIMIT <= 1_000_000
+    _forbid_enumeration(monkeypatch)
+    cell = ["enum-configs", "--n0", "9", "--n1", "9", "--max-winding", "0"]
+    for limit in (ENUM_MAX_LIMIT + 1, 10**30):
+        code, out = run_cli(cell + ["--limit", str(limit)])
+        assert (code, out) == (1, '{"error":{"code":1,"kind":"LimitExceeded","message":'
+                                  f'"--limit is more than {ENUM_MAX_LIMIT}, '
+                                  'the most configurations enumerated"}}\n')
+    code, out = run_cli(cell + ["--limit", str(ENUM_MAX_LIMIT)])
+    assert code == 1 and "3355615450 configurations" in json.loads(out)["error"]["message"]
+    # --count-only enumerates nothing, so it reads no --limit
+    assert run_cli(cell + ["--count-only", "--limit", str(10**30)]) == (0, '{"count":3355615450}\n')
+
+
 def test_enum_configs_domain_error_comes_first():
     for extra in ([], ["--count-only"], ["--limit", "0"]):
         code, out = run_cli(["enum-configs", "--n0", "0", "--n1", "2", "--max-winding", "0"] + extra)

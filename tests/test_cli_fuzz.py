@@ -226,9 +226,9 @@ SLOPES = st.sampled_from(["-5/2", "-2", "-1", "0", "inf", "1/0", "0/0", "3/-2", 
                           f"-{BIG}/{BIG - 2}", f"{BIG - 4}/{BIG - 6}", f"-1/{BIG}"])
 ARCS = st.sampled_from(["T(0,0,0) T(1,1,0)", "P(top,0,1) P(bottom,0,1)", "T(0,1,0) T(1,0,0)",
                         "T(x,0,0)", "", "T(" + "9" * 5000 + ",0,0)", "P(top,0,0)"])
-# --limit raises the enumeration bound at the caller's request, so it is drawn
-# no higher than its default: a huge one would let a fuzzed cell enumerate for ever
-LIMITS = st.sampled_from(["-1", "0", "10", "100000", "x"])
+# --limit raises the enumeration bound at the caller's request, up to
+# cli.ENUM_MAX_LIMIT; a huge one is refused before anything is enumerated
+LIMITS = st.sampled_from(["-1", "0", "10", "100000", str(10**30), "x"])
 # option -> values; None is a flag without a value
 OPTIONS = {
     "cf": {None: SLOPES},

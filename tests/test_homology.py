@@ -551,6 +551,40 @@ def test_h1_class_invariants():
     assert H1Class.cyclic(-4) == H1Class(0, (4,))
 
 
+H1_NON_INTEGER = [((0, (2.5,)), "float torsion"), ((0, ("7",)), "string torsion"),
+                  ((1.5, ()), "float rank"), (("1", ()), "string rank")]
+
+
+@pytest.mark.parametrize("args", [args for args, _ in H1_NON_INTEGER],
+                         ids=[name for _, name in H1_NON_INTEGER])
+def test_h1_class_refuses_non_integers(args):
+    with pytest.raises(InvalidParameter, match="must be integers"):
+        H1Class(*args)
+
+
+def test_h1_class_reads_other_integer_types():
+    group = H1Class(True, (True + 2,))
+    assert (group.free_rank, group.torsion) == (1, (3,))
+    assert type(group.free_rank) is int and str(group) == "Z + Z/3"
+
+
+def test_h1_class_refuses_non_integers_under_optimize():
+    script = textwrap.dedent("""
+        import sys
+        from crsdiag.errors import InvalidParameter
+        from crsdiag.homology import H1Class
+
+        for args in ((0, (2.5,)), (0, ("7",)), (1.5, ()), ("1", ())):
+            try:
+                H1Class(*args)
+            except InvalidParameter:
+                print("raised", sys.flags.optimize)
+    """)
+    result = run_optimized(script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "raised 1\n" * 4
+
+
 def contact(components, linking, coefficients):
     return ContactSurgeryDiagram(
         components=tuple(components),

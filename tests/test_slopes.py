@@ -531,6 +531,21 @@ def test_enumerate_matches_reference(n0):
             assert enumerate_configurations(n0, n1, w) == reference.enumerate_configurations(n0, n1, w)
 
 
+@pytest.mark.parametrize("side", ["top", "bottom"])
+def test_side_options_match_reference(side):
+    for m in range(2, 13, 2):
+        marks = {"top": m, "bottom": m}
+        for t in range(2, m + 1, 2):
+            expected = []
+            for points in combinations(range(m), t):
+                choices = reference._parallel_choices(m, list(points), side)
+                if choices:
+                    options = [(tuple(sorted((a.start, a.end) for a in choice)), tuple(choice))
+                               for choice in choices]
+                    expected.append((points, sorted(options, key=lambda option: option[0])))
+            assert slopes._side_options(side, marks, t) == expected, (m, t)
+
+
 def test_enumeration_runs_no_per_configuration_validate(monkeypatch):
     calls = []
     real = dividing._validate
@@ -541,8 +556,8 @@ def test_enumeration_runs_no_per_configuration_validate(monkeypatch):
     assert len(calls) == 1  # the public constructor still validates
 
 
-# Each forgery edits the top options _parallel_choices returns for one
-# (top marks, traversing points) factor of a cell; the enumeration must raise.
+# Each forgery edits the top systems _side_systems yields for one (top marks,
+# traversing points) factor of a cell; the enumeration must raise.
 FORGERIES = [
     ("crossing", (3, 1, 0), 6, (0, 1),
      lambda options: [[ParallelArc("top", 2, 4), ParallelArc("top", 3, 5)]] + options[1:],
@@ -561,15 +576,18 @@ FORGERIES = [
 
 def forged_outcomes():
     """Run every forgery; returns (name, raised exception type name, expected name)."""
-    real = slopes._parallel_choices
+    real = slopes._side_systems
     results = []
     for name, cell, marks, points, edit, expected in FORGERIES:
-        def forged(m, pts, side, marks=marks, points=points, edit=edit):
-            options = real(m, pts, side)
-            if side == "top" and m == marks and tuple(pts) == points:
-                return edit(options)
-            return options
-        slopes._parallel_choices = forged
+        def forged(side, m, t, marks=marks, points=points, edit=edit):
+            systems = list(real(side, m, t))
+            if side == "top" and m == marks:
+                options = [arcs for pts, arcs in systems if pts == points]
+                systems = [s for s in systems if s[0] != points]
+                if options:
+                    systems += [(points, tuple(arcs)) for arcs in edit(options)]
+            return systems
+        slopes._side_systems = forged
         try:
             enumerate_configurations(*cell)
         except (InvalidArcConfig, CertificateError) as exc:
@@ -577,7 +595,7 @@ def forged_outcomes():
         else:
             results.append((name, None, expected))
         finally:
-            slopes._parallel_choices = real
+            slopes._side_systems = real
     return results
 
 
