@@ -17,6 +17,7 @@ All types are immutable values and all operations are pure functions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Mapping, Optional, Union
@@ -28,6 +29,15 @@ from .errors import (
     NotNice,
     UnsupportedComposition,
 )
+
+
+def integers(values, what: str) -> tuple:
+    """The values as ints (anything with __index__); a float, string or other
+    non-integer raises InvalidParameter instead of being truncated or parsed."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise InvalidParameter(f"{what} must have integer type: {exc}") from None
 
 
 @dataclass(frozen=True, order=False)
@@ -262,6 +272,9 @@ class TightLayerSpec:
     def __post_init__(self):
         if self.kind not in ("nonrotative", "rotative_plus", "rotative_minus"):
             raise InvalidParameter(f"unknown layer kind {self.kind!r}")
+        param, twisting = integers((self.param, self.twisting), "layer parameter and twisting")
+        object.__setattr__(self, "param", param)
+        object.__setattr__(self, "twisting", twisting)
         if self.twisting < 0:
             raise InvalidParameter(f"layer twisting {self.twisting} is negative")
         if self.kind in ("rotative_plus", "rotative_minus") and self.param < 1:

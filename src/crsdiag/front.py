@@ -20,7 +20,8 @@ clasp word "U1 U1 X2 X2 C1 C1" with both components oriented forward computes
 lk = +1), which forces sign = +1 exactly when the directions differ.
 
 The forward orientation of a component starts on the lower strand of its
-first cup and runs rightward.
+first cup and runs rightward.  parse_front_word walks each component once,
+recording its strands' directions and its up and right cusp counts.
 """
 
 from __future__ import annotations
@@ -45,12 +46,20 @@ class Threading:
 
     strand_component[s] is the component id of strand s; components are
     numbered by their least strand id, that is by their earliest cup.
+    rightward[s] is True when the forward orientation runs strand s left to
+    right.  ups[c] counts the cusps of component c that its forward
+    traversal turns upward at, and cusps[c] its right cusps; the traversal
+    passes as many left as right cusps, so 2 * cusps[c] - ups[c] turn
+    downward.
     """
 
     strand_component: List[int]
     component_count: int
     caps: tuple        # (event_index, lo_strand, hi_strand)
     crossings: tuple   # (under_strand, over_strand); under ascends
+    rightward: List[bool]
+    ups: List[int]
+    cusps: List[int]
 
 
 @dataclass(frozen=True)
@@ -92,6 +101,7 @@ def parse_front_word(text: str) -> FrontWord:
     events = []
     positions: List[int] = []  # strand ids ordered bottom to top
     cap_mate: List[int] = []   # the strand each strand joins at its right cusp
+    cap_lower: List[bool] = []  # True for the lower strand of a right cusp
     caps, crossings = [], []
     for t, token in enumerate(tokens):
         kind, digits = token[0], token[1:]
@@ -109,6 +119,7 @@ def parse_front_word(text: str) -> FrontWord:
                 raise PositionError(f"{token}: cup position out of range with {strands} strands")
             lo = len(cap_mate)
             cap_mate += (lo, lo)
+            cap_lower += (False, False)
             positions[i:i] = (lo, lo + 1)
         else:
             if not 1 <= pos <= strands - 1:
@@ -116,6 +127,7 @@ def parse_front_word(text: str) -> FrontWord:
             lo, hi = positions[i], positions[i + 1]
             if kind == "C":
                 cap_mate[lo], cap_mate[hi] = hi, lo
+                cap_lower[lo] = True
                 caps.append((t, lo, hi))
                 del positions[i:i + 2]
             else:
@@ -126,17 +138,29 @@ def parse_front_word(text: str) -> FrontWord:
         raise OpenDiagram(f"front word leaves {len(positions)} strands open")
 
     # each component is a cycle of alternate cup and cap joins; the first
-    # unnumbered even strand is the least strand id of the next component
-    strand_component = [-1] * len(cap_mate)
-    count = 0
-    for start in range(0, len(cap_mate), 2):
+    # unnumbered even strand is the least strand id of the next component.
+    # Every s the walk numbers is one the forward orientation runs rightward:
+    # it turns upward at its right cusp if it is the lower strand there, and
+    # its cap mate turns upward at its cup if that mate is the lower (even)
+    # strand there
+    n = len(cap_mate)
+    strand_component = [-1] * n
+    rightward = [False] * n
+    ups: List[int] = []
+    cusps: List[int] = []
+    for start in range(0, n, 2):
         if strand_component[start] < 0:
-            s = start
+            cid, s, up, count = len(ups), start, 0, 0
             while strand_component[s] < 0:
-                strand_component[s] = strand_component[s ^ 1] = count
+                strand_component[s] = strand_component[s ^ 1] = cid
+                rightward[s] = True
+                up += cap_lower[s] + (cap_mate[s] % 2 == 0)
+                count += 1
                 s = cap_mate[s ^ 1]
-            count += 1
-    threading = Threading(strand_component, count, tuple(caps), tuple(crossings))
+            ups.append(up)
+            cusps.append(count)
+    threading = Threading(strand_component, len(ups), tuple(caps), tuple(crossings),
+                          rightward, ups, cusps)
     return FrontWord(tuple(events), threading)
 
 
@@ -149,41 +173,6 @@ def word_to_text(word: FrontWord) -> str:
 def trace_components(word: FrontWord) -> Threading:
     """The word's strands threaded into components (done once, when it was parsed)."""
     return word.threading
-
-
-def _canonical_directions(threading: Threading):
-    """Traverse every component forward; returns per-strand direction flags
-    and per-component counts of upward cusps and of right cusps.
-
-    rightward[s] is True when the forward traversal runs strand s left to
-    right.  The traversal of a component passes its right cusps and as many
-    left cusps, so its downward cusps number 2 * caps - ups.
-    """
-    comp = threading.strand_component
-    n = len(comp)
-    cap_mate, cap_lower = [0] * n, [False] * n
-    for _t, lo, hi in threading.caps:
-        cap_mate[lo], cap_mate[hi] = hi, lo
-        cap_lower[lo] = True
-    rightward = [False] * n
-    ups = [0] * threading.component_count
-    caps = [0] * threading.component_count
-    cid = 0
-    for start in range(0, n, 2):
-        if comp[start] != cid:
-            continue
-        # start is the lower strand of the component's first cup
-        s = start
-        while not rightward[s]:
-            rightward[s] = True
-            mate = cap_mate[s]
-            # run right into the cap, then left along its mate into a cup;
-            # entering either cusp along its lower strand turns upward
-            ups[cid] += cap_lower[s] + (mate % 2 == 0)
-            caps[cid] += 1
-            s = mate ^ 1
-        cid += 1
-    return rightward, ups, caps
 
 
 @dataclass(frozen=True)
@@ -205,16 +194,15 @@ def classical_invariants(front: OrientedFront) -> FrontInvariants:
     """Per-component tb, rot, writhe and cusp counts, plus pairwise linking.
 
     tb = self-writhe - #right cusps and rot = (#down - #up)/2, which is
-    #right cusps - #up forward (see _canonical_directions) and its negative
-    reversed; crossing signs follow the calibrated table (+1 for opposite
-    horizontal directions).
+    #right cusps - #up forward (see Threading) and its negative reversed;
+    crossing signs follow the calibrated table (+1 for opposite horizontal
+    directions).
     """
     threading = front.word.threading
     n = threading.component_count
     comp = threading.strand_component
-    rightward, ups_fwd, caps = _canonical_directions(threading)
     reverse = [front.orientation[cid] == "reverse" for cid in range(n)]
-    rightward = [right ^ reverse[c] for right, c in zip(rightward, comp)]
+    rightward = [right ^ reverse[c] for right, c in zip(threading.rightward, comp)]
 
     self_writhe = [0] * n
     lk_sums: Dict[Tuple[int, int], int] = {}
@@ -228,13 +216,12 @@ def classical_invariants(front: OrientedFront) -> FrontInvariants:
             lk_sums[key] = lk_sums.get(key, 0) + sign
 
     invariants = []
-    for cid in range(n):
-        up, down = ups_fwd[cid], 2 * caps[cid] - ups_fwd[cid]
-        rot = caps[cid] - up
+    for cid, (up, cusps) in enumerate(zip(threading.ups, threading.cusps)):
+        down, rot = 2 * cusps - up, cusps - up
         if reverse[cid]:
             down, up, rot = up, down, -rot
         invariants.append(ComponentInvariants(
-            tb=self_writhe[cid] - caps[cid],
+            tb=self_writhe[cid] - cusps,
             rot=rot,
             self_writhe=self_writhe[cid],
             cusps_up=up,
@@ -253,9 +240,12 @@ def classical_invariants(front: OrientedFront) -> FrontInvariants:
 def stabilize(front: OrientedFront, component: int, sign: int) -> OrientedFront:
     """Insert one zigzag (a cup/cap pair) on the component, dropping tb by 1.
 
-    sign selects the rotation-number shift (+1 or -1); the zigzag is spliced
-    into the lower strand entering the component's first right cusp, which
-    keeps every other component untouched.
+    sign selects the rotation-number shift (+1 or -1).  The zigzag is
+    spliced into the lower strand lo entering the component's first right
+    cusp, at position pos, which keeps every other component untouched.
+    (U pos, C pos+1) gives lo two down cusps if the orientation runs lo
+    rightward (rot + 1) and two up cusps if leftward (rot - 1); (U pos+1,
+    C pos) gives the opposite shift.  The shift is checked all the same.
     """
     if sign not in (1, -1):
         raise InvalidParameter("stabilization sign must be +1 or -1")
@@ -264,17 +254,21 @@ def stabilize(front: OrientedFront, component: int, sign: int) -> OrientedFront:
         raise UnknownComponent(f"front has no component {component}")
 
     comp = threading.strand_component
-    t = next((t for t, lo, _hi in threading.caps if comp[lo] == component), None)
+    t, lo = next(((t, lo) for t, lo, _hi in threading.caps if comp[lo] == component), (None, 0))
     if t is None:
         raise CertificateError(f"closed component {component} has no right cusp")
     events = front.word.events
     pos = int(events[t][1:])
+    rightward = threading.rightward[lo] ^ (front.orientation[component] == "reverse")
+    if rightward == (sign == 1):
+        zigzag = (f"U{pos}", f"C{pos + 1}")
+    else:
+        zigzag = (f"U{pos + 1}", f"C{pos}")
 
     before = classical_invariants(front).components[component].rot
-    for variant in ((f"U{pos}", f"C{pos + 1}"), (f"U{pos + 1}", f"C{pos}")):
-        word = parse_front_word(" ".join(events[:t] + variant + events[t:]))
-        candidate = OrientedFront(word, front.orientation)
-        after = classical_invariants(candidate).components[component].rot
-        if after - before == sign:
-            return candidate
-    raise CertificateError("no zigzag variant realizes the requested rotation shift")
+    word = parse_front_word(" ".join(events[:t] + zigzag + events[t:]))
+    stabilized = OrientedFront(word, front.orientation)
+    after = classical_invariants(stabilized).components[component].rot
+    if after - before != sign:
+        raise CertificateError(f"the zigzag shifts rot by {after - before}, not {sign}")
+    return stabilized

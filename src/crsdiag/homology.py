@@ -110,16 +110,6 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries))) if self.entries else IntMatrix(())
 
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise InvalidParameter(f"cannot multiply a {self.nrows}x{self.ncols} matrix "
-                                   f"by a {other.nrows}x{other.ncols} matrix")
-        cols = other.transpose().entries
-        return IntMatrix(tuple(
-            tuple(sum(map(operator.mul, row, col)) for col in cols)
-            for row in self.entries
-        ))
-
     def __getitem__(self, idx):
         return self.entries[idx]
 

@@ -65,7 +65,7 @@ from math import comb
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
-from .core import SlopeQ
+from .core import SlopeQ, integers
 from .dividing import (
     BOTTOM,
     TOP,
@@ -99,7 +99,8 @@ class NegCF:
     coefficients: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(int(r) for r in self.coefficients))
+        object.__setattr__(self, "coefficients",
+                           integers(self.coefficients, "continued fraction coefficients"))
         if not self.coefficients:
             raise InvalidParameter("a negative continued fraction has at least one coefficient")
         if any(r > -2 for r in self.coefficients):
@@ -166,6 +167,8 @@ class BoundaryData:
     slope: SlopeQ
 
     def __post_init__(self):
+        (count,) = integers((self.num_dividing,), "the dividing curve count")
+        object.__setattr__(self, "num_dividing", count)
         if self.num_dividing < 2 or self.num_dividing % 2:
             raise InvalidParameter(
                 f"a boundary torus carries a positive even number of dividing curves, "
@@ -187,6 +190,8 @@ class UnimodularMatrix:
     d: int
 
     def __post_init__(self):
+        for name, entry in zip("abcd", integers(self.entries(), "matrix entries")):
+            object.__setattr__(self, name, entry)
         if self.a * self.d - self.b * self.c != 1:
             raise InvalidParameter(f"matrix {self.entries()} does not lie in SL(2,Z)")
 

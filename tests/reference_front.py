@@ -3,8 +3,9 @@ and the flat strand arrays replaced, kept as test oracles.
 
 `parse_front_word` builds one `Event` per token and threads the strands by a
 union-find; `_canonical_directions` walks each component through cup and cap
-dicts; `classical_invariants` keeps per-component dicts.  All three run on
-words alone: they share no code with `crsdiag.front`.
+dicts; `classical_invariants` keeps per-component dicts; `stabilize` parses
+both zigzag variants in turn and keeps the first with the asked rot shift.
+All four run on words alone: they share no code with `crsdiag.front`.
 """
 
 import re
@@ -192,3 +193,17 @@ def classical_invariants(word: Word, orientation: Dict[int, str]):
                                    "mixed crossings of two closed curves come in pairs")
         entries.append((a, b, total // 2))
     return tuple(invariants), LinkingData(entries)
+
+
+def stabilize(word: Word, orientation: Dict[int, str], component: int, sign: int) -> str:
+    """The stabilized word's text: a zigzag before the component's first cap."""
+    comp = word.threading.strand_component
+    t = next(t for t, lo, _hi in word.threading.caps if comp[lo] == component)
+    pos = word.events[t].pos
+    events = [str(event) for event in word.events]
+    before = classical_invariants(word, orientation)[0][component].rot
+    for variant in ([f"U{pos}", f"C{pos + 1}"], [f"U{pos + 1}", f"C{pos}"]):
+        candidate = parse_front_word(" ".join(events[:t] + variant + events[t:]))
+        if classical_invariants(candidate, orientation)[0][component].rot - before == sign:
+            return str(candidate)
+    raise CertificateError("no zigzag variant realizes the requested rotation shift")

@@ -4,13 +4,26 @@ hermite and apply are the Kannan-Bachem pass and the certificate replay
 whose sub steps rebuild the target row at full width.  Patched into
 homology in place of _hermite and _apply, they must give the same log step
 for step, the same replayed rows and the same check errors as the
-nonzero-only updates.
+nonzero-only updates.  matmul is the matrix product that IntMatrix.mul
+gave, which only the tests read.
 """
 
+import operator
 from bisect import bisect_left, insort
 
 from crsdiag import homology
 from crsdiag.errors import CertificateError
+from crsdiag.homology import IntMatrix
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product a * b; raises ValueError unless the shapes fit."""
+    if a.ncols != b.nrows:
+        raise ValueError(f"cannot multiply a {a.nrows}x{a.ncols} matrix "
+                         f"by a {b.nrows}x{b.ncols} matrix")
+    cols = b.transpose().entries
+    return IntMatrix(tuple(tuple(sum(map(operator.mul, row, col)) for col in cols)
+                           for row in a.entries))
 
 
 def hermite(a, log, shift):

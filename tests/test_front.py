@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import random
+import textwrap
 
 import networkx as nx
 import pytest
@@ -16,13 +18,14 @@ from crsdiag import (
     word_to_text,
 )
 from crsdiag.errors import (
+    CertificateError,
     DiagramError,
     FrontSyntaxError,
     OpenDiagram,
     PositionError,
     UnknownComponent,
 )
-from conftest import FIXTURES, random_front_text, random_front_word
+from conftest import FIXTURES, random_front_text, random_front_word, run_optimized
 
 UNKNOT = "U1 C1"
 CLASP = "U1 U1 X2 X2 C1 C1"
@@ -239,6 +242,87 @@ def test_matches_reference_on_random_words():
             assert list(got.lk.pairs()) == list(lk.pairs()), text
             orientations += 1
     assert orientations > 4000
+
+
+def test_walk_matches_reference_directions():
+    """The parse walk's directions and cusp counts equal the replaced
+    traversal's; both number strands in cup order."""
+    rng = random.Random(3517)
+    for _ in range(2000):
+        text = random_front_text(rng, max_cups=rng.randint(1, 6), cap=rng.choice((8, 24, 48)))
+        threading = parse_front_word(text).threading
+        rightward, downs, ups = reference._canonical_directions(
+            reference.parse_front_word(text).threading)
+        n = threading.component_count
+        assert threading.rightward == [rightward[s] for s in range(len(rightward))], text
+        assert threading.ups == [ups[cid] for cid in range(n)], text
+        assert [2 * c - u for c, u in zip(threading.cusps, threading.ups)] == \
+            [downs[cid] for cid in range(n)], text
+
+
+def test_stabilize_matches_reference_trial_loop():
+    """The zigzag picked by rule is the one the trial loop kept, for every
+    component, both of its orientations and both signs."""
+    rng = random.Random(6204)
+    cases = 0
+    for _ in range(1000):
+        text = random_front_text(rng, max_cups=rng.randint(1, 5), cap=rng.choice((8, 24, 40)))
+        old, new = reference.parse_front_word(text), parse_front_word(text)
+        n = new.threading.component_count
+        for comp, reverse, sign in itertools.product(range(n), (False, True), (1, -1)):
+            orientation = {cid: rng.choice(("forward", "reverse")) for cid in range(n)}
+            orientation[comp] = "reverse" if reverse else "forward"
+            got = stabilize(OrientedFront(new, orientation), comp, sign)
+            assert str(got.word) == reference.stabilize(old, orientation, comp, sign), text
+            cases += 1
+    assert cases > 6000
+
+
+def test_stabilize_parses_once(monkeypatch, rng):
+    parses = []
+
+    def counting_parse(text):
+        parses.append(text)
+        return parse_front_word(text)
+
+    monkeypatch.setattr(front, "parse_front_word", counting_parse)
+    for calls in range(1, 41):
+        word = random_front_word(rng)
+        stabilize(OrientedFront.forward(word), rng.randrange(word.threading.component_count),
+                  rng.choice((1, -1)))
+        assert len(parses) == calls
+
+
+_FORGED_STABILIZE = textwrap.dedent("""
+    import dataclasses
+    import sys
+    from crsdiag import OrientedFront, parse_front_word, stabilize
+    from crsdiag.errors import CertificateError
+
+    word = parse_front_word("U1 U1 X2 X2 C1 C1")
+    threading = word.threading
+    forged = dataclasses.replace(threading, rightward=[not r for r in threading.rightward])
+    front = OrientedFront.forward(dataclasses.replace(word, threading=forged))
+    for comp in (0, 1):
+        for sign in (1, -1):
+            try:
+                stabilize(front, comp, sign)
+            except CertificateError:
+                print("raised", sys.flags.optimize)
+""")
+
+
+def test_stabilize_refuses_a_zigzag_that_shifts_rot_the_wrong_way():
+    """Flipped direction flags pick the other zigzag, whose rot shift is -sign."""
+    word = parse_front_word(CLASP)
+    forged = dataclasses.replace(word.threading,
+                                 rightward=[not r for r in word.threading.rightward])
+    front_forged = OrientedFront.forward(dataclasses.replace(word, threading=forged))
+    with pytest.raises(CertificateError, match="shifts rot by -1, not 1"):
+        stabilize(front_forged, 0, 1)
+    result = run_optimized(_FORGED_STABILIZE)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "raised 1\n" * 4
 
 
 # "X\u00b2", "U\u0661" and "C\uff11" hold digits that str.isdigit or int accept

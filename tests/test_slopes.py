@@ -292,6 +292,7 @@ def test_typed_checks_raise_under_optimize():
         from crsdiag.bridge import PairingPlan, pushoff_chain_linking
         from crsdiag.errors import InvalidParameter
         from crsdiag.homology import cokernel
+        from crsdiag.slopes import NegCF
 
         half = ContactSurgeryDiagram((LegendrianComponent("K", -1),), LinkingData(),
                                      {"K": SlopeQ.of(1, 2)})
@@ -301,7 +302,6 @@ def test_typed_checks_raise_under_optimize():
                       lambda: TightLayerSpec.rotative_plus(0),
                       lambda: H1Class(0, (3, 2)),
                       lambda: IntMatrix(((1, 2), (3,))),
-                      lambda: square.mul(IntMatrix.from_rows([[1, 2, 3]])),
                       lambda: det(IntMatrix.from_rows([[1, 2, 3]])),
                       lambda: cokernel(square, 3),
                       lambda: linking_matrix(half),
@@ -309,7 +309,14 @@ def test_typed_checks_raise_under_optimize():
                       lambda: Round1Spec(("A",), 1.5, 0, TightLayerSpec.invariant()),
                       lambda: pushoff_chain_linking(2, 0, 3),
                       lambda: pushoff_chain_linking(2, 1, 1),
-                      lambda: PairingPlan(5, (), ())):
+                      lambda: PairingPlan(5, (), ()),
+                      lambda: NegCF((-2.5,)),
+                      lambda: NegCF(("-3",)),
+                      lambda: BoundaryData(2.0, SlopeQ.of(-1)),
+                      lambda: UnimodularMatrix(1.0, 0, 0, 1),
+                      lambda: TightLayerSpec("nonrotative", 1.5),
+                      lambda: TightLayerSpec("nonrotative", 0, 0.5),
+                      lambda: TightLayerSpec("rotative_plus", "3")):
             try:
                 build()
             except InvalidParameter:
@@ -317,7 +324,7 @@ def test_typed_checks_raise_under_optimize():
     """)
     result = run_optimized(script)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "raised 1\n" * 14
+    assert result.stdout == "raised 1\n" * 20
 
 
 def test_no_assert_statement_in_src():
