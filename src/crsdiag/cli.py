@@ -1,8 +1,11 @@
 """Command line interface: deterministic JSON on stdout, diagnostics as data.
 
-Exit codes: 0 success, 1 semantic/validation failure, 2 parse failure (of a
-file or of the command line), 3 internal self-test or certificate failure.
-Every failure prints one JSON error object; only -h/--help prints text.
+Exit codes: 0 success, 1 semantic/validation failure or a file that cannot be
+read, 2 parse failure (of a file or of the command line), 3 internal self-test
+or certificate failure.  The table _EXIT_CODES is the one place that decides
+them.  Every failure prints one JSON error object; only -h/--help prints text.
+A file that is missing, unreadable or not UTF-8 text exits 1 with kind
+"IOError".
 Identical inputs and flags produce byte-identical output (no timestamps, no
 unordered iteration).
 """
@@ -27,14 +30,7 @@ _ARC_ITEM = re.compile(r"[\s;]*(?:([TP])\(([^\s;,]*),([^\s;,]*),([^\s;,]*)\)(?![
 
 from . import dsl
 from .bridge import kirby1_gadget, pair_pm1_diagram
-from .core import (
-    ContactSurgeryDiagram,
-    RoundSurgeryDiagram,
-    SlopeQ,
-    check_nice,
-    is_fillable_sufficient,
-    joint_pairs_to_pm1,
-)
+from .core import SlopeQ, check_nice, is_fillable_sufficient, joint_pairs_to_pm1
 from .dividing import ArcConfig, ParallelArc, TraversingArc, giroux_overtwisted, glue_annuli
 from .errors import (
     CertificateError,
@@ -59,6 +55,17 @@ from .slopes import (
 )
 
 EXIT_OK, EXIT_SEMANTIC, EXIT_PARSE, EXIT_INTERNAL = 0, 1, 2, 3
+# the exit code of every error main reports, by class; no class here is a
+# subclass of another, so one error matches one row
+_EXIT_CODES = {
+    UsageError: EXIT_PARSE,
+    DslSyntaxError: EXIT_PARSE,
+    DiagramError: EXIT_SEMANTIC,  # SemanticError too
+    OSError: EXIT_SEMANTIC,
+    UnicodeDecodeError: EXIT_SEMANTIC,
+    CertificateError: EXIT_INTERNAL,
+    GadgetSelfTestFailed: EXIT_INTERNAL,
+}
 
 # enum-configs refuses cells of more configurations before enumerating, unless
 # --limit raises the bound; (4,4,2) has 19,925 and (5,5,0) has 60,626
@@ -102,10 +109,9 @@ def _h1_json(h1: H1Class) -> dict:
     return {"free_rank": h1.free_rank, "torsion": list(h1.torsion)}
 
 
-def _load(path: str, name: Optional[str]) -> dsl.NamedDiagram:
+def _load(path: str) -> dsl.DiagramFile:
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    return dsl.parse_file(text).get(name)
+        return dsl.parse_file(handle.read())
 
 
 def _parse_slope(text: str) -> SlopeQ:
@@ -131,15 +137,10 @@ def _parse_arcs(text: str, top_marks: int, bottom_marks: int) -> ArcConfig:
     return ArcConfig(top_marks, bottom_marks, tuple(arcs))
 
 
-def _require_round(nd: dsl.NamedDiagram) -> RoundSurgeryDiagram:
-    if nd.kind != "round":
-        raise SemanticError(f"diagram {nd.name!r} is not a round surgery diagram")
-    return nd.diagram
-
-
-def _require_contact(nd: dsl.NamedDiagram) -> ContactSurgeryDiagram:
-    if nd.kind != "contact":
-        raise SemanticError(f"diagram {nd.name!r} is not a contact surgery diagram")
+def _require(nd: dsl.NamedDiagram, kind: str):
+    """The diagram of nd, which must be of kind "round" or "contact"."""
+    if nd.kind != kind:
+        raise SemanticError(f"diagram {nd.name!r} is not a {kind} surgery diagram")
     return nd.diagram
 
 
@@ -258,8 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> Union[dict, Callable[[bool], None]]:
     if args.command == "parse":
-        with open(args.file, "r", encoding="utf-8") as handle:
-            df = dsl.parse_file(handle.read())
+        df = _load(args.file)
         if args.diagram is not None:
             return {"diagrams": [dsl.diagram_json(df.get(args.diagram))]}
         return {"diagrams": [dsl.diagram_json(nd) for nd in df.diagrams]}
@@ -286,7 +286,7 @@ def _run(args) -> Union[dict, Callable[[bool], None]]:
             }
         if args.file is None:
             raise SemanticError("invariants needs a file or --word")
-        nd = _load(args.file, args.diagram)
+        nd = _load(args.file).get(args.diagram)
         return {
             "components": [
                 {"label": c.label, "tb": c.tb, "rot": c.rot}
@@ -295,7 +295,7 @@ def _run(args) -> Union[dict, Callable[[bool], None]]:
         }
 
     if args.command == "homology":
-        nd = _load(args.file, args.diagram)
+        nd = _load(args.file).get(args.diagram)
         if nd.kind == "contact":
             groups = [h1_dehn(nd.diagram)]
         else:
@@ -303,8 +303,8 @@ def _run(args) -> Union[dict, Callable[[bool], None]]:
         return {"components": [_h1_json(g) for g in groups]}
 
     if args.command == "to-round":
-        nd = _load(args.file, args.diagram)
-        contact = _require_contact(nd)
+        nd = _load(args.file).get(args.diagram)
+        contact = _require(nd, "contact")
         rd, plan = pair_pm1_diagram(contact, k=args.k, gadget_m=args.gadget_m,
                                     gadget_m2=args.gadget_m2)
         named = dsl.named(nd.name, rd)
@@ -326,12 +326,12 @@ def _run(args) -> Union[dict, Callable[[bool], None]]:
         }
 
     if args.command == "to-pm1":
-        nd = _load(args.file, args.diagram)
-        contact = joint_pairs_to_pm1(_require_round(nd))
+        nd = _load(args.file).get(args.diagram)
+        contact = joint_pairs_to_pm1(_require(nd, "round"))
         return {"diagrams": [dsl.diagram_json(dsl.named(nd.name, contact))]}
 
     if args.command == "check-nice":
-        rd = _require_round(_load(args.file, args.diagram))
+        rd = _require(_load(args.file).get(args.diagram), "round")
         reports = []
         for idx in range(len(rd.round1)):
             entry = {"index": idx, "pair": list(rd.round1[idx].pair)}
@@ -351,7 +351,7 @@ def _run(args) -> Union[dict, Callable[[bool], None]]:
         return {"pairs": reports}
 
     if args.command == "fillable":
-        rd = _require_round(_load(args.file, args.diagram))
+        rd = _require(_load(args.file).get(args.diagram), "round")
         return {"fillable": is_fillable_sufficient(rd)}
 
     if args.command == "cf":
@@ -423,39 +423,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = argparse.Namespace()
     try:
         _build_parser().parse_args(argv, namespace=args)
-    except UsageError as exc:
-        # args holds what parsed before the error: a --pretty read before a
-        # valid subcommand word indents the error like any other output
-        pretty = args.pretty and args.command is not None
-        _emit({"error": {"code": EXIT_PARSE, "kind": type(exc).__name__,
-                         "message": str(exc)}}, pretty)
-        return EXIT_PARSE
-    try:
         payload = _run(args)
-    except DslSyntaxError as exc:
-        _emit({"error": {"code": EXIT_PARSE, "kind": type(exc).__name__,
-                         "message": exc.message, "line": exc.line, "col": exc.col}},
-              args.pretty)
-        return EXIT_PARSE
-    except SemanticError as exc:
-        error = {"code": EXIT_SEMANTIC, "kind": type(exc).__name__, "message": str(exc)}
-        if exc.line is not None:
+    except tuple(_EXIT_CODES) as exc:
+        code = next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+        error = {"code": code,
+                 "kind": ("IOError" if isinstance(exc, (OSError, UnicodeDecodeError))
+                          else type(exc).__name__),
+                 "message": exc.message if isinstance(exc, DslSyntaxError) else str(exc)}
+        if getattr(exc, "line", None) is not None:
             error["line"] = exc.line
             error["col"] = exc.col
-        _emit({"error": error}, args.pretty)
-        return EXIT_SEMANTIC
-    except DiagramError as exc:
-        _emit({"error": {"code": EXIT_SEMANTIC, "kind": type(exc).__name__,
-                         "message": str(exc)}}, args.pretty)
-        return EXIT_SEMANTIC
-    except (CertificateError, GadgetSelfTestFailed) as exc:
-        _emit({"error": {"code": EXIT_INTERNAL, "kind": type(exc).__name__,
-                         "message": str(exc)}}, args.pretty)
-        return EXIT_INTERNAL
-    except OSError as exc:
-        _emit({"error": {"code": EXIT_SEMANTIC, "kind": "IOError", "message": str(exc)}},
-              args.pretty)
-        return EXIT_SEMANTIC
+        # argparse sets the defaults of --pretty and of the subcommand before
+        # it can fail: a --pretty read before a valid subcommand word indents
+        # a usage error like any other output
+        _emit({"error": error}, args.pretty and args.command is not None)
+        return code
     if isinstance(payload, dict):
         _emit(payload, args.pretty)
     else:  # a streamed result writes itself

@@ -31,13 +31,17 @@ from .errors import (
 )
 
 
-def integers(values, what: str) -> tuple:
-    """The values as ints (anything with __index__); a float, string or other
-    non-integer raises InvalidParameter instead of being truncated or parsed."""
+def integers(values, message: str, convert=operator.index) -> tuple:
+    """The values as ints (anything with __index__), or as convert maps them.
+
+    A float, string or other non-integer, or values that cannot be iterated,
+    raise InvalidParameter instead of being truncated or parsed.  The message
+    is formatted only then, so it is a constant that quotes no value: an int
+    of more than 4,300 digits has no repr."""
     try:
-        return tuple(map(operator.index, values))
+        return tuple(map(convert, values))
     except TypeError as exc:
-        raise InvalidParameter(f"{what} must have integer type: {exc}") from None
+        raise InvalidParameter(f"{message}: {exc}") from None
 
 
 @dataclass(frozen=True, order=False)
@@ -48,8 +52,9 @@ class SlopeQ:
     q: int
 
     def __post_init__(self):
-        if not (isinstance(self.p, int) and isinstance(self.q, int)):
-            raise InvalidParameter(f"slope {self.p!r}/{self.q!r} needs integer terms")
+        p, q = integers((self.p, self.q), "slope terms must have integer type")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
         if self.q == 0:
             if self.p != 1:
                 raise InvalidParameter(f"infinity is stored as 1/0, not {self.p}/0")
@@ -93,30 +98,27 @@ class SlopeQ:
     def is_integer(self) -> bool:
         return self.q == 1
 
-    def _cmp_key(self, other: "SlopeQ"):
+    def _cmp_key(self, other: Union["SlopeQ", int]):
+        """A pair that compares as self and other do (both denominators are >= 0)."""
+        if not isinstance(other, SlopeQ):
+            if not isinstance(other, int):
+                raise TypeError(f"cannot interpret {other!r} as a slope")
+            other = SlopeQ.of(other, 1)
         if self.is_infinite or other.is_infinite:
             raise ValueError("infinite slope has no place in the linear order")
         return self.p * other.q, other.p * self.q
 
     def __lt__(self, other):
-        other = _coerce_slope(other)
-        a, b = self._cmp_key(other)
-        return a < b
+        return operator.lt(*self._cmp_key(other))
 
     def __le__(self, other):
-        other = _coerce_slope(other)
-        a, b = self._cmp_key(other)
-        return a <= b
+        return operator.le(*self._cmp_key(other))
 
     def __gt__(self, other):
-        other = _coerce_slope(other)
-        a, b = self._cmp_key(other)
-        return a > b
+        return operator.gt(*self._cmp_key(other))
 
     def __ge__(self, other):
-        other = _coerce_slope(other)
-        a, b = self._cmp_key(other)
-        return a >= b
+        return operator.ge(*self._cmp_key(other))
 
     def __str__(self):
         if self.is_infinite:
@@ -124,14 +126,6 @@ class SlopeQ:
         if self.q == 1:
             return str(self.p)
         return f"{self.p}/{self.q}"
-
-
-def _coerce_slope(value: Union[SlopeQ, int]) -> SlopeQ:
-    if isinstance(value, SlopeQ):
-        return value
-    if isinstance(value, int):
-        return SlopeQ.of(value, 1)
-    raise TypeError(f"cannot interpret {value!r} as a slope")
 
 
 # --- coefficient calculus ------------------------------------------------
@@ -226,18 +220,8 @@ class LinkingData:
         """Sorted (a, b, value) triples of the nonzero entries."""
         return iter(self._pairs)
 
-    def labels(self):
-        out = set()
-        for a, b in self._entries:
-            out.add(a)
-            out.add(b)
-        return out
-
     def merged_with(self, other: "LinkingData") -> "LinkingData":
         return LinkingData(self._pairs + other._pairs)
-
-    def relabeled(self, mapping: Mapping) -> "LinkingData":
-        return LinkingData((mapping[a], mapping[b], v) for a, b, v in self.pairs())
 
     def __eq__(self, other):
         return isinstance(other, LinkingData) and self._entries == other._entries
@@ -272,7 +256,8 @@ class TightLayerSpec:
     def __post_init__(self):
         if self.kind not in ("nonrotative", "rotative_plus", "rotative_minus"):
             raise InvalidParameter(f"unknown layer kind {self.kind!r}")
-        param, twisting = integers((self.param, self.twisting), "layer parameter and twisting")
+        param, twisting = integers((self.param, self.twisting),
+                                   "layer parameter and twisting must have integer type")
         object.__setattr__(self, "param", param)
         object.__setattr__(self, "twisting", twisting)
         if self.twisting < 0:
@@ -315,9 +300,10 @@ class Round1Spec:
     def __post_init__(self):
         if len(self.pair) != 2:
             raise InvalidParameter(f"round 1-surgery needs two components, not {self.pair!r}")
-        if not (isinstance(self.coeff_a, int) and isinstance(self.coeff_b, int)):
-            raise InvalidParameter(f"round 1-surgery coefficients {self.coeff_a!r}, "
-                                   f"{self.coeff_b!r} must be integers")
+        coeff_a, coeff_b = integers((self.coeff_a, self.coeff_b),
+                                    "round 1-surgery coefficients must have integer type")
+        object.__setattr__(self, "coeff_a", coeff_a)
+        object.__setattr__(self, "coeff_b", coeff_b)
 
 
 @dataclass(frozen=True)

@@ -111,11 +111,6 @@ class ArcConfig:
     def parallels(self, side: str) -> List[ParallelArc]:
         return [a for a in self.arcs if isinstance(a, ParallelArc) and a.side == side]
 
-    def family_winding(self) -> int:
-        """Common winding integer of the traversing family (0 if none)."""
-        trav = self.traversing()
-        return trav[0].winding if trav else 0
-
     def canonical_key(self):
         trav = sorted((a.top, a.bottom, a.winding) for a in self.traversing())
         par = sorted((a.side, a.start, a.end) for a in self.arcs if isinstance(a, ParallelArc))

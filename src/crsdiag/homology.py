@@ -55,7 +55,6 @@ Presentations used:
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,6 +66,7 @@ from .core import (
     RoundSurgeryDiagram,
     SlopeQ,
     contact_to_topological,
+    integers,
     joint_pairs_to_pm1,
 )
 from .errors import CertificateError, InvalidParameter, NotTwoComponent, UnsupportedComposition
@@ -83,10 +83,8 @@ class IntMatrix:
     entries: tuple  # tuple of row tuples
 
     def __post_init__(self):
-        try:
-            rows = tuple(tuple(map(operator.index, row)) for row in self.entries)
-        except TypeError as exc:
-            raise InvalidParameter(f"matrix rows must hold integers: {exc}") from None
+        message = "matrix rows must hold integers"
+        rows = integers(self.entries, message, lambda row: integers(row, message))
         if any(len(row) != len(rows[0]) for row in rows):
             raise InvalidParameter("matrix must be rectangular")
         object.__setattr__(self, "entries", rows)
@@ -509,11 +507,9 @@ class H1Class:
     torsion: tuple
 
     def __post_init__(self):
-        try:
-            rank = operator.index(self.free_rank)
-            tor = tuple(map(operator.index, self.torsion))
-        except TypeError as exc:
-            raise InvalidParameter(f"free rank and torsion must be integers: {exc}") from None
+        message = "free rank and torsion must be integers"
+        (rank,) = integers((self.free_rank,), message)
+        tor = integers(self.torsion, message)
         if rank < 0:
             raise InvalidParameter(f"free rank {rank} is negative")
         if any(x < 2 for x in tor):

@@ -99,8 +99,8 @@ class NegCF:
     coefficients: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients",
-                           integers(self.coefficients, "continued fraction coefficients"))
+        object.__setattr__(self, "coefficients", integers(
+            self.coefficients, "continued fraction coefficients must have integer type"))
         if not self.coefficients:
             raise InvalidParameter("a negative continued fraction has at least one coefficient")
         if any(r > -2 for r in self.coefficients):
@@ -167,7 +167,7 @@ class BoundaryData:
     slope: SlopeQ
 
     def __post_init__(self):
-        (count,) = integers((self.num_dividing,), "the dividing curve count")
+        (count,) = integers((self.num_dividing,), "the dividing curve count must have integer type")
         object.__setattr__(self, "num_dividing", count)
         if self.num_dividing < 2 or self.num_dividing % 2:
             raise InvalidParameter(
@@ -190,7 +190,8 @@ class UnimodularMatrix:
     d: int
 
     def __post_init__(self):
-        for name, entry in zip("abcd", integers(self.entries(), "matrix entries")):
+        for name, entry in zip("abcd", integers(self.entries(),
+                                                "matrix entries must have integer type")):
             object.__setattr__(self, name, entry)
         if self.a * self.d - self.b * self.c != 1:
             raise InvalidParameter(f"matrix {self.entries()} does not lie in SL(2,Z)")

@@ -8,6 +8,8 @@ given traversing points by matching each gap between them recursively, and
 `glue_annuli` follows the glued curves through (side, point)-keyed dicts.  Two replaced pieces of the CLI are here too:
 `parse_arcs` reads a glue-annuli arc list item by item, and `configs_stdout`
 prints enum-configs' result with one json.dumps of the whole payload.
+`family_winding` reads the common winding of a configuration's traversing
+family, which only tests ask for.
 """
 
 import json
@@ -44,6 +46,12 @@ def config(top_marks: int, bottom_marks: int, arcs: tuple) -> ArcConfig:
     cfg = ArcConfig._trusted(top_marks, bottom_marks, tuple(arcs))
     validate(cfg)
     return cfg
+
+
+def family_winding(cfg: ArcConfig) -> int:
+    """Common winding integer of the traversing family (0 if none)."""
+    trav = cfg.traversing()
+    return trav[0].winding if trav else 0
 
 
 def validate(cfg: ArcConfig) -> None:

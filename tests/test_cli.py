@@ -418,6 +418,25 @@ def test_exit_code_1_on_semantic_error(tmp_path):
 def test_exit_code_1_on_missing_file():
     code, out = run_cli(["parse", "/nonexistent/x.crs"])
     assert code == 1
+    assert out == ('{"error":{"code":1,"kind":"IOError","message":'
+                   '"[Errno 2] No such file or directory: \'/nonexistent/x.crs\'"}}\n')
+
+
+FILE_SUBCOMMANDS = ("parse", "invariants", "homology", "to-round", "to-pm1", "check-nice",
+                    "fillable")
+
+
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["compact", "pretty"])
+@pytest.mark.parametrize("command", FILE_SUBCOMMANDS)
+def test_non_utf8_file_is_a_read_error(tmp_path, command, pretty):
+    path = tmp_path / "binary.crs"
+    path.write_bytes(b"\xff\xfe diagram")
+    code, out, err = run_cli_with_stderr([*pretty, command, str(path)])
+    assert (code, err) == (1, "")
+    message = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    payload = {"error": {"code": 1, "kind": "IOError", "message": message}}
+    assert out == (json.dumps(payload, indent=2) if pretty
+                   else json.dumps(payload, separators=(",", ":"))) + "\n"
 
 
 def test_exit_code_3_on_self_test_failure(monkeypatch, tmp_path):

@@ -2,8 +2,9 @@
 token-edited fixtures and generated .crs files under every file subcommand.
 
 Every run must end in exit code 0, 1 or 2 with one JSON object on stdout and
-nothing on stderr; an uncaught exception (a traceback) fails the test.  The
-examples are derandomized and few, so the tests stay fast and repeatable.
+nothing on stderr, also for a file that is not UTF-8 text; an uncaught
+exception (a traceback) fails the test.  The examples are derandomized and
+few, so the tests stay fast and repeatable.
 
 glue-annuli arc lists, valid and edited, must read as the replaced item by
 item reader in reference_arcs.py reads them: the same ArcConfig, or the same
@@ -111,18 +112,38 @@ def crs_files(draw):
     return edit_lexemes(rng, random_crs_text(rng), draw(st.integers(0, 3)))
 
 
+# byte sequences that no UTF-8 text holds: a byte that starts no character,
+# a two-byte sequence cut short, and an encoded surrogate
+NOT_UTF8 = st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])
+
+
+@st.composite
+def crs_bytes(draw):
+    """A crs_files text encoded as UTF-8; one in four has a byte sequence that
+    is not UTF-8 spliced in."""
+    data = draw(crs_files()).encode("utf-8")
+    if draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + draw(NOT_UTF8) + data[k:]
+    return data
+
+
 FILE_COMMANDS = ("parse", "homology", "check-nice", "fillable", "to-round", "to-pm1")
 
 
 @FUZZ
-@given(text=crs_files(), command=st.sampled_from(FILE_COMMANDS),
+@given(data=crs_bytes(), command=st.sampled_from(FILE_COMMANDS),
        k=st.integers(-2, 3), gadget_m=st.integers(-1, 3))
-def test_file_commands_fuzz(text, command, k, gadget_m):
+def test_file_commands_fuzz(data, command, k, gadget_m):
     options = ["--k", str(k), "--gadget-m", str(gadget_m)] if command == "to-round" else []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzzed.crs"
-        path.write_text(text, encoding="utf-8")
-        check_run([command, *options, str(path)])
+        path.write_bytes(data)
+        code, payload = check_run([command, *options, str(path)])
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        assert (code, payload["error"]["kind"]) == (1, "IOError")
 
 
 # configurations of a small cell, rendered as literals below

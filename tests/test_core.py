@@ -97,7 +97,8 @@ def test_linking_data_orders_its_entries():
     assert lk == LinkingData(reversed(expected))
     merged = lk.merged_with(LinkingData([("D", "A", 5)]))
     assert list(merged.pairs()) == expected + [("A", "D", 5)]
-    relabeled = lk.relabeled({1: "Z", 3: "Y", "A": "A", "B": "B", "C": "C"})
+    names = {1: "Z", 3: "Y", "A": "A", "B": "B", "C": "C"}
+    relabeled = LinkingData((names[a], names[b], v) for a, b, v in lk.pairs())
     assert list(relabeled.pairs()) == [("A", "B", 2), ("C", "Z", 4), ("Y", "Z", -1)]
 
 
@@ -129,6 +130,28 @@ def test_layer_normalization():
     assert not TightLayerSpec.rotative_plus(1).is_zero_layer()
     with pytest.raises(InvalidParameter, match="unknown layer kind 'invariant'"):
         TightLayerSpec("invariant")
+
+
+class Index:
+    """An integer type other than int: it has __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_integer_fields_are_stored_as_plain_ints():
+    slope = SlopeQ(Index(-3), Index(2))
+    spec = Round1Spec(("A", "B"), Index(1), True, TightLayerSpec.invariant())
+    assert (slope, spec.coeff_a, spec.coeff_b) == (SlopeQ(-3, 2), 1, 1)
+    assert all(type(x) is int for x in (slope.p, slope.q, spec.coeff_a, spec.coeff_b))
+    with pytest.raises(InvalidParameter, match="^slope terms must have integer type: "):
+        SlopeQ(1.5, 1)
+    with pytest.raises(InvalidParameter,
+                       match="^round 1-surgery coefficients must have integer type: "):
+        Round1Spec(("A", "B"), 1, "1", TightLayerSpec.invariant())
 
 
 @pytest.mark.parametrize("k", range(-3, 4))

@@ -169,7 +169,7 @@ def test_arc_config_validation():
 def test_parallel_only_config_is_valid():
     # rotative layers have no traversing arcs; the type allows that
     cfg = ArcConfig(2, 2, (ParallelArc("top", 0, 1), ParallelArc("bottom", 1, 0)))
-    assert cfg.family_winding() == 0
+    assert reference.family_winding(cfg) == 0
 
 
 def test_parallel_arc_side_is_checked():

@@ -97,5 +97,11 @@ def test_surgery_meridian_coefficient():
 def test_order_comparisons():
     assert SlopeQ.of(-5, 2) < SlopeQ.of(-2)
     assert SlopeQ.of(-1) <= SlopeQ.of(-1)
+    assert SlopeQ.of(-5, 2) < -2 and SlopeQ.of(3) > 2 and SlopeQ.of(2) >= 2
+    assert not SlopeQ.of(1, 2) >= 1 and not SlopeQ.of(1, 2) <= 0
     with pytest.raises(ValueError):
         _ = SlopeQ.infinity() < SlopeQ.of(0)
+    with pytest.raises(ValueError):
+        _ = SlopeQ.of(0) >= SlopeQ.infinity()
+    with pytest.raises(TypeError):
+        _ = SlopeQ.of(0) < 0.5

@@ -316,7 +316,12 @@ def test_typed_checks_raise_under_optimize():
                       lambda: UnimodularMatrix(1.0, 0, 0, 1),
                       lambda: TightLayerSpec("nonrotative", 1.5),
                       lambda: TightLayerSpec("nonrotative", 0, 0.5),
-                      lambda: TightLayerSpec("rotative_plus", "3")):
+                      lambda: TightLayerSpec("rotative_plus", "3"),
+                      lambda: SlopeQ(1.5, 1),
+                      lambda: SlopeQ("1", 1),
+                      lambda: Round1Spec(("A", "B"), 1.5, 0, TightLayerSpec.invariant()),
+                      lambda: IntMatrix(5),
+                      lambda: H1Class(0, 5)):
             try:
                 build()
             except InvalidParameter:
@@ -324,7 +329,7 @@ def test_typed_checks_raise_under_optimize():
     """)
     result = run_optimized(script)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "raised 1\n" * 20
+    assert result.stdout == "raised 1\n" * 25
 
 
 def test_no_assert_statement_in_src():
@@ -371,7 +376,7 @@ def test_no_import_cycle_in_src():
 def test_enumerate_one_per_winding():
     configs = enumerate_configurations(1, 1, 2)
     assert len(configs) == 5
-    assert sorted(cfg.family_winding() for cfg in configs) == [-2, -1, 0, 1, 2]
+    assert sorted(map(reference.family_winding, configs)) == [-2, -1, 0, 1, 2]
     for cfg in configs:
         assert len(cfg.traversing()) == 2
 
