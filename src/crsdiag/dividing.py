@@ -39,16 +39,16 @@ and the traversing endpoints on it), except the traversing family's shared
 winding and rank-shift matching, which involve only the family.  So the
 checks are split by condition: _validate runs all of them in a fixed order,
 while _check_side and _check_family group them by factor.  This is the
-factored certificate of slopes.enumerate_configurations: it checks each side
-option and each family once, and builds their product through
-ArcConfig._trusted without checking any configuration again.
+factored certificate of slopes.configuration_factors: it checks each side
+option and each family once, and no configuration of their product is
+checked again.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, NamedTuple, Tuple
 
 from .core import TightLayerSpec
 from .errors import (
@@ -62,27 +62,24 @@ from .errors import (
 TOP, BOTTOM = "top", "bottom"
 
 
-@dataclass(frozen=True)
-class TraversingArc:
+class TraversingArc(NamedTuple):
     top: int
     bottom: int
     winding: int
 
 
-@dataclass(frozen=True)
-class ParallelArc:
-    side: str
-    start: int
-    end: int
+class ParallelArc(NamedTuple("_ParallelFields", [("side", str), ("start", int), ("end", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.side not in (TOP, BOTTOM):
+    def __new__(cls, side: str, start: int, end: int):
+        if side not in (TOP, BOTTOM):
             raise InvalidArcConfig(
-                f"parallel arc side must be {TOP!r} or {BOTTOM!r}, not {self.side!r}"
+                f"parallel arc side must be {TOP!r} or {BOTTOM!r}, not {side!r}"
             )
+        return tuple.__new__(cls, (side, start, end))
 
-
-Arc = Union[TraversingArc, ParallelArc]
+    # _replace builds through _make, which would skip the side check
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 @dataclass(frozen=True)
@@ -100,7 +97,7 @@ class ArcConfig:
     @classmethod
     def _trusted(cls, top_marks: int, bottom_marks: int, arcs: tuple) -> "ArcConfig":
         """An ArcConfig built without _validate, for arcs whose every condition
-        the caller has already checked (slopes.enumerate_configurations)."""
+        the caller has already checked (slopes.configuration_factors)."""
         cfg = object.__new__(cls)
         cfg.__dict__.update(top_marks=top_marks, bottom_marks=bottom_marks, arcs=arcs)
         return cfg
@@ -112,8 +109,8 @@ class ArcConfig:
         return [a for a in self.arcs if isinstance(a, ParallelArc) and a.side == side]
 
     def canonical_key(self):
-        trav = sorted((a.top, a.bottom, a.winding) for a in self.traversing())
-        par = sorted((a.side, a.start, a.end) for a in self.arcs if isinstance(a, ParallelArc))
+        trav = sorted(self.traversing())
+        par = sorted(a for a in self.arcs if isinstance(a, ParallelArc))
         return (self.top_marks, self.bottom_marks, tuple(trav), tuple(par))
 
 
@@ -137,13 +134,9 @@ def _validate(cfg: ArcConfig) -> None:
     _check_marks(cfg.top_marks, cfg.bottom_marks)
     marks = {TOP: cfg.top_marks, BOTTOM: cfg.bottom_marks}
     _check_ranges(cfg.arcs, marks)
-    trav, parallels, pars = [], [], {TOP: [], BOTTOM: []}
-    for arc in cfg.arcs:
-        if isinstance(arc, TraversingArc):
-            trav.append(arc)
-        else:
-            parallels.append(arc)
-            pars[arc.side].append(arc)
+    trav = cfg.traversing()
+    parallels = [arc for arc in cfg.arcs if isinstance(arc, ParallelArc)]
+    pars = {side: cfg.parallels(side) for side in (TOP, BOTTOM)}
     _check_counts(TOP, marks[TOP], [a.top for a in trav] + _ends(pars[TOP]))
     _check_counts(BOTTOM, marks[BOTTOM], [a.bottom for a in trav] + _ends(pars[BOTTOM]))
     if trav:
@@ -210,21 +203,24 @@ def _check_counts(side: str, marks: int, endpoints: List[int]) -> None:
 
 def _check_family(trav: List[TraversingArc]) -> Tuple[List[int], List[int]]:
     """One shared winding and its rank-shift matching; returns the sorted top
-    and bottom endpoints of the family."""
-    windings = {a.winding for a in trav}
-    if len(windings) != 1:
+    and bottom endpoints of the family.
+
+    The family's tops are distinct and so are its bottoms (_check_counts ran
+    first, or the caller built them so).  So sorted by top, the arc of rank i
+    must end at the bottom of rank (i + winding) mod t: the bottoms in top
+    order are the sorted bottoms rotated by the winding.
+    """
+    rho = trav[0].winding
+    if any(arc.winding != rho for arc in trav):
         raise InvalidArcConfig("traversing arcs must share one winding integer")
-    rho = windings.pop()
-    tops = sorted(a.top for a in trav)
-    bottoms = sorted(a.bottom for a in trav)
-    t = len(trav)
-    expected = {(tops[i], bottoms[(i + rho) % t]) for i in range(t)}
-    actual = {(a.top, a.bottom) for a in trav}
-    if expected != actual:
+    by_top = sorted(trav)
+    bottoms = sorted(arc.bottom for arc in trav)
+    shift = rho % len(trav)
+    if [arc.bottom for arc in by_top] != bottoms[shift:] + bottoms[:shift]:
         raise InvalidArcConfig(
             "traversing pairing is not the rank-shift matching of its winding"
         )
-    return tops, bottoms
+    return [arc.top for arc in by_top], bottoms
 
 
 def _check_traps(parallels: List[ParallelArc], marks: Dict[str, int],
@@ -303,70 +299,61 @@ def glue_annuli(a: ArcConfig, b: ArcConfig, offset_top: int = 0, offset_bottom: 
         raise MarkMismatch(
             f"mark counts differ: ({a.top_marks}, {a.bottom_marks}) vs ({b.top_marks}, {b.bottom_marks})"
         )
-    marks = {TOP: a.top_marks, BOTTOM: a.bottom_marks}
-    offsets = {TOP: offset_top % marks[TOP], BOTTOM: offset_bottom % marks[BOTTOM]}
-    full = {side: 2 * n for side, n in marks.items()}
+    n_top, n_bottom = a.top_marks, a.bottom_marks
+    full_top, full_bottom = 2 * n_top, 2 * n_bottom
+    off_top, off_bottom = offset_top % n_top, offset_bottom % n_bottom
 
-    at = []  # per annulus and side: the half-edge at each marked point
-    h_contrib, v_contrib, steps = [], [], []
+    at = []  # per annulus: the half-edge at each top point, at each bottom point
+    turns, steps = [], []  # per half-edge: the (h, v) of entering the arc there, and its step
     for tag, cfg in (("a", a), ("b", b)):
-        shift = {side: 2 * offsets[side] if tag == "b" else 0 for side in (TOP, BOTTOM)}
-        ends = {TOP: [None] * marks[TOP], BOTTOM: [None] * marks[BOTTOM]}
-        trav = sorted((arc.top, idx) for idx, arc in enumerate(cfg.arcs)
-                      if isinstance(arc, TraversingArc))
-        lift = {idx: (rank + cfg.arcs[idx].winding) // len(trav)
-                for rank, (_top, idx) in enumerate(trav)}
-        base = 2 * len(h_contrib)
+        shift_top, shift_bottom = (2 * off_top, 2 * off_bottom) if tag == "b" else (0, 0)
+        tops, bottoms = [None] * n_top, [None] * n_bottom
+        trav = sorted(cfg.traversing())
+        lift = [0] * n_top  # vertical-cut crossings of the arc at each top point
+        for rank, arc in enumerate(trav):
+            lift[arc.top] = (rank + arc.winding) // len(trav)
         for idx, arc in enumerate(cfg.arcs):
+            edge = len(turns)
             if isinstance(arc, TraversingArc):
-                ends[TOP][arc.top] = base + 2 * idx
-                ends[BOTTOM][arc.bottom] = base + 2 * idx + 1
-                h_contrib.append(lift[idx]
-                                 + (2 * arc.bottom + 1 + shift[BOTTOM]) // full[BOTTOM]
-                                 - (2 * arc.top + 1 + shift[TOP]) // full[TOP])
-                v_contrib.append(1 if tag == "a" else 0)
+                top, bottom, _ = arc
+                tops[top], bottoms[bottom] = edge, edge + 1
+                h = (lift[top] + (2 * bottom + 1 + shift_bottom) // full_bottom
+                     - (2 * top + 1 + shift_top) // full_top)
+                v = int(tag == "a")
             else:
-                ends[arc.side][arc.start] = base + 2 * idx
-                ends[arc.side][arc.end] = base + 2 * idx + 1
-                lo, hi = _span(arc, marks[arc.side])
-                side_full, side_shift = full[arc.side], shift[arc.side]
-                h_contrib.append((hi + side_shift) // side_full - (lo + side_shift) // side_full)
-                v_contrib.append(0)
-            steps.append(((tag, idx, True), (tag, idx, False)))
-        at.append(ends)
+                ends, full, shift = ((tops, full_top, shift_top) if arc.side == TOP
+                                     else (bottoms, full_bottom, shift_bottom))
+                ends[arc.start], ends[arc.end] = edge, edge + 1
+                lo, hi = _span(arc, full // 2)
+                h, v = (hi + shift) // full - (lo + shift) // full, 0
+            turns += ((h, v), (-h, -v))
+            steps += ((tag, idx, True), (tag, idx, False))
+        at.append((tops, bottoms))
 
-    link = [0] * (2 * len(h_contrib))
-    for side, n in marks.items():
-        ends_a, ends_b, off = at[0][side], at[1][side], offsets[side]
-        for point in range(n):
-            e, f = ends_a[point], ends_b[(point + off) % n]
+    link = [0] * len(turns)
+    for ends_a, ends_b, off in zip(*at, (off_top, off_bottom)):
+        for e, f in zip(ends_a, ends_b[off:] + ends_b[:off]):
             link[e], link[f] = f, e
 
-    used = [False] * len(h_contrib)
+    used = [False] * len(turns)
     curves = []
-    for start in range(len(h_contrib)):
+    for start in range(0, len(turns), 2):
         if used[start]:
             continue
         h = v = 0
         path = []
-        arc, enter = start, 2 * start
-        while not used[arc]:
-            used[arc] = True
-            back = enter & 1
-            if back:
-                h -= h_contrib[arc]
-                v -= v_contrib[arc]
-            else:
-                h += h_contrib[arc]
-                v += v_contrib[arc]
-            path.append(steps[arc][back])
+        enter = start
+        while not used[enter]:
+            used[enter] = used[enter ^ 1] = True
+            dh, dv = turns[enter]
+            h, v = h + dh, v + dv
+            path.append(steps[enter])
             enter = link[enter ^ 1]
-            arc = enter >> 1
-        if arc != start:
+        if enter != start:
             raise CertificateError("a glued dividing curve failed to close up")
         curves.append(ClosedCurve(h, v, tuple(path)))
 
-    if sum(len(c.arcs) for c in curves) != len(h_contrib):
+    if 2 * sum(len(c.arcs) for c in curves) != len(turns):
         raise CertificateError("gluing did not use every arc exactly once")
     return GluedCurves(tuple(curves))
 

@@ -18,18 +18,23 @@ honda_count then dispatches on the classified boundary shape:
 Slopes act as projectivized column vectors (q, p) for slope p/q, so SL(2,Z)
 acts by plain matrix multiplication.
 
-enumerate_configurations carries a factored certificate.  A configuration is
-a traversing family (t top points, t bottom points and a winding) plus one
-parallel-arc option per side, and every validity condition concerns one side
-or the family alone (see the dividing module).  So:
+configuration_factors certifies the enumeration before any configuration is
+built or written.  A configuration is a traversing family (t top points, t
+bottom points and a winding) plus one parallel-arc option per side, and every
+validity condition concerns one side or the family alone (see the dividing
+module).  So:
 
 * each side option and each family passes its checks once, which makes every
   configuration of their product valid;
-* the configurations come out in canonical_key order, compared through the
-  factors' keys, and the keys must strictly increase, so no two are equal;
-* their number must equal count_configurations, a closed form that shares
-  no code with the enumeration, so distinct valid configurations as many as
-  all valid ones are all of them.
+* the family keys strictly increase, and so do the keys within every option
+  list.  The configurations are the lexicographic product (family, bottom
+  option, top option), which is canonical_key's order, because its parallel
+  part lists the bottom arcs first and a family fixes each side's arc count;
+  so the configurations' keys strictly increase, and no two are equal;
+* the sum over families of |bottom options| * |top options| must equal
+  count_configurations, a closed form that shares no code with the
+  enumeration, so distinct valid configurations as many as all valid ones
+  are all of them.
 
 Any failure raises InvalidArcConfig or CertificateError.
 
@@ -428,26 +433,28 @@ def _side_systems(side: str, m: int, t: int):
 
 def _side_options(side: str, marks: Dict[str, int], t: int) -> list:
     """The checked parallel-arc options of one side with t traversing
-    endpoints, as (points, options) sorted by the sorted endpoints `points`,
-    each option a (key, arcs) and each group sorted by key."""
+    endpoints, as (points, options) sorted by the sorted endpoints `points`.
+    Each group's options, tuples of arcs, are in the order of their sorted
+    arcs, the side's part of canonical_key, which must strictly increase."""
     groups = {}
     for points, arcs in _side_systems(side, marks[side], t):
         _check_side(side, marks, list(points), arcs)
-        key = tuple(sorted((arc.start, arc.end) for arc in arcs))
-        groups.setdefault(points, []).append((key, arcs))
-    return [(points, sorted(groups[points], key=itemgetter(0))) for points in sorted(groups)]
+        groups.setdefault(points, []).append((tuple(sorted(arcs)), arcs))
+    out = []
+    for points in sorted(groups):
+        options = sorted(groups[points], key=itemgetter(0))
+        if any(not a[0] < b[0] for a, b in zip(options, options[1:])):
+            raise CertificateError(f"{side} option keys at {points} do not strictly increase")
+        out.append((points, [arcs for _, arcs in options]))
+    return out
 
 
-def enumerate_configurations(n0: int, n1: int, max_winding: int) -> List[ArcConfig]:
-    """All annulus arc systems with 2*n0 top and 2*n1 bottom marked points.
-
-    Configurations satisfy: every marked point is one arc endpoint, at least
-    two traversing arcs, no closed curves, pairwise disjoint; the traversing
-    family winding ranges over [-max_winding, max_winding].  The full set is
-    infinite (windings range over Z), so the bound is the caller's.  The
-    result is sorted by ArcConfig.canonical_key and certified as the module
-    docstring describes.
-    """
+def configuration_factors(n0: int, n1: int, max_winding: int) -> List[tuple]:
+    """The certified factors of enumerate_configurations(n0, n1, max_winding):
+    (traversing arcs, top options, bottom options) per family in key order,
+    each option list in key order and shared by the families with the same
+    endpoints.  Each family's configurations are trav + top + bottom, for
+    every bottom option in turn and, within it, every top option."""
     _check_cell(n0, n1, max_winding)
     marks = {TOP: 2 * n0, BOTTOM: 2 * n1}
     _check_marks(marks[TOP], marks[BOTTOM])
@@ -461,25 +468,28 @@ def enumerate_configurations(n0: int, n1: int, max_winding: int) -> List[ArcConf
                                  for i in range(t))
                     _check_ranges(trav, marks)
                     _check_family(trav)
-                    key = tuple(sorted((arc.top, arc.bottom, rho) for arc in trav))
-                    families.append((key, trav, top_options, bottom_options))
+                    families.append((tuple(sorted(trav)), trav, top_options, bottom_options))
     families.sort(key=itemgetter(0))
-
-    # the order of (family key, bottom key, top key) is that of canonical_key:
-    # its parallel part lists the bottom arcs first ("bottom" < "top"), and
-    # the family fixes how many arcs each side has
-    out = []
-    previous = ()
-    trusted = ArcConfig._trusted
-    for trav_key, trav, top_options, bottom_options in families:
-        for bottom_key, bottom_arcs in bottom_options:
-            for top_key, top_arcs in top_options:
-                key = (trav_key, bottom_key, top_key)
-                if not previous < key:
-                    raise CertificateError(f"configuration keys do not strictly increase at {key}")
-                previous = key
-                out.append(trusted(marks[TOP], marks[BOTTOM], trav + top_arcs + bottom_arcs))
+    if any(not a[0] < b[0] for a, b in zip(families, families[1:])):
+        raise CertificateError("traversing family keys do not strictly increase")
+    total = sum(len(top) * len(bottom) for _, _, top, bottom in families)
     expected = count_configurations(n0, n1, max_winding)
-    if len(out) != expected:
-        raise CertificateError(f"enumerated {len(out)} configurations, but the count is {expected}")
-    return out
+    if total != expected:
+        raise CertificateError(f"the factors make {total} configurations, but the count is {expected}")
+    return [family[1:] for family in families]
+
+
+def enumerate_configurations(n0: int, n1: int, max_winding: int) -> List[ArcConfig]:
+    """All annulus arc systems with 2*n0 top and 2*n1 bottom marked points.
+
+    Configurations satisfy: every marked point is one arc endpoint, at least
+    two traversing arcs, no closed curves, pairwise disjoint; the traversing
+    family winding ranges over [-max_winding, max_winding].  The full set is
+    infinite (windings range over Z), so the bound is the caller's.  The
+    result is the product of configuration_factors, so it is sorted by
+    ArcConfig.canonical_key and certified as the module docstring describes.
+    """
+    trusted = ArcConfig._trusted
+    return [trusted(2 * n0, 2 * n1, trav + top + bottom)
+            for trav, tops, bottoms in configuration_factors(n0, n1, max_winding)
+            for bottom in bottoms for top in tops]

@@ -1,7 +1,8 @@
 """Reference implementations of the arc-system code that the factored
 enumeration and the flat-array gluing replaced, kept as test oracles.
 
-`validate` checks one ArcConfig condition by condition, `enumerate_configurations`
+`validate` checks one ArcConfig condition by condition, `check_family` compares
+a traversing family with its rank-shift matching as sets of pairs, `enumerate_configurations`
 builds every configuration through the validating ArcConfig constructor and sorts
 by canonical_key, `_parallel_choices` lists one side's parallel-arc systems for
 given traversing points by matching each gap between them recursively, and
@@ -78,19 +79,7 @@ def validate(cfg: ArcConfig) -> None:
 
     trav = cfg.traversing()
     if trav:
-        windings = {a.winding for a in trav}
-        if len(windings) != 1:
-            raise InvalidArcConfig("traversing arcs must share one winding integer")
-        rho = windings.pop()
-        tops = sorted(a.top for a in trav)
-        bottoms = sorted(a.bottom for a in trav)
-        t = len(trav)
-        expected = {(tops[i], bottoms[(i + rho) % t]) for i in range(t)}
-        actual = {(a.top, a.bottom) for a in trav}
-        if expected != actual:
-            raise InvalidArcConfig(
-                "traversing pairing is not the rank-shift matching of its winding"
-            )
+        tops, bottoms = check_family(trav)
         # parallel spans may not trap a traversing endpoint on their side
         for arc in cfg.arcs:
             if isinstance(arc, ParallelArc):
@@ -111,6 +100,25 @@ def validate(cfg: ArcConfig) -> None:
                 if _parallel_cross(pars[i], pars[j], marks):
                     raise InvalidArcConfig(f"parallel arcs {pars[i]} and {pars[j]} cross")
 
+
+
+def check_family(trav: List[TraversingArc]) -> Tuple[List[int], List[int]]:
+    """One shared winding and its rank-shift matching, compared as sets of
+    (top, bottom) pairs; returns the sorted top and bottom endpoints."""
+    windings = {a.winding for a in trav}
+    if len(windings) != 1:
+        raise InvalidArcConfig("traversing arcs must share one winding integer")
+    rho = windings.pop()
+    tops = sorted(a.top for a in trav)
+    bottoms = sorted(a.bottom for a in trav)
+    t = len(trav)
+    expected = {(tops[i], bottoms[(i + rho) % t]) for i in range(t)}
+    actual = {(a.top, a.bottom) for a in trav}
+    if expected != actual:
+        raise InvalidArcConfig(
+            "traversing pairing is not the rank-shift matching of its winding"
+        )
+    return tops, bottoms
 
 
 def _traversing_lifts(cfg: ArcConfig) -> Dict[Tuple[int, int], int]:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -124,14 +125,90 @@ def test_enum_configs_on_a_real_stdout_under_optimize():
     assert result.stdout == out.encode()
 
 
+def forged_enum_runs():
+    """enum-configs (3,3,1) on two forged factor sets, as (exit code, stdout):
+    count_configurations one more than the factors make, and a repeated side
+    option.  The CLI counts the cell with the count_configurations it imported
+    before the forgery, so only the factors' certificate sees the forged count."""
+    import crsdiag.cli  # noqa: F401
+    import crsdiag.slopes as slopes
+
+    real_count, real_systems = slopes.count_configurations, slopes._side_systems
+
+    def repeated(side, m, t):
+        systems = list(real_systems(side, m, t))
+        return systems + systems[:1]
+
+    runs = []
+    for name, forged in (("count_configurations", lambda *cell: real_count(*cell) + 1),
+                         ("_side_systems", repeated)):
+        setattr(slopes, name, forged)
+        try:
+            runs.append(run_cli(["enum-configs", "--n0", "3", "--n1", "3", "--max-winding", "1"]))
+        finally:
+            slopes.count_configurations, slopes._side_systems = real_count, real_systems
+    return runs
+
+
+def _assert_certificate_errors(runs):
+    assert len(runs) == 2
+    for code, out in runs:
+        assert code == 3 and out.count("\n") == 1, out[:200]
+        assert json.loads(out)["error"]["kind"] == "CertificateError"
+        assert "configs" not in out
+
+
+def test_forged_factors_print_only_the_certificate_error():
+    _assert_certificate_errors(forged_enum_runs())
+
+
+def test_forged_factors_print_only_the_certificate_error_under_optimize():
+    result = run_optimized(textwrap.dedent("""
+        import json, sys
+        from test_cli import forged_enum_runs
+        print(json.dumps([sys.flags.optimize, forged_enum_runs()]))
+    """))
+    assert result.returncode == 0, result.stderr
+    optimize, runs = json.loads(result.stdout)
+    assert optimize == 1
+    _assert_certificate_errors(runs)
+
+
+def test_enum_configs_peak_memory_does_not_grow_with_the_cell():
+    """(5,5,1), 181,878 configurations, streams from its factors.  The child
+    reports its own peak RSS, VmHWM: on Linux, ru_maxrss after exec starts at
+    the forking parent's peak, which a pytest process can hold at 150 MB.
+    Streaming measured about 26 MB; holding every configuration took 108 MB."""
+    if not Path("/proc/self/status").exists():
+        pytest.skip("VmHWM is read from Linux's /proc/self/status")
+    script = textwrap.dedent("""
+        import os, sys
+        from crsdiag.cli import main
+        with open(os.devnull, "w") as sink:
+            sys.stdout = sink
+            code = main(["enum-configs", "--n0", "5", "--n1", "5", "--max-winding", "1",
+                         "--limit", "200000"])
+            sys.stdout = sys.__stdout__
+        with open("/proc/self/status") as status:
+            peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+        print(code, peak)
+    """)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=optimized_env())
+    assert result.returncode == 0, result.stderr
+    code, peak_kb = map(int, result.stdout.split())
+    assert code == 0
+    assert peak_kb < 60 * 1024, peak_kb
+
+
 def _forbid_enumeration(monkeypatch):
     import crsdiag.cli as cli
     import crsdiag.dividing as dividing
 
     def forbidden(*args):
-        raise AssertionError("an ArcConfig was built")
+        raise AssertionError("the enumeration ran")
 
-    monkeypatch.setattr(cli, "enumerate_configurations", forbidden)
+    monkeypatch.setattr(cli, "configuration_factors", forbidden)
     monkeypatch.setattr(dividing.ArcConfig, "_trusted", forbidden)
     monkeypatch.setattr(dividing, "_validate", forbidden)
 

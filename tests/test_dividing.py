@@ -16,7 +16,7 @@ from crsdiag import (
     glue_annuli,
     layer_to_annulus,
 )
-from crsdiag.dividing import _parallel_cross, _validate
+from crsdiag.dividing import _check_family, _parallel_cross, _validate
 from crsdiag.errors import EmptyDividingSet, InvalidArcConfig, MarkMismatch, UnsupportedLayer
 
 import reference_arcs as reference
@@ -175,6 +175,15 @@ def test_parallel_only_config_is_valid():
 def test_parallel_arc_side_is_checked():
     with pytest.raises(InvalidArcConfig):
         ParallelArc("left", 0, 1)
+    arc = ParallelArc("top", 0, 1)
+    assert arc._replace(end=3) == ParallelArc("top", 0, 3)
+    with pytest.raises(InvalidArcConfig):
+        arc._replace(side="left")
+
+
+def test_arcs_are_tuples():
+    assert TraversingArc(0, 1, 2) == (0, 1, 2) and ParallelArc("top", 0, 1) == ("top", 0, 1)
+    assert repr(ParallelArc("top", 0, 1)) == "ParallelArc(side='top', start=0, end=1)"
 
 
 # rational reference geometry: angles as fractions of a turn
@@ -364,7 +373,7 @@ def _mutate(rng, top_marks, bottom_marks, arcs):
         field = rng.choice(("top", "bottom") if k in trav else ("start", "end"))
         side = field if k in trav else arc.side
         bound = max(top_marks if side == "top" else bottom_marks, 1)
-        arcs[k] = type(arc)(**{**vars(arc), field: rng.randint(-1, bound)})
+        arcs[k] = arc._replace(**{field: rng.randint(-1, bound)})
     elif kind == "winding" and trav:
         k = rng.choice(trav)
         arcs[k] = TraversingArc(arcs[k].top, arcs[k].bottom, arcs[k].winding + rng.choice((-1, 1)))
@@ -427,3 +436,32 @@ def test_trusted_constructor_equals_validated_one():
     assert ArcConfig._trusted(4, 2, arcs) == ArcConfig(4, 2, arcs)
     with pytest.raises(InvalidArcConfig):
         ArcConfig(4, 2, arcs[:1] + arcs[2:])
+
+
+def test_check_family_matches_set_oracle(rng):
+    """The closed form (bottoms in top order against the rotated sorted
+    bottoms) and the replaced set comparison agree on seeded families with
+    distinct tops and distinct bottoms, wrong pairings and mixed windings
+    included."""
+    seen = {"valid": 0, "pairing": 0, "winding": 0}
+    for _ in range(2000):
+        t = rng.randint(1, 8)
+        tops = sorted(rng.sample(range(2 * t + 4), t))
+        bottoms = sorted(rng.sample(range(2 * t + 4), t))
+        rho = rng.randint(-2 * t, 2 * t)
+        pairing = [bottoms[(i + rho) % t] for i in range(t)]
+        if rng.random() < 0.5:
+            rng.shuffle(pairing)  # often not the rank-shift matching
+        trav = [TraversingArc(top, bottom, rho) for top, bottom in zip(tops, pairing)]
+        if rng.random() < 0.15:
+            k = rng.randrange(t)
+            trav[k] = trav[k]._replace(winding=rho + rng.choice((-t, -1, 1, t)))
+        rng.shuffle(trav)
+        expected = _outcome(reference.check_family, trav)
+        assert _outcome(_check_family, trav) == expected, trav
+        if expected is None:
+            assert _check_family(trav) == reference.check_family(trav)
+            seen["valid"] += 1
+        else:
+            seen["winding" if "share one winding" in expected[1] else "pairing"] += 1
+    assert min(seen.values()) >= 200, seen

@@ -538,9 +538,15 @@ def test_enumerate_matches_brute_force_at_winding_zero(n0, n1):
 
 @pytest.mark.parametrize("n0", [1, 2, 3, 4])
 def test_enumerate_matches_reference(n0):
+    """The product of the certified factors, each configuration built through
+    the validating constructor, is the reference enumeration, in its order."""
     for n1 in range(1, 5):
-        for w in (0, 1):
-            assert enumerate_configurations(n0, n1, w) == reference.enumerate_configurations(n0, n1, w)
+        for w in range(3):
+            product = [ArcConfig(2 * n0, 2 * n1, trav + top + bottom)
+                       for trav, tops, bottoms in slopes.configuration_factors(n0, n1, w)
+                       for bottom in bottoms for top in tops]
+            assert product == reference.enumerate_configurations(n0, n1, w), (n0, n1, w)
+            assert enumerate_configurations(n0, n1, w) == product
 
 
 @pytest.mark.parametrize("side", ["top", "bottom"])
@@ -554,7 +560,8 @@ def test_side_options_match_reference(side):
                 if choices:
                     options = [(tuple(sorted((a.start, a.end) for a in choice)), tuple(choice))
                                for choice in choices]
-                    expected.append((points, sorted(options, key=lambda option: option[0])))
+                    options.sort(key=lambda option: option[0])
+                    expected.append((points, [arcs for _, arcs in options]))
             assert slopes._side_options(side, marks, t) == expected, (m, t)
 
 
@@ -627,6 +634,23 @@ def test_forged_factors_raise_under_optimize():
     assert optimize == 1 and len(outcomes) == len(FORGERIES)
     for name, raised, expected in outcomes:
         assert raised == expected, name
+
+
+def test_repeated_family_raises(monkeypatch):
+    """A forged top side whose second endpoint group repeats the first: both
+    have one option, so the count holds and only the family keys refuse it."""
+    real = slopes._side_options
+
+    def forged(side, marks, t):
+        groups = real(side, marks, t)
+        if side == "top" and t == 2:
+            assert len(groups[0][1]) == len(groups[1][1]) == 1
+            groups[1] = groups[0]
+        return groups
+
+    monkeypatch.setattr(slopes, "_side_options", forged)
+    with pytest.raises(CertificateError, match="traversing family keys"):
+        enumerate_configurations(2, 2, 0)
 
 
 # --- count_configurations -------------------------------------------------------
