@@ -357,6 +357,80 @@ def test_gadget_output_is_unchanged():
         assert hashlib.sha256(out.encode()).hexdigest() == digest, m
 
 
+FILE_COMMANDS = ("parse", "invariants", "homology", "to-round", "to-pm1", "check-nice", "fillable")
+# sha256 over "<exit code>\n<stdout>" of the plain run, then of the --pretty
+# run, of each fixture and file subcommand; errors are pinned as well
+FIXTURE_DIGESTS = {
+    ("fillable_two_pairs.crs", "parse"): "0ffcea19c491eea48f8c51f0940a1313c76a9383ddf3b2925d723bc453f5d9bc",
+    ("fillable_two_pairs.crs", "invariants"): "6f00359209dc9fd3e7d4f556d8a9d79d5e9c3e72877858e8745c54a1b1320a65",
+    ("fillable_two_pairs.crs", "homology"): "8ad68c421ce342cddb91af59d09b174003e305dd6a389c89a46b331ba9953572",
+    ("fillable_two_pairs.crs", "to-round"): "a768898cc164cf3cb8a576f92f73c81b3c8c992c9952b5daa16740b725c6d3ff",
+    ("fillable_two_pairs.crs", "to-pm1"): "bf4cb46d3c315f71469fe2c293ea750675a586b6af5c3517ed2832b43fda9daa",
+    ("fillable_two_pairs.crs", "check-nice"): "a31556e59fb91d72e45a25ec1ff67aea54777e5d0e55d0b3e6f4a253a4021e6f",
+    ("fillable_two_pairs.crs", "fillable"): "aabab1638c4d5d4c9e9e1448ea2c308e05f5338a629d41ef6ce706a4ca8a01ae",
+    ("four_unknots_pm1.crs", "parse"): "326f4566e7cfd910136950fce9b4758790b5d2ef9d4412d4417bd0a6765b06f7",
+    ("four_unknots_pm1.crs", "invariants"): "2f74ad5dff7fa121ebb77fff05a543d449c0078c2aad5bed52c836128e381828",
+    ("four_unknots_pm1.crs", "homology"): "84a9b85388adebf5c9c09fc6207bfc0cd753cc2a09d201113590971755dde75e",
+    ("four_unknots_pm1.crs", "to-round"): "600cecfd404c1d8fd7d522dd1ed38d2f8113114cf3252cc01440bd00795ba203",
+    ("four_unknots_pm1.crs", "to-pm1"): "9760c7f5f420d1fc56105b756ffeb44e124888e1c88c62b9baa8949b70a67162",
+    ("four_unknots_pm1.crs", "check-nice"): "9760c7f5f420d1fc56105b756ffeb44e124888e1c88c62b9baa8949b70a67162",
+    ("four_unknots_pm1.crs", "fillable"): "9760c7f5f420d1fc56105b756ffeb44e124888e1c88c62b9baa8949b70a67162",
+    ("front_pair.crs", "parse"): "dea97fcff8a07151327cd4bc9ab6e753e8450ace2314e13f64a0ce2509494042",
+    ("front_pair.crs", "invariants"): "d9eb4351cc8da3de0188dd5d57755f3af1a4b3e88d540cf9889236d34d7cac33",
+    ("front_pair.crs", "homology"): "51a53dedc213dd53ff52faa5cd7979c49d9fa2631f3ea08f94f5ad28d5ba12f4",
+    ("front_pair.crs", "to-round"): "4e72cef4a702fb5602138410c93c21522c70d9ab0ea5ed36f96a88820c9868d1",
+    ("front_pair.crs", "to-pm1"): "d84015807b8ef7c795d4c52b582d5d075e033ccd273f3f2b80c007ace7c40ec8",
+    ("front_pair.crs", "check-nice"): "d84015807b8ef7c795d4c52b582d5d075e033ccd273f3f2b80c007ace7c40ec8",
+    ("front_pair.crs", "fillable"): "d84015807b8ef7c795d4c52b582d5d075e033ccd273f3f2b80c007ace7c40ec8",
+    ("hopf_contact_minus1.crs", "parse"): "a55f54d6d5dd2735273abef1aabfc35c4f85bd2d26054fe8864ed4fc013dfa4b",
+    ("hopf_contact_minus1.crs", "invariants"): "a32309016e0daba55397e3ebcada20f955aba3abc06f8277e3e0d1b31b4a25e1",
+    ("hopf_contact_minus1.crs", "homology"): "6ebb14d821524f8463aea1bf2fb6db29180c4dd0b41b54958ab8597f2393ce20",
+    ("hopf_contact_minus1.crs", "to-round"): "f8c2c407a6949171b90405beaa0ed250a6644371916335cfadaba4c51858f6ff",
+    ("hopf_contact_minus1.crs", "to-pm1"): "8a4c7dc0c1c53e1001f2a63594481631ab271d460d966c3f7e17c4ce5d52d406",
+    ("hopf_contact_minus1.crs", "check-nice"): "8a4c7dc0c1c53e1001f2a63594481631ab271d460d966c3f7e17c4ce5d52d406",
+    ("hopf_contact_minus1.crs", "fillable"): "8a4c7dc0c1c53e1001f2a63594481631ab271d460d966c3f7e17c4ce5d52d406",
+    ("hopf_round1_invariant.crs", "parse"): "935fc7aea25013eeba4054066efd30157d76d10eb5d7b1c71c8c13b2c0e2dd87",
+    ("hopf_round1_invariant.crs", "invariants"): "a32309016e0daba55397e3ebcada20f955aba3abc06f8277e3e0d1b31b4a25e1",
+    ("hopf_round1_invariant.crs", "homology"): "e1fc3d40467377817e0ae08d7f412a3e33d992700971b45c0f3474d83514f414",
+    ("hopf_round1_invariant.crs", "to-round"): "8e5df82b5dce2a556248e946a1dfa6b6309b35cd30a409febd7f121d6625ba02",
+    ("hopf_round1_invariant.crs", "to-pm1"): "c30b271e06c764c24159f788552cde71b95e56b36b057bc771dd5b0eb0c49e35",
+    ("hopf_round1_invariant.crs", "check-nice"): "2834ea2de436b294c7b073eadc52c033180be9c615c534f4a20fc1d6c11a2710",
+    ("hopf_round1_invariant.crs", "fillable"): "4ffc129f7b6bff6062838d795fbbd9a6f7ea53d54eaf221423f7646f7fda1488",
+    ("nice_hopf_pair.crs", "parse"): "a294b2025b8d5a46bc919c74ccecb0dce7afdce17173a18433aa06a03fca81d7",
+    ("nice_hopf_pair.crs", "invariants"): "a32309016e0daba55397e3ebcada20f955aba3abc06f8277e3e0d1b31b4a25e1",
+    ("nice_hopf_pair.crs", "homology"): "6ebb14d821524f8463aea1bf2fb6db29180c4dd0b41b54958ab8597f2393ce20",
+    ("nice_hopf_pair.crs", "to-round"): "c77f8a1ca9a038c6249b221ffdd87bb57b3a3964a923ee20a97444676dc58600",
+    ("nice_hopf_pair.crs", "to-pm1"): "3cf469d37e4dcd68ff453a14a60a1d169a72333930598bb9d97c8b252b13f54c",
+    ("nice_hopf_pair.crs", "check-nice"): "98b2bfbf1963712008687e0678384f66055c591d57bd9cf6ba4ae550040ab286",
+    ("nice_hopf_pair.crs", "fillable"): "aabab1638c4d5d4c9e9e1448ea2c308e05f5338a629d41ef6ce706a4ca8a01ae",
+    ("round2_unknot_plus1.crs", "parse"): "bee5948f5e1cb471c12a0cff7b095290fae7e78922f9bb000f8e6c32bd43f169",
+    ("round2_unknot_plus1.crs", "invariants"): "b4df67fa59c2e12e03480e7b34e83866664c3cb8c57ad7104c0e127eb8bea95d",
+    ("round2_unknot_plus1.crs", "homology"): "d6f99438b42b70d3463197ef24e3ecd63218dfeb60247acfc7cdc435ea138f04",
+    ("round2_unknot_plus1.crs", "to-round"): "f689fad9aecf4c5c4035abbde15d78c0b871d93d3b7b213b8c27fdc4e58ab68b",
+    ("round2_unknot_plus1.crs", "to-pm1"): "881e4d804e32a39a4e76e952a4712c3caaf3a01f4ba3623d7193cdf9ae43d873",
+    ("round2_unknot_plus1.crs", "check-nice"): "4345cf51823df9fd1b6807c315bbe6c9b20a53f48dffc6f09d273482a1cef342",
+    ("round2_unknot_plus1.crs", "fillable"): "4ffc129f7b6bff6062838d795fbbd9a6f7ea53d54eaf221423f7646f7fda1488",
+    ("single_plus1_unknot.crs", "parse"): "e5fb96bb9ffacfa819bb0ac8178a0fbcde9521acb2e4ffb0a25b8f04c0981dc9",
+    ("single_plus1_unknot.crs", "invariants"): "b4df67fa59c2e12e03480e7b34e83866664c3cb8c57ad7104c0e127eb8bea95d",
+    ("single_plus1_unknot.crs", "homology"): "045ef080a47c254d8217c91409a01a26d16d7fe5d7aa33c180d58994c260c5aa",
+    ("single_plus1_unknot.crs", "to-round"): "f6e10cae2aa8f4f1cde0c45dec84af68d80829a30aee6fb098a479c63783e5ad",
+    ("single_plus1_unknot.crs", "to-pm1"): "f93e1f0e00363d4bcfe7946c449d77f50336320ce8d94e711a3e63f86549fa42",
+    ("single_plus1_unknot.crs", "check-nice"): "f93e1f0e00363d4bcfe7946c449d77f50336320ce8d94e711a3e63f86549fa42",
+    ("single_plus1_unknot.crs", "fillable"): "f93e1f0e00363d4bcfe7946c449d77f50336320ce8d94e711a3e63f86549fa42",
+}
+
+
+def test_fixture_output_is_unchanged():
+    assert set(FIXTURE_DIGESTS) == {(path.name, command) for path in FIXTURES.glob("*.crs")
+                                    for command in FILE_COMMANDS}
+    for (name, command), digest in FIXTURE_DIGESTS.items():
+        h = hashlib.sha256()
+        for pretty in ([], ["--pretty"]):
+            code, out = run_cli(pretty + [command, fixture(name)])
+            h.update(f"{code}\n{out}".encode())
+        assert h.hexdigest() == digest, (name, command)
+
+
 def test_gadget_bound_refuses_before_building(monkeypatch):
     import crsdiag.bridge as bridge
     from crsdiag.bridge import GADGET_MAX_M
