@@ -24,7 +24,6 @@ from .core import (
 from .bridge import (
     GadgetSpec,
     PairingPlan,
-    PlannedPair,
     adachi_round1,
     adachi_round2_realize,
     kirby1_gadget,

@@ -21,16 +21,16 @@ with tb = -m presented as one contact (+1)-unknot (tb = -m) plus m contact
 (-1)-unknots (tb = -m - 1, one right stabilization each).  The shipped
 internal linking pattern is the pushoff chain: the (+1)-unknot links each
 stabilized copy tb(K) = -m times and two stabilized copies link -m - 1 times
-(each is a contact pushoff of the previous one).  The pattern is
-configuration, not hard-code, and every construction re-runs the homology
-self-test (trivial first homology); a failure aborts with
-GadgetSelfTestFailed rather than returning silently wrong output.
+(each is a contact pushoff of the previous one); pushoff_chain_linking gives
+it.  Every construction re-runs the homology self-test (trivial first
+homology); a failure aborts with GadgetSelfTestFailed rather than returning
+silently wrong output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .core import (
     ContactSurgeryDiagram,
@@ -64,7 +64,7 @@ GADGET_MAX_M = 128
 
 
 def pushoff_chain_linking(m: int, i: int, j: int) -> int:
-    """Default gadget linking: component 0 is the (+1)-unknot, 1..m the chain."""
+    """Gadget linking: component 0 is the (+1)-unknot, 1..m the chain."""
     lo, hi = min(i, j), max(i, j)
     if not 0 <= lo < hi <= m:
         raise InvalidParameter(f"gadget m={m} has no component pair ({i}, {j})")
@@ -79,11 +79,7 @@ class GadgetSpec:
     diagram: ContactSurgeryDiagram
 
 
-def kirby1_gadget(
-    m: int,
-    label_prefix: str = "",
-    linking: Callable[[int, int, int], int] = pushoff_chain_linking,
-) -> ContactSurgeryDiagram:
+def kirby1_gadget(m: int, label_prefix: str = "") -> ContactSurgeryDiagram:
     """Contact (+-1)-presentation of the standard tight 3-sphere, 1 + m unknots.
 
     Component 0 carries tb = -m and coefficient +1; components 1..m carry
@@ -100,7 +96,7 @@ def kirby1_gadget(
     components = [LegendrianComponent(labels[0], tb=-m, rot=m - 1)]
     components += [LegendrianComponent(labels[i], tb=-m - 1, rot=m) for i in range(1, m + 1)]
     entries = [
-        (labels[i], labels[j], linking(m, i, j))
+        (labels[i], labels[j], pushoff_chain_linking(m, i, j))
         for i in range(m + 1)
         for j in range(i + 1, m + 1)
     ]
@@ -126,20 +122,13 @@ def _gadget_self_test(m: int, diagram: ContactSurgeryDiagram) -> None:
 
 
 @dataclass(frozen=True)
-class PlannedPair:
-    label_a: str
-    label_b: str
-    round1_coeff: int
-    round2_coeff: SlopeQ
-
-
-@dataclass(frozen=True)
 class PairingPlan:
-    """How a (+-1)-diagram was turned into joint pairs."""
+    """How a (+-1)-diagram was turned into joint pairs: the parity case and
+    the gadgets inserted.  The pairs are the diagram's round1, in pairing
+    order."""
 
     case_id: int
     gadgets: tuple  # GadgetSpec, in insertion order
-    pairs: tuple    # PlannedPair
 
     def __post_init__(self):
         if self.case_id not in (1, 2, 3, 4):
@@ -208,17 +197,10 @@ def pair_pm1_diagram(
 
     pool_plus = sorted(lab for lab, c in coefficients.items() if c == plus)
     pool_minus = sorted(lab for lab, c in coefficients.items() if c != plus)
-    round1 = []
-    round2 = []
-    planned = []
-    for pool, coeff in ((pool_plus, plus), (pool_minus, SlopeQ.of(-1))):
-        for a, b in zip(pool[::2], pool[1::2]):
-            idx = len(round1)
-            round1.append(Round1Spec((a, b), k, k, TightLayerSpec.invariant()))
-            round2.append(Round2Spec(b, coeff, joint_with=idx))
-            planned.append(PlannedPair(a, b, k, coeff))
-
-    rd = RoundSurgeryDiagram(tuple(components), linking, tuple(round1), tuple(round2))
+    round1 = [Round1Spec((a, b), k, k, TightLayerSpec.invariant(), coeff)
+              for pool, coeff in ((pool_plus, plus), (pool_minus, SlopeQ.of(-1)))
+              for a, b in zip(pool[::2], pool[1::2])]
+    rd = RoundSurgeryDiagram(tuple(components), linking, tuple(round1))
     # certificate: the pairs read back as the input plus its gadgets
     try:
         back = joint_pairs_to_pm1(rd)
@@ -228,7 +210,7 @@ def pair_pm1_diagram(
     if back != ContactSurgeryDiagram(components, linking, coefficients):
         raise CertificateError(f"case {case_id}: constructed pairs do not read back as "
                                "the input plus its gadgets")
-    return rd, PairingPlan(case_id, tuple(gadgets), tuple(planned))
+    return rd, PairingPlan(case_id, tuple(gadgets))
 
 
 def adachi_round1(
@@ -260,7 +242,7 @@ def adachi_round2_realize(knot: str, meridian: Tuple[int, int]) -> Round2Spec:
     """
     a, b = meridian
     n = surgery_meridian_coefficient(a, b)
-    return Round2Spec(knot, SlopeQ.of(n), joint_with=None)
+    return Round2Spec(knot, SlopeQ.of(n))
 
 
 # the shipped linking configuration must present the standard 3-sphere; fail

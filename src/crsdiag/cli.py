@@ -319,9 +319,8 @@ def _run(args) -> Union[dict, Callable[[bool], None]]:
                     for g in plan.gadgets
                 ],
                 "pairs": [
-                    {"a": p.label_a, "b": p.label_b, "round1": p.round1_coeff,
-                     "round2": str(p.round2_coeff)}
-                    for p in plan.pairs
+                    {"a": r1.pair[0], "b": r1.pair[1], "round1": r1.coeff_a, "round2": str(r1.r2)}
+                    for r1 in rd.round1
                 ],
             },
             "dsl": dsl.print_file(dsl.DiagramFile((named,))),

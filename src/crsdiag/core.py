@@ -290,12 +290,18 @@ class TightLayerSpec:
 
 @dataclass(frozen=True)
 class Round1Spec:
-    """Round 1-surgery on a two-component sublink, with a layer choice."""
+    """Round 1-surgery on a two-component sublink, with a layer choice.
+
+    r2 is the coefficient of the joint round 2-surgery on pair[1], so a spec
+    with r2 set is a whole contact joint pair; None means a standalone round
+    1-surgery.
+    """
 
     pair: tuple
     coeff_a: int
     coeff_b: int
     layer: TightLayerSpec
+    r2: Optional[SlopeQ] = None
 
     def __post_init__(self):
         if len(self.pair) != 2:
@@ -308,11 +314,10 @@ class Round1Spec:
 
 @dataclass(frozen=True)
 class Round2Spec:
-    """Round 2-surgery on one knot; joint_with points at a Round1Spec index."""
+    """Standalone round 2-surgery on one knot (a joint one is Round1Spec.r2)."""
 
     knot: str
     coeff: SlopeQ
-    joint_with: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -347,7 +352,8 @@ class ContactSurgeryDiagram:
 
 @dataclass(frozen=True)
 class RoundSurgeryDiagram:
-    """Legendrian link with round 1-specs, round 2-specs and joint pairs."""
+    """Legendrian link with round 1-specs (joint pairs among them) and
+    standalone round 2-specs."""
 
     components: tuple
     linking: LinkingData
@@ -364,12 +370,6 @@ class RoundSurgeryDiagram:
             if c.label == label:
                 return c
         raise KeyError(label)
-
-    def joint_partner(self, idx: int) -> Optional[Round2Spec]:
-        for r2 in self.round2:
-            if r2.joint_with == idx:
-                return r2
-        return None
 
 
 Diagram = Union[ContactSurgeryDiagram, RoundSurgeryDiagram]
@@ -417,24 +417,16 @@ def validate_diagram(d: Diagram) -> list:
             elif lab in used:
                 out.append(Violation("duplicate_pair_membership", f"component {lab!r} sits in more than one round1 pair"))
             used.add(lab)
-    joint_targets = set()
-    for j, r2 in enumerate(d.round2):
+    for j, r2 in enumerate(d.round2, _joint_count(d)):
         if r2.knot not in seen:
             out.append(Violation("unknown_label", f"round2[{j}] references unknown component {r2.knot!r}"))
-        if r2.joint_with is not None:
-            if not (0 <= r2.joint_with < len(d.round1)):
-                out.append(Violation("bad_joint_index", f"round2[{j}] joint index {r2.joint_with} out of range"))
-                continue
-            if r2.joint_with in joint_targets:
-                out.append(Violation("duplicate_joint", f"round1[{r2.joint_with}] has more than one joint round2 spec"))
-            joint_targets.add(r2.joint_with)
-            if d.round1[r2.joint_with].pair[1] != r2.knot:
-                out.append(Violation(
-                    "joint_mismatch",
-                    f"round2[{j}] is joint with round1[{r2.joint_with}] but {r2.knot!r} "
-                    f"is not that pair's second component",
-                ))
     return out
+
+
+def _joint_count(d: RoundSurgeryDiagram) -> int:
+    """The number of joint pairs: the JSON form lists their round 2-surgeries
+    first, so messages number the standalone round2[j] from here."""
+    return sum(r1.r2 is not None for r1 in d.round1)
 
 
 def is_pm1(d: ContactSurgeryDiagram) -> bool:
@@ -469,17 +461,16 @@ def check_nice(d: RoundSurgeryDiagram, idx: int) -> NicenessReport:
     if not (0 <= idx < len(d.round1)):
         raise IndexError(f"round1 index {idx} out of range")
     r1 = d.round1[idx]
-    r2 = d.joint_partner(idx)
-    if r2 is None:
+    if r1.r2 is None:
         raise NoJointPartner(f"round1[{idx}] has no joint round 2-surgery")
 
     reasons = []
     equal = r1.coeff_a == r1.coeff_b
     if not equal:
         reasons.append(f"coefficient mismatch ({r1.coeff_a} vs {r1.coeff_b})")
-    pm1 = r2.coeff in (SlopeQ.of(1), SlopeQ.of(-1))
+    pm1 = r1.r2 in (SlopeQ.of(1), SlopeQ.of(-1))
     if not pm1:
-        reasons.append(f"round-2 coefficient {r2.coeff} not +1 or -1")
+        reasons.append(f"round-2 coefficient {r1.r2} not +1 or -1")
     standard = r1.layer.is_zero_layer()
     if not standard:
         reasons.append("layer is not the zero-holonomy minimal-twisting one")
@@ -487,17 +478,15 @@ def check_nice(d: RoundSurgeryDiagram, idx: int) -> NicenessReport:
 
 
 def _nice_partners(d: RoundSurgeryDiagram) -> list:
-    """The joint round 2-spec of each round 1-spec, in order.
+    """The joint round 2-coefficient r2 of each round 1-spec, in order.
 
     This is the one place that checks the rule "every surgery sits in a nice
-    joint pair": a round 2-spec outside a joint pair raises
-    UnsupportedComposition, a round 1-spec with no partner or with a pair
-    that check_nice rejects raises NotNice.
+    joint pair": a standalone round 2-spec raises UnsupportedComposition, a
+    round 1-spec with no r2 or with a pair that check_nice rejects raises
+    NotNice.
     """
-    for j, r2 in enumerate(d.round2):
-        if r2.joint_with is None:
-            raise UnsupportedComposition(f"round2[{j}] is not joint with any round 1-surgery")
-    partners = []
+    if d.round2:
+        raise UnsupportedComposition(f"round2[{_joint_count(d)}] is not joint with any round 1-surgery")
     for idx in range(len(d.round1)):
         try:
             report = check_nice(d, idx)
@@ -505,8 +494,7 @@ def _nice_partners(d: RoundSurgeryDiagram) -> list:
             raise NotNice(idx, "no joint round 2-surgery partner") from exc
         if not report.nice:
             raise NotNice(idx, "; ".join(report.reasons))
-        partners.append(d.joint_partner(idx))
-    return partners
+    return [r1.r2 for r1 in d.round1]
 
 
 def joint_pairs_to_pm1(rd: RoundSurgeryDiagram) -> ContactSurgeryDiagram:
@@ -519,9 +507,9 @@ def joint_pairs_to_pm1(rd: RoundSurgeryDiagram) -> ContactSurgeryDiagram:
     if problems:
         raise UnsupportedComposition("invalid diagram: " + "; ".join(v.message for v in problems))
     coefficients = {}
-    for r1, partner in zip(rd.round1, _nice_partners(rd)):
+    for r1, r2 in zip(rd.round1, _nice_partners(rd)):
         a, b = r1.pair
-        coefficients[a] = coefficients[b] = partner.coeff
+        coefficients[a] = coefficients[b] = r2
     for c in rd.components:
         if c.label not in coefficients:
             raise UnsupportedComposition(f"component {c.label!r} is not in any joint pair")
@@ -540,4 +528,4 @@ def is_fillable_sufficient(d: RoundSurgeryDiagram) -> bool:
     except UnsupportedComposition:
         return False
     minus_one = SlopeQ.of(-1)
-    return all(partner.coeff == minus_one for partner in partners)
+    return all(r2 == minus_one for r2 in partners)

@@ -290,7 +290,7 @@ class _Parser:
         decls: List[ComponentDecl] = []
         linking: List[Tuple[str, str, int]] = []
         surgeries = {}
-        joints, round1, round2 = [], [], []
+        round1, round2 = [], []
         while tokens[self.pos] != "}":
             at = self.pos
             statement = self.ident()
@@ -322,28 +322,22 @@ class _Parser:
             else:
                 pair = self.pair()
                 block = self.fields(*self._ROUND_BLOCKS[statement])
-                r1 = Round1Spec(pair, *block["r1"], block.get("layer", TightLayerSpec.invariant()))
-                if statement == "joint_pair":
-                    joints.append((r1, Round2Spec(pair[1], block["r2"])))
-                else:
-                    round1.append(r1)
+                round1.append(Round1Spec(pair, *block["r1"], block.get("layer", TightLayerSpec.invariant()),
+                                         block.get("r2")))
         self.pos += 1
         decls, components = _resolve_components(decls)
         linking = _build_linking(linking)
         if keyword == "diagram":
             return NamedDiagram(name, "contact", decls, ContactSurgeryDiagram(components, linking, surgeries))
-        return NamedDiagram(name, "round", decls, _round_diagram(components, linking, joints, round1, round2))
+        return NamedDiagram(name, "round", decls, _round_diagram(components, linking, round1, round2))
 
 
-def _round_diagram(components, linking, joints, round1, round2) -> RoundSurgeryDiagram:
-    """The round diagram with joint pairs by pair, then standalone round 1 by
-    pair, then standalone round 2 by knot.  joints holds (Round1Spec,
-    Round2Spec) items; each Round2Spec is pointed at its Round1Spec here."""
-    joints = sorted(joints, key=lambda joint: joint[0].pair)
-    round1 = [r1 for r1, _r2 in joints] + sorted(round1, key=lambda r1: r1.pair)
-    round2 = ([replace(r2, joint_with=idx) for idx, (_r1, r2) in enumerate(joints)]
-              + sorted(round2, key=lambda r2: r2.knot))
-    return RoundSurgeryDiagram(components, linking, round1, round2)
+def _round_diagram(components, linking, round1, round2) -> RoundSurgeryDiagram:
+    """The round diagram with joint pairs (round 1-specs with an r2) by pair,
+    then standalone round 1 by pair, then standalone round 2 by knot."""
+    return RoundSurgeryDiagram(components, linking,
+                               sorted(round1, key=lambda r1: (r1.r2 is None, r1.pair)),
+                               sorted(round2, key=lambda r2: r2.knot))
 
 
 def _build_linking(entries) -> LinkingData:
@@ -432,14 +426,12 @@ def print_diagram(nd: NamedDiagram) -> str:
             lines.append(f"  contact_surgery {label} = {nd.diagram.coefficients[label]};")
     else:
         rd = nd.diagram
-        for idx, r1 in enumerate(rd.round1):
-            partner = rd.joint_partner(idx)
-            head, r2 = ("round1", "") if partner is None else ("joint_pair", f" r2 = {partner.coeff};")
+        for r1 in rd.round1:
+            head, r2 = ("round1", "") if r1.r2 is None else ("joint_pair", f" r2 = {r1.r2};")
             lines.append(f"  {head} ({r1.pair[0]}, {r1.pair[1]}) {{ r1 = {r1.coeff_a}, {r1.coeff_b};{r2} "
                          f"layer = {_layer_text(r1.layer)}; }}")
         for r2 in rd.round2:
-            if r2.joint_with is None:
-                lines.append(f"  round2 {r2.knot} {{ r2 = {r2.coeff}; }}")
+            lines.append(f"  round2 {r2.knot} {{ r2 = {r2.coeff}; }}")
     lines.append("}")
     return "\n".join(lines)
 
@@ -458,12 +450,8 @@ def named(name: str, diagram) -> NamedDiagram:
     decls = tuple(ComponentDecl(c.label, c.tb, c.rot) for c in components)
     if isinstance(diagram, ContactSurgeryDiagram):
         return NamedDiagram(name, "contact", decls, replace(diagram, components=components))
-    partners = [diagram.joint_partner(idx) for idx in range(len(diagram.round1))]
-    joints = [(r1, r2) for r1, r2 in zip(diagram.round1, partners) if r2 is not None]
-    round1 = [r1 for r1, r2 in zip(diagram.round1, partners) if r2 is None]
-    round2 = [r2 for r2 in diagram.round2 if r2.joint_with is None]
     return NamedDiagram(name, "round", decls,
-                        _round_diagram(components, diagram.linking, joints, round1, round2))
+                        _round_diagram(components, diagram.linking, diagram.round1, diagram.round2))
 
 
 # --- JSON form -----------------------------------------------------------------
@@ -502,8 +490,10 @@ def diagram_json(nd: NamedDiagram) -> dict:
             }
             for r1 in rd.round1
         ]
+        # each joint pair's round 2-surgery on its second component, then the
+        # standalone ones
         data["round2"] = [
-            {"knot": r2.knot, "coefficient": str(r2.coeff), "joint_with": r2.joint_with}
-            for r2 in rd.round2
-        ]
+            {"knot": r1.pair[1], "coefficient": str(r1.r2), "joint_with": idx}
+            for idx, r1 in enumerate(rd.round1) if r1.r2 is not None
+        ] + [{"knot": r2.knot, "coefficient": str(r2.coeff), "joint_with": None} for r2 in rd.round2]
     return data

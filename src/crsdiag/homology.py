@@ -652,7 +652,7 @@ def h1_round_diagram(rd: RoundSurgeryDiagram) -> List[H1Class]:
     (iii) every surgery sits in a nice joint pair (read as a contact diagram
     by joint_pairs_to_pm1, whose errors are all UnsupportedComposition).
     """
-    if len(rd.round1) == 1 and not rd.round2:
+    if len(rd.round1) == 1 and not rd.round2 and rd.round1[0].r2 is None:
         if len(rd.components) != 2:
             raise NotTwoComponent(
                 "standalone round 1-surgery needs a two-component diagram, "
@@ -666,8 +666,6 @@ def h1_round_diagram(rd: RoundSurgeryDiagram) -> List[H1Class]:
 
     if not rd.round1 and len(rd.round2) == 1 and len(rd.components) == 1:
         r2 = rd.round2[0]
-        if r2.joint_with is not None:
-            raise UnsupportedComposition("round2[0] claims a joint partner that does not exist")
         knot = rd.component(r2.knot)
         outer, inner = h1_round2(knot.tb, r2.coeff)
         return [outer, inner]

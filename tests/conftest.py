@@ -89,6 +89,30 @@ _LAYERS = ("invariant", "nonrotative(0)", "nonrotative(2)", "nonrotative(-1)",
 _SLOPES = ("1", "-1", "5/2", "-3/7", "0", "inf", "2/-3")
 
 
+# Two joint pairs, a standalone round 1-surgery and two standalone round
+# 2-surgeries, out of canonical order.  Parsed, the joint pairs come first,
+# so the JSON form numbers the standalone round 2-surgeries round2[2] and [3].
+MIXED_ROUND_TEXT = """\
+round_diagram mixed {
+  component A { tb = -1; rot = 0; }
+  component B { tb = -2; rot = 1; }
+  component C { tb = -1; rot = 0; }
+  component D { tb = -1; rot = 0; }
+  component E { tb = -3; rot = 0; }
+  component F { tb = -1; rot = 0; }
+  component G { tb = -1; rot = 0; }
+  component H { tb = -1; rot = 0; }
+  lk(A, B) = 1;
+  lk(C, E) = 2;
+  round2 H { r2 = 3; }
+  joint_pair (C, D) { r1 = 1, 1; r2 = 1; layer = invariant; }
+  round1 (E, F) { r1 = 2, 2; layer = nonrotative(1); }
+  round2 G { r2 = 5/2; }
+  joint_pair (A, B) { r1 = 0, 0; r2 = -1; layer = invariant; }
+}
+"""
+
+
 def random_round_text(rng: random.Random, name: str = "r") -> str:
     """A random round diagram as .crs text, its statements in random order:
     joint pairs, standalone round1 and standalone round2 on distinct labels."""

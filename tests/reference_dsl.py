@@ -273,13 +273,11 @@ class _Parser:
         round1_specs = []
         round2_specs = []
         for pair, r1, layer, r2 in joints:
-            idx = len(round1_specs)
-            round1_specs.append(Round1Spec(pair, r1[0], r1[1], layer))
-            round2_specs.append(Round2Spec(pair[1], r2, joint_with=idx))
+            round1_specs.append(Round1Spec(pair, r1[0], r1[1], layer, r2))
         for pair, r1, layer in standalone1:
             round1_specs.append(Round1Spec(pair, r1[0], r1[1], layer))
         for knot, r2 in standalone2:
-            round2_specs.append(Round2Spec(knot, r2, joint_with=None))
+            round2_specs.append(Round2Spec(knot, r2))
         diagram = RoundSurgeryDiagram(components, linking, tuple(round1_specs), tuple(round2_specs))
         return _validated(NamedDiagram(name, "round", decls, diagram))
 

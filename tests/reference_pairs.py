@@ -17,9 +17,9 @@ def joint_pairs_to_pm1(rd):
     problems = validate_diagram(rd)
     if problems:
         raise UnsupportedComposition("invalid diagram: " + "; ".join(v.message for v in problems))
-    for j, r2 in enumerate(rd.round2):
-        if r2.joint_with is None:
-            raise UnsupportedComposition(f"round2[{j}] is not joint with any round 1-surgery")
+    if rd.round2:
+        j = len([r1 for r1 in rd.round1 if r1.r2 is not None])
+        raise UnsupportedComposition(f"round2[{j}] is not joint with any round 1-surgery")
     paired = set()
     coefficients = {}
     for idx, r1 in enumerate(rd.round1):
@@ -29,10 +29,9 @@ def joint_pairs_to_pm1(rd):
             raise NotNice(idx, "no joint round 2-surgery partner") from exc
         if not report.nice:
             raise NotNice(idx, "; ".join(report.reasons))
-        partner = rd.joint_partner(idx)
         a, b = r1.pair
-        coefficients[a] = partner.coeff
-        coefficients[b] = partner.coeff
+        coefficients[a] = r1.r2
+        coefficients[b] = r1.r2
         paired.update((a, b))
     for c in rd.components:
         if c.label not in paired:
@@ -53,13 +52,9 @@ def is_fillable_sufficient(d):
             return False
         if not report.nice:
             return False
-        partner = d.joint_partner(idx)
-        if partner.coeff != minus_one:
+        if d.round1[idx].r2 != minus_one:
             return False
-    for r2 in d.round2:
-        if r2.joint_with is None:
-            return False
-    return True
+    return not d.round2
 
 
 def h1_round_diagram(rd):
@@ -67,7 +62,7 @@ def h1_round_diagram(rd):
     for r1 in rd.round1:
         paired_components.update(r1.pair)
 
-    if len(rd.round1) == 1 and not rd.round2:
+    if len(rd.round1) == 1 and not rd.round2 and rd.round1[0].r2 is None:
         if len(rd.components) != 2:
             raise NotTwoComponent(
                 "standalone round 1-surgery needs a two-component diagram, "
@@ -81,15 +76,13 @@ def h1_round_diagram(rd):
 
     if not rd.round1 and len(rd.round2) == 1 and len(rd.components) == 1:
         r2 = rd.round2[0]
-        if r2.joint_with is not None:
-            raise UnsupportedComposition("round2[0] claims a joint partner that does not exist")
         knot = rd.component(r2.knot)
         outer, inner = h1_round2(knot.tb, r2.coeff)
         return [outer, inner]
 
-    for j, r2 in enumerate(rd.round2):
-        if r2.joint_with is None:
-            raise UnsupportedComposition(f"round2[{j}] is not joint with any round 1-surgery")
+    if rd.round2:
+        j = len([r1 for r1 in rd.round1 if r1.r2 is not None])
+        raise UnsupportedComposition(f"round2[{j}] is not joint with any round 1-surgery")
     for idx in range(len(rd.round1)):
         try:
             report = check_nice(rd, idx)

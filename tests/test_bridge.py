@@ -19,7 +19,8 @@ from crsdiag import (
     pair_pm1_diagram,
     validate_diagram,
 )
-from crsdiag.core import Round1Spec, Round2Spec, RoundSurgeryDiagram, TightLayerSpec
+from crsdiag import bridge
+from crsdiag.core import Round1Spec, RoundSurgeryDiagram, TightLayerSpec
 from crsdiag.errors import (
     GadgetSelfTestFailed,
     InvalidMeridian,
@@ -65,9 +66,10 @@ def test_gadget_invalid_parameter():
         kirby1_gadget(-3)
 
 
-def test_gadget_self_test_catches_bad_linking():
+def test_gadget_self_test_catches_bad_linking(monkeypatch):
+    monkeypatch.setattr(bridge, "pushoff_chain_linking", lambda m, i, j: 0)
     with pytest.raises(GadgetSelfTestFailed):
-        kirby1_gadget(2, linking=lambda m, i, j: 0)
+        kirby1_gadget(2)
 
 
 def test_gadget_range_self_test():
@@ -90,13 +92,13 @@ def test_gadget_range_self_test():
 def test_parity_cases(coefficients, case_id, pair_count, gadget_sizes):
     rd, plan = pair_pm1_diagram(unknots(coefficients))
     assert plan.case_id == case_id
-    assert len(plan.pairs) == pair_count
+    assert len(rd.round1) == pair_count
     assert [g.m for g in plan.gadgets] == gadget_sizes
     assert validate_diagram(rd) == []
     for idx in range(len(rd.round1)):
         assert check_nice(rd, idx).nice
-    plus = sum(1 for p in plan.pairs if p.round2_coeff == SlopeQ.of(1))
-    minus = len(plan.pairs) - plus
+    plus = sum(1 for r1 in rd.round1 if r1.r2 == SlopeQ.of(1))
+    minus = len(rd.round1) - plus
     assert plus * 2 == len([1 for lab, c in joint_pairs_to_pm1(rd).coefficients.items()
                             if c == SlopeQ.of(1)])
     assert minus * 2 == len([1 for lab, c in joint_pairs_to_pm1(rd).coefficients.items()
@@ -144,8 +146,7 @@ def test_joint_pairs_to_pm1_fixtures():
     hopf = lambda coeff: RoundSurgeryDiagram(
         components=(LegendrianComponent("A", -1), LegendrianComponent("B", -1)),
         linking=LinkingData([("A", "B", 1)]),
-        round1=(Round1Spec(("A", "B"), 0, 0, TightLayerSpec.invariant()),),
-        round2=(Round2Spec("B", SlopeQ.of(coeff), joint_with=0),),
+        round1=(Round1Spec(("A", "B"), 0, 0, TightLayerSpec.invariant(), SlopeQ.of(coeff)),),
     )
     out = joint_pairs_to_pm1(hopf(-1))
     assert out.coefficients == {"A": SlopeQ.of(-1), "B": SlopeQ.of(-1)}
@@ -157,8 +158,7 @@ def test_joint_pairs_to_pm1_rejects_unequal_coefficients():
     d = RoundSurgeryDiagram(
         components=(LegendrianComponent("A", -1), LegendrianComponent("B", -1)),
         linking=LinkingData([("A", "B", 1)]),
-        round1=(Round1Spec(("A", "B"), 1, 2, TightLayerSpec.invariant()),),
-        round2=(Round2Spec("B", SlopeQ.of(-1), joint_with=0),),
+        round1=(Round1Spec(("A", "B"), 1, 2, TightLayerSpec.invariant(), SlopeQ.of(-1)),),
     )
     with pytest.raises(NotNice):
         joint_pairs_to_pm1(d)
@@ -172,8 +172,7 @@ def test_joint_pairs_to_pm1_rejects_stray_component():
             LegendrianComponent("C", -1),
         ),
         linking=LinkingData([("A", "B", 1)]),
-        round1=(Round1Spec(("A", "B"), 0, 0, TightLayerSpec.invariant()),),
-        round2=(Round2Spec("B", SlopeQ.of(-1), joint_with=0),),
+        round1=(Round1Spec(("A", "B"), 0, 0, TightLayerSpec.invariant(), SlopeQ.of(-1)),),
     )
     with pytest.raises(UnsupportedComposition):
         joint_pairs_to_pm1(d)

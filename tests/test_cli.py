@@ -13,6 +13,7 @@ import pytest
 from crsdiag import dsl
 from conftest import (
     FIXTURES,
+    MIXED_ROUND_TEXT,
     corrupt_certificates,
     optimized_env,
     random_contact_text,
@@ -355,6 +356,38 @@ def test_gadget_output_is_unchanged():
         code, out = run_cli(["gadget", "--m", str(m)])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, m
+
+
+def test_standalone_round2_error_counts_the_joint_pairs_first(tmp_path):
+    path = tmp_path / "mixed.crs"
+    path.write_text(MIXED_ROUND_TEXT)
+    for command in ("to-pm1", "homology"):
+        code, out = run_cli([command, str(path)])
+        assert (code, json.loads(out)) == (1, {"error": {
+            "code": 1, "kind": "UnsupportedComposition",
+            "message": "round2[2] is not joint with any round 1-surgery"}}), command
+
+
+def test_to_round_plan_pairs_are_the_round1_specs(tmp_path):
+    from crsdiag import SlopeQ, pair_pm1_diagram
+
+    # the +1 components are paired first, so the pairing order, (C, D) then
+    # (A, B), is not the canonical order of the printed diagram
+    path = tmp_path / "pm1.crs"
+    path.write_text("diagram d {\n"
+                    + "".join(f"  component {c} {{ tb = -1; rot = 0; }}\n" for c in "ABCD")
+                    + "".join(f"  contact_surgery {c} = {s};\n" for c, s in zip("ABCD", (-1, -1, 1, 1)))
+                    + "}\n")
+    rd, _plan = pair_pm1_diagram(dsl.parse_file(path.read_text()).get().diagram, k=2)
+    assert [(r1.pair, r1.r2) for r1 in rd.round1] == [(("C", "D"), SlopeQ.of(1)),
+                                                      (("A", "B"), SlopeQ.of(-1))]
+    code, out = run_cli(["to-round", "--k", "2", str(path)])
+    assert code == 0
+    data = json.loads(out)
+    assert data["plan"]["pairs"] == [
+        {"a": r1.pair[0], "b": r1.pair[1], "round1": r1.coeff_a, "round2": str(r1.r2)}
+        for r1 in rd.round1]
+    assert [r1["pair"] for r1 in data["diagrams"][0]["round1"]] == [["A", "B"], ["C", "D"]]
 
 
 FILE_COMMANDS = ("parse", "invariants", "homology", "to-round", "to-pm1", "check-nice", "fillable")

@@ -25,8 +25,7 @@ def hopf_pair(k=0, r2=-1, layer=None):
     return RoundSurgeryDiagram(
         components=hopf_components(),
         linking=LinkingData([("A", "B", 1)]),
-        round1=(Round1Spec(("A", "B"), k, k, layer),),
-        round2=(Round2Spec("B", SlopeQ.of(r2), joint_with=0),),
+        round1=(Round1Spec(("A", "B"), k, k, layer, SlopeQ.of(r2)),),
     )
 
 
@@ -57,16 +56,6 @@ def test_validate_missing_and_extra_coefficient():
     )
     codes = {v.code for v in validate_diagram(d)}
     assert {"missing_coefficient", "extra_coefficient"} <= codes
-
-
-def test_validate_joint_mismatch():
-    d = RoundSurgeryDiagram(
-        components=hopf_components(),
-        linking=LinkingData([("A", "B", 1)]),
-        round1=(Round1Spec(("A", "B"), 0, 0, TightLayerSpec.invariant()),),
-        round2=(Round2Spec("A", SlopeQ.of(-1), joint_with=0),),  # wrong member
-    )
-    assert any(v.code == "joint_mismatch" for v in validate_diagram(d))
 
 
 def test_validate_component_in_two_pairs():
@@ -165,8 +154,7 @@ def test_check_nice_coefficient_mismatch():
     d = RoundSurgeryDiagram(
         components=hopf_components(),
         linking=LinkingData([("A", "B", 1)]),
-        round1=(Round1Spec(("A", "B"), 1, 2, TightLayerSpec.invariant()),),
-        round2=(Round2Spec("B", SlopeQ.of(-1), joint_with=0),),
+        round1=(Round1Spec(("A", "B"), 1, 2, TightLayerSpec.invariant(), SlopeQ.of(-1)),),
     )
     report = check_nice(d, 0)
     assert not report.nice and not report.equal_coefficients
@@ -198,8 +186,7 @@ def test_check_nice_invariant_under_relabeling():
     relabeled = RoundSurgeryDiagram(
         components=(LegendrianComponent("X", -1), LegendrianComponent("Y", -1)),
         linking=LinkingData([("X", "Y", 1)]),
-        round1=(Round1Spec(("X", "Y"), 2, 2, TightLayerSpec.invariant()),),
-        round2=(Round2Spec("Y", SlopeQ.of(-1), joint_with=0),),
+        round1=(Round1Spec(("X", "Y"), 2, 2, TightLayerSpec.invariant(), SlopeQ.of(-1)),),
     )
     a, b = check_nice(base, 0), check_nice(relabeled, 0)
     assert (a.nice, a.equal_coefficients, a.r2_is_pm1, a.layer_is_standard) == (
@@ -223,7 +210,7 @@ def test_fillable_rejects_stray_round2():
     d = RoundSurgeryDiagram(
         components=(LegendrianComponent("K", -1),),
         linking=LinkingData([]),
-        round2=(Round2Spec("K", SlopeQ.of(-1), joint_with=None),),
+        round2=(Round2Spec("K", SlopeQ.of(-1)),),
     )
     assert not is_fillable_sufficient(d)
 

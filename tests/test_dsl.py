@@ -10,6 +10,7 @@ from crsdiag.errors import DslSyntaxError, InvalidParameter, SemanticError
 import reference_dsl
 from conftest import (
     FIXTURES,
+    MIXED_ROUND_TEXT,
     edit_lexemes,
     random_contact_text,
     random_front_file_text,
@@ -84,8 +85,7 @@ def test_named_round_diagram_keeps_its_statements(rng):
     from crsdiag import pair_pm1_diagram
 
     def statements(rd):
-        joint = {r2.joint_with: r2.coeff for r2 in rd.round2 if r2.joint_with is not None}
-        return sorted((r1.pair, r1.coeff_a, r1.coeff_b, str(joint.get(i))) for i, r1 in enumerate(rd.round1))
+        return sorted((r1.pair, r1.coeff_a, r1.coeff_b, str(r1.r2)) for r1 in rd.round1)
 
     for _ in range(20):
         rd = pair_pm1_diagram(random_pm1_diagram(rng))[0]
@@ -254,11 +254,37 @@ def test_syntax_error_carries_position():
 
 
 def test_joint_pair_wires_joint_with():
-    df = parse(FIXTURES.joinpath("fillable_two_pairs.crs").read_text())
-    rd = df.get().diagram
-    assert [r2.joint_with for r2 in rd.round2] == [0, 1]
-    assert rd.round1[0].pair == ("A", "B")
-    assert rd.round1[1].pair == ("C", "D")
+    nd = parse(FIXTURES.joinpath("fillable_two_pairs.crs").read_text()).get()
+    assert nd.diagram.round2 == ()
+    assert [(r1.pair, r1.r2) for r1 in nd.diagram.round1] == [
+        (("A", "B"), SlopeQ.of(-1)), (("C", "D"), SlopeQ.of(-1))]
+    assert [(r2["knot"], r2["joint_with"]) for r2 in dsl.diagram_json(nd)["round2"]] == [
+        ("B", 0), ("D", 1)]
+
+
+def test_mixed_round_file_json_numbers_the_joint_pairs_first():
+    nd = parse(MIXED_ROUND_TEXT).get()
+    assert [(r1.pair, r1.r2) for r1 in nd.diagram.round1] == [
+        (("A", "B"), SlopeQ.of(-1)), (("C", "D"), SlopeQ.of(1)), (("E", "F"), None)]
+    assert dsl.diagram_json(nd)["round2"] == [
+        {"knot": "B", "coefficient": "-1", "joint_with": 0},
+        {"knot": "D", "coefficient": "1", "joint_with": 1},
+        {"knot": "G", "coefficient": "5/2", "joint_with": None},
+        {"knot": "H", "coefficient": "3", "joint_with": None},
+    ]
+
+
+def test_unknown_labels_in_round_statements():
+    # a joint pair's round 2-surgery sits on its pair, so an unknown second
+    # component is reported once, by the round 1 part
+    with pytest.raises(SemanticError) as info:
+        parse("round_diagram bad {\n  component A { tb = -1; rot = 0; }\n"
+              "  joint_pair (A, Z) { r1 = 0, 0; r2 = -1; layer = invariant; }\n}\n")
+    assert str(info.value) == "round1[0] references unknown component 'Z'"
+    # a standalone round 2-surgery is numbered after the joint pairs
+    with pytest.raises(SemanticError) as info:
+        parse(MIXED_ROUND_TEXT.replace("round2 H", "round2 Z"))
+    assert str(info.value) == "round2[3] references unknown component 'Z'"
 
 
 def test_get_by_name_and_default():

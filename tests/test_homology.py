@@ -24,6 +24,7 @@ from crsdiag import (
     h1_round1,
     h1_round2,
     h1_round_diagram,
+    joint_pairs_to_pm1,
     smith_normal_form,
 )
 from crsdiag import homology
@@ -704,8 +705,7 @@ def nice_hopf_pair(k):
     return RoundSurgeryDiagram(
         components=(LegendrianComponent("A", -1), LegendrianComponent("B", -1)),
         linking=LinkingData([("A", "B", 1)]),
-        round1=(Round1Spec(("A", "B"), k, k, TightLayerSpec.invariant()),),
-        round2=(Round2Spec("B", SlopeQ.of(-1), joint_with=0),),
+        round1=(Round1Spec(("A", "B"), k, k, TightLayerSpec.invariant(), SlopeQ.of(-1)),),
     )
 
 
@@ -714,11 +714,24 @@ def test_h1_round_diagram_nice_pair_k_independent():
         assert h1_round_diagram(nice_hopf_pair(k)) == [H1Class(0, (3,))]
 
 
+def test_h1_round_diagram_reads_a_single_joint_pair_as_its_pm1_diagram():
+    # one joint pair on two components is not a standalone round 1-surgery
+    for tb_a, tb_b, lk, k, sign in ((-1, -1, 1, 0, -1), (-2, -1, 3, 1, 1), (-1, -3, 0, 2, -1),
+                                    (-4, -2, -2, 0, 1)):
+        rd = RoundSurgeryDiagram(
+            components=(LegendrianComponent("A", tb_a), LegendrianComponent("B", tb_b)),
+            linking=LinkingData([("A", "B", lk)]),
+            round1=(Round1Spec(("A", "B"), k, k, TightLayerSpec.invariant(), SlopeQ.of(sign)),),
+        )
+        assert h1_round_diagram(rd) == [h1_dehn(joint_pairs_to_pm1(rd))]
+        assert h1_round_diagram(rd) != [h1_round1(tb_a, tb_b, lk, k, k)]
+
+
 def test_h1_round_diagram_single_round2():
     d = RoundSurgeryDiagram(
         components=(LegendrianComponent("K", -1),),
         linking=LinkingData([]),
-        round2=(Round2Spec("K", SlopeQ.of(1), joint_with=None),),
+        round2=(Round2Spec("K", SlopeQ.of(1)),),
     )
     assert h1_round_diagram(d) == [H1Class.free(1), H1Class.trivial()]
 
@@ -757,7 +770,7 @@ def test_h1_round_diagram_rejects_mixtures():
         ),
         linking=LinkingData([("A", "B", 1)]),
         round1=(Round1Spec(("A", "B"), 0, 0, TightLayerSpec.invariant()),),
-        round2=(Round2Spec("C", SlopeQ.of(1), joint_with=None),),
+        round2=(Round2Spec("C", SlopeQ.of(1)),),
     )
     with pytest.raises(UnsupportedComposition):
         h1_round_diagram(d)

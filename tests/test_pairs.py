@@ -36,9 +36,8 @@ ROUND2_COEFFS = tuple(SlopeQ.of(p, q) for p, q in ((-1, 1), (1, 1), (0, 1), (2, 
 
 @st.composite
 def round_diagrams(draw):
-    """Round diagrams of nice and non-nice pairs, partnerless round 1-specs,
-    standalone and misdirected round 2-specs, stray components and joint
-    indices out of range."""
+    """Round diagrams of nice and non-nice joint pairs, partnerless round
+    1-specs, standalone round 2-specs and stray components."""
     rng = draw(st.randoms(use_true_random=False))
     labels = [f"L{i}" for i in range(rng.randint(0, 7))]
     components = tuple(LegendrianComponent(lab, rng.randint(-3, 1), rng.randint(-1, 1))
@@ -52,22 +51,16 @@ def round_diagrams(draw):
         pool.pop()  # a stray component in no pair
     round1, round2 = [], []
     for a, b in zip(pool[::2], pool[1::2]):
-        idx = len(round1)
         k = rng.randint(-1, 1)
         nice = rng.random() < 0.7
         coeff_b = k if nice or rng.random() < 0.5 else k + 1
         layer = LAYERS[0] if nice or rng.random() < 0.5 else rng.choice(LAYERS)
-        round1.append(Round1Spec((a, b), k, coeff_b, layer))
-        partner = rng.random()
-        if partner < 0.8:
-            coeff = rng.choice(ROUND2_COEFFS[:2] if nice else ROUND2_COEFFS)
-            round2.append(Round2Spec(b if partner < 0.75 else a, coeff, joint_with=idx))
-        # otherwise the round 1-spec has no partner
+        r2 = None  # a round 1-spec with no partner, one time in five
+        if rng.random() < 0.8:
+            r2 = rng.choice(ROUND2_COEFFS[:2] if nice else ROUND2_COEFFS)
+        round1.append(Round1Spec((a, b), k, coeff_b, layer, r2))
     for _ in range(rng.choice((0, 0, 0, 1, 2))):
-        joint = rng.choice((None, None, -1, len(round1), len(round1) + 1))
-        round2.append(Round2Spec(rng.choice(labels or ["ghost"]), rng.choice(ROUND2_COEFFS),
-                                 joint_with=joint))
-    rng.shuffle(round2)
+        round2.append(Round2Spec(rng.choice(labels or ["ghost"]), rng.choice(ROUND2_COEFFS)))
     return RoundSurgeryDiagram(components, linking, tuple(round1), tuple(round2))
 
 
@@ -138,9 +131,9 @@ def standard_layer_replaced(monkeypatch):
 
 
 def round2_sign_flipped(monkeypatch):
-    real = bridge.Round2Spec
-    monkeypatch.setattr(bridge, "Round2Spec",
-                        lambda knot, coeff, joint_with: real(knot, SlopeQ.of(-coeff.p), joint_with))
+    real = bridge.Round1Spec
+    monkeypatch.setattr(bridge, "Round1Spec",
+                        lambda pair, a, b, layer, r2: real(pair, a, b, layer, SlopeQ.of(-r2.p)))
 
 
 @pytest.mark.parametrize("fault, message", [

@@ -309,7 +309,7 @@ def test_typed_checks_raise_under_optimize():
                       lambda: Round1Spec(("A",), 1.5, 0, TightLayerSpec.invariant()),
                       lambda: pushoff_chain_linking(2, 0, 3),
                       lambda: pushoff_chain_linking(2, 1, 1),
-                      lambda: PairingPlan(5, (), ()),
+                      lambda: PairingPlan(5, ()),
                       lambda: NegCF((-2.5,)),
                       lambda: NegCF(("-3",)),
                       lambda: BoundaryData(2.0, SlopeQ.of(-1)),
