@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 import textwrap
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from crsdiag import dsl
+from crsdiag import TraversingArc, dsl
 from conftest import (
     FIXTURES,
     MIXED_ROUND_TEXT,
@@ -21,6 +22,7 @@ from conftest import (
     run_optimized,
 )
 import reference_arcs
+from test_dividing import _drawn_arcs
 
 
 def fixture(name):
@@ -462,6 +464,116 @@ def test_fixture_output_is_unchanged():
             code, out = run_cli(pretty + [command, fixture(name)])
             h.update(f"{code}\n{out}".encode())
         assert h.hexdigest() == digest, (name, command)
+
+
+def _arc_literal(arc) -> str:
+    return ("T({},{},{})" if isinstance(arc, TraversingArc) else "P({},{},{})").format(*arc)
+
+
+def glue_cases():
+    """Seeded glue-annuli argv at benchmark sizes (80-500 traversing arcs, at
+    most one parallel arc per side, arcs listed in a drawn order, offsets of
+    either sign), eight of them with one literal edited, the invalid glue
+    inputs of this file and systems with one or several faults."""
+    rng = random.Random(20)
+    cases = []
+    for _ in range(20):
+        t = 2 * rng.randint(40, 250)
+        parallel = {"top": rng.randint(0, 1), "bottom": rng.randint(0, 1)}
+        cfgs = [_drawn_arcs(rng, t, parallel, rng.randint(-2, 2)) for _ in range(2)]
+        lists = []
+        for cfg in cfgs:
+            arcs = list(cfg.arcs)
+            if rng.random() < 0.5:
+                rng.shuffle(arcs)
+            lists.append(" ".join(map(_arc_literal, arcs)))
+        top, bottom = cfgs[0].top_marks, cfgs[0].bottom_marks
+        cases.append(["glue-annuli", "--top-marks", str(top), "--bottom-marks", str(bottom),
+                      "--a", lists[0], "--b", lists[1],
+                      "--offset-top", str(rng.randint(-2 * top, 2 * top)),
+                      "--offset-bottom", str(rng.randint(-2 * bottom, 2 * bottom))])
+    for args in cases[:8]:  # one edited literal list each: drop, repeat or swap
+        items = args[6].split()
+        k = rng.randrange(len(items))
+        edit = rng.choice(("drop", "repeat", "swap"))
+        if edit == "drop":
+            del items[k]
+        elif edit == "repeat":
+            items.insert(rng.randrange(len(items)), items[k])
+        else:
+            j = rng.randrange(len(items))
+            items[j], items[k] = items[k].replace("P(top", "P(bottom"), items[j]
+        cases.append(args[:6] + [" ".join(items)] + args[7:])
+    cases += [args for args in OUT_OF_DOMAIN if args[0] == "glue-annuli"]
+    marks = ["glue-annuli", "--top-marks", "4", "--bottom-marks", "2", "--b",
+             "T(0,0,0) T(2,1,0) P(top,3,1)", "--a"]
+    cases += [marks + [arcs] for arcs in (
+        "T(0,0,0) T(0,1,0)", "T(0,1,0) T(2,0,0) P(top,1,3)", "T(0,0,0) T(2,1,1) P(top,1,3)",
+        "T(0,0,0) T(2,1,0) P(top,1,3)", "T(5,0,0) T(0,0,0)", "T(0,0,0) T(2,1,0) P(top,3,1) T(9,9,9)",
+        "P(top,0,2) P(top,1,3) P(bottom,0,1)", "P(top,0,2) P(top,3,1) P(bottom,1,0) P(top,1,3)")]
+    cases += [["glue-annuli", "--top-marks", str(10**12), "--bottom-marks", "2",
+               "--a", "T(0,0,0) T(1,1,0)", "--b", "T(0,0,0) T(1,1,0)"],
+              ["glue-annuli", "--top-marks"]]
+    return cases
+
+
+# sha256 over "<exit code>\n<stdout>" of the plain run, then of the --pretty
+# run, of each glue_cases() argv, printed before arc systems were checked
+# through per-point tables
+GLUE_DIGESTS = [
+    "15528e13d3a3d5d783eda483a0f6ef885ff710a0fac9c7d400906fa2bbf54c98",
+    "0b25fa8f7f7b7ba850f83f67b090a73f11bc3839b4a86952abafb4bd6f1c5f38",
+    "89747a83734ae836459547e5ba2d3bbeb76d2a6a164131e68b06694090bc446c",
+    "7d4d7e3e4999954f57b3c4e7d912b08bc208a9e5ea7b84f3be7b3ef6c53654a1",
+    "4aeb5d8f9020c63a2442985b22eaf0873dc641956aa0b4451fbd8cc0c8d528f1",
+    "1576ab71684152e2129b16d7fa37248790561278ec67a2d8a19b8e1e995a5d3b",
+    "1d4eeed0bb2ee9cbce94fab09bd96237fb15dc3085c09a1b765ef1c041fa0f15",
+    "e950743560f78e1a0c4fe85b1f5a575eae18977bd1ff8cde3ab8bf1478aec35b",
+    "83a80d5d7d44a203b97fa1fde409a58a2d7fcebf8761fc0ac2cd381d89de185d",
+    "f339f6512bfe889b3ce3969da7e09a5f33c63989c3e3a2d88639e2228fc10628",
+    "7b9f008714842eeb06ffe72b04ea24cb190d40966fd8424ce33b9a75a0ad513d",
+    "5c6654d357d92be27d4f3cc38a831bf9001f8ec1a35397a3652b794f8d4e1c2a",
+    "194cc856c55308660ee1b996ef1ae29350ce411bad45b285fbfbd79233012f78",
+    "b7b6d6bd7efd22a3cd34407fd1da26800cacdee898434a9d78ae75e70e364baa",
+    "db2d8c1447f2901a56393216900af9a76ce9bcb99797e40a7890ce22682eca82",
+    "23ae783046a6e8b279281dd518c6ecf298245288319ec6359d033ff7a4117b9c",
+    "992eca05ebcfad43dd9c418bb345bb3f6970e713dcb46c800041ed8245d3acbc",
+    "02d3ca8b52af6634035d93d3abb2eed92a13cdc848a150825aa7a8c82d4fc8e9",
+    "2ef9e4809343d4bdbee19543d03e18d78f70e7e07a0d775138531cadccedda37",
+    "34a3aef961199a89625f92307fb2e88214543415d45cb6a2b04bda1c18f728f5",
+    "4f36c8906507a27567731e1006ef4011d080cd111c7d3ae6b63c98aa95ac663c",
+    "21e996ddc45cb6b6c34ab03113acdd8b87d9fff3daf862ca3b15d41ae44b90b5",
+    "09b15737b04f1ba7d58210048e220804156077f3e28549c59935f321bd1f9e4a",
+    "dc3b53db16833ba1117205e81c812b06fc632589e7d64109a3290355032d5e20",
+    "3c87152ff7200253978b15e76b144837590ed7a28f43e462d133116f07064899",
+    "c485dc11db380b251fd85d5c64a17b76238f64618e6d9d62a4f7c99b5513dbda",
+    "8274fc0ca510830acb03781bb5e07b99a89e1f52d7c4c8534111ae768c60f2e4",
+    "54d53ba785fbdcadbf4f9119dc4eb8f5627d41ff7f09ddec2f1991d164ba7dc0",
+    "833c23b4055137829e4d0eee851b066b162b465fef30ec48cb075e1ebc2b1e35",
+    "52d13c141ed855e0c7f6c235178ffea53e683a64149ebc4a837939cc9bca3c2c",
+    "64750c3b132b59998ba046e471be5f35e8206a94a0d2d70b1071f8f3a402f819",
+    "ec632adf4c727ad18eb314e13da2e590d93ce4d2fe33cc0004e3d02e52d2d842",
+    "c223ab7127e4985258d663282aed28632a667b40c0c2224bcf46450220c18ee9",
+    "c6d5e836463b82a0b84c765675f6cd9ad10bf8bdc5c2861ed77a1e8c806c103d",
+    "12101bdd7e1cb8e3595cf6f761a7f0765b7c38055245b52f6b7b65444019e2aa",
+    "537f3f69a1eae1023b88227829ca43d084652dd7aabee97640b6c04d58c1fcfc",
+    "f4f65407c33eed371431c4d2b5bbcbc22ade4698626f282eaf60ef240d0fd57c",
+    "8825cc623d0901e358dbb59e9287f471ff9b51b0a9518e8ee17d203904d2f029",
+    "662faa3c05c8f48979d9047c5e2d5d8e0a4b6fd2802780b37559fb01c3783145",
+    "6b8f12101bb7502354007c8d8cc4296dd2b3b64f6a651c0411257ccbff2201de",
+    "68171bcba5ca22a3168f230a76300b186aa8f99f47ab77cfdc716086713f07ee",
+]
+
+
+def test_glue_output_is_unchanged():
+    cases = glue_cases()
+    assert len(cases) == len(GLUE_DIGESTS)
+    for k, (args, digest) in enumerate(zip(cases, GLUE_DIGESTS)):
+        h = hashlib.sha256()
+        for pretty in ([], ["--pretty"]):
+            code, out = run_cli(pretty + args)
+            h.update(f"{code}\n{out}".encode())
+        assert h.hexdigest() == digest, k
 
 
 def test_gadget_bound_refuses_before_building(monkeypatch):
