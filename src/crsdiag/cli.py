@@ -125,8 +125,8 @@ def _parse_arcs(text: str, top_marks: int, bottom_marks: int) -> ArcConfig:
     arcs = []
     for kind, x, y, z, bad in _ARC_ITEM.findall(text):
         try:
-            if kind == "T":
-                arcs.append(TraversingArc(int(x), int(y), int(z)))
+            if kind == "T":  # TraversingArc(...) without namedtuple's Python-level __new__
+                arcs.append(tuple.__new__(TraversingArc, (int(x), int(y), int(z))))
             elif kind == "P" and x in ("top", "bottom"):
                 arcs.append(ParallelArc(x, int(y), int(z)))
             else:

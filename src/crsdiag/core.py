@@ -65,15 +65,15 @@ class SlopeQ:
 
     @staticmethod
     def of(p: int, q: int = 1) -> "SlopeQ":
-        """Build a reduced slope from any integer pair (q may be negative)."""
-        if p == 0 and q == 0:
+        """Build a reduced slope from any integer pair (q may be negative),
+        reading the terms once and building the reduced value unchecked."""
+        p, q = integers((p, q), "slope terms must have integer type")
+        if p == q == 0:
             raise ValueError("0/0 is not a slope")
-        if q == 0:
-            return SlopeQ(1, 0)
-        if q < 0:
-            p, q = -p, -q
-        g = gcd(abs(p), q)
-        return SlopeQ(p // g, q // g)
+        g = (gcd(p, q) if q else p) * (-1 if q < 0 else 1)  # q // g >= 0, and 1/0 for q = 0
+        slope = object.__new__(SlopeQ)
+        slope.__dict__.update(p=p // g, q=q // g)
+        return slope
 
     @staticmethod
     def infinity() -> "SlopeQ":
@@ -310,6 +310,8 @@ class Round1Spec:
                                     "round 1-surgery coefficients must have integer type")
         object.__setattr__(self, "coeff_a", coeff_a)
         object.__setattr__(self, "coeff_b", coeff_b)
+        if not (self.r2 is None or isinstance(self.r2, SlopeQ)):
+            raise InvalidParameter(f"a joint round 2-coefficient is a SlopeQ or None, not {type(self.r2).__name__}")
 
 
 @dataclass(frozen=True)
@@ -318,6 +320,10 @@ class Round2Spec:
 
     knot: str
     coeff: SlopeQ
+
+    def __post_init__(self):
+        if not isinstance(self.coeff, SlopeQ):
+            raise InvalidParameter(f"a round 2-coefficient is a SlopeQ, not {type(self.coeff).__name__}")
 
 
 @dataclass(frozen=True)
@@ -417,9 +423,14 @@ def validate_diagram(d: Diagram) -> list:
             elif lab in used:
                 out.append(Violation("duplicate_pair_membership", f"component {lab!r} sits in more than one round1 pair"))
             used.add(lab)
+    round2_knots = {r1.pair[1] for r1 in d.round1 if r1.r2 is not None}
     for j, r2 in enumerate(d.round2, _joint_count(d)):
         if r2.knot not in seen:
             out.append(Violation("unknown_label", f"round2[{j}] references unknown component {r2.knot!r}"))
+        elif r2.knot in round2_knots:
+            out.append(Violation("duplicate_round2",
+                                 f"round2[{j}] is a second round 2-surgery on component {r2.knot!r}"))
+        round2_knots.add(r2.knot)
     return out
 
 

@@ -33,21 +33,19 @@ adds nothing), and every signed crossing of the vertical cut adds +-1 to the
 horizontal class.  Any consistent sign convention reproduces the
 contractibility verdicts.
 
-The public ArcConfig constructor checks every condition of an arc system.
-Each condition involves one side only (its marked points, its parallel arcs
-and the traversing endpoints on it), except the traversing family's shared
-winding and rank-shift matching, which involve only the family.  So the
-checks are split by condition: _validate runs all of them in a fixed order,
-while _check_side and _check_family group them by factor.  This is the
-factored certificate of slopes.configuration_factors: it checks each side
-option and each family once, and no configuration of their product is
-checked again.
+The public ArcConfig constructor builds per-point tables, which glue_annuli
+reads too: they decide endpoint ranges, point use and the traversing family,
+and _check_ranges, _check_counts or _check_family runs only to name a fault.
+_check_side and _check_family group the conditions by factor for
+slopes.configuration_factors, which checks each side option and family once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, NamedTuple, Tuple
 
 from .core import TightLayerSpec
@@ -73,9 +71,7 @@ class ParallelArc(NamedTuple("_ParallelFields", [("side", str), ("start", int), 
 
     def __new__(cls, side: str, start: int, end: int):
         if side not in (TOP, BOTTOM):
-            raise InvalidArcConfig(
-                f"parallel arc side must be {TOP!r} or {BOTTOM!r}, not {side!r}"
-            )
+            raise InvalidArcConfig(f"parallel arc side must be {TOP!r} or {BOTTOM!r}, not {side!r}")
         return tuple.__new__(cls, (side, start, end))
 
     # _replace builds through _make, which would skip the side check
@@ -92,7 +88,12 @@ class ArcConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "arcs", tuple(self.arcs))
-        _validate(self)
+        self.__dict__["_tables"] = _validate(self)
+
+    @cached_property
+    def _tables(self) -> tuple:
+        """The _validate tables; a _trusted config builds them on first read."""
+        return _validate(self)
 
     @classmethod
     def _trusted(cls, top_marks: int, bottom_marks: int, arcs: tuple) -> "ArcConfig":
@@ -123,27 +124,57 @@ def _span(arc: ParallelArc, marks: int) -> Tuple[int, int]:
     return u, v
 
 
-def _validate(cfg: ArcConfig) -> None:
-    """Check every condition of an arc system.
-
-    The checks run in a fixed order, so that an input with several faults
-    always reports the same one: mark counts, endpoint ranges in arc order,
-    point use per side, the traversing family, traps in arc order, and
-    crossings per side.
+def _validate(cfg: ArcConfig) -> tuple:
+    """Check every condition of an arc system; returns its tables (tops,
+    bottoms, turns): the half-edge 2i + k (end k of arcs[i], 0 = top or
+    start) at each top and each bottom point, and each arc's (h, v) walked
+    forward with no glue offset.  An input with several faults reports the
+    first in this order: mark counts, endpoint ranges in arc order, point use
+    per side, the traversing family, traps in arc order, crossings per side.
     """
-    _check_marks(cfg.top_marks, cfg.bottom_marks)
-    marks = {TOP: cfg.top_marks, BOTTOM: cfg.bottom_marks}
-    _check_ranges(cfg.arcs, marks)
-    trav = cfg.traversing()
-    parallels = [arc for arc in cfg.arcs if isinstance(arc, ParallelArc)]
-    pars = {side: cfg.parallels(side) for side in (TOP, BOTTOM)}
-    _check_counts(TOP, marks[TOP], [a.top for a in trav] + _ends(pars[TOP]))
-    _check_counts(BOTTOM, marks[BOTTOM], [a.bottom for a in trav] + _ends(pars[BOTTOM]))
-    if trav:
-        tops, bottoms = _check_family(trav)
-        _check_traps(parallels, marks, {TOP: tops, BOTTOM: bottoms})
-    for side in (TOP, BOTTOM):
-        _check_crossings(pars[side], marks[side])
+    arcs, marks = cfg.arcs, {TOP: cfg.top_marks, BOTTOM: cfg.bottom_marks}
+    _check_marks(*marks.values())
+    (n_top, n_bottom), ok = marks.values(), sum(marks.values()) == 2 * len(arcs)
+    tops, bottoms = ([-1] * n if ok else [] for n in marks.values())  # only as many entries as arc ends
+    par, turns = {TOP: [], BOTTOM: []}, [None] * len(arcs)
+    for i, arc in enumerate(arcs if ok else ()):
+        if isinstance(arc, TraversingArc):
+            top, bottom, _ = arc
+            if not (ok := 0 <= top < n_top and 0 <= bottom < n_bottom):
+                break
+            tops[top], bottoms[bottom] = 2 * i, 2 * i + 1
+        elif not (ok := isinstance(arc, ParallelArc) and arc.side in par
+                  and 0 <= arc.start < marks[arc.side] and 0 <= arc.end < marks[arc.side]):
+            break
+        else:
+            table = tops if arc.side == TOP else bottoms
+            table[arc.start], table[arc.end], turns[i] = 2 * i, 2 * i + 1, (int(arc.end < arc.start), 0)
+            par[arc.side].append(i)
+    if not ok or -1 in tops or -1 in bottoms:  # name the fault: ranges in arc order, then point use
+        _check_ranges(arcs, marks)
+        trav = cfg.traversing()
+        for k, side in enumerate(marks):
+            _check_counts(side, marks[side], [a[k] for a in trav] + [p for a in cfg.parallels(side) for p in a[1:]])
+        raise CertificateError("the point tables refused endpoints that every ordered check accepts")
+    blocked, orders = {}, []  # per side, the traversing points, and the ends at them
+    for side, table, ids in zip(marks, (tops, bottoms), map(set, par.values())):
+        blocked[side] = [p for p, e in enumerate(table) if e >> 1 not in ids] if ids else range(len(table))
+        orders.append([table[p] for p in blocked[side]] if ids else table)
+    if orders[0]:
+        t, rho = len(orders[0]), arcs[orders[0][0] >> 1].winding
+        if (len({arcs[e >> 1].winding for e in orders[0]}) > 1
+                or [e + 1 for e in orders[0]] != orders[1][rho % t:] + orders[1][:rho % t]):
+            _check_family([arcs[e >> 1] for e in orders[0]])
+            raise CertificateError("_check_family accepts a family the tables refuse")
+        low, high = (rho // t, 1), (rho // t + 1, 1)  # rank r crosses the cut (r + rho) // t times
+        for e in orders[0][:t - rho % t]:
+            turns[e >> 1] = low
+        for e in orders[0][t - rho % t:]:
+            turns[e >> 1] = high
+    _check_traps([arcs[i] for i in sorted(par[TOP] + par[BOTTOM])], marks, blocked)
+    for side, ids in par.items():
+        _check_crossings([arcs[i] for i in ids], marks[side])
+    return tops, bottoms, turns
 
 
 def _check_side(side: str, marks: Dict[str, int], points: List[int],
@@ -155,13 +186,9 @@ def _check_side(side: str, marks: Dict[str, int], points: List[int],
         if arc.side != side:
             raise InvalidArcConfig(f"parallel arc {arc} is not on the {side} side")
     _check_ranges(parallels, marks)
-    _check_counts(side, marks[side], points + _ends(parallels))
+    _check_counts(side, marks[side], points + [p for arc in parallels for p in arc[1:]])
     _check_traps(parallels, marks, {side: points})
     _check_crossings(parallels, marks[side])
-
-
-def _ends(parallels: List[ParallelArc]) -> List[int]:
-    return [p for arc in parallels for p in (arc.start, arc.end)]
 
 
 def _check_marks(top_marks: int, bottom_marks: int) -> None:
@@ -183,12 +210,9 @@ def _check_ranges(arcs, marks: Dict[str, int]) -> None:
 
 def _check_counts(side: str, marks: int, endpoints: List[int]) -> None:
     """Each of the side's marked points is the endpoint of exactly one arc.
-
-    The endpoints are marked points (_check_ranges ran first), so they use
-    every point once exactly when they are `marks` distinct points.  Else the
-    least bad point is the least one used more than once or the least unused
-    one, and finding it takes memory in the number of endpoints, not of marks.
-    """
+    The endpoints are marked points (_check_ranges ran first); the least bad
+    point is the least one used more than once or the least unused one, found
+    in memory that grows with the number of endpoints, not of marks."""
     if len(endpoints) == marks == len(set(endpoints)):
         return
     counts = Counter(endpoints)
@@ -203,13 +227,10 @@ def _check_counts(side: str, marks: int, endpoints: List[int]) -> None:
 
 def _check_family(trav: List[TraversingArc]) -> Tuple[List[int], List[int]]:
     """One shared winding and its rank-shift matching; returns the sorted top
-    and bottom endpoints of the family.
-
-    The family's tops are distinct and so are its bottoms (_check_counts ran
-    first, or the caller built them so).  So sorted by top, the arc of rank i
-    must end at the bottom of rank (i + winding) mod t: the bottoms in top
-    order are the sorted bottoms rotated by the winding.
-    """
+    and bottom endpoints of the family.  Its tops are distinct and so are its
+    bottoms, so the arc of rank i by top must end at the bottom of rank
+    (i + winding) mod t: the bottoms in top order are the sorted bottoms
+    rotated by the winding."""
     rho = trav[0].winding
     if any(arc.winding != rho for arc in trav):
         raise InvalidArcConfig("traversing arcs must share one winding integer")
@@ -217,23 +238,21 @@ def _check_family(trav: List[TraversingArc]) -> Tuple[List[int], List[int]]:
     bottoms = sorted(arc.bottom for arc in trav)
     shift = rho % len(trav)
     if [arc.bottom for arc in by_top] != bottoms[shift:] + bottoms[:shift]:
-        raise InvalidArcConfig(
-            "traversing pairing is not the rank-shift matching of its winding"
-        )
+        raise InvalidArcConfig("traversing pairing is not the rank-shift matching of its winding")
     return [arc.top for arc in by_top], bottoms
 
 
 def _check_traps(parallels: List[ParallelArc], marks: Dict[str, int],
                  blocked: Dict[str, List[int]]) -> None:
-    """No parallel span contains a traversing endpoint of its side."""
+    """No parallel span holds a traversing endpoint of its side.  `blocked` is
+    sorted: the least one inside a span is the least or the first past its start."""
     for arc in parallels:
-        full = 2 * marks[arc.side]
-        u, v = _span(arc, marks[arc.side])
-        for point in blocked[arc.side]:
-            if (2 * point + 1 - u) % full < v - u:  # strictly inside the span
-                raise InvalidArcConfig(
-                    f"parallel arc {arc} traps traversing endpoint {point}"
-                )
+        full, (u, v) = 2 * marks[arc.side], _span(arc, marks[arc.side])
+        points = blocked[arc.side]
+        past = bisect_right(points, arc.start)
+        inside = [p for p in points[:1] + points[past:past + 1] if (2 * p + 1 - u) % full < v - u]
+        if inside:
+            raise InvalidArcConfig(f"parallel arc {arc} traps traversing endpoint {min(inside)}")
 
 
 def _check_crossings(parallels: List[ParallelArc], marks: int) -> None:
@@ -290,70 +309,40 @@ def glue_annuli(a: ArcConfig, b: ArcConfig, offset_top: int = 0, offset_bottom: 
     Returns every closed curve with its torus homology class; all arc ends are
     consumed exactly once.
 
-    Arc g numbers a's arcs first, then b's; end k of arc g (0 = top or start,
-    1 = bottom or end) is the half-edge 2g + k, and link[e] is the half-edge
-    glued to e.  A curve enters an arc through one half-edge and leaves
-    through its partner e ^ 1.
+    Half-edge 2i + k is end k of arc i of its annulus, as in the tables of
+    _validate.  A curve enters an arc through one half-edge and leaves through
+    its partner e ^ 1; it alternates between a and b, and starts at its
+    lowest arc, which is one of a's.
     """
     if a.top_marks != b.top_marks or a.bottom_marks != b.bottom_marks:
-        raise MarkMismatch(
-            f"mark counts differ: ({a.top_marks}, {a.bottom_marks}) vs ({b.top_marks}, {b.bottom_marks})"
-        )
-    n_top, n_bottom = a.top_marks, a.bottom_marks
-    full_top, full_bottom = 2 * n_top, 2 * n_bottom
-    off_top, off_bottom = offset_top % n_top, offset_bottom % n_bottom
-
-    at = []  # per annulus: the half-edge at each top point, at each bottom point
-    turns, steps = [], []  # per half-edge: the (h, v) of entering the arc there, and its step
-    for tag, cfg in (("a", a), ("b", b)):
-        shift_top, shift_bottom = (2 * off_top, 2 * off_bottom) if tag == "b" else (0, 0)
-        tops, bottoms = [None] * n_top, [None] * n_bottom
-        trav = sorted(cfg.traversing())
-        lift = [0] * n_top  # vertical-cut crossings of the arc at each top point
-        for rank, arc in enumerate(trav):
-            lift[arc.top] = (rank + arc.winding) // len(trav)
-        for idx, arc in enumerate(cfg.arcs):
-            edge = len(turns)
-            if isinstance(arc, TraversingArc):
-                top, bottom, _ = arc
-                tops[top], bottoms[bottom] = edge, edge + 1
-                h = (lift[top] + (2 * bottom + 1 + shift_bottom) // full_bottom
-                     - (2 * top + 1 + shift_top) // full_top)
-                v = int(tag == "a")
-            else:
-                ends, full, shift = ((tops, full_top, shift_top) if arc.side == TOP
-                                     else (bottoms, full_bottom, shift_bottom))
-                ends[arc.start], ends[arc.end] = edge, edge + 1
-                lo, hi = _span(arc, full // 2)
-                h, v = (hi + shift) // full - (lo + shift) // full, 0
-            turns += ((h, v), (-h, -v))
-            steps += ((tag, idx, True), (tag, idx, False))
-        at.append((tops, bottoms))
-
-    link = [0] * len(turns)
-    for ends_a, ends_b, off in zip(*at, (off_top, off_bottom)):
-        for e, f in zip(ends_a, ends_b[off:] + ends_b[:off]):
-            link[e], link[f] = f, e
-
-    used = [False] * len(turns)
-    curves = []
-    for start in range(0, len(turns), 2):
-        if used[start]:
+        raise MarkMismatch(f"mark counts differ: ({a.top_marks}, {a.bottom_marks}) vs ({b.top_marks}, {b.bottom_marks})")
+    (*a_ends, a_turns), (*b_ends, b_turns) = a._tables, b._tables
+    b_h = [h for h, _ in b_turns]  # b adds nothing to v
+    to_b, to_a = {}, {}  # the half-edge glued to each half-edge of a, of b
+    for ends, glued, offset in zip(a_ends, b_ends, (offset_top, offset_bottom)):
+        off = offset % len(glued)
+        for f in glued[len(glued) - off:]:  # shifted past the cut
+            b_h[f >> 1] += 2 * (f & 1) - 1
+        glued = glued[off:] + glued[:off]
+        to_b.update(zip(ends, glued))
+        to_a.update(zip(glued, ends))
+    used_a, used_b, curves = [False] * len(a.arcs), [False] * len(b.arcs), []
+    for start in range(len(a.arcs)):
+        if used_a[start]:
             continue
-        h = v = 0
-        path = []
-        enter = start
-        while not used[enter]:
-            used[enter] = used[enter ^ 1] = True
-            dh, dv = turns[enter]
-            h, v = h + dh, v + dv
-            path.append(steps[enter])
-            enter = link[enter ^ 1]
-        if enter != start:
+        h, v, path, e = 0, 0, [], 2 * start
+        while not used_a[e >> 1]:
+            f = to_b[e ^ 1]
+            i, j, sign_a, sign_b = e >> 1, f >> 1, 1 - 2 * (e & 1), 1 - 2 * (f & 1)
+            used_a[i] = used_b[j] = True
+            dh, dv = a_turns[i]
+            h, v = h + sign_a * dh + sign_b * b_h[j], v + sign_a * dv
+            path += (("a", i, sign_a > 0), ("b", j, sign_b > 0))
+            e = to_a[f ^ 1]
+        if e != 2 * start:
             raise CertificateError("a glued dividing curve failed to close up")
         curves.append(ClosedCurve(h, v, tuple(path)))
-
-    if 2 * sum(len(c.arcs) for c in curves) != len(turns):
+    if sum(len(c.arcs) for c in curves) != len(a.arcs) + len(b.arcs) or not all(used_b):
         raise CertificateError("gluing did not use every arc exactly once")
     return GluedCurves(tuple(curves))
 

@@ -370,6 +370,17 @@ def test_standalone_round2_error_counts_the_joint_pairs_first(tmp_path):
             "message": "round2[2] is not joint with any round 1-surgery"}}), command
 
 
+def test_a_knot_with_several_round2_surgeries_is_refused(tmp_path):
+    path = tmp_path / "twice.crs"
+    path.write_text(Path(fixture("nice_hopf_pair.crs")).read_text().replace(
+        "}\n}", "}\n  round2 B { r2 = 1; }\n  round2 B { r2 = 2; }\n}"))
+    for command in ("parse", "check-nice", "homology"):
+        assert run_cli([command, str(path)]) == (1, (
+            '{"error":{"code":1,"kind":"SemanticError","message":'
+            '"round2[1] is a second round 2-surgery on component \'B\'; '
+            'round2[2] is a second round 2-surgery on component \'B\'"}}\n')), command
+
+
 def test_to_round_plan_pairs_are_the_round1_specs(tmp_path):
     from crsdiag import SlopeQ, pair_pm1_diagram
 

@@ -71,6 +71,23 @@ def test_validate_component_in_two_pairs():
     assert any(v.code == "duplicate_pair_membership" for v in validate_diagram(d))
 
 
+def test_validate_second_round2_on_a_knot():
+    joint = hopf_pair()
+    one_more = RoundSurgeryDiagram(joint.components, joint.linking, joint.round1,
+                                   (Round2Spec("B", SlopeQ.of(1)),))
+    assert [(v.code, v.message) for v in validate_diagram(one_more)] == [
+        ("duplicate_round2", "round2[1] is a second round 2-surgery on component 'B'")]
+    # two standalone ones on one knot; one on the joint pair's round 1-knot A is not a second
+    standalone = RoundSurgeryDiagram(
+        joint.components, joint.linking, (),
+        (Round2Spec("A", SlopeQ.of(1)), Round2Spec("B", SlopeQ.of(2)), Round2Spec("A", SlopeQ.of(3))))
+    assert [v.message for v in validate_diagram(standalone)] == [
+        "round2[2] is a second round 2-surgery on component 'A'"]
+    on_a = RoundSurgeryDiagram(joint.components, joint.linking, joint.round1,
+                               (Round2Spec("A", SlopeQ.of(1)),))
+    assert validate_diagram(on_a) == []
+
+
 def test_self_linking_rejected():
     with pytest.raises(ValueError):
         LinkingData([("A", "A", 1)])

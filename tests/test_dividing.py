@@ -16,8 +16,15 @@ from crsdiag import (
     glue_annuli,
     layer_to_annulus,
 )
+import crsdiag.dividing as dividing
 from crsdiag.dividing import _check_family, _parallel_cross, _validate
-from crsdiag.errors import EmptyDividingSet, InvalidArcConfig, MarkMismatch, UnsupportedLayer
+from crsdiag.errors import (
+    CertificateError,
+    EmptyDividingSet,
+    InvalidArcConfig,
+    MarkMismatch,
+    UnsupportedLayer,
+)
 
 import reference_arcs as reference
 
@@ -433,9 +440,90 @@ def test_validate_matches_reference_on_mutations(rng):
 
 def test_trusted_constructor_equals_validated_one():
     arcs = (TraversingArc(0, 1, 1), TraversingArc(1, 0, 1), ParallelArc("top", 2, 3))
-    assert ArcConfig._trusted(4, 2, arcs) == ArcConfig(4, 2, arcs)
+    checked, trusted = ArcConfig(4, 2, arcs), ArcConfig._trusted(4, 2, arcs)
+    assert trusted == checked
+    # the tables _validate built stay out of equality, hashing and repr
+    assert "_tables" in vars(checked) and "_tables" not in vars(trusted)
+    assert hash(checked) == hash(trusted) and repr(checked) == repr(trusted)
+    assert repr(checked) == f"ArcConfig(top_marks=4, bottom_marks=2, arcs={arcs!r})"
     with pytest.raises(InvalidArcConfig):
         ArcConfig(4, 2, arcs[:1] + arcs[2:])
+
+
+def _expected_tables(cfg):
+    """The tables _table_pass should build, from the arcs one at a time and
+    the reference's vertical-cut crossings."""
+    tops, bottoms = [None] * cfg.top_marks, [None] * cfg.bottom_marks
+    lifts = reference._traversing_lifts(cfg)
+    turns = []
+    for i, arc in enumerate(cfg.arcs):
+        if isinstance(arc, TraversingArc):
+            tops[arc.top], bottoms[arc.bottom] = 2 * i, 2 * i + 1
+            turns.append((lifts[(arc.top, arc.bottom)], 1))
+        else:
+            table = tops if arc.side == "top" else bottoms
+            table[arc.start], table[arc.end] = 2 * i, 2 * i + 1
+            turns.append((int(arc.end < arc.start), 0))
+    return tops, bottoms, turns
+
+
+def test_tables_match_reference_on_larger_mutated_systems(rng):
+    """_validate refuses exactly the systems the reference refuses, with its
+    error, on systems of up to 40 points per side, parallel-only ones and
+    oversized mark counts included, and builds the expected tables for the
+    others."""
+    seen = {"valid": 0, "invalid": 0, "parallel only": 0}
+    for _ in range(1200):
+        top_marks, bottom_marks = 2 * rng.randint(1, 20), 2 * rng.randint(1, 20)
+        cfg = _random_system(rng, top_marks, bottom_marks, parallel_only=0.3)
+        shape = (cfg.top_marks, cfg.bottom_marks, cfg.arcs)
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            shape = _mutate(rng, *shape)
+        if rng.random() < 0.05:  # many more marks than endpoints
+            shape = (shape[0] + 2 * rng.randint(1, 500), *shape[1:])
+        mutated = ArcConfig._trusted(*shape)
+        expected = _outcome(reference.validate, mutated)
+        assert _outcome(_validate, mutated) == expected, mutated
+        if expected is None:
+            assert _validate(mutated) == _expected_tables(mutated)
+            seen["valid"] += 1
+            seen["parallel only"] += not mutated.traversing()
+        else:
+            seen["invalid"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_glue_builds_the_tables_of_trusted_configs(rng):
+    for _ in range(50):
+        top_marks, bottom_marks = 2 * rng.randint(1, 6), 2 * rng.randint(1, 6)
+        a, b = (_random_system(rng, top_marks, bottom_marks) for _ in range(2))
+        trusted = [ArcConfig._trusted(c.top_marks, c.bottom_marks, c.arcs) for c in (a, b)]
+        assert glue_annuli(*trusted, 3, -1) == glue_annuli(a, b, 3, -1)
+        assert all(vars(c)["_tables"] == _validate(c) for c in trusted)
+    # a trusted system that breaks a condition is reported when glue reads it
+    broken = ArcConfig._trusted(2, 2, (TraversingArc(0, 1, 0), TraversingArc(1, 0, 0)))
+    with pytest.raises(InvalidArcConfig, match="rank-shift matching"):
+        glue_annuli(broken, STRAIGHT)
+
+
+def test_an_ordered_check_accepting_what_the_tables_refuse_is_a_certificate_error(monkeypatch):
+    monkeypatch.setattr(dividing, "_check_family", lambda trav: None)
+    with pytest.raises(CertificateError, match="accepts a family the tables refuse"):
+        ArcConfig(2, 2, (TraversingArc(0, 1, 0), TraversingArc(1, 0, 0)))
+
+
+def test_glue_certifies_that_every_curve_closes():
+    # forged tables whose top point 1 names arc 0 again: a curve runs back into arc 0
+    forged = ArcConfig._trusted(2, 2, STRAIGHT.arcs)
+    forged.__dict__["_tables"] = ([0, 0], [1, 3], [(0, 1), (0, 1)])
+    with pytest.raises(CertificateError, match="failed to close up"):
+        glue_annuli(forged, STRAIGHT)
+
+
+def test_huge_mark_counts_allocate_no_table():
+    for marks, side in (((10**12, 2), "top"), ((2, 10**12), "bottom")):
+        with pytest.raises(InvalidArcConfig, match=f"{side} point 2 is endpoint of 0 arcs"):
+            ArcConfig(*marks, (TraversingArc(0, 0, 0), TraversingArc(1, 1, 0)))
 
 
 def test_check_family_matches_set_oracle(rng):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -11,7 +12,7 @@ from crsdiag import (
     surgery_meridian_coefficient,
     topological_to_contact,
 )
-from crsdiag.errors import InvalidMeridian
+from crsdiag.errors import InvalidMeridian, InvalidParameter
 
 nonzero_pairs = st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)).filter(
     lambda pq: pq != (0, 0)
@@ -35,6 +36,31 @@ def test_constructor_always_reduced(pq):
         assert s.p == 1
     else:
         assert s.q > 0 and gcd(abs(s.p), s.q) == 1
+
+
+def test_of_equals_the_checked_constructor_on_seeded_pairs():
+    """of reads its terms once and builds the reduced value without the
+    constructor's checks; the constructor accepts that value and equals it."""
+    rng = random.Random(20)
+    for _ in range(3000):
+        p = rng.choice((rng.randint(-60, 60), rng.randint(-10**30, 10**30)))
+        q = rng.choice((rng.randint(-60, 60), rng.randint(-10**30, 10**30), 0))
+        if p == q == 0:
+            continue
+        s = SlopeQ.of(p, q)
+        assert s == SlopeQ(s.p, s.q) and hash(s) == hash(SlopeQ(s.p, s.q))
+        assert type(s.p) is int and type(s.q) is int
+        if q:
+            assert s.q > 0 and Fraction(s.p, s.q) == Fraction(p, q)
+        else:
+            assert (s.p, s.q) == (1, 0)
+    assert SlopeQ.of(True, -2) == SlopeQ(-1, 2)
+
+
+@pytest.mark.parametrize("terms", [(2.5,), ("3",), (1, 2.0), (None, 1)])
+def test_of_refuses_terms_of_other_types(terms):
+    with pytest.raises(InvalidParameter, match="slope terms must have integer type"):
+        SlopeQ.of(*terms)
 
 
 def test_parse_and_str_round_trip():

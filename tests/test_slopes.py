@@ -287,7 +287,7 @@ def test_typed_checks_raise_under_optimize():
     script = textwrap.dedent("""
         import sys
         from crsdiag import (BoundaryData, ContactSurgeryDiagram, H1Class, IntMatrix,
-                             LegendrianComponent, LinkingData, Round1Spec, SlopeQ,
+                             LegendrianComponent, LinkingData, Round1Spec, Round2Spec, SlopeQ,
                              TightLayerSpec, UnimodularMatrix, det, linking_matrix)
         from crsdiag.bridge import PairingPlan, pushoff_chain_linking
         from crsdiag.errors import InvalidParameter
@@ -321,7 +321,9 @@ def test_typed_checks_raise_under_optimize():
                       lambda: SlopeQ("1", 1),
                       lambda: Round1Spec(("A", "B"), 1.5, 0, TightLayerSpec.invariant()),
                       lambda: IntMatrix(5),
-                      lambda: H1Class(0, 5)):
+                      lambda: H1Class(0, 5),
+                      lambda: Round1Spec(("A", "B"), 0, 0, TightLayerSpec.invariant(), -1),
+                      lambda: Round2Spec("B", 1)):
             try:
                 build()
             except InvalidParameter:
@@ -329,7 +331,7 @@ def test_typed_checks_raise_under_optimize():
     """)
     result = run_optimized(script)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "raised 1\n" * 25
+    assert result.stdout == "raised 1\n" * 27
 
 
 def test_no_assert_statement_in_src():
@@ -369,6 +371,27 @@ def test_no_import_cycle_in_src():
 
     cycles = [" -> ".join(c) for c in (cycle_from(m, []) for m in sorted(imports)) if c]
     assert cycles == []
+
+
+def test_no_unused_import_in_src():
+    # a name a module imports and never reads is a leftover of removed code;
+    # __init__ imports to re-export, and __future__ imports are directives
+    src = Path(crsdiag.__file__).parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name.split(".")[0], node.lineno)
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+    assert unused == []
 
 
 # --- configuration enumeration ------------------------------------------------
