@@ -78,6 +78,21 @@ def random_contact_text(rng: random.Random, name: str = "c") -> str:
     return dsl.print_file(dsl.DiagramFile((nd,)))
 
 
+def lk_heavy_pm1_text(rng: random.Random, n: int, density: float, bound: int = 3) -> str:
+    """A (+-1)-diagram of n components, each pair linked with probability
+    `density` by a nonzero value in [-bound, bound], as canonical .crs text."""
+    from crsdiag import dsl
+
+    labels = [f"K{i:02d}" for i in range(n)]
+    components = tuple(LegendrianComponent(lab, tb=rng.randint(-5, -1), rot=0) for lab in labels)
+    values = [v for v in range(-bound, bound + 1) if v]
+    entries = [(a, b, rng.choice(values)) for i, a in enumerate(labels) for b in labels[i + 1:]
+               if rng.random() < density]
+    coefficients = {lab: SlopeQ.of(rng.choice([1, -1])) for lab in labels}
+    diagram = ContactSurgeryDiagram(components, LinkingData(entries), coefficients)
+    return dsl.print_file(dsl.DiagramFile((dsl.named(f"lk{n}", diagram),)))
+
+
 def _block(rng: random.Random, fields) -> str:
     fields = list(fields)
     rng.shuffle(fields)
