@@ -24,6 +24,14 @@ digit.  Space, tab and carriage return separate tokens.  Strings are
 double-quoted on one line, without escapes.  `#` starts a comment that runs
 to the end of the line.  Error positions are 1-based line:col, worked out
 from the text only when an error is raised.
+An lk statement written on one line as the printer writes it, `lk(A, B) = v;`
+with single spaces and a value of at most 18 digits, is one lexeme, which
+the statement loop reads with two `str.partition` calls; the linking block
+of a printed n-component diagram is up to n(n-1)/2 such lines.  Any other
+spelling is read lexeme by lexeme.  When a read fails on such a lexeme (an lk
+statement where no statement goes, or a self-linking one), the text is read
+again lexeme by lexeme, so errors and their line:col are those of that
+reading.
 Rationals are written p/q with an optional sign, plain integers abbreviate
 n/1, and inf is the infinite coefficient.
 Front-derived tb/rot win over declared values; a disagreement is a semantic
@@ -58,33 +66,39 @@ from .front import OrientedFront, classical_invariants, parse_front_word, trace_
 # Blanks and comments separate lexemes.  A lexeme is a string (quotes kept),
 # an identifier, an integer or a punctuation mark.
 _SPACE = r"[ \t\r\n]+|#[^\n]*"
-_WORD = r'"[^"\n]*"|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[{}()=,;/-]'
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_WORD = rf'"[^"\n]*"|{_IDENT}|[0-9]+|[{{}}()=,;/-]'
 _SPACES = re.compile(rf"(?:{_SPACE})*")
 # One lexeme and the blanks after it.  `.` takes a character outside the
 # grammar, and the empty match at the end of the text is the end lexeme "".
 _LEXEME = re.compile(rf"({_WORD}|.|\Z)(?:{_SPACE})*")
+# The parser's lexer also takes a whole `lk(A, B) = v;` statement, written on
+# one line as `print_diagram` writes it, as one lexeme.  Split by `_LEXEME`,
+# such a lexeme gives the nine lexemes it stands for, so the two lexers agree
+# on where every lexeme they share starts.
+_LK = re.compile(rf"(lk\({_IDENT}, {_IDENT}\) = -?[0-9]{{1,18}};|{_WORD}|.|\Z)(?:{_SPACE})*")
 # The one-character lexemes of the grammar; any other one-character lexeme is
 # a character outside it or the quote of an unterminated string.
 _CHARS = frozenset(c for c in map(chr, range(128)) if re.fullmatch(_WORD, c))
 
 
-def _lexemes(text: str) -> List[str]:
-    lexemes = _LEXEME.findall(text, _SPACES.match(text).end())
+def _lexemes(text: str, lexeme: re.Pattern = _LEXEME) -> List[str]:
+    lexemes = lexeme.findall(text, _SPACES.match(text).end())
     bad = [x for x in set(lexemes).difference(_CHARS) if len(x) == 1]
     if bad:
         k = min(map(lexemes.index, bad))
         ch = lexemes[k]
         message = "unterminated string literal" if ch == '"' else f"unexpected character {ch!r}"
-        raise DslSyntaxError(message, *_position(text, k))
+        raise DslSyntaxError(message, *_position(text, k, lexeme))
     return lexemes
 
 
-def _position(text: str, k: int) -> Tuple[int, int]:
-    """1-based line:col of lexeme k, found by scanning the text again.
+def _position(text: str, k: int, lexeme: re.Pattern = _LEXEME) -> Tuple[int, int]:
+    """1-based line:col of lexeme k of `lexeme`, found by scanning the text again.
 
     At the end of the text, a trailing comment keeps the column of its '#'.
     """
-    matches = list(islice(_LEXEME.finditer(text, _SPACES.match(text).end()), k + 1))
+    matches = list(islice(lexeme.finditer(text, _SPACES.match(text).end()), k + 1))
     start = matches[k].start()
     line_start = text.rfind("\n", 0, start) + 1
     if start == len(text):
@@ -92,6 +106,11 @@ def _position(text: str, k: int) -> Tuple[int, int]:
         if comment >= 0:
             start = comment
     return text.count("\n", 0, start) + 1, start - line_start + 1
+
+
+class _Misread(Exception):
+    """A read failed on a whole-statement `lk` lexeme: the text is read again
+    with `_LEXEME`, so that the error is the one its nine lexemes give."""
 
 
 @dataclass(frozen=True)
@@ -136,14 +155,19 @@ class _Parser:
     The last lexeme is "", which no reader takes, so `pos` stays in range.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, lexeme: re.Pattern = _LK):
         self.text = text
-        self.tokens = _lexemes(text)
+        self.lexeme = lexeme
+        self.tokens = _lexemes(text, lexeme)
         self.pos = 0
 
     def fail(self, message: str, at: Optional[int] = None, error=DslSyntaxError):
-        """Raise `error` at lexeme `at`, by default the next one."""
-        raise error(message, *_position(self.text, self.pos if at is None else at))
+        """Raise `error` at lexeme `at`, by default the next one; at a whole
+        lk statement, raise _Misread instead."""
+        at = self.pos if at is None else at
+        if self.tokens[at][:3] == "lk(":
+            raise _Misread
+        raise error(message, *_position(self.text, at, self.lexeme))
 
     def expected(self, want: str):
         """Fail at the next lexeme, naming `want` and the lexeme found."""
@@ -293,6 +317,15 @@ class _Parser:
         round1, round2 = [], []
         while tokens[self.pos] != "}":
             at = self.pos
+            statement = tokens[at]
+            if statement[:3] == "lk(":  # a whole `lk(A, B) = v;` statement
+                pair, _, value = statement[3:-1].partition(") = ")
+                a, _, b = pair.partition(", ")
+                if a == b:
+                    raise _Misread  # the lexeme-by-lexeme reading reports it
+                linking.append((a, b, int(value)))
+                self.pos += 1
+                continue
             statement = self.ident()
             if statement == "component":
                 label = self.ident()
@@ -391,7 +424,10 @@ def _resolve_components(decls: List[ComponentDecl]) -> Tuple[tuple, tuple]:
 
 
 def parse_file(text: str) -> DiagramFile:
-    return _Parser(text).parse_file()
+    try:
+        return _Parser(text).parse_file()
+    except _Misread:
+        return _Parser(text, _LEXEME).parse_file()
 
 
 # --- canonical printer --------------------------------------------------------

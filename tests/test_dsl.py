@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from dataclasses import replace
@@ -12,11 +13,13 @@ from conftest import (
     FIXTURES,
     MIXED_ROUND_TEXT,
     edit_lexemes,
+    lk_heavy_pm1_text,
     random_contact_text,
     random_front_file_text,
     random_front_text,
     random_pm1_diagram,
     random_round_text,
+    run_optimized,
 )
 
 
@@ -464,3 +467,137 @@ def test_reader_matches_reference_parser():
         errors += isinstance(new, tuple)
     # the 129 unedited texts parse, and so do some edited ones
     assert parsed > 150 and errors > 2000 and key_first > 5, (parsed, errors, key_first)
+
+
+# --- whole `lk(A, B) = v;` statements as one lexeme ------------------------------
+
+def _spans(lexeme, text):
+    """(lexeme, start offset) of every lexeme `lexeme` finds in the text."""
+    return [(m.group(1), m.start()) for m in lexeme.finditer(text, dsl._SPACES.match(text).end())]
+
+
+def _split_spans(text):
+    """The parser's lexemes, each whole lk statement split by the plain lexer."""
+    spans = []
+    for word, start in _spans(dsl._LK, text):
+        if word[:3] == "lk(":
+            assert dsl._lexemes(word)[:-1] == [w for w, _ in _spans(dsl._LEXEME, word)[:-1]]
+            spans += [(w, start + offset) for w, offset in _spans(dsl._LEXEME, word)[:-1]]
+        else:
+            spans.append((word, start))
+    return spans
+
+
+def _lex_error(text, lexeme):
+    try:
+        dsl._lexemes(text, lexeme)
+    except DslSyntaxError as exc:
+        return exc.message, exc.line, exc.col
+    return None
+
+
+def test_statement_lexemes_split_into_todays_lexemes():
+    merged = 0
+    for text in _scanner_inputs() + _edited_texts():
+        assert _split_spans(text) == _spans(dsl._LEXEME, text), repr(text)
+        assert _lex_error(text, dsl._LEXEME) == _lex_error(text, dsl._LK), repr(text)
+        merged += sum(word[:3] == "lk(" for word, _ in _spans(dsl._LK, text))
+    assert merged > 10_000
+
+
+def test_printed_60_component_diagram_lexes_one_lexeme_per_lk_line():
+    text = lk_heavy_pm1_text(random.Random(60), 60, 1.0)
+    lk_lines = [line for line in text.splitlines() if line.startswith("  lk(")]
+    assert len(lk_lines) == 60 * 59 // 2
+    lexemes = dsl._lexemes(text, dsl._LK)
+    assert [x for x in lexemes if x[:3] == "lk("] == [line.strip() for line in lk_lines]
+    # nine plain lexemes, ten with a minus sign
+    assert len(dsl._lexemes(text)) - len(lexemes) == sum(8 + ("-" in line) for line in lk_lines)
+
+
+_LK_BASE = """\
+diagram d {
+  component A { tb = -1; rot = 0; }
+  component B { tb = -2; rot = 1; }
+  lk(A, B) = 2;
+  contact_surgery A = 1;
+  contact_surgery B = -1;
+}
+"""
+
+
+def misplaced_lk_texts():
+    """Texts with an lk statement where no statement goes, and edge lk lines."""
+    line = "lk(A, B) = 1;"
+    edits = [
+        ("{ tb = -1;", "{ " + line + " tb = -1;"),             # inside a component block
+        ("rot = 0; }", "rot = 0; " + line + " }"),
+        ("component B {", "component " + line + " {"),        # as a component label
+        ("diagram d {", "diagram " + line + " {"),             # as a diagram name
+        ("diagram d {", line + "\ndiagram d {"),               # outside any diagram
+        ("B = -1;\n}\n", "B = -1;\n}\n" + line + "\n"),
+        ("= 1;\n  contact_surgery B", "= " + line + "\n  contact_surgery B"),
+        ("lk(A, B) = 2;", "lk(A, A) = 1;"),
+        ("lk(A, B) = 2;", "lk(B, B) = -3; lk(A, B) = 2;"),
+        ("lk(A, B) = 2;", "lk(A, B) = 2; lk(A, B) = 3;"),
+        ("lk(A, B) = 2;", "lk(A, C) = 2;"),
+        ("lk(A, B) = 2;", "lk(A, B) = 1234567890123456789;"),  # 19 digits
+        ("lk(A, B) = 2;", "lk(A, B) = -123456789012345678;"),  # 18 digits
+        ("lk(A, B) = 2;", "lk(A, B) = " + "9" * 5000 + ";"),
+        ("lk(A, B) = 2;", "lk(A, B) = -0;"),
+        ("lk(A, B) = 2;", "lk(A, B) = -0; lk(A, B) = 0;"),
+        ("lk(A, B) = 2;", "lk(A,B) = 2; # spaced apart\n  lk( A, B ) = 2;"),
+        ("lk(A, B) = 2;", "lk(A, B) = 2"),
+        ("lk(A, B) = 2;\n  contact_surgery A = 1;\n  contact_surgery B = -1;\n}\n", line),
+    ]
+    texts = []
+    for old, new in edits:
+        assert old in _LK_BASE
+        texts.append(_LK_BASE.replace(old, new, 1))
+    round_edits = [
+        ("{ r1 = 1, 1;", "{ " + line + " r1 = 1, 1;"),         # inside a joint_pair block
+        ("layer = invariant; }", "layer = invariant; " + line + " }"),
+        ("{ r2 = 5/2; }", "{ r2 = " + line + " }"),
+        ("{ r2 = 3; }", "{ r2 = 3; } " + line),
+        ("round1 (E, F)", "round1 " + line),
+    ]
+    for old, new in round_edits:
+        assert old in MIXED_ROUND_TEXT
+        texts.append(MIXED_ROUND_TEXT.replace(old, new, 1))
+    return texts
+
+
+def _json_outcome(parse_file, text):
+    outcome = _outcome(parse_file, text)
+    return outcome if isinstance(outcome, str) else list(outcome)
+
+
+def misplaced_lk_outcomes():
+    return [_json_outcome(dsl.parse_file, text) for text in misplaced_lk_texts()]
+
+
+def test_misplaced_lk_statements_fail_as_todays_lexemes_do():
+    """Each outcome is the one the plain lexemes give, and the reference's,
+    except where the reference checks a round-block key only after its '='."""
+    outcomes = misplaced_lk_outcomes()
+    texts = misplaced_lk_texts()
+    for text, outcome in zip(texts, outcomes):
+        assert outcome == _json_outcome(lambda t: dsl._Parser(t, dsl._LEXEME).parse_file(), text)
+        old, new = _outcome(reference_dsl.parse_file, text), _outcome(dsl.parse_file, text)
+        assert old == new or _key_checked_before_equals(text, old, new), text
+    errors = [outcome for outcome in outcomes if isinstance(outcome, list)]
+    # 18 and 19 digits, the two -0 texts, the spaced lines and the lk after a
+    # round2 block parse; 16 of the errors have a position
+    assert len(errors) == len(texts) - 6
+    assert sum(1 for error in errors if error[2] is not None) == 16
+
+
+def test_misplaced_lk_statements_under_optimize():
+    result = run_optimized(
+        "import json, sys\n"
+        "from test_dsl import misplaced_lk_outcomes\n"
+        "print(json.dumps([sys.flags.optimize, misplaced_lk_outcomes()]))\n")
+    assert result.returncode == 0, result.stderr
+    optimize, outcomes = json.loads(result.stdout)
+    assert optimize == 1
+    assert outcomes == misplaced_lk_outcomes()
