@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Tuple
 
-from .core import TightLayerSpec
+from .core import TightLayerSpec, integers
 from .errors import (
     CertificateError,
     EmptyDividingSet,
@@ -129,9 +129,24 @@ def _validate(cfg: ArcConfig) -> tuple:
     bottoms, turns): the half-edge 2i + k (end k of arcs[i], 0 = top or
     start) at each top and each bottom point, and each arc's (h, v) walked
     forward with no glue offset.  An input with several faults reports the
-    first in this order: mark counts, endpoint ranges in arc order, point use
+    first in this order: a mark count or arc field that is not an integer
+    (InvalidParameter), mark counts, endpoint ranges in arc order, point use
     per side, the traversing family, traps in arc order, crossings per side.
+    The integer types are checked only once some check has failed, so a
+    valid system converts none of its fields; a non-integer field that fails
+    no check (such as a winding 1.0 beside windings 1) is kept as it is.
     """
+    try:
+        return _point_tables(cfg)
+    except (TypeError, InvalidArcConfig, CertificateError):
+        fields = [cfg.top_marks, cfg.bottom_marks]
+        for arc in cfg.arcs:
+            fields += arc[1:] if isinstance(arc, ParallelArc) else arc
+        integers(fields, "arc configuration fields must have integer type")
+        raise
+
+
+def _point_tables(cfg: ArcConfig) -> tuple:
     arcs, marks = cfg.arcs, {TOP: cfg.top_marks, BOTTOM: cfg.bottom_marks}
     _check_marks(*marks.values())
     (n_top, n_bottom), ok = marks.values(), sum(marks.values()) == 2 * len(arcs)

@@ -1,3 +1,4 @@
+import json
 import re
 from fractions import Fraction
 from itertools import permutations
@@ -22,11 +23,13 @@ from crsdiag.errors import (
     CertificateError,
     EmptyDividingSet,
     InvalidArcConfig,
+    InvalidParameter,
     MarkMismatch,
     UnsupportedLayer,
 )
 
 import reference_arcs as reference
+from conftest import run_optimized
 
 STRAIGHT = ArcConfig(2, 2, (TraversingArc(0, 0, 0), TraversingArc(1, 1, 0)))
 BOUNDARY_PARALLEL = ArcConfig(2, 2, (ParallelArc("top", 0, 1), ParallelArc("bottom", 0, 1)))
@@ -553,3 +556,43 @@ def test_check_family_matches_set_oracle(rng):
         else:
             seen["winding" if "share one winding" in expected[1] else "pairing"] += 1
     assert min(seen.values()) >= 200, seen
+
+
+def non_integer_field_errors():
+    """(error type, message) of ArcConfig on systems with a field that is not
+    an integer: valid but for that field, or with a second fault as well."""
+    systems = [
+        (2, 2, (TraversingArc(0.0, 0, 0), TraversingArc(1, 1, 0))),
+        (2, 2, (TraversingArc(0, 0, 0.0), TraversingArc(1, 1, 0))),
+        (2, 2, (TraversingArc(0, 0, 0), TraversingArc(1, 1, "0"))),
+        (2, 2, (TraversingArc("0", 0, 0), TraversingArc(1, 1, 0))),
+        (4, 2, (TraversingArc(0, 0, 0), TraversingArc(1, 1, 0), ParallelArc("top", 2, 3.0))),
+        (4, 2, (TraversingArc(0, 0, 0), TraversingArc(1, 1, 0), ParallelArc("top", None, 3))),
+        (2, 2, (TraversingArc(0, 0, 0), TraversingArc(1, 1, 1.0))),  # and a second winding
+        (2, 2, (TraversingArc(0.0, 0, 0),)),                          # and too few arcs
+        (2, 2, (TraversingArc(0.5, 0, 0), TraversingArc(1, 1, 0))),   # and out of the tables
+        (2.0, 2, (TraversingArc(0, 0, 0), TraversingArc(1, 1, 0))),
+    ]
+    errors = []
+    for system in systems:
+        with pytest.raises(Exception) as info:
+            ArcConfig(*system)
+        errors.append([type(info.value).__name__, str(info.value)])
+    return errors
+
+
+def test_non_integer_fields_raise_invalid_parameter():
+    errors = non_integer_field_errors()
+    assert {kind for kind, _ in errors} == {"InvalidParameter"}
+    assert all(message.startswith("arc configuration fields must have integer type: ")
+               for _, message in errors)
+    with pytest.raises(InvalidParameter):
+        ArcConfig(2, 2, (TraversingArc(0.0, 0, 0), TraversingArc(1, 1, 0)))
+
+
+def test_non_integer_fields_raise_invalid_parameter_under_optimize():
+    result = run_optimized("import json, sys\n"
+                           "from test_dividing import non_integer_field_errors\n"
+                           "print(json.dumps([sys.flags.optimize, non_integer_field_errors()]))\n")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [1, non_integer_field_errors()]
