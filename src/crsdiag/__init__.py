@@ -47,7 +47,6 @@ from .front import (
     parse_front_word,
     stabilize,
     trace_components,
-    word_to_text,
 )
 from .homology import (
     H1Class,

@@ -70,7 +70,7 @@ class FrontWord:
     threading: Threading = field(compare=False, repr=False)
 
     def __str__(self):
-        return word_to_text(self)
+        return " ".join(self.events)
 
 
 @dataclass(frozen=True)
@@ -162,10 +162,6 @@ def parse_front_word(text: str) -> FrontWord:
     threading = Threading(strand_component, len(ups), tuple(caps), tuple(crossings),
                           rightward, ups, cusps)
     return FrontWord(tuple(events), threading)
-
-
-def word_to_text(word: FrontWord) -> str:
-    return " ".join(word.events)
 
 
 # --- threading --------------------------------------------------------------

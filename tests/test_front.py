@@ -15,7 +15,6 @@ from crsdiag import (
     parse_front_word,
     stabilize,
     trace_components,
-    word_to_text,
 )
 from crsdiag.errors import (
     CertificateError,
@@ -193,8 +192,8 @@ def test_parse_print_parse_identity(rng):
     for _ in range(40):
         text = random_front_text(rng)
         word = parse_front_word(text)
-        assert parse_front_word(word_to_text(word)) == word
-        assert word_to_text(word) == text
+        assert parse_front_word(str(word)) == word
+        assert str(word) == text
 
 
 def test_front_word_threaded_once(monkeypatch):
