@@ -25,13 +25,13 @@ double-quoted on one line, without escapes.  `#` starts a comment that runs
 to the end of the line.  Error positions are 1-based line:col, worked out
 from the text only when an error is raised.
 An lk statement written on one line as the printer writes it, `lk(A, B) = v;`
-with single spaces and a value of at most 18 digits, is one lexeme, which
-the statement loop reads with two `str.partition` calls; the linking block
-of a printed n-component diagram is up to n(n-1)/2 such lines.  Any other
-spelling is read lexeme by lexeme.  When a read fails on such a lexeme (an lk
-statement where no statement goes, or a self-linking one), the text is read
-again lexeme by lexeme, so errors and their line:col are those of that
-reading.
+with single spaces and a value of an optional `-` and at most 18 digits,
+is one lexeme, which the statement loop reads with two `str.partition`
+calls; the linking block of a printed n-component diagram is up to
+n(n-1)/2 such lines.  Any other spelling is read lexeme by lexeme.  When a
+read fails on such a lexeme (an lk statement where no statement goes, or a
+self-linking one), the text is read again lexeme by lexeme, so errors and
+their line:col are those of that reading.
 Rationals are written p/q with an optional sign, plain integers abbreviate
 n/1, and inf is the infinite coefficient.
 Front-derived tb/rot win over declared values; a disagreement is a semantic
@@ -110,7 +110,7 @@ def _position(text: str, k: int, lexeme: re.Pattern = _LEXEME) -> Tuple[int, int
 
 class _Misread(Exception):
     """A read failed on a whole-statement `lk` lexeme: the text is read again
-    with `_LEXEME`, so that the error is the one its nine lexemes give."""
+    with `_LEXEME`, so that the error is the one the plain lexemes give."""
 
 
 @dataclass(frozen=True)

@@ -594,40 +594,40 @@ PM1_COMMANDS = ("parse", "homology", "to-round", "to-pm1")
 LK_HEAVY_SHAPES = ((40, 1.0, 3), (60, 0.1, 3), (52, 0.9, 12), (46, 0.3, 3))
 # sha256 over "<exit code>\n<stdout>" of the plain run, then of the --pretty
 # run, of each command on each lk-heavy diagram and then on its to-round
-# output, printed while each lk statement was still read as nine lexemes
+# output, printed while each lk statement was still read as nine or ten lexemes
 PM1_DIGESTS = {
     ("lk40.crs", "parse"): "11240ee247550bdb46c77112f52b24a8ebf2b46fdc35b501f0af5a23148af0a3",
     ("lk40.crs", "homology"): "6bb466c6dbe8e1627a37df2d83304a4ef9581829c77e7c54ad0424b7f8ae0779",
     ("lk40.crs", "to-round"): "1208a01e23495811e86d35098f57e3e989ede53424cef6cd718c509b6ae8d392",
-    ('lk40.crs', 'to-pm1'): "305d8abdd3c06e953c01edaadb5374551ecfe0b36820e0fd9211c77107c8a17c",
+    ("lk40.crs", "to-pm1"): "305d8abdd3c06e953c01edaadb5374551ecfe0b36820e0fd9211c77107c8a17c",
     ("lk40_round.crs", "parse"): "905f9a286e7d7aa2ee77d9f40540aa7ed3355ae9f6d9007622f7dec7af9b388f",
     ("lk40_round.crs", "homology"): "6bb466c6dbe8e1627a37df2d83304a4ef9581829c77e7c54ad0424b7f8ae0779",
     ("lk40_round.crs", "to-round"): "1803b0420ac18026a8d9aeada9bc3435307664f120a678983efbb113763c5e53",
-    ('lk40_round.crs', 'to-pm1'): "4b6beb112f828dafeb5ba4d2d2db888869441f8db9e54acb095d186e8debf744",
+    ("lk40_round.crs", "to-pm1"): "4b6beb112f828dafeb5ba4d2d2db888869441f8db9e54acb095d186e8debf744",
     ("lk60.crs", "parse"): "3147d92f2cd15ac98cc142940ec48e2da47e54f4fd81daa18ed01e0c1220ec3f",
     ("lk60.crs", "homology"): "a0ebc68d46e0b3fa8375ab4aec8975a68e532350cd8e7d7168b1ec757f01660b",
     ("lk60.crs", "to-round"): "623e77bc0e9bfb6d1446b9325180d3d6cac4dbaa24b071702abd22cac1e994f4",
-    ('lk60.crs', 'to-pm1'): "d8abbe00be75a3dd2b1a318a4c2de0e908a0bdf46e53f34e0bccf8befd6abb80",
+    ("lk60.crs", "to-pm1"): "d8abbe00be75a3dd2b1a318a4c2de0e908a0bdf46e53f34e0bccf8befd6abb80",
     ("lk60_round.crs", "parse"): "d77cc1df014f24c11384c5770d3d7e051838c302a19730209dfecdf80636797f",
     ("lk60_round.crs", "homology"): "a0ebc68d46e0b3fa8375ab4aec8975a68e532350cd8e7d7168b1ec757f01660b",
     ("lk60_round.crs", "to-round"): "37c66e907ec4d96c74e53154720c55fbe771fc42c9ed28ce202a5bd1ef69c0b9",
-    ('lk60_round.crs', 'to-pm1'): "0045aee11ecc6caf10f9d79a101af8570fa5a7be9f4ab98d569274dcfff7f33e",
+    ("lk60_round.crs", "to-pm1"): "0045aee11ecc6caf10f9d79a101af8570fa5a7be9f4ab98d569274dcfff7f33e",
     ("lk52.crs", "parse"): "642c27be02a3b278d4e630b82b85afa0f4e79cd222593e85a5bedacc689f3079",
     ("lk52.crs", "homology"): "7a046349c5e12e16976ea20873744cb7963b2e05e6d372441d410dc3ae1a8b7b",
     ("lk52.crs", "to-round"): "5fe218eb464333766c2f6a765007cf040c293ebc7cfb2b6db8d1d38ef6e92bf7",
-    ('lk52.crs', 'to-pm1'): "5721df2bf5b25cf3497280f4a839ea7f537c2c4317cce100501e774cb73dbd33",
+    ("lk52.crs", "to-pm1"): "5721df2bf5b25cf3497280f4a839ea7f537c2c4317cce100501e774cb73dbd33",
     ("lk52_round.crs", "parse"): "5f1a00be11e5811004fcdb190380616038f0c7539247c86e005d5e8ad3cf0b2f",
     ("lk52_round.crs", "homology"): "7a046349c5e12e16976ea20873744cb7963b2e05e6d372441d410dc3ae1a8b7b",
     ("lk52_round.crs", "to-round"): "b5ab0c75fbc5579d1f722df00b709beb0a2703ad235f293f17c0d11e2df7ce09",
-    ('lk52_round.crs', 'to-pm1'): "642c27be02a3b278d4e630b82b85afa0f4e79cd222593e85a5bedacc689f3079",
+    ("lk52_round.crs", "to-pm1"): "642c27be02a3b278d4e630b82b85afa0f4e79cd222593e85a5bedacc689f3079",
     ("lk46.crs", "parse"): "770ab77e684d6e8e790e568a5ec5a263e30342dadc2f2aa7bdeadf66d44b1a3f",
     ("lk46.crs", "homology"): "1a29e2399f22ab94c83889dd86c9f53837af4a08c2549e045847e9db50131243",
     ("lk46.crs", "to-round"): "ee372ec78afed7fc72b5f50f84e82ba0db35e252e598206d9d5a5c2ba8d3bc09",
-    ('lk46.crs', 'to-pm1'): "aa664f0e38a2f141ca78b065738cc8e7a52e981007a09cb1ef38edf5c8a72eee",
+    ("lk46.crs", "to-pm1"): "aa664f0e38a2f141ca78b065738cc8e7a52e981007a09cb1ef38edf5c8a72eee",
     ("lk46_round.crs", "parse"): "fd32849e6ed5ce5e66098222de895ad4ffd88730815eac50254c4830d3cd3e13",
     ("lk46_round.crs", "homology"): "1a29e2399f22ab94c83889dd86c9f53837af4a08c2549e045847e9db50131243",
     ("lk46_round.crs", "to-round"): "25614e70f91d5a4a4b3999aee7fba8f0dfe9dede451b9c94c68b06b98e209224",
-    ('lk46_round.crs', 'to-pm1'): "770ab77e684d6e8e790e568a5ec5a263e30342dadc2f2aa7bdeadf66d44b1a3f",
+    ("lk46_round.crs", "to-pm1"): "770ab77e684d6e8e790e568a5ec5a263e30342dadc2f2aa7bdeadf66d44b1a3f",
 }
 
 
