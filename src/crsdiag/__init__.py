@@ -11,21 +11,16 @@ from .core import (
     SlopeQ,
     TightLayerSpec,
     Violation,
-    boundary_slope,
     check_nice,
     contact_to_topological,
     is_fillable_sufficient,
     is_pm1,
     joint_pairs_to_pm1,
-    surgery_meridian_coefficient,
-    topological_to_contact,
     validate_diagram,
 )
 from .bridge import (
     GadgetSpec,
     PairingPlan,
-    adachi_round1,
-    adachi_round2_realize,
     kirby1_gadget,
     pair_pm1_diagram,
 )
@@ -37,7 +32,6 @@ from .dividing import (
     TraversingArc,
     giroux_overtwisted,
     glue_annuli,
-    layer_to_annulus,
 )
 from .front import (
     FrontInvariants,

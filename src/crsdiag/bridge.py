@@ -30,20 +30,18 @@ silently wrong output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .core import (
     ContactSurgeryDiagram,
     LegendrianComponent,
     LinkingData,
     Round1Spec,
-    Round2Spec,
     RoundSurgeryDiagram,
     SlopeQ,
     TightLayerSpec,
     is_pm1,
     joint_pairs_to_pm1,
-    surgery_meridian_coefficient,
     validate_diagram,
 )
 from .errors import (
@@ -52,7 +50,6 @@ from .errors import (
     InvalidParameter,
     LimitExceeded,
     NotPm1Diagram,
-    UnknownComponent,
     UnsupportedComposition,
 )
 from .homology import H1Class, h1_dehn
@@ -211,38 +208,6 @@ def pair_pm1_diagram(
         raise CertificateError(f"case {case_id}: constructed pairs do not read back as "
                                "the input plus its gadgets")
     return rd, PairingPlan(case_id, tuple(gadgets))
-
-
-def adachi_round1(
-    pair: Tuple[str, str],
-    components: Sequence[LegendrianComponent],
-    coefficient: int = 1,
-) -> Round1Spec:
-    """Round 1-spec realizing the Legendrian round surgery on the given pair.
-
-    The realization glues the invariant neighborhood of the standard convex
-    torus and carries identical coefficients on both components; the proof
-    value is +1, any other identical integer is accepted via the parameter.
-    """
-    a, b = pair
-    labels = {c.label for c in components}
-    if a == b:
-        raise UnknownComponent(f"pair must name two distinct components, got {a!r} twice")
-    for lab in (a, b):
-        if lab not in labels:
-            raise UnknownComponent(f"no component labelled {lab!r}")
-    return Round1Spec((a, b), coefficient, coefficient, TightLayerSpec.invariant())
-
-
-def adachi_round2_realize(knot: str, meridian: Tuple[int, int]) -> Round2Spec:
-    """Round 2-spec for a surgery meridian a*mu + b*lambda_c on the knot.
-
-    The meridian intersects each dividing curve once (b = 1), so the contact
-    round 2-surgery coefficient is the integer a.
-    """
-    a, b = meridian
-    n = surgery_meridian_coefficient(a, b)
-    return Round2Spec(knot, SlopeQ.of(n))
 
 
 # the shipped linking configuration must present the standard 3-sphere; fail

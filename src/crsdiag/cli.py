@@ -268,6 +268,8 @@ def _run(args) -> Union[dict, Callable[[bool], None]]:
 
     if args.command == "invariants":
         if args.word is not None:
+            if args.file is not None or args.diagram is not None:
+                raise SemanticError("invariants takes --word or a file, not both")
             word = parse_front_word(args.word)
             front = OrientedFront.forward(word)
             inv = classical_invariants(front)
@@ -364,8 +366,8 @@ def _run(args) -> Union[dict, Callable[[bool], None]]:
         s1 = _parse_slope(args.slope1)
         matrix, image0, image1 = normalize_slopes(s0, s1)
         count = honda_count(
-            BoundaryData.of(args.ndiv, image0),
-            BoundaryData.of(args.ndiv, image1),
+            BoundaryData(args.ndiv, image0),
+            BoundaryData(args.ndiv, image1),
             args.twisting,
         )
         return {

@@ -23,7 +23,6 @@ from math import gcd
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import (
-    InvalidMeridian,
     InvalidParameter,
     NoJointPartner,
     NotNice,
@@ -139,34 +138,6 @@ def contact_to_topological(c: SlopeQ, tb: int) -> SlopeQ:
     if c.is_infinite:
         return c
     return SlopeQ.of(c.p + c.q * tb, c.q)
-
-
-def topological_to_contact(t: SlopeQ, tb: int) -> SlopeQ:
-    """Exact inverse of contact_to_topological."""
-    if t.is_infinite:
-        return t
-    return SlopeQ.of(t.p - t.q * tb, t.q)
-
-
-def boundary_slope(tb: int) -> SlopeQ:
-    """Dividing-curve slope 1/tb of a standard neighborhood boundary (canonical frame).
-
-    tb = 0 yields the infinite slope.
-    """
-    return SlopeQ.of(1, tb)
-
-
-def surgery_meridian_coefficient(a: int, b: int) -> int:
-    """Read the integer coefficient n off a surgery meridian a*mu + b*lambda_c.
-
-    A surgery meridian intersects each dividing curve once, which forces the
-    lambda_c coefficient b to be 1.
-    """
-    if b != 1:
-        raise InvalidMeridian(
-            f"curve {a}*mu + {b}*lambda_c is not a surgery meridian (need b = 1)"
-        )
-    return a
 
 
 # --- diagram node types ---------------------------------------------------
@@ -417,7 +388,7 @@ def validate_diagram(d: Diagram) -> list:
         a, b = r1.pair
         if a == b:
             out.append(Violation("duplicate_label", f"round1[{i}] pairs {a!r} with itself"))
-        for lab in (a, b):
+        for lab in dict.fromkeys((a, b)):  # a self-pair's label is checked once
             if lab not in seen:
                 out.append(Violation("unknown_label", f"round1[{i}] references unknown component {lab!r}"))
             elif lab in used:

@@ -48,13 +48,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Tuple
 
-from .core import TightLayerSpec, integers
+from .core import integers
 from .errors import (
     CertificateError,
     EmptyDividingSet,
     InvalidArcConfig,
     MarkMismatch,
-    UnsupportedLayer,
 )
 
 TOP, BOTTOM = "top", "bottom"
@@ -367,28 +366,3 @@ def giroux_overtwisted(glued: GluedCurves) -> bool:
     if not glued.curves:
         raise EmptyDividingSet("a convex torus carries a nonempty dividing set")
     return any(c.is_contractible for c in glued.curves)
-
-
-def layer_to_annulus(layer: TightLayerSpec, n: int = 1) -> ArcConfig:
-    """Combinatorial annulus cross-section of a tight layer with 2n marked points per side.
-
-    Nonrotative holonomy-k layers give traversing arcs of winding k; the
-    rotative layers give the boundary-parallel picture (one parallel arc per
-    side), which is only modelled for n = 1.
-    """
-    if n < 1:
-        raise UnsupportedLayer("need at least one arc per side")
-    if layer.twisting >= 1:
-        raise UnsupportedLayer("layers with positive twisting have no annulus model here")
-    marks = 2 * n
-    if layer.kind == "nonrotative":
-        k = layer.param
-        arcs = [TraversingArc(i, (i + k) % marks, k) for i in range(marks)]
-        return ArcConfig(marks, marks, tuple(arcs))
-    if n != 1:
-        raise UnsupportedLayer("rotative layers are modelled with two marked points per side")
-    if layer.kind == "rotative_plus":
-        arcs = (ParallelArc(TOP, 0, 1), ParallelArc(BOTTOM, 0, 1))
-    else:
-        arcs = (ParallelArc(TOP, 1, 0), ParallelArc(BOTTOM, 1, 0))
-    return ArcConfig(marks, marks, arcs)

@@ -15,16 +15,12 @@ class DiagramError(Exception):
     """Base class for domain-level errors."""
 
 
-class InvalidMeridian(DiagramError):
-    """The curve is not a surgery meridian (its contact-longitude coefficient is not 1)."""
-
-
 class NoJointPartner(DiagramError):
     """No round 2-surgery spec is joint with the given round 1-surgery spec."""
 
 
 class UnknownComponent(DiagramError):
-    """A referenced component label does not exist (or a pair repeats a label)."""
+    """A referenced component label does not exist."""
 
 
 class InvalidParameter(DiagramError):
@@ -66,10 +62,6 @@ class MarkMismatch(DiagramError):
 
 class EmptyDividingSet(DiagramError):
     """A convex torus with an empty dividing set is not allowed here."""
-
-
-class UnsupportedLayer(DiagramError):
-    """The thickened-torus layer has no combinatorial annulus model in scope."""
 
 
 class InvalidArcConfig(DiagramError):

@@ -528,16 +528,6 @@ class H1Class:
     def free(rank: int) -> "H1Class":
         return H1Class(rank, ())
 
-    @staticmethod
-    def cyclic(order: int) -> "H1Class":
-        """Z/order; order 0 means Z and order 1 the trivial group."""
-        order = abs(order)
-        if order == 0:
-            return H1Class(1, ())
-        if order == 1:
-            return H1Class(0, ())
-        return H1Class(0, (order,))
-
     def plus_free(self, extra: int) -> "H1Class":
         return H1Class(self.free_rank + extra, self.torsion)
 

@@ -180,10 +180,6 @@ class BoundaryData:
                 f"not {self.num_dividing}"
             )
 
-    @staticmethod
-    def of(num_dividing: int, slope: SlopeQ) -> "BoundaryData":
-        return BoundaryData(num_dividing, slope)
-
 
 @dataclass(frozen=True)
 class UnimodularMatrix:

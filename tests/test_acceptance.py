@@ -10,13 +10,16 @@ import random
 import pytest
 
 from crsdiag import (
+    ArcConfig,
     ContactSurgeryDiagram,
     H1Class,
     LegendrianComponent,
     LinkingData,
     OrientedFront,
+    ParallelArc,
     SlopeQ,
     TightLayerSpec,
+    TraversingArc,
     check_nice,
     classical_invariants,
     contact_to_topological,
@@ -30,13 +33,11 @@ from crsdiag import (
     is_fillable_sufficient,
     joint_pairs_to_pm1,
     kirby1_gadget,
-    layer_to_annulus,
     linking_matrix,
     neg_cf,
     pair_pm1_diagram,
     parse_front_word,
     stabilize,
-    topological_to_contact,
 )
 from crsdiag import bridge, dsl
 from crsdiag.core import Round1Spec, RoundSurgeryDiagram
@@ -57,7 +58,8 @@ def test_ac02_round2_fixtures():
     expected = (H1Class.free(1), H1Class.trivial())
     assert h1_round2(-1, SlopeQ.of(1)) == expected
     for tb in range(-6, 7):
-        assert h1_round2(tb, topological_to_contact(SlopeQ.of(0), tb)) == expected
+        # contact coefficient -tb is topological 0
+        assert h1_round2(tb, SlopeQ.of(-tb)) == expected
     print("AC02 PASS: round-2 surgery gives (Z, 0) for contact +1 at tb=-1 and for "
           "every topologically 0-framed unknot")
 
@@ -144,10 +146,10 @@ def test_ac08_honda_counts():
             assert all(r <= -2 for r in expansion.coefficients)
             assert expansion.value() == slope
             count += 1
-    minus_one = BoundaryData.of(2, SlopeQ.of(-1))
+    minus_one = BoundaryData(2, SlopeQ.of(-1))
 
     def front(s):
-        return BoundaryData.of(2, s)
+        return BoundaryData(2, s)
 
     assert honda_count(minus_one, front(SlopeQ.of(-2)), 0).value == 2
     assert honda_count(minus_one, front(SlopeQ.of(-5, 2)), 0).value == 4
@@ -172,8 +174,8 @@ def test_ac09_configuration_enumeration():
 
 
 def test_ac10_overtwistedness_fixture():
-    straight = layer_to_annulus(TightLayerSpec.nonrotative(0))
-    parallel = layer_to_annulus(TightLayerSpec.rotative_plus(1))
+    straight = ArcConfig(2, 2, (TraversingArc(0, 0, 0), TraversingArc(1, 1, 0)))
+    parallel = ArcConfig(2, 2, (ParallelArc("top", 0, 1), ParallelArc("bottom", 0, 1)))
     glued = glue_annuli(straight, parallel)
     assert any(c.is_contractible for c in glued.curves)
     assert giroux_overtwisted(glued)

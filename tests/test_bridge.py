@@ -6,13 +6,10 @@ from crsdiag import (
     LegendrianComponent,
     LinkingData,
     SlopeQ,
-    adachi_round1,
-    adachi_round2_realize,
     check_nice,
     det,
     h1_dehn,
     h1_round1,
-    h1_round_diagram,
     joint_pairs_to_pm1,
     kirby1_gadget,
     linking_matrix,
@@ -23,11 +20,9 @@ from crsdiag import bridge
 from crsdiag.core import Round1Spec, RoundSurgeryDiagram, TightLayerSpec
 from crsdiag.errors import (
     GadgetSelfTestFailed,
-    InvalidMeridian,
     InvalidParameter,
     NotNice,
     NotPm1Diagram,
-    UnknownComponent,
     UnsupportedComposition,
 )
 from conftest import random_pm1_diagram
@@ -178,36 +173,10 @@ def test_joint_pairs_to_pm1_rejects_stray_component():
         joint_pairs_to_pm1(d)
 
 
-def test_adachi_round1():
-    components = (LegendrianComponent("A", -1), LegendrianComponent("B", -3))
-    spec = adachi_round1(("A", "B"), components)
-    assert (spec.coeff_a, spec.coeff_b) == (1, 1)
-    assert spec.layer.is_zero_layer()
-    with pytest.raises(UnknownComponent):
-        adachi_round1(("A", "A"), components)
-    with pytest.raises(UnknownComponent):
-        adachi_round1(("A", "X"), components)
-
-
 def test_adachi_round1_homology_shift_invariance():
     base = h1_round1(-1, -1, 1, 1, 1)
     for k in range(-5, 6):
         assert h1_round1(-1, -1, 1, 1 + k, 1 + k) == base
-
-
-def test_adachi_round2_realize():
-    spec = adachi_round2_realize("K", (0, 1))
-    assert spec.coeff == SlopeQ.of(0)
-    spec = adachi_round2_realize("K", (1, 1))
-    assert spec.coeff == SlopeQ.of(1)
-    d = RoundSurgeryDiagram(
-        components=(LegendrianComponent("K", -1),),
-        linking=LinkingData([]),
-        round2=(spec,),
-    )
-    assert h1_round_diagram(d) == [H1Class.free(1), H1Class.trivial()]
-    with pytest.raises(InvalidMeridian):
-        adachi_round2_realize("K", (3, 2))
 
 
 def test_gadgets_split_from_input():

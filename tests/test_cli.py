@@ -709,6 +709,13 @@ def test_invariants_word():
     data = json.loads(out)
     assert [c["tb"] for c in data["components"]] == [-1, -1]
     assert data["lk"] == [[0, 1, 1]]
+    # a word beside a file or --diagram is refused, not read in their place
+    for extra in (["/nonexistent"], [fixture("front_pair.crs")], ["--diagram", "d"]):
+        code, out = run_cli(["invariants", "--word", "U1 C1", *extra])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "code": 1, "kind": "SemanticError",
+            "message": "invariants takes --word or a file, not both"}
 
 
 def test_invariants_file():

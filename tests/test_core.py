@@ -69,6 +69,11 @@ def test_validate_component_in_two_pairs():
         ),
     )
     assert any(v.code == "duplicate_pair_membership" for v in validate_diagram(d))
+    # a self-pair is one fault: its label sits in that one pair only
+    self_paired = RoundSurgeryDiagram(comps, LinkingData([]),
+                                      (Round1Spec(("A", "A"), 0, 0, TightLayerSpec.invariant()),))
+    assert [(v.code, v.message) for v in validate_diagram(self_paired)] == [
+        ("duplicate_label", "round1[0] pairs 'A' with itself")]
 
 
 def test_validate_second_round2_on_a_knot():

