@@ -401,6 +401,9 @@ def validate_diagram(d: Diagram) -> list:
         elif r2.knot in round2_knots:
             out.append(Violation("duplicate_round2",
                                  f"round2[{j}] is a second round 2-surgery on component {r2.knot!r}"))
+        elif r2.knot in used:
+            out.append(Violation("round2_on_round1_knot",
+                                 f"round2[{j}] is on component {r2.knot!r} of a round1 pair"))
         round2_knots.add(r2.knot)
     return out
 
@@ -459,24 +462,32 @@ def check_nice(d: RoundSurgeryDiagram, idx: int) -> NicenessReport:
     return NicenessReport(r1.pair, equal, pm1, standard, tuple(reasons))
 
 
-def _nice_partners(d: RoundSurgeryDiagram) -> list:
-    """The joint round 2-coefficient r2 of each round 1-spec, in order.
+def _nice_partners(d: RoundSurgeryDiagram, standalone: bool = False) -> list:
+    """The joint round 2-coefficient r2 (None if standalone) of each round 1-spec.
 
-    This is the one place that checks the rule "every surgery sits in a nice
-    joint pair": a standalone round 2-spec raises UnsupportedComposition, a
-    round 1-spec with no r2 or with a pair that check_nice rejects raises
-    NotNice.
+    This is the one place that checks joint pairs: a pair that check_nice
+    rejects raises NotNice.  Unless standalone is set, it checks the rule
+    "every surgery sits in a nice joint pair": a standalone round 2-spec
+    raises UnsupportedComposition and a round 1-spec with no r2 NotNice.
     """
-    if d.round2:
+    if d.round2 and not standalone:
         raise UnsupportedComposition(f"round2[{_joint_count(d)}] is not joint with any round 1-surgery")
-    for idx in range(len(d.round1)):
-        try:
-            report = check_nice(d, idx)
-        except NoJointPartner as exc:
-            raise NotNice(idx, "no joint round 2-surgery partner") from exc
+    for idx, r1 in enumerate(d.round1):
+        if r1.r2 is None:
+            if not standalone:
+                raise NotNice(idx, "no joint round 2-surgery partner")
+            continue
+        report = check_nice(d, idx)
         if not report.nice:
             raise NotNice(idx, "; ".join(report.reasons))
     return [r1.r2 for r1 in d.round1]
+
+
+def _require_valid(d: Diagram) -> None:
+    """Raise UnsupportedComposition naming every violation of d, if any."""
+    problems = validate_diagram(d)
+    if problems:
+        raise UnsupportedComposition("invalid diagram: " + "; ".join(v.message for v in problems))
 
 
 def joint_pairs_to_pm1(rd: RoundSurgeryDiagram) -> ContactSurgeryDiagram:
@@ -485,13 +496,10 @@ def joint_pairs_to_pm1(rd: RoundSurgeryDiagram) -> ContactSurgeryDiagram:
     Each pair with round-2 coefficient m yields contact coefficient m on both
     of its components; components, invariants and linking carry over verbatim.
     """
-    problems = validate_diagram(rd)
-    if problems:
-        raise UnsupportedComposition("invalid diagram: " + "; ".join(v.message for v in problems))
+    _require_valid(rd)
     coefficients = {}
     for r1, r2 in zip(rd.round1, _nice_partners(rd)):
-        a, b = r1.pair
-        coefficients[a] = coefficients[b] = r2
+        coefficients[r1.pair[0]] = coefficients[r1.pair[1]] = r2
     for c in rd.components:
         if c.label not in coefficients:
             raise UnsupportedComposition(f"component {c.label!r} is not in any joint pair")

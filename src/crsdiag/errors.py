@@ -32,7 +32,8 @@ class NotPm1Diagram(DiagramError):
 
 
 class UnsupportedComposition(DiagramError):
-    """The round surgery diagram mixes surgeries outside the supported shapes."""
+    """The round surgery diagram is invalid, has an infinite round 2-coefficient,
+    or breaks the nice joint-pair rule that to-pm1 and fillable need."""
 
 
 class NotNice(UnsupportedComposition):
@@ -42,10 +43,6 @@ class NotNice(UnsupportedComposition):
         super().__init__(f"round1[{index}]: {reason}")
         self.index = index
         self.reason = reason
-
-
-class NotTwoComponent(DiagramError):
-    """Standalone round 1-surgery homology requires exactly two components."""
 
 
 class DomainError(DiagramError):

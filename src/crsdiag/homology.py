@@ -34,23 +34,22 @@ approximation: at every other column the full-width update would compute
 x - f*0 = x.  So the log, the diagonal and the replay's result are those of
 the full-width code, which the tests keep as their reference.
 
-Presentations used:
+Presentations used (one for every diagram, built by _h1_link):
 
-* Dehn surgery on a link in the 3-sphere: generators are the meridians, one
-  relation p_i*mu_i + q_i * sum_j lk(i,j)*mu_j per component with topological
-  coefficient p_i/q_i (infinite coefficients are trivial surgeries and the
-  component is dropped).
-* Standalone round 1-surgery on a two-component link: a Mayer-Vietoris
-  presentation over the two gluing tori.  Generators (mu1, mu2, a, b) where a,
-  b generate the first homology of the glued thickened torus; the four
-  relation columns identify each torus' basis curves in both pieces.  The
-  gluing locus is disconnected, so the reduced 0-th homology contributes one
-  extra free summand: the connecting homomorphism is onto Z and the extension
-  splits, hence the explicit rank increment.
-* Round 2-surgery on a knot: the outer piece is the knot exterior (lambda
-  bounds, leaving Z/|P|), the inner piece is the tubular neighborhood with mu
-  bounding (leaving the lens-space factor Z/|Q|), where (P, Q) is the
-  topological coefficient pair.
+* The generators are the meridians mu_c of the components, and a, b for each
+  standalone round 1-surgery; lambda_K = sum_c lk(K, c) mu_c.  A component
+  with no surgery or an infinite coefficient is filled trivially (dropped).
+* A component read as a Dehn surgery of topological coefficient P/Q (with a
+  contact coefficient, in a nice joint pair with its r2, or the knot of a
+  standalone round 2-surgery) adds the row P mu_K + Q lambda_K.
+* A standalone round 1-surgery on (A, B) adds the Mayer-Vietoris rows
+  mu_A - a, N_A mu_A + lambda_A - b, mu_B - a and N_B mu_B + lambda_B - b,
+  with N = n + tb and a, b generating H1 of the glued thickened torus.  Its
+  gluing locus, two tori, is disconnected, so reduced H_0 adds one free
+  summand (the connecting map is onto Z and the extension splits).
+* A standalone round 2-surgery also leaves an inner piece, the tube where mu
+  bounds glued to a solid torus along P mu + Q lambda: the cokernel of
+  [[1, 0], [P, Q]], the lens-space factor Z/|Q|.
 """
 
 from __future__ import annotations
@@ -63,13 +62,16 @@ from typing import List, Sequence, Tuple
 
 from .core import (
     ContactSurgeryDiagram,
+    LegendrianComponent,
+    LinkingData,
     RoundSurgeryDiagram,
     SlopeQ,
+    _nice_partners,
+    _require_valid,
     contact_to_topological,
     integers,
-    joint_pairs_to_pm1,
 )
-from .errors import CertificateError, InvalidParameter, NotTwoComponent, UnsupportedComposition
+from .errors import CertificateError, InvalidParameter, UnsupportedComposition
 
 
 @dataclass(frozen=True)
@@ -557,26 +559,46 @@ def presentation_from_rows(rows: Sequence[Sequence[int]], generators: int) -> H1
 
 # --- surgery presentations ---------------------------------------------------
 
+def _h1_link(components, linking, contact, round1=()) -> H1Class:
+    """H1 of the connected result of surgeries on a link in S^3, from the
+    presentation of the module docstring.
+
+    contact maps labels to contact Dehn coefficients and round1 lists the
+    standalone round 1-surgeries as (A, B, n_A, n_B).
+    """
+    members, infinity = {lab for r1 in round1 for lab in r1[:2]}, SlopeQ.infinity()
+    index, tb, slopes = {}, {}, {}
+    for c in components:
+        t = contact_to_topological(contact.get(c.label, infinity), c.tb)
+        if not t.is_infinite:
+            slopes[c.label] = t
+        elif c.label not in members:
+            continue  # filled trivially
+        index[c.label], tb[c.label] = len(index), c.tb
+    width = len(index) + 2 * len(round1)
+    lam = {lab: [0] * width for lab in index}
+    for a, b, value in linking.pairs():
+        if a in index and b in index:
+            lam[a][index[b]] = lam[b][index[a]] = value
+    rows = []
+    for lab, t in slopes.items():
+        row = lam[lab] if t.q == 1 else [t.q * x for x in lam[lab]]
+        row[index[lab]] = t.p
+        rows.append(row)
+    gen = len(index)  # the generator a of the round 1-spec; b follows it
+    for a, b, n_a, n_b in round1:
+        for lab, n in ((a, n_a), (b, n_b)):
+            meridian, row = [0] * width, lam[lab]
+            meridian[index[lab]], meridian[gen] = 1, -1
+            row[index[lab]], row[gen + 1] = n + tb[lab], -1
+            rows += (meridian, row)
+        gen += 2
+    return presentation_from_rows(rows, width).plus_free(len(round1))
+
+
 def h1_dehn(d: ContactSurgeryDiagram) -> H1Class:
     """First homology of the result of the contact Dehn surgery diagram."""
-    active = []
-    topological = {}
-    for c in d.components:
-        t = contact_to_topological(d.coefficients[c.label], c.tb)
-        if t.is_infinite:
-            continue  # trivial surgery: the component has no effect
-        active.append(c.label)
-        topological[c.label] = t
-    n = len(active)
-    index = {lab: i for i, lab in enumerate(active)}
-    rows = [[0] * n for _ in range(n)]
-    for i, lab in enumerate(active):
-        rows[i][i] = topological[lab].p
-    for a, b, value in d.linking.pairs():
-        if a in index and b in index:
-            rows[index[a]][index[b]] = topological[a].q * value
-            rows[index[b]][index[a]] = topological[b].q * value
-    return presentation_from_rows(rows, n)
+    return _h1_link(d.components, d.linking, d.coefficients)
 
 
 def linking_matrix(d: ContactSurgeryDiagram) -> IntMatrix:
@@ -597,67 +619,40 @@ def linking_matrix(d: ContactSurgeryDiagram) -> IntMatrix:
 
 
 def h1_round1(tb1: int, tb2: int, lk: int, n1: int, n2: int) -> H1Class:
-    """First homology after a standalone round 1-surgery on a two-component link.
-
-    n1, n2 are the contact round 1-surgery coefficients; the topological ones
-    are N_i = n_i + tb_i.  The sign choices in the four Mayer-Vietoris columns
-    are fixed once; any global flip leaves the cokernel unchanged.
-    """
-    big_n1, big_n2 = n1 + tb1, n2 + tb2
-    columns = [
-        (1, 0, -1, 0),
-        (big_n1, lk, 0, -1),
-        (0, 1, -1, 0),
-        (lk, big_n2, 0, -1),
-    ]
-    relation = IntMatrix.from_rows(tuple(zip(*columns)))
-    # disconnected gluing locus: one extra free summand from reduced H_0
-    return cokernel(relation, 4).plus_free(1)
+    """First homology after a standalone round 1-surgery, with contact
+    coefficients n1, n2, on a two-component link."""
+    link = (LegendrianComponent("A", tb1), LegendrianComponent("B", tb2))
+    return _h1_link(link, LinkingData([("A", "B", lk)]), {}, [("A", "B", n1, n2)])
 
 
-def h1_round2(tb: int, c: SlopeQ) -> Tuple[H1Class, H1Class]:
-    """(outer, inner) first homology of the two round 2-surgery pieces.
-
-    The outer piece is contact Dehn surgery on the knot; the inner piece is
-    the lens-space factor.  Both are computed from explicit presentation
-    matrices rather than closed forms.
-    """
+def _round2_inner(tb: int, c: SlopeQ) -> H1Class:
+    """H1 of the inner piece of a round 2-surgery: generators (mu, lambda) of
+    the tube, where mu bounds and the glued solid torus kills P*mu + Q*lambda."""
     if c.is_infinite:
         raise UnsupportedComposition("round 2-surgery coefficient must be rational")
     t = contact_to_topological(c, tb)
-    big_p, big_q = t.p, t.q
-    # outer: knot exterior, generator mu, lambda already bounds
-    outer = presentation_from_rows([[big_p]], 1)
-    # inner: generators (mu, lambda); mu bounds in the tube, the glued solid
-    # torus kills P*mu + Q*lambda
-    inner = presentation_from_rows([[1, 0], [big_p, big_q]], 2)
-    return outer, inner
+    return presentation_from_rows([[1, 0], [t.p, t.q]], 2)
+
+
+def h1_round2(tb: int, c: SlopeQ) -> Tuple[H1Class, H1Class]:
+    """(outer, inner) first homology of the two pieces of a round 2-surgery
+    on a knot: contact Dehn surgery on it, and the lens-space factor."""
+    return _h1_link((LegendrianComponent("K", tb),), LinkingData(), {"K": c}), _round2_inner(tb, c)
 
 
 def h1_round_diagram(rd: RoundSurgeryDiagram) -> List[H1Class]:
-    """First homology per resulting component of a round surgery diagram.
-
-    Supported shapes: (i) a single standalone round 1-spec on a
-    two-component diagram, (ii) a single standalone round 2-spec on a knot,
-    (iii) every surgery sits in a nice joint pair (read as a contact diagram
-    by joint_pairs_to_pm1, whose errors are all UnsupportedComposition).
-    """
-    if len(rd.round1) == 1 and not rd.round2 and rd.round1[0].r2 is None:
-        if len(rd.components) != 2:
-            raise NotTwoComponent(
-                "standalone round 1-surgery needs a two-component diagram, "
-                f"found {len(rd.components)} components"
-            )
-        r1 = rd.round1[0]
-        a = rd.component(r1.pair[0])
-        b = rd.component(r1.pair[1])
-        lk = rd.linking.get(a.label, b.label)
-        return [h1_round1(a.tb, b.tb, lk, r1.coeff_a, r1.coeff_b)]
-
-    if not rd.round1 and len(rd.round2) == 1 and len(rd.components) == 1:
-        r2 = rd.round2[0]
-        knot = rd.component(r2.knot)
-        outer, inner = h1_round2(knot.tb, r2.coeff)
-        return [outer, inner]
-
-    return [h1_dehn(joint_pairs_to_pm1(rd))]
+    """First homology per resulting component of a round surgery diagram:
+    the connected result, then the inner piece of each standalone round
+    2-surgery in round2 order.  An invalid diagram or an infinite round
+    2-coefficient raises UnsupportedComposition, the first joint pair that
+    is not nice NotNice."""
+    _require_valid(rd)
+    contact, standalone = {}, []
+    for r1, r2 in zip(rd.round1, _nice_partners(rd, standalone=True)):
+        if r2 is None:
+            standalone.append((*r1.pair, r1.coeff_a, r1.coeff_b))
+        else:
+            contact[r1.pair[0]] = contact[r1.pair[1]] = r2
+    inner = [_round2_inner(rd.component(r2.knot).tb, r2.coeff) for r2 in rd.round2]
+    contact.update((r2.knot, r2.coeff) for r2 in rd.round2)
+    return [_h1_link(rd.components, rd.linking, contact, standalone)] + inner

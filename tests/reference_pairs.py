@@ -1,16 +1,68 @@
 """Reference implementations of the joint-pair checks that `core._nice_partners`
+replaced, and of the shape-by-shape first homology that `homology._h1_link`
 replaced, kept as test oracles.
 
-Each function writes the rule "every surgery sits in a nice joint pair" out
-in its own loop, as `bridge.joint_pairs_to_pm1`, `core.is_fillable_sufficient`
-and the general shape of `homology.h1_round_diagram` did.  They use only
-`check_nice`, `validate_diagram` and the homology presentations, never
-`_nice_partners`.
+Each joint-pair function writes the rule "every surgery sits in a nice joint
+pair" out in its own loop, as `bridge.joint_pairs_to_pm1`,
+`core.is_fillable_sufficient` and the general shape of
+`homology.h1_round_diagram` did.  They use only `check_nice`,
+`validate_diagram` and the Smith form, never `_nice_partners`.
+`h1_round_diagram` is the old code: one standalone round 1-surgery on a
+two-component link, one standalone round 2-surgery on a knot, or nice joint
+pairs only, each from its own closed-form presentation below; it shares no
+presentation with `src`.
 """
 
-from crsdiag.core import ContactSurgeryDiagram, SlopeQ, check_nice, validate_diagram
-from crsdiag.errors import NoJointPartner, NotNice, NotTwoComponent, UnsupportedComposition
-from crsdiag.homology import h1_dehn, h1_round1, h1_round2
+from crsdiag.core import (ContactSurgeryDiagram, SlopeQ, check_nice, contact_to_topological,
+                          validate_diagram)
+from crsdiag.errors import DiagramError, NoJointPartner, NotNice, UnsupportedComposition
+from crsdiag.homology import IntMatrix, cokernel, presentation_from_rows
+
+
+class NotTwoComponent(DiagramError):
+    """Standalone round 1-surgery homology requires exactly two components."""
+
+
+def h1_dehn(d):
+    """One relation p_i*mu_i + q_i * sum_j lk(i,j)*mu_j per component with a
+    finite topological coefficient p_i/q_i; the others are dropped."""
+    topological = {}
+    for c in d.components:
+        t = contact_to_topological(d.coefficients[c.label], c.tb)
+        if not t.is_infinite:
+            topological[c.label] = t
+    index = {lab: i for i, lab in enumerate(topological)}
+    rows = [[0] * len(index) for _ in index]
+    for lab, i in index.items():
+        rows[i][i] = topological[lab].p
+    for a, b, value in d.linking.pairs():
+        if a in index and b in index:
+            rows[index[a]][index[b]] = topological[a].q * value
+            rows[index[b]][index[a]] = topological[b].q * value
+    return presentation_from_rows(rows, len(index))
+
+
+def h1_round1(tb1, tb2, lk, n1, n2):
+    """The four Mayer-Vietoris columns over (mu1, mu2, a, b), plus one free
+    summand from the disconnected gluing locus."""
+    big_n1, big_n2 = n1 + tb1, n2 + tb2
+    columns = [
+        (1, 0, -1, 0),
+        (big_n1, lk, 0, -1),
+        (0, 1, -1, 0),
+        (lk, big_n2, 0, -1),
+    ]
+    return cokernel(IntMatrix.from_rows(tuple(zip(*columns))), 4).plus_free(1)
+
+
+def h1_round2(tb, c):
+    """(outer, inner): Z/|P| from the knot exterior, and the tube with mu
+    bounding and P*mu + Q*lambda killed."""
+    if c.is_infinite:
+        raise UnsupportedComposition("round 2-surgery coefficient must be rational")
+    t = contact_to_topological(c, tb)
+    return (presentation_from_rows([[t.p]], 1),
+            presentation_from_rows([[1, 0], [t.p, t.q]], 2))
 
 
 def joint_pairs_to_pm1(rd):

@@ -364,11 +364,16 @@ def test_gadget_output_is_unchanged():
 def test_standalone_round2_error_counts_the_joint_pairs_first(tmp_path):
     path = tmp_path / "mixed.crs"
     path.write_text(MIXED_ROUND_TEXT)
-    for command in ("to-pm1", "homology"):
-        code, out = run_cli([command, str(path)])
-        assert (code, json.loads(out)) == (1, {"error": {
-            "code": 1, "kind": "UnsupportedComposition",
-            "message": "round2[2] is not joint with any round 1-surgery"}}), command
+    code, out = run_cli(["to-pm1", str(path)])
+    assert (code, json.loads(out)) == (1, {"error": {
+        "code": 1, "kind": "UnsupportedComposition",
+        "message": "round2[2] is not joint with any round 1-surgery"}})
+    # homology reads the mixture: the connected result, then the inner pieces
+    # of round2 G (5/2 on tb -1, Q = 2) and round2 H (3 on tb -1, Q = 1)
+    code, out = run_cli(["homology", str(path)])
+    assert code == 0
+    assert json.loads(out)["components"][1:] == [{"free_rank": 0, "torsion": [2]},
+                                                 {"free_rank": 0, "torsion": []}]
 
 
 def test_a_knot_with_several_round2_surgeries_is_refused(tmp_path):
@@ -443,6 +448,13 @@ FIXTURE_DIGESTS = {
     ("hopf_round1_invariant.crs", "to-pm1"): "c30b271e06c764c24159f788552cde71b95e56b36b057bc771dd5b0eb0c49e35",
     ("hopf_round1_invariant.crs", "check-nice"): "2834ea2de436b294c7b073eadc52c033180be9c615c534f4a20fc1d6c11a2710",
     ("hopf_round1_invariant.crs", "fillable"): "4ffc129f7b6bff6062838d795fbbd9a6f7ea53d54eaf221423f7646f7fda1488",
+    ("mixed_round.crs", "parse"): "63b99f6998e552305ecc73b5f38b4ce0ddef6093e31bb6246edfd56cd10fe7ae",
+    ("mixed_round.crs", "invariants"): "bb25952d4abf8d2ca262e367449fec95f4ca9ce11603adf0175cd19ee538a6f2",
+    ("mixed_round.crs", "homology"): "a34529aa7712b0595e4cde0d9308a62e00309521032eb8c39e5447e82f3e771a",
+    ("mixed_round.crs", "to-round"): "1d2bb6707d8d8aa3bfa93fac2c5e71cdc686962835f3714acf2375c6bef9a71d",
+    ("mixed_round.crs", "to-pm1"): "881e4d804e32a39a4e76e952a4712c3caaf3a01f4ba3623d7193cdf9ae43d873",
+    ("mixed_round.crs", "check-nice"): "2834ea2de436b294c7b073eadc52c033180be9c615c534f4a20fc1d6c11a2710",
+    ("mixed_round.crs", "fillable"): "4ffc129f7b6bff6062838d795fbbd9a6f7ea53d54eaf221423f7646f7fda1488",
     ("nice_hopf_pair.crs", "parse"): "a294b2025b8d5a46bc919c74ccecb0dce7afdce17173a18433aa06a03fca81d7",
     ("nice_hopf_pair.crs", "invariants"): "a32309016e0daba55397e3ebcada20f955aba3abc06f8277e3e0d1b31b4a25e1",
     ("nice_hopf_pair.crs", "homology"): "6ebb14d821524f8463aea1bf2fb6db29180c4dd0b41b54958ab8597f2393ce20",

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from conftest import run_cli
 from crsdiag import (
     ContactSurgeryDiagram,
     LegendrianComponent,
@@ -88,9 +91,44 @@ def test_validate_second_round2_on_a_knot():
         (Round2Spec("A", SlopeQ.of(1)), Round2Spec("B", SlopeQ.of(2)), Round2Spec("A", SlopeQ.of(3))))
     assert [v.message for v in validate_diagram(standalone)] == [
         "round2[2] is a second round 2-surgery on component 'A'"]
+    # one on the joint pair's round 1-knot A is refused too, with its own code
     on_a = RoundSurgeryDiagram(joint.components, joint.linking, joint.round1,
                                (Round2Spec("A", SlopeQ.of(1)),))
-    assert validate_diagram(on_a) == []
+    assert [(v.code, v.message) for v in validate_diagram(on_a)] == [
+        ("round2_on_round1_knot", "round2[1] is on component 'A' of a round1 pair")]
+
+
+ROUND2_ON_A_PAIR = [  # round1 statement, round2 knot, the message
+    ("joint_pair (A, B) { r1 = 0, 0; r2 = -1; layer = invariant; }", "B",
+     "round2[1] is a second round 2-surgery on component 'B'"),
+    ("joint_pair (A, B) { r1 = 0, 0; r2 = -1; layer = invariant; }", "A",
+     "round2[1] is on component 'A' of a round1 pair"),
+    ("round1 (A, B) { r1 = 0, 0; layer = invariant; }", "A",
+     "round2[0] is on component 'A' of a round1 pair"),
+    ("round1 (A, B) { r1 = 0, 0; layer = invariant; }", "B",
+     "round2[0] is on component 'B' of a round1 pair"),
+]
+
+
+@pytest.mark.parametrize("statement, knot, message", ROUND2_ON_A_PAIR)
+def test_round2_on_a_round1_knot_is_refused(tmp_path, statement, knot, message):
+    # a standalone round 2-surgery on either knot of any round 1 pair has one
+    # meaning, refused: round1 (A, B) plus round2 B is not read as a joint pair
+    kind = "duplicate_round2" if "second" in message else "round2_on_round1_knot"
+    standalone = statement.startswith("round1")
+    rd = RoundSurgeryDiagram(
+        hopf_components(), LinkingData([("A", "B", 1)]),
+        (Round1Spec(("A", "B"), 0, 0, TightLayerSpec.invariant(),
+                    None if standalone else SlopeQ.of(-1)),),
+        (Round2Spec(knot, SlopeQ.of(1)),))
+    assert [(v.code, v.message) for v in validate_diagram(rd)] == [(kind, message)]
+    path = tmp_path / "pair.crs"
+    path.write_text("round_diagram r {\n  component A { tb = -1; rot = 0; }\n"
+                    "  component B { tb = -1; rot = 0; }\n  lk(A, B) = 1;\n"
+                    f"  {statement}\n  round2 {knot} {{ r2 = 1; }}\n}}\n")
+    assert run_cli(["parse", str(path)]) == (1, json.dumps(
+        {"error": {"code": 1, "kind": "SemanticError", "message": message}},
+        separators=(",", ":")) + "\n")
 
 
 def test_self_linking_rejected():

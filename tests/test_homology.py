@@ -740,32 +740,40 @@ def test_h1_round_diagram_single_round1():
     assert h1_round_diagram(d) == [H1Class.free(2)]
 
 
-def test_h1_round_diagram_standalone_round1_needs_two_components():
-    from crsdiag.errors import NotTwoComponent
-
-    d = RoundSurgeryDiagram(
-        components=(
-            LegendrianComponent("A", -1),
-            LegendrianComponent("B", -1),
-            LegendrianComponent("C", -1),
-        ),
-        linking=LinkingData([("A", "B", 1)]),
-        round1=(Round1Spec(("A", "B"), 0, 0, TightLayerSpec.invariant()),),
-    )
-    with pytest.raises(NotTwoComponent):
-        h1_round_diagram(d)
+def test_h1_round_diagram_standalone_round1_beside_an_unsurgered_component():
+    # C carries no surgery, so it is filled trivially however it links A and B
+    for linking in ([("A", "B", 1)], [("A", "B", 1), ("A", "C", 2), ("B", "C", -3)]):
+        d = RoundSurgeryDiagram(
+            components=(
+                LegendrianComponent("A", -1),
+                LegendrianComponent("B", -1),
+                LegendrianComponent("C", -1),
+            ),
+            linking=LinkingData(linking),
+            round1=(Round1Spec(("A", "B"), 0, 0, TightLayerSpec.invariant()),),
+        )
+        assert h1_round_diagram(d) == [H1Class.free(2)]
 
 
 def test_h1_round_diagram_rejects_mixtures():
-    d = RoundSurgeryDiagram(
-        components=(
-            LegendrianComponent("A", -1),
-            LegendrianComponent("B", -1),
-            LegendrianComponent("C", -1),
-        ),
-        linking=LinkingData([("A", "B", 1)]),
-        round1=(Round1Spec(("A", "B"), 0, 0, TightLayerSpec.invariant()),),
-        round2=(Round2Spec("C", SlopeQ.of(1)),),
-    )
-    with pytest.raises(UnsupportedComposition):
-        h1_round_diagram(d)
+    # a mixture is refused only for a joint pair that is not nice or an
+    # infinite round 2-coefficient; the first non-nice pair is named
+    from crsdiag.errors import NotNice
+
+    def mixed(r2, layer, coeff_c):
+        return RoundSurgeryDiagram(
+            components=tuple(LegendrianComponent(lab, -1) for lab in "ABCDE"),
+            linking=LinkingData([("A", "B", 1), ("B", "C", 2), ("D", "E", 1)]),
+            round1=(Round1Spec(("A", "B"), 0, 1, TightLayerSpec.invariant(), r2),
+                    Round1Spec(("D", "E"), 0, 0, layer, SlopeQ.of(-1))),
+            round2=(Round2Spec("C", coeff_c),),
+        )
+
+    bent = TightLayerSpec.nonrotative(1)
+    with pytest.raises(NotNice, match=r"^round1\[0\]: coefficient mismatch \(0 vs 1\)$"):
+        h1_round_diagram(mixed(SlopeQ.of(1), bent, SlopeQ.of(1)))
+    with pytest.raises(NotNice, match=r"^round1\[1\]: layer is not the zero-holonomy"):
+        h1_round_diagram(mixed(None, bent, SlopeQ.of(1)))
+    with pytest.raises(UnsupportedComposition, match="^round 2-surgery coefficient must be rational$"):
+        h1_round_diagram(mixed(None, TightLayerSpec.invariant(), SlopeQ.infinity()))
+    assert len(h1_round_diagram(mixed(None, TightLayerSpec.invariant(), SlopeQ.of(1)))) == 2

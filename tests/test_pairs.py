@@ -18,10 +18,12 @@ from crsdiag.core import (
     RoundSurgeryDiagram,
     SlopeQ,
     TightLayerSpec,
+    check_nice,
     is_fillable_sufficient,
     joint_pairs_to_pm1,
+    validate_diagram,
 )
-from crsdiag.errors import CertificateError, UnsupportedComposition
+from crsdiag.errors import CertificateError, NotNice, UnsupportedComposition
 from crsdiag.homology import h1_round_diagram
 from conftest import FIXTURES, run_cli
 import reference_pairs
@@ -77,12 +79,25 @@ def outcome(fn, rd, errors=Exception):
 def test_joint_pair_rule_matches_reference(rd):
     assert is_fillable_sufficient(rd) == reference_pairs.is_fillable_sufficient(rd)
     assert outcome(joint_pairs_to_pm1, rd) == outcome(reference_pairs.joint_pairs_to_pm1, rd)
+    # the reference answers only its three shapes; every other diagram gets an
+    # H1 now, unless it is invalid or holds a joint pair that is not nice
     new, old = outcome(h1_round_diagram, rd), outcome(reference_pairs.h1_round_diagram, rd)
-    if new[0] == "ok" or old[0] == "ok":
+    if old[0] == "ok":
         assert new == old
-    elif issubclass(old[1], UnsupportedComposition):
-        assert issubclass(new[1], UnsupportedComposition), (new, old)
-    else:  # the standalone shapes keep their own errors
+    problems = validate_diagram(rd)
+    reports = {idx: check_nice(rd, idx) for idx, r1 in enumerate(rd.round1) if r1.r2 is not None}
+    bad = [(idx, report.reasons) for idx, report in reports.items() if not report.nice]
+    if problems:
+        assert old[0] == "error"
+        assert new == ("error", UnsupportedComposition,
+                       "invalid diagram: " + "; ".join(v.message for v in problems))
+    elif bad:
+        assert old[0] == "error"
+        idx, reasons = bad[0]
+        assert new == ("error", NotNice, f"round1[{idx}]: " + "; ".join(reasons))
+    else:
+        assert new[0] == "ok", new
+    if old[0] == "error" and old[2].startswith("invalid diagram: "):
         assert new == old
 
 
@@ -156,27 +171,50 @@ def test_to_round_exits_3_on_a_failed_certificate(monkeypatch, fault):
     assert (error["code"], error["kind"]) == (3, "CertificateError")
 
 
-# --- homology reports the joint-pair errors of to-pm1 -------------------------
+# --- homology and the joint-pair errors of to-pm1 -----------------------------
 
 NICE = "joint_pair (A, B) { r1 = 0, 0; r2 = -1; layer = invariant; }"
-BAD_ROUND_FILES = {  # components, statements, the error both commands print
+BAD_ROUND_FILES = {  # components, statements, the error to-pm1 prints, homology's answer
     "mismatch": ("AB", "joint_pair (A, B) { r1 = 0, 1; r2 = -1; layer = invariant; }",
-                 ("NotNice", "round1[0]: coefficient mismatch (0 vs 1)")),
+                 ("NotNice", "round1[0]: coefficient mismatch (0 vs 1)"), None),
+    # the unlinked pair is two contact (-1)-surgeries on tb -1 unknots,
+    # Z/2 + Z/2, and a standalone round 1-surgery on the unlink (C, D) adds
+    # Z + Z: a = mu_C = mu_D and b = -a, plus the free summand
     "partnerless": ("ABCD", NICE + " round1 (C, D) { r1 = 0, 0; layer = invariant; }",
-                    ("NotNice", "round1[1]: no joint round 2-surgery partner")),
+                    ("NotNice", "round1[1]: no joint round 2-surgery partner"),
+                    {"free_rank": 2, "torsion": [2, 2]}),
+    # C carries no surgery and is filled trivially
     "stray": ("ABC", NICE,
-              ("UnsupportedComposition", "component 'C' is not in any joint pair")),
+              ("UnsupportedComposition", "component 'C' is not in any joint pair"),
+              {"free_rank": 0, "torsion": [2, 2]}),
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_ROUND_FILES))
-def test_homology_prints_the_to_pm1_error(tmp_path, case):
-    labels, statements, (kind, message) = BAD_ROUND_FILES[case]
+def bad_round_file(tmp_path, case):
+    labels, statements, _error, _h1 = BAD_ROUND_FILES[case]
     components = "".join(f"  component {c} {{ tb = -1; rot = 0; }}\n" for c in labels)
     path = tmp_path / "bad.crs"
     path.write_text(f"round_diagram r {{\n{components}  {statements}\n}}\n")
-    homology = run_cli(["homology", str(path)])
-    assert homology == run_cli(["to-pm1", str(path)])
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["mismatch"])
+def test_homology_prints_the_to_pm1_error(tmp_path, case):
+    path = bad_round_file(tmp_path, case)
+    kind, message = BAD_ROUND_FILES[case][2]
+    homology = run_cli(["homology", path])
+    assert homology == run_cli(["to-pm1", path])
     code, out = homology
     assert code == 1
     assert json.loads(out) == {"error": {"code": 1, "kind": kind, "message": message}}
+
+
+@pytest.mark.parametrize("case", ["partnerless", "stray"])
+def test_homology_reads_what_to_pm1_refuses(tmp_path, case):
+    # to-pm1 needs every surgery in a nice joint pair; homology does not
+    path = bad_round_file(tmp_path, case)
+    kind, message = BAD_ROUND_FILES[case][2]
+    code, out = run_cli(["to-pm1", path])
+    assert (code, json.loads(out)) == (1, {"error": {"code": 1, "kind": kind, "message": message}})
+    code, out = run_cli(["homology", path])
+    assert (code, json.loads(out)) == (0, {"components": [BAD_ROUND_FILES[case][3]]})

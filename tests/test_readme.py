@@ -16,7 +16,8 @@ _SH_BLOCK = re.compile(r"^```sh\n(.*?)^```$", re.M | re.S)
 # a command and its trailing comment, if any
 _COMMENTED = re.compile(r"(.*?)(?:\s+#\s*(.*))?")
 # the placeholder file names the commands use, and the fixture each stands for
-_FILES = {"file.crs": "four_unknots_pm1.crs", "round_file.crs": "fillable_two_pairs.crs"}
+_FILES = {"file.crs": "four_unknots_pm1.crs", "round_file.crs": "fillable_two_pairs.crs",
+          "mixed_file.crs": "mixed_round.crs"}
 
 
 def test_readme_examples():
