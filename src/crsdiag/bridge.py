@@ -163,20 +163,27 @@ def pair_pm1_diagram(
         raise NotPm1Diagram("every coefficient must be +1 or -1")
     if gadget_m < 1 or (gadget_m2 is not None and gadget_m2 < 1):
         raise InvalidParameter("gadget parameters must be positive integers")
-    m2 = gadget_m if gadget_m2 is None else gadget_m2
+    m = ("gadget_m", gadget_m)
+    m2 = m if gadget_m2 is None else ("gadget_m2", gadget_m2)
 
     plus = SlopeQ.of(1)
     n1 = sum(1 for c in d.coefficients.values() if c == plus)
     n2 = len(d.components) - n1
     odd1, odd2 = n1 % 2 == 1, n2 % 2 == 1
+    # each gadget as (argument name, its value, e): its parameter is 2 * value + e
     if not odd1 and not odd2:
-        case_id, sizes = 1, []
+        case_id, planned = 1, []
     elif odd1 and not odd2:
-        case_id, sizes = 2, [2 * gadget_m]
+        case_id, planned = 2, [(*m, 0)]
     elif not odd1 and odd2:
-        case_id, sizes = 3, [2 * gadget_m + 1, 2 * m2]
+        case_id, planned = 3, [(*m, 1), (*m2, 0)]
     else:
-        case_id, sizes = 4, [2 * gadget_m + 1]
+        case_id, planned = 4, [(*m, 1)]
+    sizes = [2 * value + e for _, value, e in planned]
+    for (name, value, e), size in zip(planned, sizes):
+        if size > GADGET_MAX_M:
+            raise LimitExceeded(f"{name} {value} gives gadget parameter {size} = 2*{value}{' + 1' * e}, "
+                                f"more than {GADGET_MAX_M}, the largest gadget built")
 
     components = list(d.components)
     linking = d.linking

@@ -24,14 +24,20 @@ digit.  Space, tab and carriage return separate tokens.  Strings are
 double-quoted on one line, without escapes.  `#` starts a comment that runs
 to the end of the line.  Error positions are 1-based line:col, worked out
 from the text only when an error is raised.
-An lk statement written on one line as the printer writes it, `lk(A, B) = v;`
-with single spaces and a value of an optional `-` and at most 18 digits,
-is one lexeme, which the statement loop reads with two `str.partition`
-calls; the linking block of a printed n-component diagram is up to
-n(n-1)/2 such lines.  Any other spelling is read lexeme by lexeme.  When a
-read fails on such a lexeme (an lk statement where no statement goes, or a
-self-linking one), the text is read again lexeme by lexeme, so errors and
-their line:col are those of that reading.
+Every statement written on one line as `print_diagram` writes it is one
+lexeme: `lk(A, B) = v;`, `component L { tb = t; rot = r; }` (or with
+`front = "w"; orient = o;` first, and tb or rot optional),
+`contact_surgery L = c;`, `joint_pair (A, B) { r1 = i, j; r2 = c; layer = l; }`,
+`round1 (A, B) { r1 = i, j; layer = l; }` and `round2 K { r2 = c; }`, with
+single spaces and integers of an optional `-` and at most 18 digits.  The
+statement loop reads such a lexeme in one step, cutting it at the
+separators the printer writes, into the values that the lexeme-by-lexeme
+reading builds.  Any other spelling is read lexeme by lexeme.  When a read
+fails on such a lexeme (a statement where none goes or that the diagram
+keyword does not allow, a self-linking lk, a second coefficient on a
+component, 0/0 or a bad layer parameter), the text is read again lexeme by
+lexeme, so both readings give the same diagrams, and the same errors at the
+same line:col.
 Rationals are written p/q with an optional sign, plain integers abbreviate
 n/1, and inf is the infinite coefficient.
 Front-derived tb/rot win over declared values; a disagreement is a semantic
@@ -67,16 +73,32 @@ from .front import OrientedFront, classical_invariants, parse_front_word, trace_
 # an identifier, an integer or a punctuation mark.
 _SPACE = r"[ \t\r\n]+|#[^\n]*"
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_WORD = rf'"[^"\n]*"|{_IDENT}|[0-9]+|[{{}}()=,;/-]'
+_NOT_IDENT = r'"[^"\n]*"|[0-9]+|[{}()=,;/-]'  # the lexemes that start with no letter
+_WORD = rf"{_NOT_IDENT}|{_IDENT}"
 _SPACES = re.compile(rf"(?:{_SPACE})*")
 # One lexeme and the blanks after it.  `.` takes a character outside the
 # grammar, and the empty match at the end of the text is the end lexeme "".
 _LEXEME = re.compile(rf"({_WORD}|.|\Z)(?:{_SPACE})*")
-# The parser's lexer also takes a whole `lk(A, B) = v;` statement, written on
-# one line as `print_diagram` writes it, as one lexeme.  Split by `_LEXEME`,
-# such a lexeme gives the nine lexemes it stands for, so the two lexers agree
-# on where every lexeme they share starts.
-_LK = re.compile(rf"(lk\({_IDENT}, {_IDENT}\) = -?[0-9]{{1,18}};|{_WORD}|.|\Z)(?:{_SPACE})*")
+# Every statement that `print_diagram` writes, on one line as it writes it:
+# single spaces, and integers of an optional `-` and at most 18 digits, so
+# that `int` reads any of them.  The statements with one first letter form
+# one group, whose shared prefix `re` then tests once.
+_INT = r"-?[0-9]{1,18}"
+_SLOPE = rf"(?:inf|{_INT}(?:/[0-9]{{1,18}})?)"
+_LAYER = rf"(?:invariant|(?:nonrotative|rotative_plus|rotative_minus)\({_INT}\))"
+_PAIR = rf"\({_IDENT}, {_IDENT}\)"
+_STATEMENT = (
+    rf'(?:component {_IDENT} \{{(?: front = "[^"\n]*"; orient = (?:forward|reverse);)?'
+    rf"(?: tb = {_INT};)?(?: rot = {_INT};)? \}}|contact_surgery {_IDENT} = {_SLOPE};)"
+    rf"|joint_pair {_PAIR} \{{ r1 = {_INT}, {_INT}; r2 = {_SLOPE}; layer = {_LAYER}; \}}"
+    rf"|lk{_PAIR} = {_INT};"
+    rf"|(?:round1 {_PAIR} \{{ r1 = {_INT}, {_INT}; layer = {_LAYER}; \}}|round2 {_IDENT} \{{ r2 = {_SLOPE}; \}})"
+)
+# The parser's lexer also takes every printed statement as one lexeme.  Split
+# by `_LEXEME`, such a lexeme gives the lexemes it stands for, so the two
+# lexers agree on where every lexeme they share starts.  A statement starts
+# with a letter, so the statements are tried after the lexemes that do not.
+_MERGED = re.compile(rf"({_NOT_IDENT}|{_STATEMENT}|{_IDENT}|.|\Z)(?:{_SPACE})*")
 # The one-character lexemes of the grammar; any other one-character lexeme is
 # a character outside it or the quote of an unterminated string.
 _CHARS = frozenset(c for c in map(chr, range(128)) if re.fullmatch(_WORD, c))
@@ -109,8 +131,42 @@ def _position(text: str, k: int, lexeme: re.Pattern = _LEXEME) -> Tuple[int, int
 
 
 class _Misread(Exception):
-    """A read failed on a whole-statement `lk` lexeme: the text is read again
+    """A read failed on a whole-statement lexeme: the text is read again
     with `_LEXEME`, so that the error is the one the plain lexemes give."""
+
+
+def _merged(lexeme: str) -> bool:
+    """Whether a lexeme of `_MERGED` is a whole statement: only those and
+    strings hold a space."""
+    return " " in lexeme and lexeme[0] != '"'
+
+
+def _printed_fields(block: str) -> dict:
+    """The fields of a printed block `key = value; ... }` (its '{ ' cut off),
+    as texts by key."""
+    return dict(field.split(" = ") for field in block.split("; ")[:-1])
+
+
+def _printed_slope(text: str) -> SlopeQ:
+    """The slope of a `_SLOPE` text, as `_Parser.slope` reads it."""
+    if text == "inf":
+        return SlopeQ.infinity()
+    p, _, q = text.partition("/")
+    p, q = int(p), int(q or 1)
+    if p == q == 0:
+        raise _Misread
+    return SlopeQ.of(p, q)
+
+
+def _printed_layer(text: str) -> TightLayerSpec:
+    """The layer of a `_LAYER` text, as `_Parser.layer` reads it."""
+    if text == "invariant":
+        return TightLayerSpec.invariant()
+    kind, _, value = text[:-1].partition("(")
+    try:
+        return getattr(TightLayerSpec, kind)(int(value))
+    except InvalidParameter:
+        raise _Misread from None
 
 
 @dataclass(frozen=True)
@@ -155,7 +211,7 @@ class _Parser:
     The last lexeme is "", which no reader takes, so `pos` stays in range.
     """
 
-    def __init__(self, text: str, lexeme: re.Pattern = _LK):
+    def __init__(self, text: str, lexeme: re.Pattern = _MERGED):
         self.text = text
         self.lexeme = lexeme
         self.tokens = _lexemes(text, lexeme)
@@ -163,9 +219,9 @@ class _Parser:
 
     def fail(self, message: str, at: Optional[int] = None, error=DslSyntaxError):
         """Raise `error` at lexeme `at`, by default the next one; at a whole
-        lk statement, raise _Misread instead."""
+        statement, raise _Misread instead."""
         at = self.pos if at is None else at
-        if self.tokens[at][:3] == "lk(":
+        if _merged(self.tokens[at]):
             raise _Misread
         raise error(message, *_position(self.text, at, self.lexeme))
 
@@ -316,16 +372,44 @@ class _Parser:
         surgeries = {}
         round1, round2 = [], []
         while tokens[self.pos] != "}":
-            at = self.pos
-            statement = tokens[at]
-            if statement[:3] == "lk(":  # a whole `lk(A, B) = v;` statement
-                pair, _, value = statement[3:-1].partition(") = ")
-                a, _, b = pair.partition(", ")
-                if a == b:
-                    raise _Misread  # the lexeme-by-lexeme reading reports it
-                linking.append((a, b, int(value)))
+            statement = tokens[self.pos]
+            if " " in statement and statement[0] != '"':  # a whole printed statement (`_merged`)
                 self.pos += 1
+                if statement[:3] == "lk(":
+                    pair, _, value = statement[3:-1].partition(") = ")
+                    a, _, b = pair.partition(", ")
+                    if a == b:
+                        raise _Misread  # the lexeme-by-lexeme reading reports it
+                    linking.append((a, b, int(value)))
+                    continue
+                head, _, block = statement.partition(" { ")
+                word, _, tail = head.partition(" ")
+                if word == "component":
+                    front = None
+                    if block[:9] == 'front = "':
+                        front, _, block = block[9:].partition('"; ')  # a string holds no '"'
+                    fields = _printed_fields(block)
+                    tb, rot = fields.get("tb"), fields.get("rot")
+                    decls.append(ComponentDecl(tail, None if tb is None else int(tb),
+                                               None if rot is None else int(rot), front, fields.get("orient")))
+                elif word not in statements:
+                    raise _Misread
+                elif word == "contact_surgery":
+                    label, _, value = tail[:-1].partition(" = ")
+                    if label in surgeries:
+                        raise _Misread
+                    surgeries[label] = _printed_slope(value)
+                elif word == "round2":
+                    round2.append(Round2Spec(tail, _printed_slope(_printed_fields(block)["r2"])))
+                else:
+                    a, _, b = tail[1:-1].partition(", ")
+                    fields = _printed_fields(block)
+                    i, _, j = fields["r1"].partition(", ")
+                    r2 = fields.get("r2")
+                    round1.append(Round1Spec((a, b), int(i), int(j), _printed_layer(fields["layer"]),
+                                             None if r2 is None else _printed_slope(r2)))
                 continue
+            at = self.pos
             statement = self.ident()
             if statement == "component":
                 label = self.ident()

@@ -188,13 +188,24 @@ EDIT_LEXEMES = ("{", "}", "(", ")", "=", ",", ";", "/", "-", "0", "1", "12", "in
                 "joint_pair", "round1", "round2", "diagram", "round_diagram", '"U1 C1"', '"U1 X1"', '""')
 
 
-def edit_lexemes(rng: random.Random, text: str, edits: int) -> str:
+def edit_lexemes(rng: random.Random, text: str, edits: int, in_statements: bool = False) -> str:
     """Apply `edits` random token-level edits (replace, insert, delete or
-    duplicate one lexeme), keeping the rest of the text as it is."""
+    duplicate one lexeme), keeping the rest of the text as it is.
+
+    With in_statements, each edit falls on a lexeme inside a statement that
+    the parser's lexer reads as one lexeme (none once no such statement is left).
+    """
     from crsdiag import dsl
 
     for _ in range(edits):
         spans = [m.span(1) for m in dsl._LEXEME.finditer(text, dsl._SPACES.match(text).end())]
+        if in_statements:
+            statements = [m.span(1) for m in dsl._MERGED.finditer(text, dsl._SPACES.match(text).end())
+                          if dsl._merged(m.group(1))]
+            spans = [(start, end) for start, end in spans
+                     if any(a <= start and end <= b for a, b in statements)]
+            if not spans:
+                break
         start, end = spans[rng.randrange(len(spans))]  # the last span is the end of the text
         edit = rng.randrange(4)
         if edit == 0:

@@ -56,6 +56,36 @@ def test_homology_contact_hopf():
     assert json.loads(out) == {"components": [{"free_rank": 0, "torsion": [3]}]}
 
 
+# Run under `python -I`: the sources come from argv, not from PYTHONPATH.
+STDLIB_ONLY_SCRIPT = """
+import contextlib, io, json, sys
+started = set(sys.modules)  # the interpreter's start-up, site included
+sys.path.insert(0, sys.argv[1])
+import crsdiag.cli
+fixture = sys.argv[2]
+calls = [["parse", fixture], ["homology", fixture], ["to-round", fixture],
+         ["count-tight", "--slope0", "-1", "--slope1", "-5/2"],
+         ["glue-annuli", "--top-marks", "2", "--bottom-marks", "2",
+          "--a", "T(0,0,0) T(1,1,0)", "--b", "P(top,0,1) P(bottom,0,1)"],
+         ["enum-configs", "--count-only", "--n0", "3", "--n1", "3", "--max-winding", "1"]]
+codes = []
+for argv in calls:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(crsdiag.cli.main(argv))
+loaded = sorted(set(sys.modules) - started)
+outside = [name for name in loaded if name.partition(".")[0] not in sys.stdlib_module_names | {"crsdiag"}]
+print(json.dumps([codes, "crsdiag.cli" in loaded, outside]))
+"""
+
+
+def test_runtime_loads_only_the_standard_library():
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run([sys.executable, "-I", "-c", STDLIB_ONLY_SCRIPT, str(src),
+                             fixture("four_unknots_pm1.crs")], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[0] * 6, True, []]
+
+
 def test_cf_command():
     code, out = run_cli(["cf", "-5/2"])
     assert code == 0
@@ -662,7 +692,11 @@ def test_lk_heavy_pm1_output_is_unchanged(tmp_path):
     assert digests == PM1_DIGESTS
 
 
-def test_gadget_bound_refuses_before_building(monkeypatch):
+# one -1 component: to-round inserts two gadgets (parity case 3)
+MINUS1_TEXT = "diagram d {\n  component K { tb = -1; rot = 0; }\n  contact_surgery K = -1;\n}\n"
+
+
+def test_gadget_bound_refuses_before_building(monkeypatch, tmp_path):
     import crsdiag.bridge as bridge
     from crsdiag.bridge import GADGET_MAX_M
 
@@ -670,16 +704,28 @@ def test_gadget_bound_refuses_before_building(monkeypatch):
         raise AssertionError("a gadget component was built")
 
     monkeypatch.setattr(bridge, "LegendrianComponent", forbidden)
-    # single_plus1_unknot takes one gadget of 2 * gadget_m components
+    largest = f"more than {GADGET_MAX_M}, the largest gadget built"
+    # single_plus1_unknot (one +1 component) takes one gadget of parameter
+    # 2 * gadget_m; one -1 component takes two, of 2 * gadget_m + 1 and
+    # 2 * gadget_m2 (gadget_m2 defaults to gadget_m)
     half = GADGET_MAX_M // 2 + 1
-    calls = [(["gadget", "--m", str(GADGET_MAX_M + 1)], GADGET_MAX_M + 1),
-             (["to-round", "--gadget-m", str(half), fixture("single_plus1_unknot.crs")], 2 * half)]
-    for argv, m in calls:
+    plus1, minus1 = fixture("single_plus1_unknot.crs"), str(tmp_path / "minus1.crs")
+    Path(minus1).write_text(MINUS1_TEXT)
+    calls = [
+        (["gadget", "--m", str(GADGET_MAX_M + 1)], f"gadget parameter {GADGET_MAX_M + 1} is"),
+        (["to-round", "--gadget-m", str(half), plus1],
+         f"gadget_m {half} gives gadget parameter {2 * half} = 2*{half},"),
+        (["to-round", "--gadget-m", "128", plus1], "gadget_m 128 gives gadget parameter 256 = 2*128,"),
+        (["to-round", "--gadget-m2", "65", minus1], "gadget_m2 65 gives gadget parameter 130 = 2*65,"),
+        (["to-round", "--gadget-m", "64", minus1], "gadget_m 64 gives gadget parameter 129 = 2*64 + 1,"),
+        (["to-round", "--gadget-m", "64", "--gadget-m2", "1", minus1],
+         "gadget_m 64 gives gadget parameter 129 = 2*64 + 1,"),
+        (["to-round", "--gadget-m", "65", minus1], "gadget_m 65 gives gadget parameter 131 = 2*65 + 1,"),
+    ]
+    for argv, message in calls:
         code, out = run_cli(argv)
         assert (code, json.loads(out)) == (1, {"error": {
-            "code": 1, "kind": "LimitExceeded",
-            "message": f"gadget parameter {m} is more than {GADGET_MAX_M}, "
-                       "the largest gadget built"}}), argv
+            "code": 1, "kind": "LimitExceeded", "message": f"{message} {largest}"}}), argv
 
 
 def test_gadget_bound_covers_the_second_gadget(tmp_path):
@@ -688,8 +734,7 @@ def test_gadget_bound_covers_the_second_gadget(tmp_path):
     # even/odd: no +1 component and one -1 component, so two gadgets are
     # inserted, of 2 * gadget_m + 1 and 2 * gadget_m2 components
     path = tmp_path / "minus1.crs"
-    path.write_text("diagram d {\n  component K { tb = -1; rot = 0; }\n"
-                    "  contact_surgery K = -1;\n}\n")
+    path.write_text(MINUS1_TEXT)
     code, out = run_cli(["to-round", "--gadget-m", "1", "--gadget-m2", str(GADGET_MAX_M // 2),
                          str(path)])
     assert code == 0

@@ -469,7 +469,7 @@ def test_reader_matches_reference_parser():
     assert parsed > 150 and errors > 2000 and key_first > 5, (parsed, errors, key_first)
 
 
-# --- whole `lk(A, B) = v;` statements as one lexeme ------------------------------
+# --- whole printed statements as one lexeme -------------------------------------
 
 def _spans(lexeme, text):
     """(lexeme, start offset) of every lexeme `lexeme` finds in the text."""
@@ -477,10 +477,10 @@ def _spans(lexeme, text):
 
 
 def _split_spans(text):
-    """The parser's lexemes, each whole lk statement split by the plain lexer."""
+    """The parser's lexemes, each whole statement split by the plain lexer."""
     spans = []
-    for word, start in _spans(dsl._LK, text):
-        if word[:3] == "lk(":
+    for word, start in _spans(dsl._MERGED, text):
+        if dsl._merged(word):
             assert dsl._lexemes(word)[:-1] == [w for w, _ in _spans(dsl._LEXEME, word)[:-1]]
             spans += [(w, start + offset) for w, offset in _spans(dsl._LEXEME, word)[:-1]]
         else:
@@ -496,23 +496,82 @@ def _lex_error(text, lexeme):
     return None
 
 
+def _statement_kind(word):
+    return "lk" if word[:3] == "lk(" else word.partition(" ")[0]
+
+
 def test_statement_lexemes_split_into_todays_lexemes():
-    merged = 0
-    for text in _scanner_inputs() + _edited_texts():
+    merged = dict.fromkeys(["lk", "component", "contact_surgery", "joint_pair", "round1", "round2"], 0)
+    for text in _scanner_inputs() + _edited_texts() + printed_statement_texts():
         assert _split_spans(text) == _spans(dsl._LEXEME, text), repr(text)
-        assert _lex_error(text, dsl._LEXEME) == _lex_error(text, dsl._LK), repr(text)
-        merged += sum(word[:3] == "lk(" for word, _ in _spans(dsl._LK, text))
-    assert merged > 10_000
+        assert _lex_error(text, dsl._LEXEME) == _lex_error(text, dsl._MERGED), repr(text)
+        for word, _ in _spans(dsl._MERGED, text):
+            if dsl._merged(word):
+                merged[_statement_kind(word)] += 1
+    assert min(merged.values()) > 500 and merged["lk"] > 10_000, merged
 
 
-def test_printed_60_component_diagram_lexes_one_lexeme_per_lk_line():
-    text = lk_heavy_pm1_text(random.Random(60), 60, 1.0)
-    lk_lines = [line for line in text.splitlines() if line.startswith("  lk(")]
-    assert len(lk_lines) == 60 * 59 // 2
-    lexemes = dsl._lexemes(text, dsl._LK)
-    assert [x for x in lexemes if x[:3] == "lk("] == [line.strip() for line in lk_lines]
-    # nine plain lexemes, ten with a minus sign
-    assert len(dsl._lexemes(text)) - len(lexemes) == sum(8 + ("-" in line) for line in lk_lines)
+# Every shape `print_diagram` writes: components with a front, with a front and
+# the tb and rot it derives, or with tb and rot; contact surgeries with integer,
+# fractional and infinite coefficients; every layer spelling.
+_PRINTED_BASE = """\
+diagram fronts {
+  component A { front = "U1 C1"; orient = forward; }
+  component B { front = "U1 U1 C2 C1"; orient = reverse; tb = -2; rot = -1; }
+  component C { front = "U1 U1 C2 C1"; orient = forward; rot = 1; }
+  component D { tb = -3; rot = 2; }
+  component E { tb = -1; }
+  lk(A, B) = 1;
+  lk(C, D) = -2;
+  contact_surgery A = -1;
+  contact_surgery B = inf;
+  contact_surgery C = 5/2;
+  contact_surgery D = -3/7;
+  contact_surgery E = 0;
+}
+
+round_diagram rounds {
+  component A { tb = -1; rot = 0; }
+  component B { front = "U1 U1 C2 C1"; orient = forward; }
+  component C { tb = -1; rot = 0; }
+  component D { tb = -2; rot = 1; }
+  component E { tb = -1; rot = 0; }
+  component F { tb = -1; rot = 0; }
+  component G { tb = -4; rot = -1; }
+  lk(A, C) = 1;
+  joint_pair (A, B) { r1 = 0, 0; r2 = -1; layer = invariant; }
+  joint_pair (C, D) { r1 = -1, 2; r2 = 5/2; layer = nonrotative(-2); }
+  round1 (E, F) { r1 = 1, 1; layer = rotative_plus(3); }
+  round2 G { r2 = -7/3; }
+}
+"""
+
+
+def printed_texts():
+    """Printed files that hold every statement shape: the base above, the
+    fixtures and generated round and front diagrams, each printed."""
+    texts = [_PRINTED_BASE] + [path.read_text() for path in sorted(FIXTURES.glob("*.crs"))]
+    rng = random.Random(24)
+    for _ in range(6):
+        texts += [random_round_text(rng), random_front_file_text(rng)]
+    return [dsl.print_file(parse(text)) for text in texts]
+
+
+def printed_statement_texts():
+    """The printed files, and edits of them inside their statement lines."""
+    rng = random.Random(24)
+    texts = printed_texts()
+    return texts + [edit_lexemes(rng, text, rng.randint(1, 2), in_statements=True)
+                    for text in texts for _ in range(40)]
+
+
+def test_printed_file_lexes_one_lexeme_per_statement_line():
+    text = "\n".join(printed_texts() + [lk_heavy_pm1_text(random.Random(60), 60, 1.0)])
+    expected = []
+    for line in text.splitlines():
+        expected += [line.strip()] if line.startswith("  ") else line.split()
+    assert dsl._lexemes(text, dsl._MERGED) == expected + [""]
+    assert text.count("\n  lk(") > 60 * 59 // 2
 
 
 _LK_BASE = """\
@@ -572,6 +631,15 @@ def _json_outcome(parse_file, text):
     return outcome if isinstance(outcome, str) else list(outcome)
 
 
+def _assert_read_as_plain_lexemes_and_reference(texts, outcomes):
+    """Each outcome is the one the plain lexemes give, and the reference's,
+    except where the reference checks a round-block key only after its '='."""
+    for text, outcome in zip(texts, outcomes, strict=True):
+        assert outcome == _json_outcome(lambda t: dsl._Parser(t, dsl._LEXEME).parse_file(), text), text
+        old, new = _outcome(reference_dsl.parse_file, text), _outcome(dsl.parse_file, text)
+        assert old == new or _key_checked_before_equals(text, old, new), text
+
+
 def misplaced_lk_outcomes():
     return [_json_outcome(dsl.parse_file, text) for text in misplaced_lk_texts()]
 
@@ -581,10 +649,7 @@ def test_misplaced_lk_statements_fail_as_todays_lexemes_do():
     except where the reference checks a round-block key only after its '='."""
     outcomes = misplaced_lk_outcomes()
     texts = misplaced_lk_texts()
-    for text, outcome in zip(texts, outcomes):
-        assert outcome == _json_outcome(lambda t: dsl._Parser(t, dsl._LEXEME).parse_file(), text)
-        old, new = _outcome(reference_dsl.parse_file, text), _outcome(dsl.parse_file, text)
-        assert old == new or _key_checked_before_equals(text, old, new), text
+    _assert_read_as_plain_lexemes_and_reference(texts, outcomes)
     errors = [outcome for outcome in outcomes if isinstance(outcome, list)]
     # 18 and 19 digits, the two -0 texts, the spaced lines and the lk after a
     # round2 block parse; 16 of the errors have a position
@@ -601,3 +666,97 @@ def test_misplaced_lk_statements_under_optimize():
     optimize, outcomes = json.loads(result.stdout)
     assert optimize == 1
     assert outcomes == misplaced_lk_outcomes()
+
+
+def misplaced_statement_texts():
+    """Texts with a printed statement where it does not go, or one that its
+    reader refuses, and near-printed spellings."""
+    lines = ["component X { tb = -1; rot = 0; }", 'component X { front = "U1 C1"; orient = forward; }',
+             "contact_surgery A = 1;", "joint_pair (A, B) { r1 = 0, 0; r2 = -1; layer = invariant; }",
+             "round1 (A, B) { r1 = 0, 0; layer = invariant; }", "round2 A { r2 = 1; }"]
+    places = [
+        ("{ tb = -3;", "{ {} tb = -3;"),                         # inside a component block
+        ("{ r1 = 0, 0;", "{ {} r1 = 0, 0;"),                     # inside a joint_pair block
+        ("component E {", "component {} {"),                     # as a component label
+        ("diagram fronts {", "diagram {} {"),                    # as a diagram name
+        ("diagram fronts {", "{}\ndiagram fronts {"),            # outside any diagram
+        ("}\n\nround_diagram", "}\n{}\n\nround_diagram"),
+        ("contact_surgery E = 0;", "contact_surgery E = {}"),    # as a value
+        ("  lk(A, B) = 1;", "  {}\n  lk(A, B) = 1;"),            # in a contact diagram
+        ("  lk(A, C) = 1;", "  {}\n  lk(A, C) = 1;"),            # in a round diagram
+    ]
+    edits = [(old, new.replace("{}", line)) for old, new in places for line in lines]
+    edits += [
+        ("contact_surgery A = -1;", "contact_surgery A = -1; contact_surgery A = 1;"),
+        ("contact_surgery E = 0;", "contact_surgery E = 0/0;"),
+        ("contact_surgery E = 0;", "contact_surgery E = -0/0;"),
+        ("contact_surgery E = 0;", "contact_surgery E = 2/0;"),
+        ("contact_surgery E = 0;", "contact_surgery E = -0;"),
+        ("contact_surgery E = 0;", "contact_surgery E = 1/-2;"),
+        ("contact_surgery E = 0;", "contact_surgery E = -123456789012345678/3;"),  # 18 digits
+        ("contact_surgery E = 0;", "contact_surgery E = 1234567890123456789/3;"),  # 19 digits
+        ("contact_surgery E = 0;", "contact_surgery F = 0;"),
+        ("component D { tb = -3; rot = 2; }", "component D { tb = -3; rot = " + "9" * 5000 + "; }"),
+        ("component D { tb = -3; rot = 2; }", "component D { rot = 2; tb = -3; }"),
+        ("component D { tb = -3; rot = 2; }", "component D { tb = -3; rot = 2; tb = -3; }"),
+        ("component D { tb = -3; rot = 2; }", "component D { }"),
+        ("component D { tb = -3; rot = 2; }", "component D { rot = 2; }"),
+        ("component D { tb = -3; rot = 2; }", "component A { tb = -3; rot = 2; }"),
+        ("orient = reverse; tb = -2;", "orient = reverse; tb = -3;"),
+        ("orient = reverse; tb = -2;", "orient = backward; tb = -2;"),
+        ('front = "U1 C1"; orient = forward;', 'front = "U1 C2"; orient = forward;'),
+        ('front = "U1 C1"; orient = forward;', 'front = "U1 U1 C1 C1"; orient = forward;'),
+        ('front = "U1 C1"; orient = forward;', 'front = ""; orient = forward;'),
+        ("component E { tb = -1; }", "component E { orient = forward; tb = -1; }"),
+        ("layer = nonrotative(-2);", "layer = nonrotative(-123456789012345678);"),
+        ("layer = nonrotative(-2);", "layer = rotative_minus(0);"),
+        ("layer = nonrotative(-2);", "layer = rotative_minus(-1);"),
+        ("layer = nonrotative(-2);", "layer = twisted(1);"),
+        ("layer = rotative_plus(3);", "layer = rotative_plus(1234567890123456789);"),
+        ("r2 = -1; layer", "r2 = 0/0; layer"),
+        ("r2 = -1; layer", "r2 = inf; layer"),
+        ("joint_pair (A, B)", "joint_pair (A, A)"),
+        ("joint_pair (A, B)", "joint_pair (A, X)"),
+        ("r1 = -1, 2;", "r1 = -1, 1234567890123456789;"),
+        ("round1 (E, F) { r1 = 1, 1;", "round1 (E, F) { r1 = 1, 1; r2 = -1;"),
+        ("round2 G { r2 = -7/3; }", "round2 G { r2 = 0/0; }"),
+        ("round2 G { r2 = -7/3; }", "round2 G { r2 = -7/3; }\n  round2 G { r2 = 1; }"),
+        ("round2 G { r2 = -7/3; }", "round2 B { r2 = 1; }"),
+        ("round2 G { r2 = -7/3; }", "round2 X { r2 = 1; }"),
+    ]
+    texts = []
+    for old, new in edits:
+        assert old in _PRINTED_BASE, old
+        texts.append(_PRINTED_BASE.replace(old, new, 1))
+    return texts
+
+
+def printed_statement_outcomes():
+    return [_json_outcome(dsl.parse_file, text)
+            for text in misplaced_statement_texts() + printed_statement_texts()]
+
+
+def test_printed_statements_read_as_todays_lexemes_do():
+    """Misplaced, refused and edited printed statements end as the plain
+    lexemes and the reference end them."""
+    misplaced, printed = misplaced_statement_texts(), printed_statement_texts()
+    outcomes = printed_statement_outcomes()
+    _assert_read_as_plain_lexemes_and_reference(misplaced + printed, outcomes)
+    errors = [outcome for outcome in outcomes[:len(misplaced)] if isinstance(outcome, list)]
+    # 12 of the 90 misplaced texts parse; 59 of the errors have a position
+    assert (len(misplaced), len(errors)) == (90, 78)
+    assert sum(1 for error in errors if error[2] is not None) == 59
+    parsed = [isinstance(outcome, str) for outcome in outcomes[len(misplaced):]]
+    # the 22 printed files parse, and nearly every edit of them fails
+    assert all(parsed[:22]) and sum(parsed) < 40
+
+
+def test_printed_statements_under_optimize():
+    result = run_optimized(
+        "import json, sys\n"
+        "from test_dsl import printed_statement_outcomes\n"
+        "print(json.dumps([sys.flags.optimize, printed_statement_outcomes()]))\n")
+    assert result.returncode == 0, result.stderr
+    optimize, outcomes = json.loads(result.stdout)
+    assert optimize == 1
+    assert outcomes == printed_statement_outcomes()

@@ -5,7 +5,7 @@ import textwrap
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import comb, floor, prod
+from math import comb, floor, gcd, prod
 from pathlib import Path
 
 import pytest
@@ -104,6 +104,43 @@ def test_honda_count_finite():
     # |(r0+1)(r1+1) r2| for -17/5 = [-4, -2, -3]
     assert neg_cf(SlopeQ.of(-17, 5)).coefficients == (-4, -2, -3)
     assert honda_count(boundary(minus_one), boundary(SlopeQ.of(-17, 5)), 0).value == 9
+
+
+def _farey_count(p, q):
+    """Honda's count of the minimally twisting tight structures between the
+    boundary slopes -1 and -p/q (p > q >= 1), read from the Farey graph.
+
+    Shares no formula with src: it uses no continued fraction.  The shortest
+    path from -p/q steps to the largest Farey neighbour that is <= -1 until it
+    reaches -1.  A block (edges fanning around one vertex) goes on while the
+    next vertex neighbours a third vertex of the current edge: the mediant or
+    the difference, which may be 1/0.  A block of n edges gives n + 1 choices.
+    """
+    def neighbours(u, v):
+        return abs(u[0] * v[1] - u[1] * v[0]) == 1
+
+    path = [(-p, q)]
+    while path[-1] != (-1, 1):
+        a, b = path[-1]
+        # a neighbour c/d > a/b has c*b - a*d = 1; the smallest d > 0 gives the largest
+        d = next(d for d in range(1, b + 1) if (a * d + 1) % b == 0)
+        path.append(((a * d + 1) // b, d))
+    count, block = 1, 1
+    for u, v, w in zip(path, path[1:], path[2:]):
+        if neighbours(w, (u[0] + v[0], u[1] + v[1])) or neighbours(w, (u[0] - v[0], u[1] - v[1])):
+            block += 1
+        else:
+            count *= block + 1
+            block = 1
+    return count * (block + 1)
+
+
+def test_honda_count_matches_farey_paths():
+    minus_one = boundary(SlopeQ.of(-1))
+    pairs = [(p, q) for q in range(1, 40) for p in range(q + 1, 6 * q) if gcd(p, q) == 1]
+    assert len(pairs) == 2369
+    for p, q in pairs:
+        assert honda_count(minus_one, boundary(SlopeQ.of(-p, q)), 0).value == _farey_count(p, q), (p, q)
 
 
 def test_honda_count_twisting_and_infinite():
