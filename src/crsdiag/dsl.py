@@ -67,7 +67,7 @@ from .core import (
     validate_diagram,
 )
 from .errors import DslSyntaxError, InvalidParameter, SemanticError
-from .front import OrientedFront, classical_invariants, parse_front_word, trace_components
+from .front import parse_front_word, trace_components
 
 # Blanks and comments separate lexemes.  A lexeme is a string (quotes kept),
 # an identifier, an integer or a punctuation mark.
@@ -487,19 +487,22 @@ def _resolve_components(decls: List[ComponentDecl]) -> Tuple[tuple, tuple]:
         if decl.orient is not None and decl.front is None:
             raise SemanticError(f"component {decl.label!r} has an orient but no front")
         if decl.front is not None:
-            word = parse_front_word(decl.front)
-            if trace_components(word).component_count != 1:
+            threading = trace_components(parse_front_word(decl.front))
+            if threading.component_count != 1:
                 raise SemanticError(
                     f"front word of component {decl.label!r} must trace one component"
                 )
-            orient = decl.orient if decl.orient is not None else "forward"
-            invariants = classical_invariants(OrientedFront(word, {0: orient})).components[0]
-            for key, declared, derived in (("tb", decl.tb, invariants.tb),
-                                           ("rot", decl.rot, invariants.rot)):
+            # the knot's tb and rot, read from its forward crossing signs and
+            # cusp counts (see front.Threading)
+            cusps = threading.cusps[0]
+            tb, rot = sum(threading.signs) - cusps, cusps - threading.ups[0]
+            if decl.orient == "reverse":
+                rot = -rot
+            for key, declared, derived in (("tb", decl.tb, tb), ("rot", decl.rot, rot)):
                 if declared is not None and declared != derived:
                     raise SemanticError(f"component {decl.label!r}: declared {key} {declared} "
                                         f"disagrees with front-derived {derived}")
-            out.append(LegendrianComponent(decl.label, invariants.tb, invariants.rot))
+            out.append(LegendrianComponent(decl.label, tb, rot))
         else:
             if decl.tb is None:
                 raise SemanticError(f"component {decl.label!r} needs tb (or a front)")

@@ -21,7 +21,10 @@ lk = +1), which forces sign = +1 exactly when the directions differ.
 
 The forward orientation of a component starts on the lower strand of its
 first cup and runs rightward.  parse_front_word walks each component once,
-recording its strands' directions and its up and right cusp counts.
+recording its strands' directions and its up and right cusp counts, and then
+gives each crossing its sign under the forward orientation: this is the one
+place where strand directions become a sign.  Any other orientation changes
+only the signs of crossings between two components, one of them reversed.
 """
 
 from __future__ import annotations
@@ -50,13 +53,16 @@ class Threading:
     right.  ups[c] counts the cusps of component c that its forward
     traversal turns upward at, and cusps[c] its right cusps; the traversal
     passes as many left as right cusps, so 2 * cusps[c] - ups[c] turn
-    downward.
+    downward.  signs[k] is the sign of crossings[k] when every component is
+    oriented forward; a one-component word has tb = sum(signs) - cusps[0]
+    and rot = cusps[0] - ups[0] forward, -rot reversed.
     """
 
     strand_component: List[int]
     component_count: int
     caps: tuple        # (event_index, lo_strand, hi_strand)
     crossings: tuple   # (under_strand, over_strand); under ascends
+    signs: tuple       # +1 or -1 per crossing, every component forward
     rightward: List[bool]
     ups: List[int]
     cusps: List[int]
@@ -159,7 +165,8 @@ def parse_front_word(text: str) -> FrontWord:
                 s = cap_mate[s ^ 1]
             ups.append(up)
             cusps.append(count)
-    threading = Threading(strand_component, len(ups), tuple(caps), tuple(crossings),
+    signs = tuple([1 if rightward[under] != rightward[over] else -1 for under, over in crossings])
+    threading = Threading(strand_component, len(ups), tuple(caps), tuple(crossings), signs,
                           rightward, ups, cusps)
     return FrontWord(tuple(events), threading)
 
@@ -190,24 +197,25 @@ def classical_invariants(front: OrientedFront) -> FrontInvariants:
     """Per-component tb, rot, writhe and cusp counts, plus pairwise linking.
 
     tb = self-writhe - #right cusps and rot = (#down - #up)/2, which is
-    #right cusps - #up forward (see Threading) and its negative reversed;
-    crossing signs follow the calibrated table (+1 for opposite horizontal
-    directions).
+    #right cusps - #up forward (see Threading) and its negative reversed.
+    Each crossing keeps its forward sign (see Threading), except that a
+    crossing of two components flips it when exactly one of them is
+    reversed.
     """
     threading = front.word.threading
     n = threading.component_count
     comp = threading.strand_component
     reverse = [front.orientation[cid] == "reverse" for cid in range(n)]
-    rightward = [right ^ reverse[c] for right, c in zip(threading.rightward, comp)]
 
     self_writhe = [0] * n
     lk_sums: Dict[Tuple[int, int], int] = {}
-    for under, over in threading.crossings:
-        sign = 1 if rightward[under] != rightward[over] else -1
+    for (under, over), sign in zip(threading.crossings, threading.signs):
         a, b = comp[under], comp[over]
         if a == b:
             self_writhe[a] += sign
         else:
+            if reverse[a] != reverse[b]:
+                sign = -sign
             key = (a, b) if a < b else (b, a)
             lk_sums[key] = lk_sums.get(key, 0) + sign
 

@@ -11,6 +11,7 @@ given traversing points by matching each gap between them recursively, and
 prints enum-configs' result with one json.dumps of the whole payload.
 `family_winding` reads the common winding of a configuration's traversing
 family, which only tests ask for.
+Shares with `src`: old code kept as an oracle, plus the `_span` and `_parallel_cross` formulas.
 """
 
 import json

@@ -5,6 +5,7 @@ checks each lexeme through a predicate; it checks a surgery-block key only
 after its '='.  The tests compare `crsdiag.dsl`
 against it as an oracle; it shares the lexer, the semantic checks and the
 data types of `crsdiag.dsl`.
+Shares with `src`: old code kept as an oracle, on dsl's lexer, `_resolve_components` and checks.
 """
 
 from __future__ import annotations

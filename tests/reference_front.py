@@ -5,7 +5,11 @@ and the flat strand arrays replaced, kept as test oracles.
 union-find; `_canonical_directions` walks each component through cup and cap
 dicts; `classical_invariants` keeps per-component dicts; `stabilize` parses
 both zigzag variants in turn and keeps the first with the asked rot shift.
-All four run on words alone: they share no code with `crsdiag.front`.
+All four run on words alone and call no code of `crsdiag.front`.
+Shares with `src`: old code kept as an oracle, and the crossing-sign comparison of `front.py`.
+That comparison (+1 when the two strands run in different horizontal
+directions) is the same formula, so a wrong crossing sign passes this oracle
+(ROADMAP item 1).
 """
 
 import re

@@ -11,6 +11,7 @@ pair" out in its own loop, as `bridge.joint_pairs_to_pm1`,
 two-component link, one standalone round 2-surgery on a knot, or nice joint
 pairs only, each from its own closed-form presentation below; it shares no
 presentation with `src`.
+Shares with `src`: old code kept as an oracle, calling `check_nice` and the Smith form.
 """
 
 from crsdiag.core import (ContactSurgeryDiagram, SlopeQ, check_nice, contact_to_topological,

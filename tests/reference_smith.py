@@ -6,6 +6,7 @@ homology in place of _hermite and _apply, they must give the same log step
 for step, the same replayed rows and the same check errors as the
 nonzero-only updates.  matmul is the matrix product that IntMatrix.mul
 gave, which only the tests read.
+Shares with `src`: old code kept as an oracle, run inside the loops of `homology`.
 """
 
 import operator

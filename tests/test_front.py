@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import random
 import textwrap
 
@@ -22,9 +23,10 @@ from crsdiag.errors import (
     FrontSyntaxError,
     OpenDiagram,
     PositionError,
+    SemanticError,
     UnknownComponent,
 )
-from conftest import FIXTURES, random_front_text, random_front_word, run_optimized
+from conftest import FIXTURES, random_front_text, random_front_word, run_cli, run_optimized
 
 UNKNOT = "U1 C1"
 CLASP = "U1 U1 X2 X2 C1 C1"
@@ -209,9 +211,26 @@ def test_front_word_threaded_once(monkeypatch):
     classical_invariants(OrientedFront.forward(word))
     assert trace_components(word) is word.threading
     assert len(built) == 1
+
+    # the DSL reads each front knot's tb and rot from its threading alone
+    calls, fronts = [], []
+    real_invariants, real_post_init = front.classical_invariants, front.OrientedFront.__post_init__
+
+    def counting_invariants(*args):
+        calls.append(args)
+        return real_invariants(*args)
+
+    def counting_post_init(self):
+        fronts.append(self)
+        real_post_init(self)
+
+    for module in (front, dsl):
+        monkeypatch.setattr(module, "classical_invariants", counting_invariants, raising=False)
+    monkeypatch.setattr(front.OrientedFront, "__post_init__", counting_post_init)
     # front_pair.crs declares two components by front words
     dsl.parse_file(FIXTURES.joinpath("front_pair.crs").read_text())
     assert len(built) == 3
+    assert calls == [] and fronts == []
 
 
 def _pad_zeros(rng, text):
@@ -257,6 +276,110 @@ def test_walk_matches_reference_directions():
         assert threading.ups == [ups[cid] for cid in range(n)], text
         assert [2 * c - u for c, u in zip(threading.cusps, threading.ups)] == \
             [downs[cid] for cid in range(n)], text
+        # the forward crossing signs sum to the replaced code's self-writhes
+        # and twice its linking numbers
+        components, lk = reference.classical_invariants(
+            reference.parse_front_word(text), {cid: "forward" for cid in range(n)})
+        comp = threading.strand_component
+        sums = {}
+        for (under, over), sign in zip(threading.crossings, threading.signs):
+            key = tuple(sorted((comp[under], comp[over])))
+            sums[key] = sums.get(key, 0) + sign
+        assert [sums.get((cid, cid), 0) for cid in range(n)] == \
+            [c.self_writhe for c in components], text
+        assert {key: total for key, total in sums.items() if key[0] != key[1] and total} == \
+            {(a, b): 2 * v for a, b, v in lk.pairs()}, text
+
+
+def dsl_front_read_mismatches():
+    """Seeded one-component words, some with leading zeros, declared as `.crs`
+    front components in both orients: the tb and rot that `dsl.parse_file`
+    reads must be the replaced code's, and a declared tb or rot off by one
+    must raise the SemanticError text that the old read raised.
+
+    Returns (reads, padded words, mismatches); it asserts nothing, so it
+    checks the same under `python -O`.
+    """
+    rng = random.Random(2551)
+    reads, padded, mismatches = 0, 0, []
+    for _ in range(1000):
+        text = random_front_text(rng, max_cups=rng.randint(1, 4), cap=rng.choice((8, 24, 48)))
+        while reference.parse_front_word(text).threading.component_count != 1:
+            text = random_front_text(rng, max_cups=rng.randint(1, 4), cap=rng.choice((8, 24, 48)))
+        if rng.random() < 0.3:
+            text, padded = _pad_zeros(rng, text), padded + 1
+        for orient in ("forward", "reverse"):
+            components, _lk = reference.classical_invariants(reference.parse_front_word(text),
+                                                             {0: orient})
+            tb, rot = components[0].tb, components[0].rot
+
+            def read(extra):
+                source = (f'diagram d {{\n  component K {{ front = "{text}"; orient = {orient};'
+                          f'{extra} }}\n  contact_surgery K = -1;\n}}\n')
+                try:
+                    knot = dsl.parse_file(source).get("d").diagram.components[0]
+                except SemanticError as error:
+                    return str(error)
+                return knot.tb, knot.rot
+
+            outcomes = (read(""), read(f" tb = {tb}; rot = {rot};"),
+                        read(f" tb = {tb + 1};"), read(f" rot = {rot - 1};"))
+            expected = ((tb, rot), (tb, rot),
+                        f"component 'K': declared tb {tb + 1} disagrees with front-derived {tb}",
+                        f"component 'K': declared rot {rot - 1} disagrees with front-derived {rot}")
+            if outcomes != expected:
+                mismatches.append((text, orient, outcomes, expected))
+            reads += 1
+    return reads, padded, mismatches
+
+
+def test_dsl_front_read_matches_reference():
+    reads, padded, mismatches = dsl_front_read_mismatches()
+    assert mismatches == []
+    assert reads == 2000 and padded > 200
+
+
+def test_dsl_front_read_matches_reference_under_optimize():
+    result = run_optimized(
+        "import json, sys\n"
+        "from test_front import dsl_front_read_mismatches\n"
+        "print(json.dumps([sys.flags.optimize, dsl_front_read_mismatches()]))\n")
+    assert result.returncode == 0, result.stderr
+    optimize, (reads, padded, mismatches) = json.loads(result.stdout)
+    assert optimize == 1
+    assert mismatches == []
+    assert reads == 2000 and padded > 200
+
+
+KINKED_UNKNOT = "U1 U2 X1 C2 C1"   # UNKNOT with one Legendrian Reidemeister I kink
+TREFOIL = "U1 U3 X2 X2 X2 C1 C1"   # the standard front of the right-handed trefoil
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: front crossing signs are flipped")
+def test_tb_needs_no_sign_calibration(tmp_path):
+    """A Legendrian Reidemeister I move keeps tb, and the right-handed
+    trefoil's standard front has tb = 1 (J. Etnyre, "Legendrian and
+    transversal knots", Handbook of Knot Theory, 2005).  Neither fact
+    depends on a sign convention.  Both read paths are run before any
+    comparison, so a path that breaks fails the test instead of passing it
+    as expected."""
+    def word_tb(word):
+        code, out = run_cli(["invariants", "--word", word])
+        return code, json.loads(out)["components"][0]["tb"]
+
+    def crs_tb(word):
+        path = tmp_path / "knot.crs"
+        path.write_text(f'diagram d {{\n  component K {{ front = "{word}"; orient = forward; }}\n'
+                        "  contact_surgery K = -1;\n}\n")
+        code, out = run_cli(["invariants", "--diagram", "d", str(path)])
+        return code, json.loads(out)["components"][0]["tb"]
+
+    readings = {(read.__name__, word): read(word)
+                for read in (word_tb, crs_tb) for word in (UNKNOT, KINKED_UNKNOT, TREFOIL)}
+    assert readings == {(read, word): (0, tb)
+                        for read in ("word_tb", "crs_tb")
+                        for word, tb in ((UNKNOT, -1), (KINKED_UNKNOT, -1), (TREFOIL, 1))}
 
 
 def test_stabilize_matches_reference_trial_loop():
