@@ -20,24 +20,19 @@ A file holds named blocks::
     }
 
 Identifiers are ASCII letters, digits and underscores, not starting with a
-digit.  Space, tab and carriage return separate tokens.  Strings are
-double-quoted on one line, without escapes.  `#` starts a comment that runs
-to the end of the line.  Error positions are 1-based line:col, worked out
-from the text only when an error is raised.
-Every statement written on one line as `print_diagram` writes it is one
-lexeme: `lk(A, B) = v;`, `component L { tb = t; rot = r; }` (or with
-`front = "w"; orient = o;` first, and tb or rot optional),
-`contact_surgery L = c;`, `joint_pair (A, B) { r1 = i, j; r2 = c; layer = l; }`,
-`round1 (A, B) { r1 = i, j; layer = l; }` and `round2 K { r2 = c; }`, with
-single spaces and integers of an optional `-` and at most 18 digits.  The
-statement loop reads such a lexeme in one step, cutting it at the
-separators the printer writes, into the values that the lexeme-by-lexeme
-reading builds.  Any other spelling is read lexeme by lexeme.  When a read
-fails on such a lexeme (a statement where none goes or that the diagram
-keyword does not allow, a self-linking lk, a second coefficient on a
-component, 0/0 or a bad layer parameter), the text is read again lexeme by
-lexeme, so both readings give the same diagrams, and the same errors at the
-same line:col.
+digit.  Space, tab, carriage return, newline and comments (from `#` to the
+end of the line) may stand between any two lexemes.  Strings are
+double-quoted on one line, without escapes.  Error positions are 1-based
+line:col, worked out from the text only when an error is raised.
+One pattern per statement kind reads every spelling: its separators take
+any blanks and comments, its fields are groups, and one converter reads
+each value (integer, slope, layer, block fields).  Where the patterns
+refuse a text (no pattern matches, `lk(A, A)`, a repeated key or
+coefficient label, 0/0, a bad layer parameter, an integer too long to
+convert), the lexeme walker reads the refused diagram again lexeme by
+lexeme, only to name the fault and its line:col; if it finds none, that is
+a CertificateError.  A bad character anywhere in the text is reported
+first, then the errors of each diagram in text order.
 Rationals are written p/q with an optional sign, plain integers abbreviate
 n/1, and inf is the infinite coefficient.
 Front-derived tb/rot win over declared values; a disagreement is a semantic
@@ -50,6 +45,7 @@ identity and printing is idempotent, also for computed diagrams.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -66,107 +62,121 @@ from .core import (
     TightLayerSpec,
     validate_diagram,
 )
-from .errors import DslSyntaxError, InvalidParameter, SemanticError
+from .errors import CertificateError, DslSyntaxError, InvalidParameter, SemanticError
 from .front import parse_front_word, trace_components
 
-# Blanks and comments separate lexemes.  A lexeme is a string (quotes kept),
-# an identifier, an integer or a punctuation mark.
-_SPACE = r"[ \t\r\n]+|#[^\n]*"
+# A separator: any blanks and comments.  A comment runs to the end of its
+# line, so no backtracking reads part of one as code.
+_SEP = r"[ \t\r\n]*(?:#(?:[^\n]*\n[ \t\r\n]*#)*[^\n]*(?![^\n])[ \t\r\n]*|)"
+# Separators stand between lexemes.  A lexeme is a string (quotes kept), an
+# identifier, an integer or a punctuation mark.
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_NOT_IDENT = r'"[^"\n]*"|[0-9]+|[{}()=,;/-]'  # the lexemes that start with no letter
-_WORD = rf"{_NOT_IDENT}|{_IDENT}"
-_SPACES = re.compile(rf"(?:{_SPACE})*")
-# One lexeme and the blanks after it.  `.` takes a character outside the
+_WORD = rf'"[^"\n]*"|[0-9]+|[{{}}()=,;/-]|{_IDENT}'
+_SPACES = re.compile(_SEP)
+# One lexeme and the separator after it.  `.` takes a character outside the
 # grammar, and the empty match at the end of the text is the end lexeme "".
-_LEXEME = re.compile(rf"({_WORD}|.|\Z)(?:{_SPACE})*")
-# Every statement that `print_diagram` writes, on one line as it writes it:
-# single spaces, and integers of an optional `-` and at most 18 digits, so
-# that `int` reads any of them.  The statements with one first letter form
-# one group, whose shared prefix `re` then tests once.
-_INT = r"-?[0-9]{1,18}"
-_SLOPE = rf"(?:inf|{_INT}(?:/[0-9]{{1,18}})?)"
-_LAYER = rf"(?:invariant|(?:nonrotative|rotative_plus|rotative_minus)\({_INT}\))"
-_PAIR = rf"\({_IDENT}, {_IDENT}\)"
-_STATEMENT = (
-    rf'(?:component {_IDENT} \{{(?: front = "[^"\n]*"; orient = (?:forward|reverse);)?'
-    rf"(?: tb = {_INT};)?(?: rot = {_INT};)? \}}|contact_surgery {_IDENT} = {_SLOPE};)"
-    rf"|joint_pair {_PAIR} \{{ r1 = {_INT}, {_INT}; r2 = {_SLOPE}; layer = {_LAYER}; \}}"
-    rf"|lk{_PAIR} = {_INT};"
-    rf"|(?:round1 {_PAIR} \{{ r1 = {_INT}, {_INT}; layer = {_LAYER}; \}}|round2 {_IDENT} \{{ r2 = {_SLOPE}; \}})"
-)
-# The parser's lexer also takes every printed statement as one lexeme.  Split
-# by `_LEXEME`, such a lexeme gives the lexemes it stands for, so the two
-# lexers agree on where every lexeme they share starts.  A statement starts
-# with a letter, so the statements are tried after the lexemes that do not.
-_MERGED = re.compile(rf"({_NOT_IDENT}|{_STATEMENT}|{_IDENT}|.|\Z)(?:{_SPACE})*")
+_LEXEME = re.compile(rf"({_WORD}|.|\Z){_SEP}")
 # The one-character lexemes of the grammar; any other one-character lexeme is
 # a character outside it or the quote of an unterminated string.
 _CHARS = frozenset(c for c in map(chr, range(128)) if re.fullmatch(_WORD, c))
 
+# The statement patterns, written with a space wherever a separator may
+# stand.  `_ITEM` reads one item of a file and the separator after it: a
+# statement, a diagram header or closing brace, or, where none matches, the
+# rest of the text as a refusal.  A keyword that an identifier may follow
+# ends at a word boundary (`round2K` is one identifier).
+_INT = r"(?:- )?[0-9]+"  # not `-? `: two separators in a row backtrack in quadratic time
+_COMPONENT_FIELD = rf'(?:tb|rot) = {_INT}|front = "[^"\n]*"|orient = (?:forward|reverse)'
+_ROUND_FIELD = (rf"r1 = {_INT} , {_INT}|r2 = (?:inf|{_INT}(?: / {_INT})?)"
+                rf"|layer = (?:invariant|(?:nonrotative|rotative_plus|rotative_minus) \( {_INT} \))")
+_ITEM = (
+    rf"(?:lk \( ({_IDENT}) , ({_IDENT}) \) = ({_INT}) ;"
+    rf"|component\b ({_IDENT}) \{{((?: (?:{_COMPONENT_FIELD}) ;)*) \}}"
+    rf"|contact_surgery\b ({_IDENT}) = (inf|{_INT})(?:(?<=[0-9]) / ({_INT}))? ;"  # only p takes a /q
+    rf"|(?:(joint_pair|round1) \( ({_IDENT}) , ({_IDENT}) \)|round2\b ({_IDENT}))"
+    rf" \{{((?: (?:{_ROUND_FIELD}) ;)*) \}}"
+    rf"|(diagram|round_diagram)\b ({_IDENT}) \{{|(\}})|(.[\s\S]*)) ")
+# One field of a body that a statement pattern accepted: its key, its value
+# and the integer after the ',', '/' or '(' of an r1, a slope or a layer.
+_FIELD = rf' ([a-z0-9]+) = ("[^"\n]*"|[a-z_]+|{_INT})(?: [,/(] ({_INT})(?: \))?)? ;'
 
-def _lexemes(text: str, lexeme: re.Pattern = _LEXEME) -> List[str]:
-    lexemes = lexeme.findall(text, _SPACES.match(text).end())
+
+@functools.cache
+def _pattern(spelling: str) -> re.Pattern:
+    """The spelling compiled, each space a separator.  It compiles on first
+    use, so that importing the module compiles no statement pattern."""
+    return re.compile(spelling.replace(" ", _SEP))
+
+
+def _integer(text: str, _: str = "") -> int:
+    """The value of an `_INT` text (`_` takes a field's unused second
+    integer); too many digits raise ValueError."""
+    try:
+        return int(text)
+    except ValueError:  # a separator after the '-' (the digits follow its last blank), or too many digits
+        return -int(text.split()[-1])
+
+
+def _slope(p: str, q: str) -> SlopeQ:
+    """The slope `inf`, p or p/q (q is "" for none); 0/0 raises ValueError."""
+    if p == "inf":
+        return SlopeQ.infinity()
+    return SlopeQ.of(_integer(p), _integer(q) if q else 1)
+
+
+def _layer(kind: str, param: str) -> TightLayerSpec:
+    """The layer `invariant` or kind(param); a bad parameter raises InvalidParameter."""
+    if kind == "invariant":
+        return _INVARIANT
+    return getattr(TightLayerSpec, kind)(_integer(param))
+
+
+_INVARIANT = TightLayerSpec.invariant()
+# the converter of each field's value and second integer
+_CONVERT = {"tb": _integer, "rot": _integer, "front": lambda text, _: text[1:-1],
+            "orient": lambda text, _: text, "r1": lambda i, j: (_integer(i), _integer(j)),
+            "r2": _slope, "layer": _layer}
+# the keys each block allows, and those it needs
+_KEYS = {"component": ({"tb", "rot", "front", "orient"}, set()),
+         "joint_pair": ({"r1", "r2", "layer"}, {"r1", "r2"}),
+         "round1": ({"r1", "layer"}, {"r1"}), "round2": ({"r2"}, {"r2"})}
+# the surgery statements each diagram keyword allows
+_SURGERIES = {"diagram": ("contact_surgery",), "round_diagram": ("joint_pair", "round1", "round2")}
+
+
+def _fields(body: str) -> dict:
+    """The values of an accepted block body by key; a repeated key raises ValueError."""
+    found = _pattern(_FIELD).findall(body)
+    fields = {key: _CONVERT[key](value, second) for key, value, second in found}
+    if len(fields) < len(found):
+        raise ValueError("a key repeats")
+    return fields
+
+
+def _lexemes(text: str, start: int = 0) -> List[str]:
+    """The lexemes of the text from offset `start` on."""
+    lexemes = _LEXEME.findall(text, _SPACES.match(text, start).end())
     bad = [x for x in set(lexemes).difference(_CHARS) if len(x) == 1]
     if bad:
         k = min(map(lexemes.index, bad))
         ch = lexemes[k]
         message = "unterminated string literal" if ch == '"' else f"unexpected character {ch!r}"
-        raise DslSyntaxError(message, *_position(text, k, lexeme))
+        raise DslSyntaxError(message, *_position(text, k, start))
     return lexemes
 
 
-def _position(text: str, k: int, lexeme: re.Pattern = _LEXEME) -> Tuple[int, int]:
-    """1-based line:col of lexeme k of `lexeme`, found by scanning the text again.
-
-    At the end of the text, a trailing comment keeps the column of its '#'.
-    """
-    matches = list(islice(lexeme.finditer(text, _SPACES.match(text).end()), k + 1))
-    start = matches[k].start()
-    line_start = text.rfind("\n", 0, start) + 1
-    if start == len(text):
+def _position(text: str, k: int, start: int = 0) -> Tuple[int, int]:
+    """1-based line:col of lexeme k of `_lexemes(text, start)`, found by
+    scanning the text again; at the end of the text, a trailing comment
+    keeps the column of its '#'."""
+    matches = list(islice(_LEXEME.finditer(text, _SPACES.match(text, start).end()), k + 1))
+    at = matches[k].start()
+    line_start = text.rfind("\n", 0, at) + 1
+    if at == len(text):
         comment = text.find("#", max(matches[k - 1].end(1) if k else 0, line_start))
         if comment >= 0:
-            start = comment
-    return text.count("\n", 0, start) + 1, start - line_start + 1
-
-
-class _Misread(Exception):
-    """A read failed on a whole-statement lexeme: the text is read again
-    with `_LEXEME`, so that the error is the one the plain lexemes give."""
-
-
-def _merged(lexeme: str) -> bool:
-    """Whether a lexeme of `_MERGED` is a whole statement: only those and
-    strings hold a space."""
-    return " " in lexeme and lexeme[0] != '"'
-
-
-def _printed_fields(block: str) -> dict:
-    """The fields of a printed block `key = value; ... }` (its '{ ' cut off),
-    as texts by key."""
-    return dict(field.split(" = ") for field in block.split("; ")[:-1])
-
-
-def _printed_slope(text: str) -> SlopeQ:
-    """The slope of a `_SLOPE` text, as `_Parser.slope` reads it."""
-    if text == "inf":
-        return SlopeQ.infinity()
-    p, _, q = text.partition("/")
-    p, q = int(p), int(q or 1)
-    if p == q == 0:
-        raise _Misread
-    return SlopeQ.of(p, q)
-
-
-def _printed_layer(text: str) -> TightLayerSpec:
-    """The layer of a `_LAYER` text, as `_Parser.layer` reads it."""
-    if text == "invariant":
-        return TightLayerSpec.invariant()
-    kind, _, value = text[:-1].partition("(")
-    try:
-        return getattr(TightLayerSpec, kind)(int(value))
-    except InvalidParameter:
-        raise _Misread from None
+            at = comment
+    return text.count("\n", 0, at) + 1, at - line_start + 1
 
 
 @dataclass(frozen=True)
@@ -205,25 +215,74 @@ class DiagramFile:
         raise SemanticError(f"no diagram named {name!r}")
 
 
-class _Parser:
-    """Recursive descent over the lexeme list; `pos` indexes the next lexeme.
+def _read(text: str):
+    """Read the text with the statement patterns, in one pass.
 
-    The last lexeme is "", which no reader takes, so `pos` stays in range.
+    Returns the diagrams read, each as the arguments of `_diagram`, and None;
+    or, at the first refusal, the diagrams before it and (the index of the
+    item that starts the refused item's diagram, the names of the diagrams
+    before it).  `findall` builds every item at once: that is faster than
+    `finditer` by a few percent, and takes memory for the items.
     """
+    read, names, diagram = [], set(), None
+    items = _pattern(_ITEM).findall(text, _SPACES.match(text).end())
+    try:
+        for i, (a, b, value, label, body, surgery, p, q, kind, a1, b1, knot, block,
+                header, name, close, _) in enumerate(items):
+            if diagram is None:  # only a header starts an item
+                first = i
+                if not header or name in names:
+                    raise ValueError("no diagram header")
+                diagram = (name, header, [], [], {}, [], [])
+                _, keyword, decls, linking, surgeries, round1, round2 = diagram
+            elif a:
+                if a == b:
+                    raise ValueError("self-linking")
+                linking.append((a, b, _integer(value)))
+            elif label:
+                decls.append(ComponentDecl(label, **_fields(body)))
+            elif close:
+                read.append(diagram)
+                names.add(diagram[0])
+                diagram = None
+            elif surgery:
+                if keyword != "diagram" or surgery in surgeries:
+                    raise ValueError("a contact surgery here")
+                surgeries[surgery] = _slope(p, q)
+            elif kind or knot:
+                fields = _fields(block)
+                allowed, needed = _KEYS[kind or "round2"]
+                if keyword != "round_diagram" or not allowed >= fields.keys() >= needed:
+                    raise ValueError("a round statement here")
+                if knot:
+                    round2.append(Round2Spec(knot, fields["r2"]))
+                else:
+                    round1.append(Round1Spec((a1, b1), *fields["r1"], fields.get("layer", _INVARIANT),
+                                             fields.get("r2")))
+            else:  # a header, or a character that starts no statement
+                raise ValueError("no statement")
+    except (ValueError, InvalidParameter):
+        return read, (first, names)
+    return read, diagram and (first, names)
 
-    def __init__(self, text: str, lexeme: re.Pattern = _MERGED):
-        self.text = text
-        self.lexeme = lexeme
-        self.tokens = _lexemes(text, lexeme)
+
+class _Parser:
+    """The lexeme walker: recursive descent over the lexemes from a refused
+    diagram on, only to name its fault.  `pos` indexes the next lexeme; the
+    last lexeme is "", which no reader takes, so `pos` stays in range."""
+
+    def __init__(self, text: str, first: int, names: set):
+        """Lex the text from the diagram whose header is item `first` on;
+        `names` are the names of the diagrams before it."""
+        skip = _SPACES.match(text).end()
+        self.start = next(islice(_pattern(_ITEM).finditer(text, skip), first, None)).start()
+        self.text, self.names = text, names
+        self.tokens = _lexemes(text, self.start)
         self.pos = 0
 
     def fail(self, message: str, at: Optional[int] = None, error=DslSyntaxError):
-        """Raise `error` at lexeme `at`, by default the next one; at a whole
-        statement, raise _Misread instead."""
-        at = self.pos if at is None else at
-        if _merged(self.tokens[at]):
-            raise _Misread
-        raise error(message, *_position(self.text, at, self.lexeme))
+        """Raise `error` at lexeme `at`, by default the next one."""
+        raise error(message, *_position(self.text, self.pos if at is None else at, self.start))
 
     def expected(self, want: str):
         """Fail at the next lexeme, naming `want` and the lexeme found."""
@@ -256,53 +315,46 @@ class _Parser:
         self.pos += 1
         return -value if negative else value
 
-    def slope(self) -> SlopeQ:
+    def slope(self) -> None:
         at = self.pos
         if self.tokens[at] == "inf":
             self.pos += 1
-            return SlopeQ.infinity()
+            return
         p = self.sint()
-        if self.tokens[self.pos] != "/":
-            return SlopeQ.of(p, 1)
-        self.pos += 1
-        q = self.sint()
-        if p == 0 and q == 0:
-            self.fail("0/0 is not a coefficient", at)
-        return SlopeQ.of(p, q)
+        if self.tokens[self.pos] == "/":
+            self.pos += 1
+            if p == self.sint() == 0:
+                self.fail("0/0 is not a coefficient", at)
 
-    def layer(self) -> TightLayerSpec:
+    def layer(self) -> None:
         at = self.pos
         kind = self.ident()
         if kind == "invariant":
-            return TightLayerSpec.invariant()
+            return
         if kind not in ("nonrotative", "rotative_plus", "rotative_minus"):
             self.fail(f"unknown layer {kind!r}", at)
         self.punct("(")
         value = self.sint()
         self.punct(")")
         try:
-            return getattr(TightLayerSpec, kind)(value)
+            getattr(TightLayerSpec, kind)(value)
         except InvalidParameter:
             self.fail(f"bad layer parameter {value}", at)
 
-    def front(self) -> str:
-        word = self.tokens[self.pos]
-        if word[:1] != '"':
+    def front(self) -> None:
+        if self.tokens[self.pos][:1] != '"':
             self.fail("front takes a quoted word")
         self.pos += 1
-        return word[1:-1]
 
-    def orient(self) -> str:
+    def orient(self) -> None:
         at = self.pos
-        orient = self.ident()
-        if orient not in ("forward", "reverse"):
+        if self.ident() not in ("forward", "reverse"):
             self.fail("orient is 'forward' or 'reverse'", at)
-        return orient
 
-    def coefficients(self) -> Tuple[int, int]:
-        first = self.sint()
+    def coefficients(self) -> None:
+        self.sint()
         self.punct(",")
-        return first, self.sint()
+        self.sint()
 
     def pair(self) -> Tuple[str, str]:
         self.punct("(")
@@ -312,141 +364,84 @@ class _Parser:
         self.punct(")")
         return a, b
 
-    def fields(self, readers, required=(), unknown="unknown field {!r} here") -> dict:
-        """Read a field block `{ key = value; ... }` into a dict.
+    _READERS = {"tb": sint, "rot": sint, "front": front, "orient": orient,
+                "r1": coefficients, "r2": slope, "layer": layer}
 
-        readers maps each allowed key to the reader of its value.  A key is
-        checked for unknown (`unknown` formats the message) or repeated
-        before its '='.  A missing required key fails after the block.
+    def fields(self, block: str, unknown="unknown field {!r} here") -> None:
+        """Walk a field block `{ key = value; ... }` of a `_KEYS` block kind.
+
+        A key is checked for unknown (`unknown` formats the message) or
+        repeated before its '='.  A missing required key fails after the block.
         """
+        allowed, needed = _KEYS[block]
         self.punct("{")
-        tokens = self.tokens
-        values = {}
-        while tokens[self.pos] != "}":
+        keys = set()
+        while self.tokens[self.pos] != "}":
             at = self.pos
             key = self.ident()
-            if key not in readers:
+            if key not in allowed:
                 self.fail(unknown.format(key), at)
-            if key in values:
+            if key in keys:
                 self.fail(f"field {key!r} repeats", at, SemanticError)
+            keys.add(key)
             self.punct("=")
-            values[key] = readers[key](self)
+            self._READERS[key](self)
             self.punct(";")
         self.pos += 1
-        for key in required:
-            if key not in values:
+        for key in sorted(needed):  # r1 before r2
+            if key not in keys:
                 self.fail(f"block needs an {key!r} field")
-        return values
 
-    _COMPONENT = {"tb": sint, "rot": sint, "front": front, "orient": orient}
-    # the field readers and the required keys of each round statement's block
-    _ROUND_BLOCKS = {"joint_pair": ({"r1": coefficients, "r2": slope, "layer": layer}, ("r1", "r2")),
-                     "round1": ({"r1": coefficients, "layer": layer}, ("r1",)),
-                     "round2": ({"r2": slope}, ("r2",))}
-    # the surgery statements each diagram keyword allows
-    _SURGERIES = {"diagram": ("contact_surgery",), "round_diagram": ("joint_pair", "round1", "round2")}
-
-    def parse_file(self) -> DiagramFile:
-        diagrams = []
-        names = set()
-        while self.tokens[self.pos]:  # "" ends the text
-            at = self.pos
-            keyword = self.ident()
-            if keyword not in self._SURGERIES:
-                self.fail(f"expected 'diagram' or 'round_diagram', found {keyword!r}", at)
-            name = self.ident()
-            if name in names:
-                self.fail(f"diagram name {name!r} repeats", at, SemanticError)
-            names.add(name)
-            diagrams.append(_validated(self.diagram(name, keyword)))
-        return DiagramFile(tuple(diagrams))
-
-    def diagram(self, name: str, keyword: str) -> NamedDiagram:
-        """Parse the body `{ ... }` of a `diagram` or `round_diagram`: component
-        and lk statements, and the surgery statements its keyword allows."""
-        statements = self._SURGERIES[keyword]
+    def walk(self) -> None:
+        """Walk the diagram at the start and raise its fault: in the header,
+        or in the body `{ ... }`, which holds component and lk statements and
+        the surgery statements its keyword allows."""
+        keyword = self.ident()
+        if keyword not in _SURGERIES:
+            self.fail(f"expected 'diagram' or 'round_diagram', found {keyword!r}", 0)
+        name = self.ident()
+        if name in self.names:
+            self.fail(f"diagram name {name!r} repeats", 0, SemanticError)
+        statements = _SURGERIES[keyword]
         self.punct("{")
-        tokens = self.tokens
-        decls: List[ComponentDecl] = []
-        linking: List[Tuple[str, str, int]] = []
-        surgeries = {}
-        round1, round2 = [], []
-        while tokens[self.pos] != "}":
-            statement = tokens[self.pos]
-            if " " in statement and statement[0] != '"':  # a whole printed statement (`_merged`)
-                self.pos += 1
-                if statement[:3] == "lk(":
-                    pair, _, value = statement[3:-1].partition(") = ")
-                    a, _, b = pair.partition(", ")
-                    if a == b:
-                        raise _Misread  # the lexeme-by-lexeme reading reports it
-                    linking.append((a, b, int(value)))
-                    continue
-                head, _, block = statement.partition(" { ")
-                word, _, tail = head.partition(" ")
-                if word == "component":
-                    front = None
-                    if block[:9] == 'front = "':
-                        front, _, block = block[9:].partition('"; ')  # a string holds no '"'
-                    fields = _printed_fields(block)
-                    tb, rot = fields.get("tb"), fields.get("rot")
-                    decls.append(ComponentDecl(tail, None if tb is None else int(tb),
-                                               None if rot is None else int(rot), front, fields.get("orient")))
-                elif word not in statements:
-                    raise _Misread
-                elif word == "contact_surgery":
-                    label, _, value = tail[:-1].partition(" = ")
-                    if label in surgeries:
-                        raise _Misread
-                    surgeries[label] = _printed_slope(value)
-                elif word == "round2":
-                    round2.append(Round2Spec(tail, _printed_slope(_printed_fields(block)["r2"])))
-                else:
-                    a, _, b = tail[1:-1].partition(", ")
-                    fields = _printed_fields(block)
-                    i, _, j = fields["r1"].partition(", ")
-                    r2 = fields.get("r2")
-                    round1.append(Round1Spec((a, b), int(i), int(j), _printed_layer(fields["layer"]),
-                                             None if r2 is None else _printed_slope(r2)))
-                continue
+        labels = set()
+        while self.tokens[self.pos] != "}":
             at = self.pos
             statement = self.ident()
             if statement == "component":
-                label = self.ident()
-                fields = self.fields(self._COMPONENT, unknown="unknown component field {!r}")
-                decls.append(ComponentDecl(label, **fields))
+                self.ident()
+                self.fields("component", unknown="unknown component field {!r}")
             elif statement == "lk":
                 a, b = self.pair()
                 self.punct("=")
-                value = self.sint()
+                self.sint()
                 self.punct(";")
                 if a == b:
                     self.fail(f"self-linking lk({a}, {a}) is not allowed", at, SemanticError)
-                linking.append((a, b, value))
             elif statement not in statements:
                 self.fail(f"unknown statement {statement!r}", at)
             elif statement == "contact_surgery":
                 label = self.ident()
                 self.punct("=")
-                slope = self.slope()
+                self.slope()
                 self.punct(";")
-                if label in surgeries:
+                if label in labels:
                     self.fail(f"component {label!r} has two coefficients", at, SemanticError)
-                surgeries[label] = slope
-            elif statement == "round2":
-                knot = self.ident()
-                round2.append(Round2Spec(knot, self.fields(*self._ROUND_BLOCKS[statement])["r2"]))
+                labels.add(label)
             else:
-                pair = self.pair()
-                block = self.fields(*self._ROUND_BLOCKS[statement])
-                round1.append(Round1Spec(pair, *block["r1"], block.get("layer", TightLayerSpec.invariant()),
-                                         block.get("r2")))
-        self.pos += 1
-        decls, components = _resolve_components(decls)
-        linking = _build_linking(linking)
-        if keyword == "diagram":
-            return NamedDiagram(name, "contact", decls, ContactSurgeryDiagram(components, linking, surgeries))
-        return NamedDiagram(name, "round", decls, _round_diagram(components, linking, round1, round2))
+                self.ident() if statement == "round2" else self.pair()
+                self.fields(statement)
+        raise CertificateError(f"the statement patterns refused diagram {name!r}, which the walker accepts")
+
+
+def _diagram(name, keyword, decls, linking, surgeries, round1, round2) -> NamedDiagram:
+    """The validated diagram of the statements `_read` read."""
+    decls, components = _resolve_components(decls)
+    linking = _build_linking(linking)
+    if keyword == "diagram":
+        return _validated(NamedDiagram(name, "contact", decls,
+                                       ContactSurgeryDiagram(components, linking, surgeries)))
+    return _validated(NamedDiagram(name, "round", decls, _round_diagram(components, linking, round1, round2)))
 
 
 def _round_diagram(components, linking, round1, round2) -> RoundSurgeryDiagram:
@@ -511,10 +506,12 @@ def _resolve_components(decls: List[ComponentDecl]) -> Tuple[tuple, tuple]:
 
 
 def parse_file(text: str) -> DiagramFile:
-    try:
-        return _Parser(text).parse_file()
-    except _Misread:
-        return _Parser(text, _LEXEME).parse_file()
+    read, refused = _read(text)
+    walker = refused and _Parser(text, *refused)  # lexes the rest first: a bad character anywhere wins
+    diagrams = DiagramFile(tuple(_diagram(*statements) for statements in read))
+    if walker:
+        walker.walk()  # raises
+    return diagrams
 
 
 # --- canonical printer --------------------------------------------------------

@@ -120,8 +120,9 @@ class CertificateError(Exception):
     continued fraction expansion or a glued dividing set does not verify,
     and when a construction breaks an invariant it guarantees: a constructed
     joint-pair diagram that does not read back as its input plus gadgets, an odd
-    mixed-crossing sign sum in classical_invariants, or a stabilize that
-    finds no right cusp or no zigzag with the requested rotation shift.
+    mixed-crossing sign sum in classical_invariants, a stabilize that finds
+    no right cusp or no zigzag with the requested rotation shift, or a .crs
+    diagram that the statement patterns refuse and the lexeme walker accepts.
     A Smith certificate is the log of the row and column operations that
     took M to D; it fails when a logged operation is not an integer matrix
     of determinant +-1 or when replaying the log on M does not give D, so a

@@ -263,16 +263,17 @@ def stabilize(front: OrientedFront, component: int, sign: int) -> OrientedFront:
         raise CertificateError(f"closed component {component} has no right cusp")
     events = front.word.events
     pos = int(events[t][1:])
-    rightward = threading.rightward[lo] ^ (front.orientation[component] == "reverse")
+    reverse = front.orientation[component] == "reverse"
+    rightward = threading.rightward[lo] ^ reverse
     if rightward == (sign == 1):
         zigzag = (f"U{pos}", f"C{pos + 1}")
     else:
         zigzag = (f"U{pos + 1}", f"C{pos}")
 
-    before = classical_invariants(front).components[component].rot
     word = parse_front_word(" ".join(events[:t] + zigzag + events[t:]))
-    stabilized = OrientedFront(word, front.orientation)
-    after = classical_invariants(stabilized).components[component].rot
-    if after - before != sign:
-        raise CertificateError(f"the zigzag shifts rot by {after - before}, not {sign}")
-    return stabilized
+    # rot is cusps - ups forward (see Threading), and -rot reversed
+    shift = (word.threading.cusps[component] - word.threading.ups[component]
+             - threading.cusps[component] + threading.ups[component]) * (-1 if reverse else 1)
+    if shift != sign:
+        raise CertificateError(f"the zigzag shifts rot by {shift}, not {sign}")
+    return OrientedFront(word, front.orientation)

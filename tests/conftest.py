@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -192,16 +193,16 @@ def edit_lexemes(rng: random.Random, text: str, edits: int, in_statements: bool 
     """Apply `edits` random token-level edits (replace, insert, delete or
     duplicate one lexeme), keeping the rest of the text as it is.
 
-    With in_statements, each edit falls on a lexeme inside a statement that
-    the parser's lexer reads as one lexeme (none once no such statement is left).
+    With in_statements, each edit falls on a lexeme of a statement line, one
+    that starts with two spaces as `print_diagram` writes it (none once no
+    such line is left).
     """
     from crsdiag import dsl
 
     for _ in range(edits):
         spans = [m.span(1) for m in dsl._LEXEME.finditer(text, dsl._SPACES.match(text).end())]
         if in_statements:
-            statements = [m.span(1) for m in dsl._MERGED.finditer(text, dsl._SPACES.match(text).end())
-                          if dsl._merged(m.group(1))]
+            statements = [m.span() for m in re.finditer(r"^  [^\n]*", text, re.M)]
             spans = [(start, end) for start, end in spans
                      if any(a <= start and end <= b for a, b in statements)]
             if not spans:

@@ -7,13 +7,12 @@ import pytest
 
 from crsdiag import SlopeQ, TightLayerSpec
 from crsdiag import dsl
-from crsdiag.errors import DslSyntaxError, InvalidParameter, SemanticError
+from crsdiag.errors import CertificateError, DslSyntaxError, InvalidParameter, SemanticError
 import reference_dsl
 from conftest import (
     FIXTURES,
     MIXED_ROUND_TEXT,
     edit_lexemes,
-    lk_heavy_pm1_text,
     random_contact_text,
     random_front_file_text,
     random_front_text,
@@ -469,47 +468,7 @@ def test_reader_matches_reference_parser():
     assert parsed > 150 and errors > 2000 and key_first > 5, (parsed, errors, key_first)
 
 
-# --- whole printed statements as one lexeme -------------------------------------
-
-def _spans(lexeme, text):
-    """(lexeme, start offset) of every lexeme `lexeme` finds in the text."""
-    return [(m.group(1), m.start()) for m in lexeme.finditer(text, dsl._SPACES.match(text).end())]
-
-
-def _split_spans(text):
-    """The parser's lexemes, each whole statement split by the plain lexer."""
-    spans = []
-    for word, start in _spans(dsl._MERGED, text):
-        if dsl._merged(word):
-            assert dsl._lexemes(word)[:-1] == [w for w, _ in _spans(dsl._LEXEME, word)[:-1]]
-            spans += [(w, start + offset) for w, offset in _spans(dsl._LEXEME, word)[:-1]]
-        else:
-            spans.append((word, start))
-    return spans
-
-
-def _lex_error(text, lexeme):
-    try:
-        dsl._lexemes(text, lexeme)
-    except DslSyntaxError as exc:
-        return exc.message, exc.line, exc.col
-    return None
-
-
-def _statement_kind(word):
-    return "lk" if word[:3] == "lk(" else word.partition(" ")[0]
-
-
-def test_statement_lexemes_split_into_todays_lexemes():
-    merged = dict.fromkeys(["lk", "component", "contact_surgery", "joint_pair", "round1", "round2"], 0)
-    for text in _scanner_inputs() + _edited_texts() + printed_statement_texts():
-        assert _split_spans(text) == _spans(dsl._LEXEME, text), repr(text)
-        assert _lex_error(text, dsl._LEXEME) == _lex_error(text, dsl._MERGED), repr(text)
-        for word, _ in _spans(dsl._MERGED, text):
-            if dsl._merged(word):
-                merged[_statement_kind(word)] += 1
-    assert min(merged.values()) > 500 and merged["lk"] > 10_000, merged
-
+# --- printed statements, misplaced and edited ----------------------------------
 
 # Every shape `print_diagram` writes: components with a front, with a front and
 # the tb and rot it derives, or with tb and rot; contact surgeries with integer,
@@ -563,15 +522,6 @@ def printed_statement_texts():
     texts = printed_texts()
     return texts + [edit_lexemes(rng, text, rng.randint(1, 2), in_statements=True)
                     for text in texts for _ in range(40)]
-
-
-def test_printed_file_lexes_one_lexeme_per_statement_line():
-    text = "\n".join(printed_texts() + [lk_heavy_pm1_text(random.Random(60), 60, 1.0)])
-    expected = []
-    for line in text.splitlines():
-        expected += [line.strip()] if line.startswith("  ") else line.split()
-    assert dsl._lexemes(text, dsl._MERGED) == expected + [""]
-    assert text.count("\n  lk(") > 60 * 59 // 2
 
 
 _LK_BASE = """\
@@ -631,12 +581,12 @@ def _json_outcome(parse_file, text):
     return outcome if isinstance(outcome, str) else list(outcome)
 
 
-def _assert_read_as_plain_lexemes_and_reference(texts, outcomes):
-    """Each outcome is the one the plain lexemes give, and the reference's,
-    except where the reference checks a round-block key only after its '='."""
+def _assert_read_as_reference(texts, outcomes):
+    """Each outcome is the reference's, except where the reference checks a
+    round-block key only after its '='."""
     for text, outcome in zip(texts, outcomes, strict=True):
-        assert outcome == _json_outcome(lambda t: dsl._Parser(t, dsl._LEXEME).parse_file(), text), text
-        old, new = _outcome(reference_dsl.parse_file, text), _outcome(dsl.parse_file, text)
+        old = _outcome(reference_dsl.parse_file, text)
+        new = outcome if isinstance(outcome, str) else tuple(outcome)
         assert old == new or _key_checked_before_equals(text, old, new), text
 
 
@@ -645,11 +595,11 @@ def misplaced_lk_outcomes():
 
 
 def test_misplaced_lk_statements_fail_as_todays_lexemes_do():
-    """Each outcome is the one the plain lexemes give, and the reference's,
-    except where the reference checks a round-block key only after its '='."""
+    """Each outcome is the reference's, except where the reference checks a
+    round-block key only after its '='."""
     outcomes = misplaced_lk_outcomes()
     texts = misplaced_lk_texts()
-    _assert_read_as_plain_lexemes_and_reference(texts, outcomes)
+    _assert_read_as_reference(texts, outcomes)
     errors = [outcome for outcome in outcomes if isinstance(outcome, list)]
     # 18 and 19 digits, the two -0 texts, the spaced lines and the lk after a
     # round2 block parse; 16 of the errors have a position
@@ -737,11 +687,11 @@ def printed_statement_outcomes():
 
 
 def test_printed_statements_read_as_todays_lexemes_do():
-    """Misplaced, refused and edited printed statements end as the plain
-    lexemes and the reference end them."""
+    """Misplaced, refused and edited printed statements end as the reference
+    ends them."""
     misplaced, printed = misplaced_statement_texts(), printed_statement_texts()
     outcomes = printed_statement_outcomes()
-    _assert_read_as_plain_lexemes_and_reference(misplaced + printed, outcomes)
+    _assert_read_as_reference(misplaced + printed, outcomes)
     errors = [outcome for outcome in outcomes[:len(misplaced)] if isinstance(outcome, list)]
     # 12 of the 90 misplaced texts parse; 59 of the errors have a position
     assert (len(misplaced), len(errors)) == (90, 78)
@@ -760,3 +710,80 @@ def test_printed_statements_under_optimize():
     optimize, outcomes = json.loads(result.stdout)
     assert optimize == 1
     assert outcomes == printed_statement_outcomes()
+
+
+# --- word ends and every spelling ---------------------------------------------------
+
+_GLUED = [  # an identifier that starts with a keyword is one identifier
+    ("component E {", "componentE {"),
+    ("round2 G { r2 = -7/3; }", "round2K { r2 = 1; }"),
+    ("lk(A, B) = 1;", "lkx(A, B) = 1;"),
+    ("diagram fronts {", "diagramX {"),
+    ("contact_surgery A = -1;", "contact_surgeryA = 1;"),
+    ("r2 = -1; layer", "r2 = infx; layer"),
+    ("layer = invariant;", "layer = invariantx;"),
+    ("orient = forward;", "orient = forwardx;"),
+]
+
+
+def test_keywords_end_at_word_boundaries():
+    for old, new in _GLUED:
+        assert old in _PRINTED_BASE, old
+        text = _PRINTED_BASE.replace(old, new, 1)
+        outcome = _outcome(dsl.parse_file, text)
+        assert isinstance(outcome, tuple) and outcome == _outcome(reference_dsl.parse_file, text), text
+
+
+def test_walker_that_finds_no_fault_raises_certificate_error(monkeypatch):
+    """A diagram the patterns refuse and the lexeme walker accepts is an internal fault."""
+    monkeypatch.setattr(dsl, "_read", lambda text: ([], (0, set())))  # refuse the first diagram
+    with pytest.raises(CertificateError, match="'mixed', which the walker accepts"):
+        parse(MIXED_ROUND_TEXT)
+
+
+# separators: tabs, CRLF, extra blanks and comments that hold grammar characters
+_GAPS = (" ", "\t", "  \t ", "\r\n", "\n\t ", " # ; } { lk(A, B) = 1;\n", '\t#"x\r\n  # round2 K {\n', "#\n")
+
+
+def respaced(rng, text):
+    """The text with its lexemes kept and each separator spelled anew; where
+    two lexemes meet without one, a seeded half get one."""
+    pieces = [rng.choice(_GAPS)]
+    for m in dsl._LEXEME.finditer(text, dsl._SPACES.match(text).end()):
+        pieces += [m.group(1), rng.choice(_GAPS) if m.end(1) < m.end() or rng.random() < 0.5 else ""]
+    return "".join(pieces)
+
+
+def every_spelling_problems():
+    """The respaced printed and edited texts that do not end as the reference
+    ends them, or whose print differs from the print of the text they respace;
+    and the count of respaced texts that parse."""
+    rng = random.Random(26)
+    problems, parsed = [], 0
+    for text in printed_texts() + _edited_texts():
+        spaced = respaced(rng, text)
+        old, new = _outcome(reference_dsl.parse_file, spaced), _outcome(dsl.parse_file, spaced)
+        plain = _outcome(dsl.parse_file, text)
+        if old != new and not _key_checked_before_equals(spaced, old, new):
+            problems.append([spaced, list(old), list(new)])
+        if (isinstance(plain, str) or isinstance(new, str)) and new != plain:
+            problems.append([spaced, plain, new])
+        parsed += isinstance(new, str)
+    return problems, parsed
+
+
+def test_every_spelling_reads_as_the_reference():
+    problems, parsed = every_spelling_problems()
+    assert problems == []
+    assert parsed > 150  # the printed and unedited texts parse, and some edited ones
+
+
+def test_every_spelling_under_optimize():
+    result = run_optimized(
+        "import json, sys\n"
+        "from test_dsl import every_spelling_problems\n"
+        "print(json.dumps([sys.flags.optimize, every_spelling_problems()]))\n")
+    assert result.returncode == 0, result.stderr
+    optimize, (problems, parsed) = json.loads(result.stdout)
+    assert optimize == 1
+    assert problems == [] and parsed > 150
