@@ -10,7 +10,6 @@ from .core import (
     RoundSurgeryDiagram,
     SlopeQ,
     TightLayerSpec,
-    Violation,
     check_nice,
     contact_to_topological,
     is_fillable_sufficient,

@@ -42,7 +42,6 @@ from .core import (
     TightLayerSpec,
     is_pm1,
     joint_pairs_to_pm1,
-    validate_diagram,
 )
 from .errors import (
     CertificateError,
@@ -50,6 +49,7 @@ from .errors import (
     InvalidParameter,
     LimitExceeded,
     NotPm1Diagram,
+    SemanticError,
     UnsupportedComposition,
 )
 from .homology import H1Class, h1_dehn
@@ -152,13 +152,11 @@ def pair_pm1_diagram(
     parameters.  Gadgets are inserted split from the input (no linking with
     pre-existing components), components with equal coefficients are paired
     two at a time in label order, and each pair's round-2 coefficient is the
-    shared contact coefficient.  The result is certified by reading it back:
-    joint_pairs_to_pm1 must give the input plus its gadgets, or
-    CertificateError is raised.
+    shared contact coefficient.  The result is certified by building it and
+    reading it back: the round diagram must build, and joint_pairs_to_pm1
+    must build from it the input plus its gadgets, or CertificateError is
+    raised.
     """
-    problems = validate_diagram(d)
-    if problems:
-        raise UnsupportedComposition("invalid diagram: " + "; ".join(v.message for v in problems))
     if not is_pm1(d):
         raise NotPm1Diagram("every coefficient must be +1 or -1")
     if gadget_m < 1 or (gadget_m2 is not None and gadget_m2 < 1):
@@ -204,14 +202,15 @@ def pair_pm1_diagram(
     round1 = [Round1Spec((a, b), k, k, TightLayerSpec.invariant(), coeff)
               for pool, coeff in ((pool_plus, plus), (pool_minus, SlopeQ.of(-1)))
               for a, b in zip(pool[::2], pool[1::2])]
-    rd = RoundSurgeryDiagram(tuple(components), linking, tuple(round1))
-    # certificate: the pairs read back as the input plus its gadgets
+    # certificate: the pairs build and read back as the input plus its gadgets
     try:
+        rd = RoundSurgeryDiagram(tuple(components), linking, tuple(round1))
         back = joint_pairs_to_pm1(rd)
-    except UnsupportedComposition as exc:
+    except (SemanticError, UnsupportedComposition) as exc:
         raise CertificateError(f"case {case_id}: constructed diagram is not all nice "
                                f"joint pairs: {exc}") from exc
-    if back != ContactSurgeryDiagram(components, linking, coefficients):
+    if ((back.components, back.linking, back.coefficients)
+            != (rd.components, linking, coefficients)):
         raise CertificateError(f"case {case_id}: constructed pairs do not read back as "
                                "the input plus its gadgets")
     return rd, PairingPlan(case_id, tuple(gadgets))

@@ -26,6 +26,8 @@ from .errors import (
     InvalidParameter,
     NoJointPartner,
     NotNice,
+    SemanticError,
+    UnknownComponent,
     UnsupportedComposition,
 )
 
@@ -308,12 +310,10 @@ class ContactSurgeryDiagram:
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "coefficients", dict(self.coefficients))
+        _require_valid(self)
 
     def component(self, label: str) -> LegendrianComponent:
-        for c in self.components:
-            if c.label == label:
-                return c
-        raise KeyError(label)
+        return _component(self, label)
 
     def __eq__(self, other):
         return (
@@ -341,12 +341,10 @@ class RoundSurgeryDiagram:
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "round1", tuple(self.round1))
         object.__setattr__(self, "round2", tuple(self.round2))
+        _require_valid(self)
 
     def component(self, label: str) -> LegendrianComponent:
-        for c in self.components:
-            if c.label == label:
-                return c
-        raise KeyError(label)
+        return _component(self, label)
 
 
 Diagram = Union[ContactSurgeryDiagram, RoundSurgeryDiagram]
@@ -354,58 +352,67 @@ Diagram = Union[ContactSurgeryDiagram, RoundSurgeryDiagram]
 
 # --- validation ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
-
-
 def validate_diagram(d: Diagram) -> list:
-    """Check all type invariants; returns a list of violations (empty = valid)."""
+    """Every way d breaks the type invariants, as messages (empty = valid).
+
+    Both diagram constructors run it and refuse a diagram it faults, so a
+    diagram value that exists has an empty list here."""
     out = []
     labels = [c.label for c in d.components]
     seen = set()
     for lab in labels:
         if lab in seen:
-            out.append(Violation("duplicate_label", f"component label {lab!r} repeats"))
+            out.append(f"component label {lab!r} repeats")
         seen.add(lab)
     for a, b, _ in d.linking.pairs():
         for lab in (a, b):
             if lab not in seen:
-                out.append(Violation("unknown_label", f"linking references unknown component {lab!r}"))
+                out.append(f"linking references unknown component {lab!r}")
 
     if isinstance(d, ContactSurgeryDiagram):
         for lab in labels:
             if lab not in d.coefficients:
-                out.append(Violation("missing_coefficient", f"component {lab!r} has no surgery coefficient"))
+                out.append(f"component {lab!r} has no surgery coefficient")
         for lab in d.coefficients:
             if lab not in seen:
-                out.append(Violation("extra_coefficient", f"coefficient on unknown component {lab!r}"))
+                out.append(f"coefficient on unknown component {lab!r}")
         return out
 
     used = set()
     for i, r1 in enumerate(d.round1):
         a, b = r1.pair
         if a == b:
-            out.append(Violation("duplicate_label", f"round1[{i}] pairs {a!r} with itself"))
+            out.append(f"round1[{i}] pairs {a!r} with itself")
         for lab in dict.fromkeys((a, b)):  # a self-pair's label is checked once
             if lab not in seen:
-                out.append(Violation("unknown_label", f"round1[{i}] references unknown component {lab!r}"))
+                out.append(f"round1[{i}] references unknown component {lab!r}")
             elif lab in used:
-                out.append(Violation("duplicate_pair_membership", f"component {lab!r} sits in more than one round1 pair"))
+                out.append(f"component {lab!r} sits in more than one round1 pair")
             used.add(lab)
     round2_knots = {r1.pair[1] for r1 in d.round1 if r1.r2 is not None}
     for j, r2 in enumerate(d.round2, _joint_count(d)):
         if r2.knot not in seen:
-            out.append(Violation("unknown_label", f"round2[{j}] references unknown component {r2.knot!r}"))
+            out.append(f"round2[{j}] references unknown component {r2.knot!r}")
         elif r2.knot in round2_knots:
-            out.append(Violation("duplicate_round2",
-                                 f"round2[{j}] is a second round 2-surgery on component {r2.knot!r}"))
+            out.append(f"round2[{j}] is a second round 2-surgery on component {r2.knot!r}")
         elif r2.knot in used:
-            out.append(Violation("round2_on_round1_knot",
-                                 f"round2[{j}] is on component {r2.knot!r} of a round1 pair"))
+            out.append(f"round2[{j}] is on component {r2.knot!r} of a round1 pair")
         round2_knots.add(r2.knot)
     return out
+
+
+def _require_valid(d: Diagram) -> None:
+    """Raise SemanticError naming every violation of d, if any."""
+    problems = validate_diagram(d)
+    if problems:
+        raise SemanticError("; ".join(problems))
+
+
+def _component(d: Diagram, label: str) -> LegendrianComponent:
+    for c in d.components:
+        if c.label == label:
+            return c
+    raise UnknownComponent(f"no component {label!r}")
 
 
 def _joint_count(d: RoundSurgeryDiagram) -> int:
@@ -444,7 +451,7 @@ def check_nice(d: RoundSurgeryDiagram, idx: int) -> NicenessReport:
     zero-holonomy minimal-twisting one.
     """
     if not (0 <= idx < len(d.round1)):
-        raise IndexError(f"round1 index {idx} out of range")
+        raise InvalidParameter(f"round1 index {idx} out of range")
     r1 = d.round1[idx]
     if r1.r2 is None:
         raise NoJointPartner(f"round1[{idx}] has no joint round 2-surgery")
@@ -483,20 +490,13 @@ def _nice_partners(d: RoundSurgeryDiagram, standalone: bool = False) -> list:
     return [r1.r2 for r1 in d.round1]
 
 
-def _require_valid(d: Diagram) -> None:
-    """Raise UnsupportedComposition naming every violation of d, if any."""
-    problems = validate_diagram(d)
-    if problems:
-        raise UnsupportedComposition("invalid diagram: " + "; ".join(v.message for v in problems))
-
-
 def joint_pairs_to_pm1(rd: RoundSurgeryDiagram) -> ContactSurgeryDiagram:
     """Read a diagram of nice joint pairs as a contact (+-1)-surgery diagram.
 
     Each pair with round-2 coefficient m yields contact coefficient m on both
     of its components; components, invariants and linking carry over verbatim.
+    rd is valid by construction, so this checks only the joint-pair rule.
     """
-    _require_valid(rd)
     coefficients = {}
     for r1, r2 in zip(rd.round1, _nice_partners(rd)):
         coefficients[r1.pair[0]] = coefficients[r1.pair[1]] = r2
@@ -511,7 +511,8 @@ def is_fillable_sufficient(d: RoundSurgeryDiagram) -> bool:
 
     True iff every round 1-spec sits in a nice joint pair whose round-2
     coefficient is -1, and no surgery outside those joint pairs is present.
-    A diagram with no surgeries at all qualifies vacuously.
+    A diagram with no surgeries at all qualifies vacuously.  d is valid by
+    construction, so every pair is on two distinct components of d.
     """
     try:
         partners = _nice_partners(d)

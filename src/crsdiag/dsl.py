@@ -60,7 +60,6 @@ from .core import (
     RoundSurgeryDiagram,
     SlopeQ,
     TightLayerSpec,
-    validate_diagram,
 )
 from .errors import CertificateError, DslSyntaxError, InvalidParameter, SemanticError
 from .front import parse_front_word, trace_components
@@ -435,13 +434,13 @@ class _Parser:
 
 
 def _diagram(name, keyword, decls, linking, surgeries, round1, round2) -> NamedDiagram:
-    """The validated diagram of the statements `_read` read."""
+    """The diagram of the statements `_read` read; building it validates it."""
     decls, components = _resolve_components(decls)
     linking = _build_linking(linking)
     if keyword == "diagram":
-        return _validated(NamedDiagram(name, "contact", decls,
-                                       ContactSurgeryDiagram(components, linking, surgeries)))
-    return _validated(NamedDiagram(name, "round", decls, _round_diagram(components, linking, round1, round2)))
+        return NamedDiagram(name, "contact", decls,
+                            ContactSurgeryDiagram(components, linking, surgeries))
+    return NamedDiagram(name, "round", decls, _round_diagram(components, linking, round1, round2))
 
 
 def _round_diagram(components, linking, round1, round2) -> RoundSurgeryDiagram:
@@ -457,13 +456,6 @@ def _build_linking(entries) -> LinkingData:
         return LinkingData(entries)
     except ValueError as exc:
         raise SemanticError(str(exc)) from None
-
-
-def _validated(nd: NamedDiagram) -> NamedDiagram:
-    problems = validate_diagram(nd.diagram)
-    if problems:
-        raise SemanticError("; ".join(v.message for v in problems))
-    return nd
 
 
 def _resolve_components(decls: List[ComponentDecl]) -> Tuple[tuple, tuple]:

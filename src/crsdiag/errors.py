@@ -32,8 +32,8 @@ class NotPm1Diagram(DiagramError):
 
 
 class UnsupportedComposition(DiagramError):
-    """The round surgery diagram is invalid, has an infinite round 2-coefficient,
-    or breaks the nice joint-pair rule that to-pm1 and fillable need."""
+    """The round surgery diagram has an infinite round 2-coefficient or breaks
+    the nice joint-pair rule that to-pm1 and fillable need."""
 
 
 class NotNice(UnsupportedComposition):
@@ -86,7 +86,7 @@ class OpenDiagram(FrontError):
 
 
 class SemanticError(DiagramError):
-    """A diagram file violates a semantic rule (unknown label, invariant failure)."""
+    """A diagram violates a semantic rule (unknown label, invariant failure)."""
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
         super().__init__(message)
@@ -119,10 +119,11 @@ class CertificateError(Exception):
     Raised when a Smith normal form certificate, a slope normalization, a
     continued fraction expansion or a glued dividing set does not verify,
     and when a construction breaks an invariant it guarantees: a constructed
-    joint-pair diagram that does not read back as its input plus gadgets, an odd
-    mixed-crossing sign sum in classical_invariants, a stabilize that finds
-    no right cusp or no zigzag with the requested rotation shift, or a .crs
-    diagram that the statement patterns refuse and the lexeme walker accepts.
+    joint-pair diagram that does not build or does not read back as its
+    input plus gadgets, an odd mixed-crossing sign sum in
+    classical_invariants, a stabilize that finds no right cusp or no zigzag
+    with the requested rotation shift, or a .crs diagram that the statement
+    patterns refuse and the lexeme walker accepts.
     A Smith certificate is the log of the row and column operations that
     took M to D; it fails when a logged operation is not an integer matrix
     of determinant +-1 or when replaying the log on M does not give D, so a

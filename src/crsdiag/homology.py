@@ -67,7 +67,6 @@ from .core import (
     RoundSurgeryDiagram,
     SlopeQ,
     _nice_partners,
-    _require_valid,
     contact_to_topological,
     integers,
 )
@@ -643,10 +642,9 @@ def h1_round2(tb: int, c: SlopeQ) -> Tuple[H1Class, H1Class]:
 def h1_round_diagram(rd: RoundSurgeryDiagram) -> List[H1Class]:
     """First homology per resulting component of a round surgery diagram:
     the connected result, then the inner piece of each standalone round
-    2-surgery in round2 order.  An invalid diagram or an infinite round
-    2-coefficient raises UnsupportedComposition, the first joint pair that
-    is not nice NotNice."""
-    _require_valid(rd)
+    2-surgery in round2 order.  rd is valid by construction; an infinite
+    round 2-coefficient raises UnsupportedComposition, the first joint pair
+    that is not nice NotNice."""
     contact, standalone = {}, []
     for r1, r2 in zip(rd.round1, _nice_partners(rd, standalone=True)):
         if r2 is None:

@@ -3,8 +3,9 @@
 It reads component blocks and surgery blocks with two separate loops and
 checks each lexeme through a predicate; it checks a surgery-block key only
 after its '='.  The tests compare `crsdiag.dsl`
-against it as an oracle; it shares the lexer, the semantic checks and the
-data types of `crsdiag.dsl`.
+against it as an oracle; it shares the lexer and the semantic checks of
+`crsdiag.dsl`, and the diagram types of `crsdiag.core`, whose constructors
+run the validity check.
 Shares with `src`: old code kept as an oracle, on dsl's lexer, `_resolve_components` and checks.
 """
 
@@ -28,7 +29,6 @@ from crsdiag.dsl import (
     _lexemes,
     _position,
     _resolve_components,
-    _validated,
 )
 from crsdiag.errors import DslSyntaxError, InvalidParameter, SemanticError
 
@@ -244,7 +244,7 @@ class _Parser:
 
         decls, components, linking = self._parse_body({"contact_surgery": contact_surgery})
         diagram = ContactSurgeryDiagram(components, linking, surgeries)
-        return _validated(NamedDiagram(name, "contact", decls, diagram))
+        return NamedDiagram(name, "contact", decls, diagram)
 
     def _parse_round(self, name: str) -> NamedDiagram:
         joints = []       # (pair, r1, layer, r2)
@@ -280,7 +280,7 @@ class _Parser:
         for knot, r2 in standalone2:
             round2_specs.append(Round2Spec(knot, r2))
         diagram = RoundSurgeryDiagram(components, linking, tuple(round1_specs), tuple(round2_specs))
-        return _validated(NamedDiagram(name, "round", decls, diagram))
+        return NamedDiagram(name, "round", decls, diagram)
 
 
 def parse_file(text: str) -> DiagramFile:

@@ -1,12 +1,16 @@
 """Reference implementations of the joint-pair checks that `core._nice_partners`
-replaced, and of the shape-by-shape first homology that `homology._h1_link`
-replaced, kept as test oracles.
+replaced, of the shape-by-shape first homology that `homology._h1_link`
+replaced, and of the validity check that the diagram constructors now run,
+kept as test oracles.
 
+`violations` is the body of `core.validate_diagram` as it stood when the
+gates called it, written on a diagram's parts rather than on a diagram,
+since an invalid diagram can no longer be built.
 Each joint-pair function writes the rule "every surgery sits in a nice joint
 pair" out in its own loop, as `bridge.joint_pairs_to_pm1`,
 `core.is_fillable_sufficient` and the general shape of
-`homology.h1_round_diagram` did.  They use only `check_nice`,
-`validate_diagram` and the Smith form, never `_nice_partners`.
+`homology.h1_round_diagram` did.  They use only `check_nice` and the Smith
+form, never `_nice_partners`, and they see only diagrams that built.
 `h1_round_diagram` is the old code: one standalone round 1-surgery on a
 two-component link, one standalone round 2-surgery on a knot, or nice joint
 pairs only, each from its own closed-form presentation below; it shares no
@@ -14,10 +18,56 @@ presentation with `src`.
 Shares with `src`: old code kept as an oracle, calling `check_nice` and the Smith form.
 """
 
-from crsdiag.core import (ContactSurgeryDiagram, SlopeQ, check_nice, contact_to_topological,
-                          validate_diagram)
+from crsdiag.core import ContactSurgeryDiagram, SlopeQ, check_nice, contact_to_topological
 from crsdiag.errors import DiagramError, NoJointPartner, NotNice, UnsupportedComposition
 from crsdiag.homology import IntMatrix, cokernel, presentation_from_rows
+
+
+def violations(components, linking, coefficients=None, round1=(), round2=()):
+    """Messages for every invariant the parts break: a contact diagram's if
+    coefficients is given, else a round diagram's."""
+    out = []
+    labels = [c.label for c in components]
+    seen = set()
+    for lab in labels:
+        if lab in seen:
+            out.append(f"component label {lab!r} repeats")
+        seen.add(lab)
+    for a, b, _ in linking.pairs():
+        for lab in (a, b):
+            if lab not in seen:
+                out.append(f"linking references unknown component {lab!r}")
+
+    if coefficients is not None:
+        for lab in labels:
+            if lab not in coefficients:
+                out.append(f"component {lab!r} has no surgery coefficient")
+        for lab in coefficients:
+            if lab not in seen:
+                out.append(f"coefficient on unknown component {lab!r}")
+        return out
+
+    used = set()
+    for i, r1 in enumerate(round1):
+        a, b = r1.pair
+        if a == b:
+            out.append(f"round1[{i}] pairs {a!r} with itself")
+        for lab in dict.fromkeys((a, b)):  # a self-pair's label is checked once
+            if lab not in seen:
+                out.append(f"round1[{i}] references unknown component {lab!r}")
+            elif lab in used:
+                out.append(f"component {lab!r} sits in more than one round1 pair")
+            used.add(lab)
+    round2_knots = {r1.pair[1] for r1 in round1 if r1.r2 is not None}
+    for j, r2 in enumerate(round2, sum(r1.r2 is not None for r1 in round1)):
+        if r2.knot not in seen:
+            out.append(f"round2[{j}] references unknown component {r2.knot!r}")
+        elif r2.knot in round2_knots:
+            out.append(f"round2[{j}] is a second round 2-surgery on component {r2.knot!r}")
+        elif r2.knot in used:
+            out.append(f"round2[{j}] is on component {r2.knot!r} of a round1 pair")
+        round2_knots.add(r2.knot)
+    return out
 
 
 class NotTwoComponent(DiagramError):
@@ -67,9 +117,6 @@ def h1_round2(tb, c):
 
 
 def joint_pairs_to_pm1(rd):
-    problems = validate_diagram(rd)
-    if problems:
-        raise UnsupportedComposition("invalid diagram: " + "; ".join(v.message for v in problems))
     if rd.round2:
         j = len([r1 for r1 in rd.round1 if r1.r2 is not None])
         raise UnsupportedComposition(f"round2[{j}] is not joint with any round 1-surgery")

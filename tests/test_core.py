@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +17,7 @@ from crsdiag import (
     is_fillable_sufficient,
     validate_diagram,
 )
-from crsdiag.errors import InvalidParameter, NoJointPartner
+from crsdiag.errors import InvalidParameter, NoJointPartner, SemanticError, UnknownComponent
 
 
 def hopf_components():
@@ -42,60 +43,88 @@ def test_validate_well_formed():
     assert validate_diagram(hopf_pair()) == []
 
 
+def refusal(build, *parts, **fields):
+    """The SemanticError message of a diagram that fails to build."""
+    with pytest.raises(SemanticError) as info:
+        build(*parts, **fields)
+    return str(info.value)
+
+
 def test_validate_duplicate_label():
-    d = ContactSurgeryDiagram(
-        components=(LegendrianComponent("A", -1), LegendrianComponent("A", -2)),
-        linking=LinkingData([]),
-        coefficients={"A": SlopeQ.of(1)},
-    )
-    assert any(v.code == "duplicate_label" for v in validate_diagram(d))
+    comps = (LegendrianComponent("A", -1), LegendrianComponent("A", -2))
+    assert refusal(ContactSurgeryDiagram, comps, LinkingData([]), {"A": SlopeQ.of(1)}) == (
+        "component label 'A' repeats")
 
 
 def test_validate_missing_and_extra_coefficient():
-    d = ContactSurgeryDiagram(
-        components=(LegendrianComponent("A", -1),),
-        linking=LinkingData([]),
-        coefficients={"B": SlopeQ.of(1)},
-    )
-    codes = {v.code for v in validate_diagram(d)}
-    assert {"missing_coefficient", "extra_coefficient"} <= codes
+    assert refusal(ContactSurgeryDiagram, (LegendrianComponent("A", -1),), LinkingData([]),
+                   {"B": SlopeQ.of(1)}) == (
+        "component 'A' has no surgery coefficient; coefficient on unknown component 'B'")
 
 
 def test_validate_component_in_two_pairs():
     comps = hopf_components() + (LegendrianComponent("C", -1),)
-    d = RoundSurgeryDiagram(
-        components=comps,
-        linking=LinkingData([]),
-        round1=(
-            Round1Spec(("A", "B"), 0, 0, TightLayerSpec.invariant()),
-            Round1Spec(("B", "C"), 0, 0, TightLayerSpec.invariant()),
-        ),
-    )
-    assert any(v.code == "duplicate_pair_membership" for v in validate_diagram(d))
+    two_pairs = (Round1Spec(("A", "B"), 0, 0, TightLayerSpec.invariant()),
+                 Round1Spec(("B", "C"), 0, 0, TightLayerSpec.invariant()))
+    assert refusal(RoundSurgeryDiagram, comps, LinkingData([]), two_pairs) == (
+        "component 'B' sits in more than one round1 pair")
     # a self-pair is one fault: its label sits in that one pair only
-    self_paired = RoundSurgeryDiagram(comps, LinkingData([]),
-                                      (Round1Spec(("A", "A"), 0, 0, TightLayerSpec.invariant()),))
-    assert [(v.code, v.message) for v in validate_diagram(self_paired)] == [
-        ("duplicate_label", "round1[0] pairs 'A' with itself")]
+    self_paired = (Round1Spec(("A", "A"), 0, 0, TightLayerSpec.invariant()),)
+    assert refusal(RoundSurgeryDiagram, comps, LinkingData([]), self_paired) == (
+        "round1[0] pairs 'A' with itself")
 
 
 def test_validate_second_round2_on_a_knot():
     joint = hopf_pair()
-    one_more = RoundSurgeryDiagram(joint.components, joint.linking, joint.round1,
-                                   (Round2Spec("B", SlopeQ.of(1)),))
-    assert [(v.code, v.message) for v in validate_diagram(one_more)] == [
-        ("duplicate_round2", "round2[1] is a second round 2-surgery on component 'B'")]
+    assert refusal(RoundSurgeryDiagram, joint.components, joint.linking, joint.round1,
+                   (Round2Spec("B", SlopeQ.of(1)),)) == (
+        "round2[1] is a second round 2-surgery on component 'B'")
     # two standalone ones on one knot; one on the joint pair's round 1-knot A is not a second
-    standalone = RoundSurgeryDiagram(
-        joint.components, joint.linking, (),
-        (Round2Spec("A", SlopeQ.of(1)), Round2Spec("B", SlopeQ.of(2)), Round2Spec("A", SlopeQ.of(3))))
-    assert [v.message for v in validate_diagram(standalone)] == [
-        "round2[2] is a second round 2-surgery on component 'A'"]
-    # one on the joint pair's round 1-knot A is refused too, with its own code
-    on_a = RoundSurgeryDiagram(joint.components, joint.linking, joint.round1,
-                               (Round2Spec("A", SlopeQ.of(1)),))
-    assert [(v.code, v.message) for v in validate_diagram(on_a)] == [
-        ("round2_on_round1_knot", "round2[1] is on component 'A' of a round1 pair")]
+    assert refusal(RoundSurgeryDiagram, joint.components, joint.linking, (),
+                   (Round2Spec("A", SlopeQ.of(1)), Round2Spec("B", SlopeQ.of(2)),
+                    Round2Spec("A", SlopeQ.of(3)))) == (
+        "round2[2] is a second round 2-surgery on component 'A'")
+    # one on the joint pair's round 1-knot A is refused too
+    assert refusal(RoundSurgeryDiagram, joint.components, joint.linking, joint.round1,
+                   (Round2Spec("A", SlopeQ.of(1)),)) == (
+        "round2[1] is on component 'A' of a round1 pair")
+
+
+def test_no_entry_point_sees_an_invalid_contact_diagram():
+    # h1_dehn, linking_matrix and pair_pm1_diagram each read this diagram
+    # differently while it could be built; now it cannot be
+    comps = hopf_components()
+    coefficients = {"A": SlopeQ.of(-1), "Q": SlopeQ.of(1)}
+    message = ("linking references unknown component 'Z'; component 'B' has no surgery "
+               "coefficient; coefficient on unknown component 'Q'")
+    assert refusal(ContactSurgeryDiagram, comps, LinkingData([("A", "Z", 1)]), coefficients) == message
+    valid = ContactSurgeryDiagram(comps, LinkingData([]), {"A": SlopeQ.of(-1), "B": SlopeQ.of(1)})
+    assert refusal(replace, valid, linking=LinkingData([("A", "Z", 1)]),
+                   coefficients=coefficients) == message
+
+
+@pytest.mark.parametrize("pair, message", [
+    (("X", "Y"), "round1[0] references unknown component 'X'; "
+                 "round1[0] references unknown component 'Y'"),
+    (("A", "A"), "round1[0] pairs 'A' with itself"),
+])
+def test_no_entry_point_sees_a_joint_pair_off_the_link(pair, message):
+    # is_fillable_sufficient called this one nice joint pair fillable
+    joint = (Round1Spec(pair, 0, 0, TightLayerSpec.invariant(), SlopeQ.of(-1)),)
+    assert refusal(RoundSurgeryDiagram, hopf_components(), LinkingData([]), joint) == message
+    assert refusal(replace, hopf_pair(), round1=joint) == message
+
+
+def test_lookups_raise_typed_errors():
+    contact = ContactSurgeryDiagram(hopf_components(), LinkingData([]),
+                                    {"A": SlopeQ.of(1), "B": SlopeQ.of(1)})
+    for d in (contact, hopf_pair()):
+        assert d.component("B") == LegendrianComponent("B", -1)
+        with pytest.raises(UnknownComponent, match="no component 'C'"):
+            d.component("C")
+    for idx in (-1, 1):
+        with pytest.raises(InvalidParameter, match=f"round1 index {idx} out of range"):
+            check_nice(hopf_pair(), idx)
 
 
 ROUND2_ON_A_PAIR = [  # round1 statement, round2 knot, the message
@@ -114,14 +143,11 @@ ROUND2_ON_A_PAIR = [  # round1 statement, round2 knot, the message
 def test_round2_on_a_round1_knot_is_refused(tmp_path, statement, knot, message):
     # a standalone round 2-surgery on either knot of any round 1 pair has one
     # meaning, refused: round1 (A, B) plus round2 B is not read as a joint pair
-    kind = "duplicate_round2" if "second" in message else "round2_on_round1_knot"
     standalone = statement.startswith("round1")
-    rd = RoundSurgeryDiagram(
-        hopf_components(), LinkingData([("A", "B", 1)]),
-        (Round1Spec(("A", "B"), 0, 0, TightLayerSpec.invariant(),
-                    None if standalone else SlopeQ.of(-1)),),
-        (Round2Spec(knot, SlopeQ.of(1)),))
-    assert [(v.code, v.message) for v in validate_diagram(rd)] == [(kind, message)]
+    assert refusal(RoundSurgeryDiagram, hopf_components(), LinkingData([("A", "B", 1)]),
+                   (Round1Spec(("A", "B"), 0, 0, TightLayerSpec.invariant(),
+                               None if standalone else SlopeQ.of(-1)),),
+                   (Round2Spec(knot, SlopeQ.of(1)),)) == message
     path = tmp_path / "pair.crs"
     path.write_text("round_diagram r {\n  component A { tb = -1; rot = 0; }\n"
                     "  component B { tb = -1; rot = 0; }\n  lk(A, B) = 1;\n"

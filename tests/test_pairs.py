@@ -1,6 +1,7 @@
-"""The joint-pair rule, checked in one loop in core, against the replaced code
-in reference_pairs.py, and the certificate that pair_pm1_diagram checks by
-reading its output back."""
+"""The joint-pair rule, checked in one loop in core, and the validity check
+the diagram constructors run, against the replaced code in
+reference_pairs.py, and the certificate that pair_pm1_diagram checks by
+building its output and reading it back."""
 
 import json
 
@@ -21,9 +22,8 @@ from crsdiag.core import (
     check_nice,
     is_fillable_sufficient,
     joint_pairs_to_pm1,
-    validate_diagram,
 )
-from crsdiag.errors import CertificateError, NotNice, UnsupportedComposition
+from crsdiag.errors import CertificateError, NotNice, SemanticError
 from crsdiag.homology import h1_round_diagram
 from conftest import FIXTURES, run_cli
 import reference_pairs
@@ -36,17 +36,24 @@ LAYERS = (TightLayerSpec.invariant(), TightLayerSpec.nonrotative(1),
 ROUND2_COEFFS = tuple(SlopeQ.of(p, q) for p, q in ((-1, 1), (1, 1), (0, 1), (2, 1), (1, 2)))
 
 
-@st.composite
-def round_diagrams(draw):
-    """Round diagrams of nice and non-nice joint pairs, partnerless round
-    1-specs, standalone round 2-specs and stray components."""
-    rng = draw(st.randoms(use_true_random=False))
+def drawn_link(rng, ghost=False):
+    """Components and linking on up to seven labels; with ghost set, the
+    linking names an unknown label."""
     labels = [f"L{i}" for i in range(rng.randint(0, 7))]
     components = tuple(LegendrianComponent(lab, rng.randint(-3, 1), rng.randint(-1, 1))
                        for lab in labels)
-    linking = LinkingData((a, b, rng.randint(-2, 2))
-                          for i, a in enumerate(labels) for b in labels[i + 1:]
-                          if rng.random() < 0.5)
+    entries = [(a, b, rng.randint(-2, 2)) for i, a in enumerate(labels) for b in labels[i + 1:]
+               if rng.random() < 0.5]
+    return labels, components, LinkingData(entries + [("L0", "ghost", 1)] * ghost)
+
+
+@st.composite
+def round_diagrams(draw):
+    """The parts (components, linking, round1, round2) of round diagrams of
+    nice and non-nice joint pairs, partnerless round 1-specs, standalone
+    round 2-specs and stray components; some parts build no diagram."""
+    rng = draw(st.randoms(use_true_random=False))
+    labels, components, linking = drawn_link(rng)
     pool = labels + ["ghost"] * (rng.random() < 0.1)  # sometimes an unknown label
     rng.shuffle(pool)
     if pool and rng.random() < 0.2:
@@ -63,7 +70,19 @@ def round_diagrams(draw):
         round1.append(Round1Spec((a, b), k, coeff_b, layer, r2))
     for _ in range(rng.choice((0, 0, 0, 1, 2))):
         round2.append(Round2Spec(rng.choice(labels or ["ghost"]), rng.choice(ROUND2_COEFFS)))
-    return RoundSurgeryDiagram(components, linking, tuple(round1), tuple(round2))
+    return components, linking, tuple(round1), tuple(round2)
+
+
+@st.composite
+def contact_parts(draw):
+    """The parts of contact diagrams; a coefficient is sometimes missing or
+    on an unknown label."""
+    rng = draw(st.randoms(use_true_random=False))
+    labels, components, linking = drawn_link(rng, ghost=rng.random() > 0.9)
+    coefficients = {lab: SlopeQ.of(rng.choice((-1, 1))) for lab in labels if rng.random() < 0.95}
+    if rng.random() > 0.9:
+        coefficients["ghost"] = SlopeQ.of(1)
+    return components, linking, coefficients
 
 
 def outcome(fn, rd, errors=Exception):
@@ -74,34 +93,50 @@ def outcome(fn, rd, errors=Exception):
         return ("error", type(exc), str(exc))
 
 
+def build(parts):
+    return RoundSurgeryDiagram(*parts)
+
+
+@ORACLE
+@given(contact_parts())
+def test_contact_diagram_builds_unless_reference_faults_it(parts):
+    problems = reference_pairs.violations(*parts)
+    built = outcome(lambda p: ContactSurgeryDiagram(*p), parts)
+    if problems:
+        assert built == ("error", SemanticError, "; ".join(problems))
+    else:
+        assert built[0] == "ok", built
+
+
 @ORACLE
 @given(round_diagrams())
-def test_joint_pair_rule_matches_reference(rd):
+def test_joint_pair_rule_matches_reference(parts):
+    components, linking, round1, round2 = parts
+    problems = reference_pairs.violations(components, linking, round1=round1, round2=round2)
+    built = outcome(build, parts)
+    if problems:
+        assert built == ("error", SemanticError, "; ".join(problems))
+        return
+    assert built[0] == "ok", built
+    rd = built[1]
     assert is_fillable_sufficient(rd) == reference_pairs.is_fillable_sufficient(rd)
     assert outcome(joint_pairs_to_pm1, rd) == outcome(reference_pairs.joint_pairs_to_pm1, rd)
     # the reference answers only its three shapes; every other diagram gets an
-    # H1 now, unless it is invalid or holds a joint pair that is not nice
+    # H1 now, unless it holds a joint pair that is not nice
     new, old = outcome(h1_round_diagram, rd), outcome(reference_pairs.h1_round_diagram, rd)
     if old[0] == "ok":
         assert new == old
-    problems = validate_diagram(rd)
     reports = {idx: check_nice(rd, idx) for idx, r1 in enumerate(rd.round1) if r1.r2 is not None}
     bad = [(idx, report.reasons) for idx, report in reports.items() if not report.nice]
-    if problems:
-        assert old[0] == "error"
-        assert new == ("error", UnsupportedComposition,
-                       "invalid diagram: " + "; ".join(v.message for v in problems))
-    elif bad:
+    if bad:
         assert old[0] == "error"
         idx, reasons = bad[0]
         assert new == ("error", NotNice, f"round1[{idx}]: " + "; ".join(reasons))
     else:
         assert new[0] == "ok", new
-    if old[0] == "error" and old[2].startswith("invalid diagram: "):
-        assert new == old
 
 
-CASES = ("invalid diagram", "is not joint with any round 1-surgery",
+CASES = ("is not joint with any round 1-surgery",
          "no joint round 2-surgery partner", "coefficient mismatch", "not +1 or -1",
          "layer is not the zero-holonomy", "is not in any joint pair")
 
@@ -112,7 +147,12 @@ def test_round_diagram_strategy_covers_every_case():
 
     @ORACLE
     @given(round_diagrams())
-    def collect(rd):
+    def collect(parts):
+        built = outcome(build, parts)
+        if built[0] == "error":
+            seen.add("refused")
+            return
+        rd = built[1]
         result = outcome(joint_pairs_to_pm1, rd)
         seen.update(case for case in CASES if result[0] == "error" and case in result[2])
         if result[0] == "ok":
@@ -120,7 +160,7 @@ def test_round_diagram_strategy_covers_every_case():
         seen.add(is_fillable_sufficient(rd))
 
     collect()
-    assert seen == set(CASES) | {"ok", True, False}
+    assert seen == set(CASES) | {"refused", "ok", True, False}
 
 
 # --- the pairing certificate --------------------------------------------------
@@ -151,10 +191,18 @@ def round2_sign_flipped(monkeypatch):
                         lambda pair, a, b, layer, r2: real(pair, a, b, layer, SlopeQ.of(-r2.p)))
 
 
+def paired_with_a_ghost(monkeypatch):
+    # the round diagram of these pairs is refused while it is built
+    real = bridge.Round1Spec
+    monkeypatch.setattr(bridge, "Round1Spec",
+                        lambda pair, a, b, layer, r2: real((pair[0], "ghost"), a, b, layer, r2))
+
+
 @pytest.mark.parametrize("fault, message", [
     (odd_gadget, "is not in any joint pair"),
     (standard_layer_replaced, "layer is not the zero-holonomy minimal-twisting one"),
     (round2_sign_flipped, "do not read back as the input plus its gadgets"),
+    (paired_with_a_ghost, "round1.0. references unknown component 'ghost'"),
 ])
 def test_pairing_certificate_catches_faults(monkeypatch, fault, message):
     fault(monkeypatch)
@@ -162,7 +210,8 @@ def test_pairing_certificate_catches_faults(monkeypatch, fault, message):
         bridge.pair_pm1_diagram(pm1([1, -1, -1]))  # case 2: one gadget
 
 
-@pytest.mark.parametrize("fault", [odd_gadget, standard_layer_replaced, round2_sign_flipped])
+@pytest.mark.parametrize("fault", [odd_gadget, standard_layer_replaced, round2_sign_flipped,
+                                   paired_with_a_ghost])
 def test_to_round_exits_3_on_a_failed_certificate(monkeypatch, fault):
     fault(monkeypatch)
     code, out = run_cli(["to-round", str(FIXTURES / "single_plus1_unknot.crs")])
