@@ -184,7 +184,7 @@ def pair_pm1_diagram(
                                 f"more than {GADGET_MAX_M}, the largest gadget built")
 
     components = list(d.components)
-    linking = d.linking
+    pairs = list(d.linking.pairs())
     coefficients = dict(d.coefficients)
     existing = set(d.coefficients)
     gadgets = []
@@ -193,10 +193,11 @@ def pair_pm1_diagram(
         gadget = kirby1_gadget(size, label_prefix=prefix)
         gadgets.append(GadgetSpec(size, gadget))
         components.extend(gadget.components)
-        linking = linking.merged_with(gadget.linking)  # split insertion: no cross linking
+        pairs += gadget.linking.pairs()  # split insertion: no cross linking
         coefficients.update(gadget.coefficients)
         existing.update(gadget.coefficients)
 
+    linking = LinkingData(pairs)
     pool_plus = sorted(lab for lab, c in coefficients.items() if c == plus)
     pool_minus = sorted(lab for lab, c in coefficients.items() if c != plus)
     round1 = [Round1Spec((a, b), k, k, TightLayerSpec.invariant(), coeff)

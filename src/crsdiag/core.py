@@ -156,45 +156,35 @@ class LegendrianComponent:
 class LinkingData:
     """Symmetric pairwise linking numbers keyed by unordered label pairs.
 
-    Absent pairs link 0; zero entries are dropped so equal linking data
-    compare equal regardless of how they were assembled.  The value is
-    immutable, so its entries are sorted once, when it is built.
+    The labels of one value are all strings (diagrams) or all ints (front
+    component ids), so each pair is stored as (a, b) with a < b and the
+    pairs sort in plain label order.  A pair given twice must give the same
+    number both times, zero included.  Absent pairs link 0; zero entries are
+    dropped so equal linking data compare equal regardless of how they were
+    assembled.  Self-linking, a conflict and labels that do not compare
+    raise SemanticError.
     """
 
     __slots__ = ("_entries", "_pairs")
 
     def __init__(self, entries: Iterable[tuple] = ()):  # (a, b, value) triples
         table = {}
-        order = {}  # label -> _label_key(label), computed once per label
         for a, b, value in entries:
-            if a == b:
-                raise ValueError(f"self-linking lk({a!r}, {a!r}) is not defined")
-            if a not in order:
-                order[a] = _label_key(a)
-            if b not in order:
-                order[b] = _label_key(b)
-            key = (a, b) if order[a] <= order[b] else (b, a)
-            if key in table and table[key] != value:
-                raise ValueError(f"conflicting linking numbers for {key}")
-            if value != 0:
-                table[key] = value
-        self._entries = table
-        self._pairs = tuple(
-            (a, b, table[a, b]) for a, b in sorted(table, key=lambda k: (order[k[0]], order[k[1]]))
-        )
+            key = _pair(a, b)
+            if table.setdefault(key, value) != value:
+                raise SemanticError(f"conflicting linking numbers for {key}")
+        try:
+            self._pairs = tuple((a, b, value) for (a, b), value in sorted(table.items()) if value)
+        except TypeError:
+            raise SemanticError(_MIXED_LABELS) from None
+        self._entries = {(a, b): value for a, b, value in self._pairs}
 
     def get(self, a, b) -> int:
-        if a == b:
-            raise ValueError(f"self-linking lk({a!r}, {a!r}) is not defined")
-        key = (a, b) if _label_key(a) <= _label_key(b) else (b, a)
-        return self._entries.get(key, 0)
+        return self._entries.get(_pair(a, b), 0)
 
     def pairs(self):
         """Sorted (a, b, value) triples of the nonzero entries."""
         return iter(self._pairs)
-
-    def merged_with(self, other: "LinkingData") -> "LinkingData":
-        return LinkingData(self._pairs + other._pairs)
 
     def __eq__(self, other):
         return isinstance(other, LinkingData) and self._entries == other._entries
@@ -206,10 +196,17 @@ class LinkingData:
         return f"LinkingData({list(self._pairs)!r})"
 
 
-def _label_key(label):
-    # Labels are strings in diagrams and ints for front components; keep each
-    # kind ordered within itself.
-    return (0, label) if isinstance(label, int) else (1, str(label))
+def _pair(a, b) -> tuple:
+    """The key (a, b) with a < b of the unordered pair of labels."""
+    if a == b:
+        raise SemanticError(f"self-linking lk({a!r}, {a!r}) is not defined")
+    try:
+        return (a, b) if a < b else (b, a)
+    except TypeError:
+        raise SemanticError(_MIXED_LABELS) from None
+
+
+_MIXED_LABELS = "linking labels must all be strings or all be ints"
 
 
 @dataclass(frozen=True)

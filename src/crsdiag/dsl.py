@@ -436,7 +436,7 @@ class _Parser:
 def _diagram(name, keyword, decls, linking, surgeries, round1, round2) -> NamedDiagram:
     """The diagram of the statements `_read` read; building it validates it."""
     decls, components = _resolve_components(decls)
-    linking = _build_linking(linking)
+    linking = LinkingData(linking)
     if keyword == "diagram":
         return NamedDiagram(name, "contact", decls,
                             ContactSurgeryDiagram(components, linking, surgeries))
@@ -449,13 +449,6 @@ def _round_diagram(components, linking, round1, round2) -> RoundSurgeryDiagram:
     return RoundSurgeryDiagram(components, linking,
                                sorted(round1, key=lambda r1: (r1.r2 is None, r1.pair)),
                                sorted(round2, key=lambda r2: r2.knot))
-
-
-def _build_linking(entries) -> LinkingData:
-    try:
-        return LinkingData(entries)
-    except ValueError as exc:
-        raise SemanticError(str(exc)) from None
 
 
 def _resolve_components(decls: List[ComponentDecl]) -> Tuple[tuple, tuple]:

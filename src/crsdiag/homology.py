@@ -106,9 +106,6 @@ class IntMatrix:
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries))) if self.entries else IntMatrix(())
-
     def __getitem__(self, idx):
         return self.entries[idx]
 
@@ -537,23 +534,12 @@ class H1Class:
         return " + ".join(parts) if parts else "0"
 
 
-def cokernel(relations: IntMatrix, generators: int) -> H1Class:
-    """Z^generators modulo the column span of the relation matrix."""
-    if relations.nrows != generators:
-        raise InvalidParameter(f"relation matrix has {relations.nrows} rows for {generators} generators")
-    if relations.ncols == 0 or generators == 0:
-        return H1Class.free(generators)
-    snf = smith_normal_form(relations)
-    nonzero = [d for d in snf.diagonal if d != 0]
-    torsion = tuple(d for d in nonzero if d > 1)
-    return H1Class(generators - len(nonzero), torsion)
-
-
-def presentation_from_rows(rows: Sequence[Sequence[int]], generators: int) -> H1Class:
-    """Cokernel when relations are given as rows over the generators."""
-    if not rows:
-        return H1Class.free(generators)
-    return cokernel(IntMatrix.from_rows(rows).transpose(), generators)
+def _h1(rows: Sequence[Sequence[int]], generators: int) -> H1Class:
+    """Z^generators modulo the span of the relation rows over the generators,
+    read off the Smith diagonal of the rows (a matrix and its transpose have
+    the same one)."""
+    nonzero = [d for d in smith_normal_form(IntMatrix.from_rows(rows)).diagonal if d]
+    return H1Class(generators - len(nonzero), tuple(d for d in nonzero if d > 1))
 
 
 # --- surgery presentations ---------------------------------------------------
@@ -592,7 +578,7 @@ def _h1_link(components, linking, contact, round1=()) -> H1Class:
             row[index[lab]], row[gen + 1] = n + tb[lab], -1
             rows += (meridian, row)
         gen += 2
-    return presentation_from_rows(rows, width).plus_free(len(round1))
+    return _h1(rows, width).plus_free(len(round1))
 
 
 def h1_dehn(d: ContactSurgeryDiagram) -> H1Class:
@@ -630,7 +616,7 @@ def _round2_inner(tb: int, c: SlopeQ) -> H1Class:
     if c.is_infinite:
         raise UnsupportedComposition("round 2-surgery coefficient must be rational")
     t = contact_to_topological(c, tb)
-    return presentation_from_rows([[1, 0], [t.p, t.q]], 2)
+    return _h1([[1, 0], [t.p, t.q]], 2)
 
 
 def h1_round2(tb: int, c: SlopeQ) -> Tuple[H1Class, H1Class]:

@@ -15,6 +15,7 @@ from typing import List, Optional, Tuple
 
 from crsdiag.core import (
     ContactSurgeryDiagram,
+    LinkingData,
     Round1Spec,
     Round2Spec,
     RoundSurgeryDiagram,
@@ -25,7 +26,6 @@ from crsdiag.dsl import (
     ComponentDecl,
     DiagramFile,
     NamedDiagram,
-    _build_linking,
     _lexemes,
     _position,
     _resolve_components,
@@ -228,7 +228,7 @@ class _Parser:
                 self.fail(f"unknown statement {keyword!r}", at)
         self.expect_punct("}")
         decls, components = _resolve_components(decls)
-        return decls, components, _build_linking(linking)
+        return decls, components, LinkingData(linking)
 
     def _parse_contact(self, name: str) -> NamedDiagram:
         surgeries = {}

@@ -14,13 +14,27 @@ form, never `_nice_partners`, and they see only diagrams that built.
 `h1_round_diagram` is the old code: one standalone round 1-surgery on a
 two-component link, one standalone round 2-surgery on a knot, or nice joint
 pairs only, each from its own closed-form presentation below; it shares no
-presentation with `src`.
-Shares with `src`: old code kept as an oracle, calling `check_nice` and the Smith form.
+presentation with `src`, and `h1_of_rows` reads each group off sympy's
+invariant factors, not off the Smith form of `src`.
+Shares with `src`: old code kept as an oracle, calling `check_nice`; groups are `H1Class` values.
 """
 
 from crsdiag.core import ContactSurgeryDiagram, SlopeQ, check_nice, contact_to_topological
 from crsdiag.errors import DiagramError, NoJointPartner, NotNice, UnsupportedComposition
-from crsdiag.homology import IntMatrix, cokernel, presentation_from_rows
+from crsdiag.homology import H1Class
+
+
+def h1_of_rows(rows, generators):
+    """Z^generators modulo the span of the integer relation rows, from
+    sympy's invariant factors over ZZ."""
+    # imported here: the subprocess tests that load this module skip sympy's import time
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    flat = [x for row in rows for x in row]
+    factors = [abs(int(d)) for d in invariant_factors(Matrix(len(rows), generators, flat), domain=ZZ)]
+    nonzero = [d for d in factors if d]
+    return H1Class(generators - len(nonzero), tuple(d for d in nonzero if d > 1))
 
 
 def violations(components, linking, coefficients=None, round1=(), round2=()):
@@ -90,20 +104,20 @@ def h1_dehn(d):
         if a in index and b in index:
             rows[index[a]][index[b]] = topological[a].q * value
             rows[index[b]][index[a]] = topological[b].q * value
-    return presentation_from_rows(rows, len(index))
+    return h1_of_rows(rows, len(index))
 
 
 def h1_round1(tb1, tb2, lk, n1, n2):
-    """The four Mayer-Vietoris columns over (mu1, mu2, a, b), plus one free
+    """The four Mayer-Vietoris relations over (mu1, mu2, a, b), plus one free
     summand from the disconnected gluing locus."""
     big_n1, big_n2 = n1 + tb1, n2 + tb2
-    columns = [
+    relations = [
         (1, 0, -1, 0),
         (big_n1, lk, 0, -1),
         (0, 1, -1, 0),
         (lk, big_n2, 0, -1),
     ]
-    return cokernel(IntMatrix.from_rows(tuple(zip(*columns))), 4).plus_free(1)
+    return h1_of_rows(relations, 4).plus_free(1)
 
 
 def h1_round2(tb, c):
@@ -112,8 +126,7 @@ def h1_round2(tb, c):
     if c.is_infinite:
         raise UnsupportedComposition("round 2-surgery coefficient must be rational")
     t = contact_to_topological(c, tb)
-    return (presentation_from_rows([[t.p]], 1),
-            presentation_from_rows([[1, 0], [t.p, t.q]], 2))
+    return h1_of_rows([[t.p]], 1), h1_of_rows([[1, 0], [t.p, t.q]], 2)
 
 
 def joint_pairs_to_pm1(rd):

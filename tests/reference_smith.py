@@ -22,7 +22,7 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.ncols != b.nrows:
         raise ValueError(f"cannot multiply a {a.nrows}x{a.ncols} matrix "
                          f"by a {b.nrows}x{b.ncols} matrix")
-    cols = b.transpose().entries
+    cols = tuple(zip(*b.entries))
     return IntMatrix(tuple(tuple(sum(map(operator.mul, row, col)) for col in cols)
                            for row in a.entries))
 

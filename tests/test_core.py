@@ -158,40 +158,92 @@ def test_round2_on_a_round1_knot_is_refused(tmp_path, statement, knot, message):
 
 
 def test_self_linking_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(SemanticError, match="self-linking"):
         LinkingData([("A", "A", 1)])
+    with pytest.raises(SemanticError, match="self-linking"):
+        LinkingData([("A", "B", 1)]).get("A", "A")
 
 
 def test_linking_data_orders_its_entries():
-    lk = LinkingData([("B", "A", 2), (3, 1, -1), ("C", 1, 4), ("A", "C", 0)])
-    expected = [(1, 3, -1), (1, "C", 4), ("A", "B", 2)]
+    lk = LinkingData([("B", "A", 2), ("C", "A", 4), ("A", "D", 0), ("D", "C", -1)])
+    expected = [("A", "B", 2), ("A", "C", 4), ("C", "D", -1)]
     assert list(lk.pairs()) == expected
     assert list(lk.pairs()) == expected  # every call yields the same triples
     assert repr(lk) == f"LinkingData({expected!r})"
-    assert (lk.get("A", "B"), lk.get("B", "A"), lk.get("A", "C")) == (2, 2, 0)
+    assert (lk.get("A", "B"), lk.get("B", "A"), lk.get("A", "D")) == (2, 2, 0)
     assert lk == LinkingData(reversed(expected))
-    merged = lk.merged_with(LinkingData([("D", "A", 5)]))
-    assert list(merged.pairs()) == expected + [("A", "D", 5)]
-    names = {1: "Z", 3: "Y", "A": "A", "B": "B", "C": "C"}
-    relabeled = LinkingData((names[a], names[b], v) for a, b, v in lk.pairs())
-    assert list(relabeled.pairs()) == [("A", "B", 2), ("C", "Z", 4), ("Y", "Z", -1)]
+    both = LinkingData([*lk.pairs(), ("E", "A", 5)])
+    assert list(both.pairs()) == expected[:2] + [("A", "E", 5)] + expected[2:]
+    ids = LinkingData([(3, 1, -1), (10, 2, 4), (1, 2, 0)])
+    assert list(ids.pairs()) == [(1, 3, -1), (2, 10, 4)]
 
 
-def test_linking_data_order_matches_the_label_key_sort(rng):
-    """Pairs are oriented and sorted as _label_key orders labels: ints
-    before strings, ints by value and strings by text."""
-    from crsdiag.core import _label_key
+def test_linking_data_order_is_plain_label_order(rng):
+    """Pairs are oriented with a < b and sorted in plain label order, on
+    all-int labels (front components) and all-string labels (diagrams)."""
+    for labels in ([-3, 0, 2, 10, 11], ["10", "2", "-3", "A", "B", "K1", "K10", "a", "z"]):
+        pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+        for _ in range(100):
+            entries = [(a, b) if rng.random() < 0.5 else (b, a)
+                       for a, b in rng.sample(pairs, rng.randint(0, len(pairs)))]
+            entries = [(a, b, rng.randint(-3, 3)) for a, b in entries]
+            expected = sorted((min(a, b), max(a, b), v) for a, b, v in entries if v)
+            assert list(LinkingData(entries).pairs()) == expected
 
-    labels = [-3, 0, 2, 10, 11, "10", "2", "-3", "A", "B", "K1", "K10", "a", "z"]
-    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
-    for _ in range(100):
-        entries = [(a, b) if rng.random() < 0.5 else (b, a)
-                   for a, b in rng.sample(pairs, rng.randint(0, 30))]
-        entries = [(a, b, rng.randint(-3, 3)) for a, b in entries]
-        oriented = [((a, b) if _label_key(a) <= _label_key(b) else (b, a)) + (v,)
-                    for a, b, v in entries if v]
-        expected = sorted(oriented, key=lambda t: (_label_key(t[0]), _label_key(t[1])))
-        assert list(LinkingData(entries).pairs()) == expected
+
+@pytest.mark.parametrize("build", [
+    lambda: LinkingData([("A", 1, 2)]),
+    lambda: LinkingData([("A", "B", 1), (1, 2, 1)]),
+    lambda: LinkingData([("A", "B", 0), (1, 2, 0)]),
+    lambda: LinkingData([("A", "B", 1)]).get("A", 1),
+], ids=["one pair", "two pairs", "zeros", "get"])
+def test_linking_data_refuses_mixed_label_types(build):
+    with pytest.raises(SemanticError, match="all be strings or all be ints"):
+        build()
+
+
+CONFLICT = "conflicting linking numbers for ('A', 'B')"
+
+
+@pytest.mark.parametrize("first, second", [
+    (("A", "B", 0), ("B", "A", 1)),
+    (("B", "A", 1), ("A", "B", 0)),
+    (("A", "B", 1), ("A", "B", 2)),
+], ids=["zero first", "zero second", "nonzero"])
+def test_conflicting_linking_numbers_are_refused_in_either_order(first, second):
+    # a zero counts as a statement: the check does not depend on which comes first
+    with pytest.raises(SemanticError) as info:
+        LinkingData([first, second])
+    assert str(info.value) == CONFLICT
+
+
+def test_repeated_equal_linking_numbers_build():
+    assert LinkingData([("A", "B", 2), ("B", "A", 2)]) == LinkingData([("A", "B", 2)])
+    assert LinkingData([("A", "B", 0), ("B", "A", 0)]) == LinkingData()
+
+
+@pytest.mark.parametrize("statements", [
+    "lk(A, B) = 0;\n  lk(B, A) = 1;",
+    "lk(B, A) = 1;\n  lk(A, B) = 0;",
+], ids=["zero first", "zero second"])
+def test_parse_refuses_conflicting_lk_statements_in_either_order(tmp_path, statements):
+    path = tmp_path / "conflict.crs"
+    path.write_text("diagram d {\n  component A { tb = -1; rot = 0; }\n"
+                    "  component B { tb = -1; rot = 0; }\n"
+                    f"  {statements}\n  contact_surgery A = 1;\n  contact_surgery B = 1;\n}}\n")
+    assert run_cli(["parse", str(path)]) == (1, json.dumps(
+        {"error": {"code": 1, "kind": "SemanticError", "message": CONFLICT}},
+        separators=(",", ":")) + "\n")
+
+
+def test_parse_reads_a_repeated_equal_lk_statement(tmp_path):
+    path = tmp_path / "repeat.crs"
+    path.write_text("diagram d {\n  component A { tb = -1; rot = 0; }\n"
+                    "  component B { tb = -1; rot = 0; }\n  lk(A, B) = 1;\n  lk(B, A) = 1;\n"
+                    "  contact_surgery A = 1;\n  contact_surgery B = 1;\n}\n")
+    code, out = run_cli(["parse", str(path)])
+    assert code == 0
+    assert json.loads(out)["diagrams"][0]["linking"] == [["A", "B", 1]]
 
 
 def test_layer_normalization():

@@ -4,6 +4,7 @@ reference_pairs.py, and the certificate that pair_pm1_diagram checks by
 building its output and reading it back."""
 
 import json
+import random
 
 import pytest
 
@@ -52,7 +53,7 @@ def round_diagrams(draw):
     """The parts (components, linking, round1, round2) of round diagrams of
     nice and non-nice joint pairs, partnerless round 1-specs, standalone
     round 2-specs and stray components; some parts build no diagram."""
-    rng = draw(st.randoms(use_true_random=False))
+    rng = random.Random(draw(st.integers(0, 2**64 - 1)))
     labels, components, linking = drawn_link(rng)
     pool = labels + ["ghost"] * (rng.random() < 0.1)  # sometimes an unknown label
     rng.shuffle(pool)
@@ -77,7 +78,7 @@ def round_diagrams(draw):
 def contact_parts(draw):
     """The parts of contact diagrams; a coefficient is sometimes missing or
     on an unknown label."""
-    rng = draw(st.randoms(use_true_random=False))
+    rng = random.Random(draw(st.integers(0, 2**64 - 1)))
     labels, components, linking = drawn_link(rng, ghost=rng.random() > 0.9)
     coefficients = {lab: SlopeQ.of(rng.choice((-1, 1))) for lab in labels if rng.random() < 0.95}
     if rng.random() > 0.9:

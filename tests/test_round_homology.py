@@ -105,9 +105,10 @@ def unsurgered_component_problems(seed, count=60):
     rng, problems = random.Random(seed), []
     for _ in range(count):
         _pieces, union = random_union(rng)
-        extra = LinkingData((c.label, "Z", rng.randint(-3, 3)) for c in union.components)
+        extra = [(c.label, "Z", rng.randint(-3, 3)) for c in union.components]
         grown = RoundSurgeryDiagram(union.components + (LegendrianComponent("Z", rng.randint(-4, 1)),),
-                                    union.linking.merged_with(extra), union.round1, union.round2)
+                                    LinkingData([*union.linking.pairs(), *extra]),
+                                    union.round1, union.round2)
         if h1_round_diagram(grown) != h1_round_diagram(union):
             problems.append(f"{grown}: {h1_round_diagram(grown)} != {h1_round_diagram(union)}")
     return problems
@@ -121,9 +122,9 @@ def shift_problems(seed, count=40):
         rng.shuffle(pieces)
         union = split_union(pieces)
         # link the standalone round 1-surgery to the rest
-        extra = LinkingData((lab, c.label, rng.randint(-2, 2)) for lab in ("S_0", "S_1")
-                            for c in union.components if not c.label.startswith("S_"))
-        union = RoundSurgeryDiagram(union.components, union.linking.merged_with(extra),
+        extra = [(lab, c.label, rng.randint(-2, 2)) for lab in ("S_0", "S_1")
+                 for c in union.components if not c.label.startswith("S_")]
+        union = RoundSurgeryDiagram(union.components, LinkingData([*union.linking.pairs(), *extra]),
                                     union.round1, union.round2)
         base = h1_round_diagram(union)
         for k in (-3, -1, 2, 5):

@@ -329,19 +329,17 @@ def test_typed_checks_raise_under_optimize():
                              TightLayerSpec, UnimodularMatrix, det, linking_matrix)
         from crsdiag.bridge import PairingPlan, pushoff_chain_linking
         from crsdiag.errors import InvalidParameter
-        from crsdiag.homology import cokernel
         from crsdiag.slopes import NegCF
 
         half = ContactSurgeryDiagram((LegendrianComponent("K", -1),), LinkingData(),
                                      {"K": SlopeQ.of(1, 2)})
-        square = IntMatrix.from_rows([[1, 2], [3, 4]])
         for build in (lambda: BoundaryData(3, SlopeQ.of(-1)),
                       lambda: UnimodularMatrix(1, 1, 1, 1),
                       lambda: TightLayerSpec.rotative_plus(0),
                       lambda: H1Class(0, (3, 2)),
                       lambda: IntMatrix(((1, 2), (3,))),
                       lambda: det(IntMatrix.from_rows([[1, 2, 3]])),
-                      lambda: cokernel(square, 3),
+                      lambda: H1Class(-1, ()),
                       lambda: linking_matrix(half),
                       lambda: SlopeQ(2, 4),
                       lambda: Round1Spec(("A",), 1.5, 0, TightLayerSpec.invariant()),
