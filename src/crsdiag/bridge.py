@@ -121,7 +121,8 @@ def _gadget_self_test(m: int, diagram: ContactSurgeryDiagram) -> None:
 @dataclass(frozen=True)
 class PairingPlan:
     """How a (+-1)-diagram was turned into joint pairs: the parity case and
-    the gadgets inserted.  The pairs are the diagram's round1, in pairing
+    the gadgets inserted.  The pairs are the diagram's round1, in its
+    canonical order (by pair), and each gadget's components are in label
     order."""
 
     case_id: int
@@ -152,7 +153,8 @@ def pair_pm1_diagram(
     parameters.  Gadgets are inserted split from the input (no linking with
     pre-existing components), components with equal coefficients are paired
     two at a time in label order, and each pair's round-2 coefficient is the
-    shared contact coefficient.  The result is certified by building it and
+    shared contact coefficient.  The result stores its pairs in canonical
+    order, by pair, as every round diagram does.  The result is certified by building it and
     reading it back: the round diagram must build, and joint_pairs_to_pm1
     must build from it the input plus its gadgets, or CertificateError is
     raised.

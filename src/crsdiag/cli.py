@@ -293,8 +293,7 @@ def _run(args) -> Union[dict, Callable[[bool], None]]:
         nd = _load(args.file).get(args.diagram)
         return {
             "components": [
-                {"label": c.label, "tb": c.tb, "rot": c.rot}
-                for c in sorted(nd.diagram.components, key=lambda c: c.label)
+                {"label": c.label, "tb": c.tb, "rot": c.rot} for c in nd.diagram.components
             ]
         }
 

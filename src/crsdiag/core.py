@@ -11,6 +11,10 @@ Conventions fixed here and reused by every other module:
   p/q is (q, p); SL(2,Z) acts by plain matrix multiplication on that vector.
 * Slopes and coefficients share one exact rational type with a point at
   infinity (1/0).
+* Both diagram constructors (so also dataclasses.replace) store components
+  by label; joint pairs by pair, then standalone round1 by pair, then round2
+  by knot.  They sort before validating, so messages and NotNice indices
+  count in that order, the JSON form's; a diagram built in any order is equal.
 
 All types are immutable values and all operations are pure functions.
 """
@@ -305,7 +309,7 @@ class ContactSurgeryDiagram:
     coefficients: Mapping
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
+        object.__setattr__(self, "components", _sorted(self.components, _LABEL))
         object.__setattr__(self, "coefficients", dict(self.coefficients))
         _require_valid(self)
 
@@ -335,9 +339,9 @@ class RoundSurgeryDiagram:
     round2: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "round1", tuple(self.round1))
-        object.__setattr__(self, "round2", tuple(self.round2))
+        object.__setattr__(self, "components", _sorted(self.components, _LABEL))
+        object.__setattr__(self, "round1", _sorted(self.round1, lambda r1: (r1.r2 is None, r1.pair)))
+        object.__setattr__(self, "round2", _sorted(self.round2, _KNOT))
         _require_valid(self)
 
     def component(self, label: str) -> LegendrianComponent:
@@ -345,6 +349,15 @@ class RoundSurgeryDiagram:
 
 
 Diagram = Union[ContactSurgeryDiagram, RoundSurgeryDiagram]
+_LABEL, _KNOT = operator.attrgetter("label"), operator.attrgetter("knot")  # sort keys
+
+
+def _sorted(items, key) -> tuple:
+    """The items in canonical order; labels that do not compare raise SemanticError."""
+    try:
+        return tuple(sorted(items, key=key))
+    except TypeError:
+        raise SemanticError("diagram labels must all be strings or all be ints") from None
 
 
 # --- validation ------------------------------------------------------------

@@ -37,17 +37,17 @@ Rationals are written p/q with an optional sign, plain integers abbreviate
 n/1, and inf is the infinite coefficient.
 Front-derived tb/rot win over declared values; a disagreement is a semantic
 error.  A block key is checked (unknown or repeated) before its `=`.
-Parsing and `named` both put statements in canonical order: components and
-contact surgeries by label; joint pairs by pair, then standalone round1 by
-pair, then standalone round2 by knot.  So parse -> print -> parse is the
-identity and printing is idempotent, also for computed diagrams.
+The constructors of `core` store each diagram in canonical order (components
+by label; joint pairs by pair, then standalone round1 by pair, then round2 by
+knot), which the printer and the JSON form walk.  So parse -> print -> parse
+is the identity and printing is idempotent, also for computed diagrams.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from typing import List, Optional, Tuple
 
@@ -62,7 +62,7 @@ from .core import (
     TightLayerSpec,
 )
 from .errors import CertificateError, DslSyntaxError, InvalidParameter, SemanticError
-from .front import parse_front_word, trace_components
+from .front import parse_front_word, tb_rot, trace_components
 
 # A separator: any blanks and comments.  A comment runs to the end of its
 # line, so no backtracking reads part of one as code.
@@ -191,10 +191,16 @@ class ComponentDecl:
 
 @dataclass(frozen=True)
 class NamedDiagram:
+    """A named diagram, with one declaration per component in component order."""
+
     name: str
-    kind: str  # "contact" | "round"
     decls: tuple
     diagram: object  # ContactSurgeryDiagram | RoundSurgeryDiagram
+
+    @property
+    def kind(self) -> str:
+        """The kind, "contact" or "round", read off the diagram's type."""
+        return "contact" if isinstance(self.diagram, ContactSurgeryDiagram) else "round"
 
 
 @dataclass(frozen=True)
@@ -438,17 +444,8 @@ def _diagram(name, keyword, decls, linking, surgeries, round1, round2) -> NamedD
     decls, components = _resolve_components(decls)
     linking = LinkingData(linking)
     if keyword == "diagram":
-        return NamedDiagram(name, "contact", decls,
-                            ContactSurgeryDiagram(components, linking, surgeries))
-    return NamedDiagram(name, "round", decls, _round_diagram(components, linking, round1, round2))
-
-
-def _round_diagram(components, linking, round1, round2) -> RoundSurgeryDiagram:
-    """The round diagram with joint pairs (round 1-specs with an r2) by pair,
-    then standalone round 1 by pair, then standalone round 2 by knot."""
-    return RoundSurgeryDiagram(components, linking,
-                               sorted(round1, key=lambda r1: (r1.r2 is None, r1.pair)),
-                               sorted(round2, key=lambda r2: r2.knot))
+        return NamedDiagram(name, decls, ContactSurgeryDiagram(components, linking, surgeries))
+    return NamedDiagram(name, decls, RoundSurgeryDiagram(components, linking, round1, round2))
 
 
 def _resolve_components(decls: List[ComponentDecl]) -> Tuple[tuple, tuple]:
@@ -472,12 +469,7 @@ def _resolve_components(decls: List[ComponentDecl]) -> Tuple[tuple, tuple]:
                 raise SemanticError(
                     f"front word of component {decl.label!r} must trace one component"
                 )
-            # the knot's tb and rot, read from its forward crossing signs and
-            # cusp counts (see front.Threading)
-            cusps = threading.cusps[0]
-            tb, rot = sum(threading.signs) - cusps, cusps - threading.ups[0]
-            if decl.orient == "reverse":
-                rot = -rot
+            [(tb, rot)] = tb_rot(threading, [decl.orient == "reverse"])
             for key, declared, derived in (("tb", decl.tb, tb), ("rot", decl.rot, rot)):
                 if declared is not None and declared != derived:
                     raise SemanticError(f"component {decl.label!r}: declared {key} {declared} "
@@ -527,8 +519,8 @@ def print_diagram(nd: NamedDiagram) -> str:
     for a, b, value in nd.diagram.linking.pairs():
         lines.append(f"  lk({a}, {b}) = {value};")
     if nd.kind == "contact":
-        for label in sorted(nd.diagram.coefficients):
-            lines.append(f"  contact_surgery {label} = {nd.diagram.coefficients[label]};")
+        for c in nd.diagram.components:
+            lines.append(f"  contact_surgery {c.label} = {nd.diagram.coefficients[c.label]};")
     else:
         rd = nd.diagram
         for r1 in rd.round1:
@@ -546,17 +538,10 @@ def print_file(df: DiagramFile) -> str:
 
 
 def named(name: str, diagram) -> NamedDiagram:
-    """A computed contact or round diagram, named for printing.
-
-    Components are sorted by label and declared by their tb and rot; the
-    round statements of a round diagram are put in canonical order.
-    """
-    components = tuple(sorted(diagram.components, key=lambda c: c.label))
-    decls = tuple(ComponentDecl(c.label, c.tb, c.rot) for c in components)
-    if isinstance(diagram, ContactSurgeryDiagram):
-        return NamedDiagram(name, "contact", decls, replace(diagram, components=components))
-    return NamedDiagram(name, "round", decls,
-                        _round_diagram(components, diagram.linking, diagram.round1, diagram.round2))
+    """A computed contact or round diagram, named for printing, with each
+    component declared by its tb and rot."""
+    return NamedDiagram(name, tuple(ComponentDecl(c.label, c.tb, c.rot) for c in diagram.components),
+                        diagram)
 
 
 # --- JSON form -----------------------------------------------------------------
@@ -567,8 +552,7 @@ def _layer_json(layer: TightLayerSpec) -> dict:
 
 def diagram_json(nd: NamedDiagram) -> dict:
     comps = []
-    for decl in nd.decls:
-        semantic = nd.diagram.component(decl.label)
+    for decl, semantic in zip(nd.decls, nd.diagram.components):
         entry = {"label": decl.label, "tb": semantic.tb, "rot": semantic.rot}
         if decl.front is not None:
             entry["front"] = decl.front
@@ -582,8 +566,8 @@ def diagram_json(nd: NamedDiagram) -> dict:
     }
     if nd.kind == "contact":
         data["surgeries"] = [
-            {"component": label, "coefficient": str(nd.diagram.coefficients[label])}
-            for label in sorted(nd.diagram.coefficients)
+            {"component": c.label, "coefficient": str(nd.diagram.coefficients[c.label])}
+            for c in nd.diagram.components
         ]
     else:
         rd = nd.diagram

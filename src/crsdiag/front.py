@@ -30,7 +30,7 @@ only the signs of crossings between two components, one of them reversed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .core import LinkingData
 from .errors import (
@@ -54,8 +54,7 @@ class Threading:
     traversal turns upward at, and cusps[c] its right cusps; the traversal
     passes as many left as right cusps, so 2 * cusps[c] - ups[c] turn
     downward.  signs[k] is the sign of crossings[k] when every component is
-    oriented forward; a one-component word has tb = sum(signs) - cusps[0]
-    and rot = cusps[0] - ups[0] forward, -rot reversed.
+    oriented forward; tb_rot reads a component's tb and rot from them.
     """
 
     strand_component: List[int]
@@ -178,6 +177,22 @@ def trace_components(word: FrontWord) -> Threading:
     return word.threading
 
 
+def tb_rot(threading: Threading, reverse: Sequence[bool]) -> List[Tuple[int, int]]:
+    """The (tb, rot) of each component c, reversed if reverse[c]; the one
+    place that reads them from a threading.  tb = self-writhe - #right cusps
+    (a self-crossing's sign does not depend on the orientation), and rot =
+    #right cusps - #up forward (see Threading) and its negative reversed."""
+    if threading.component_count == 1:  # every crossing is a self-crossing
+        writhe = [sum(threading.signs)]
+    else:
+        comp, writhe = threading.strand_component, [0] * threading.component_count
+        for (under, over), sign in zip(threading.crossings, threading.signs):
+            if comp[under] == comp[over]:
+                writhe[comp[under]] += sign
+    return [(w - cusps, up - cusps if rev else cusps - up)
+            for w, cusps, up, rev in zip(writhe, threading.cusps, threading.ups, reverse)]
+
+
 @dataclass(frozen=True)
 class ComponentInvariants:
     tb: int
@@ -196,41 +211,28 @@ class FrontInvariants:
 def classical_invariants(front: OrientedFront) -> FrontInvariants:
     """Per-component tb, rot, writhe and cusp counts, plus pairwise linking.
 
-    tb = self-writhe - #right cusps and rot = (#down - #up)/2, which is
-    #right cusps - #up forward (see Threading) and its negative reversed.
-    Each crossing keeps its forward sign (see Threading), except that a
-    crossing of two components flips it when exactly one of them is
-    reversed.
+    tb and rot are those of tb_rot.  Each crossing keeps its forward sign
+    (see Threading), except that a crossing of two components flips it when
+    exactly one of them is reversed.
     """
     threading = front.word.threading
     n = threading.component_count
     comp = threading.strand_component
     reverse = [front.orientation[cid] == "reverse" for cid in range(n)]
 
-    self_writhe = [0] * n
     lk_sums: Dict[Tuple[int, int], int] = {}
     for (under, over), sign in zip(threading.crossings, threading.signs):
         a, b = comp[under], comp[over]
-        if a == b:
-            self_writhe[a] += sign
-        else:
+        if a != b:
             if reverse[a] != reverse[b]:
                 sign = -sign
             key = (a, b) if a < b else (b, a)
             lk_sums[key] = lk_sums.get(key, 0) + sign
 
-    invariants = []
-    for cid, (up, cusps) in enumerate(zip(threading.ups, threading.cusps)):
-        down, rot = 2 * cusps - up, cusps - up
-        if reverse[cid]:
-            down, up, rot = up, down, -rot
-        invariants.append(ComponentInvariants(
-            tb=self_writhe[cid] - cusps,
-            rot=rot,
-            self_writhe=self_writhe[cid],
-            cusps_up=up,
-            cusps_down=down,
-        ))
+    # rot = (#down - #up)/2, and a component has 2 * #right cusps in all
+    invariants = [ComponentInvariants(tb=tb, rot=rot, self_writhe=tb + cusps,
+                                      cusps_up=cusps - rot, cusps_down=cusps + rot)
+                  for (tb, rot), cusps in zip(tb_rot(threading, reverse), threading.cusps)]
 
     entries = []
     for (a, b), total in lk_sums.items():
@@ -271,9 +273,8 @@ def stabilize(front: OrientedFront, component: int, sign: int) -> OrientedFront:
         zigzag = (f"U{pos + 1}", f"C{pos}")
 
     word = parse_front_word(" ".join(events[:t] + zigzag + events[t:]))
-    # rot is cusps - ups forward (see Threading), and -rot reversed
-    shift = (word.threading.cusps[component] - word.threading.ups[component]
-             - threading.cusps[component] + threading.ups[component]) * (-1 if reverse else 1)
+    orient = [front.orientation[cid] == "reverse" for cid in range(threading.component_count)]
+    shift = tb_rot(word.threading, orient)[component][1] - tb_rot(threading, orient)[component][1]
     if shift != sign:
         raise CertificateError(f"the zigzag shifts rot by {shift}, not {sign}")
     return OrientedFront(word, front.orientation)

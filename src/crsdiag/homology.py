@@ -628,9 +628,9 @@ def h1_round2(tb: int, c: SlopeQ) -> Tuple[H1Class, H1Class]:
 def h1_round_diagram(rd: RoundSurgeryDiagram) -> List[H1Class]:
     """First homology per resulting component of a round surgery diagram:
     the connected result, then the inner piece of each standalone round
-    2-surgery in round2 order.  rd is valid by construction; an infinite
-    round 2-coefficient raises UnsupportedComposition, the first joint pair
-    that is not nice NotNice."""
+    2-surgery in canonical order, by knot.  rd is valid by construction; an
+    infinite round 2-coefficient raises UnsupportedComposition, the first
+    joint pair that is not nice (counted in canonical order) NotNice."""
     contact, standalone = {}, []
     for r1, r2 in zip(rd.round1, _nice_partners(rd, standalone=True)):
         if r2 is None:

@@ -244,7 +244,7 @@ class _Parser:
 
         decls, components, linking = self._parse_body({"contact_surgery": contact_surgery})
         diagram = ContactSurgeryDiagram(components, linking, surgeries)
-        return NamedDiagram(name, "contact", decls, diagram)
+        return NamedDiagram(name, decls, diagram)
 
     def _parse_round(self, name: str) -> NamedDiagram:
         joints = []       # (pair, r1, layer, r2)
@@ -280,7 +280,7 @@ class _Parser:
         for knot, r2 in standalone2:
             round2_specs.append(Round2Spec(knot, r2))
         diagram = RoundSurgeryDiagram(components, linking, tuple(round1_specs), tuple(round2_specs))
-        return NamedDiagram(name, "round", decls, diagram)
+        return NamedDiagram(name, decls, diagram)
 
 
 def parse_file(text: str) -> DiagramFile:

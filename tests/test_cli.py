@@ -420,16 +420,16 @@ def test_a_knot_with_several_round2_surgeries_is_refused(tmp_path):
 def test_to_round_plan_pairs_are_the_round1_specs(tmp_path):
     from crsdiag import SlopeQ, pair_pm1_diagram
 
-    # the +1 components are paired first, so the pairing order, (C, D) then
-    # (A, B), is not the canonical order of the printed diagram
+    # the +1 components are paired first, (C, D) then (A, B), but the round
+    # diagram stores its pairs in canonical order, and the plan lists them so
     path = tmp_path / "pm1.crs"
     path.write_text("diagram d {\n"
                     + "".join(f"  component {c} {{ tb = -1; rot = 0; }}\n" for c in "ABCD")
                     + "".join(f"  contact_surgery {c} = {s};\n" for c, s in zip("ABCD", (-1, -1, 1, 1)))
                     + "}\n")
     rd, _plan = pair_pm1_diagram(dsl.parse_file(path.read_text()).get().diagram, k=2)
-    assert [(r1.pair, r1.r2) for r1 in rd.round1] == [(("C", "D"), SlopeQ.of(1)),
-                                                      (("A", "B"), SlopeQ.of(-1))]
+    assert [(r1.pair, r1.r2) for r1 in rd.round1] == [(("A", "B"), SlopeQ.of(-1)),
+                                                      (("C", "D"), SlopeQ.of(1))]
     code, out = run_cli(["to-round", "--k", "2", str(path)])
     assert code == 0
     data = json.loads(out)
@@ -437,6 +437,30 @@ def test_to_round_plan_pairs_are_the_round1_specs(tmp_path):
         {"a": r1.pair[0], "b": r1.pair[1], "round1": r1.coeff_a, "round2": str(r1.r2)}
         for r1 in rd.round1]
     assert [r1["pair"] for r1 in data["diagrams"][0]["round1"]] == [["A", "B"], ["C", "D"]]
+
+
+def test_conversions_build_each_diagram_once(monkeypatch):
+    """`named` attaches declarations and builds no diagram: each diagram a
+    conversion prints is the one it computed, validated once when built."""
+    import crsdiag.core as core
+
+    built = []
+    real = core.validate_diagram
+    monkeypatch.setattr(core, "validate_diagram", lambda d: built.append(type(d).__name__) or real(d))
+    expected = {
+        # the parsed round diagram and joint_pairs_to_pm1's contact diagram
+        ("to-pm1", "fillable_two_pairs.crs"): ["RoundSurgeryDiagram", "ContactSurgeryDiagram"],
+        # the parsed diagram, the pairs, and the certificate's read-back
+        ("to-round", "four_unknots_pm1.crs"): ["ContactSurgeryDiagram", "RoundSurgeryDiagram",
+                                               "ContactSurgeryDiagram"],
+        # the same with one gadget, built before the pairs
+        ("to-round", "single_plus1_unknot.crs"): ["ContactSurgeryDiagram", "ContactSurgeryDiagram",
+                                                  "RoundSurgeryDiagram", "ContactSurgeryDiagram"],
+    }
+    for (command, name), diagrams in expected.items():
+        built.clear()
+        assert run_cli([command, fixture(name)])[0] == 0
+        assert built == diagrams, (command, name)
 
 
 FILE_COMMANDS = ("parse", "invariants", "homology", "to-round", "to-pm1", "check-nice", "fillable")
@@ -640,7 +664,7 @@ LK_HEAVY_SHAPES = ((40, 1.0, 3), (60, 0.1, 3), (52, 0.9, 12), (46, 0.3, 3))
 PM1_DIGESTS = {
     ("lk40.crs", "parse"): "11240ee247550bdb46c77112f52b24a8ebf2b46fdc35b501f0af5a23148af0a3",
     ("lk40.crs", "homology"): "6bb466c6dbe8e1627a37df2d83304a4ef9581829c77e7c54ad0424b7f8ae0779",
-    ("lk40.crs", "to-round"): "1208a01e23495811e86d35098f57e3e989ede53424cef6cd718c509b6ae8d392",
+    ("lk40.crs", "to-round"): "a568258f6b16eabb70964b6118c5f5530c6afdda7574253ef9c22f4ea2fec379",
     ("lk40.crs", "to-pm1"): "305d8abdd3c06e953c01edaadb5374551ecfe0b36820e0fd9211c77107c8a17c",
     ("lk40_round.crs", "parse"): "905f9a286e7d7aa2ee77d9f40540aa7ed3355ae9f6d9007622f7dec7af9b388f",
     ("lk40_round.crs", "homology"): "6bb466c6dbe8e1627a37df2d83304a4ef9581829c77e7c54ad0424b7f8ae0779",
@@ -648,7 +672,7 @@ PM1_DIGESTS = {
     ("lk40_round.crs", "to-pm1"): "4b6beb112f828dafeb5ba4d2d2db888869441f8db9e54acb095d186e8debf744",
     ("lk60.crs", "parse"): "3147d92f2cd15ac98cc142940ec48e2da47e54f4fd81daa18ed01e0c1220ec3f",
     ("lk60.crs", "homology"): "a0ebc68d46e0b3fa8375ab4aec8975a68e532350cd8e7d7168b1ec757f01660b",
-    ("lk60.crs", "to-round"): "623e77bc0e9bfb6d1446b9325180d3d6cac4dbaa24b071702abd22cac1e994f4",
+    ("lk60.crs", "to-round"): "a09ed5f7af3dcd188bc65721b9aa1730e0a289eb09f0c6baf0d22e4e30e0454f",
     ("lk60.crs", "to-pm1"): "d8abbe00be75a3dd2b1a318a4c2de0e908a0bdf46e53f34e0bccf8befd6abb80",
     ("lk60_round.crs", "parse"): "d77cc1df014f24c11384c5770d3d7e051838c302a19730209dfecdf80636797f",
     ("lk60_round.crs", "homology"): "a0ebc68d46e0b3fa8375ab4aec8975a68e532350cd8e7d7168b1ec757f01660b",
@@ -656,7 +680,7 @@ PM1_DIGESTS = {
     ("lk60_round.crs", "to-pm1"): "0045aee11ecc6caf10f9d79a101af8570fa5a7be9f4ab98d569274dcfff7f33e",
     ("lk52.crs", "parse"): "642c27be02a3b278d4e630b82b85afa0f4e79cd222593e85a5bedacc689f3079",
     ("lk52.crs", "homology"): "7a046349c5e12e16976ea20873744cb7963b2e05e6d372441d410dc3ae1a8b7b",
-    ("lk52.crs", "to-round"): "5fe218eb464333766c2f6a765007cf040c293ebc7cfb2b6db8d1d38ef6e92bf7",
+    ("lk52.crs", "to-round"): "9d6b1182b3efdca712e317416dcaab689e8d2cd096fe02d98dcbeb3037386408",
     ("lk52.crs", "to-pm1"): "5721df2bf5b25cf3497280f4a839ea7f537c2c4317cce100501e774cb73dbd33",
     ("lk52_round.crs", "parse"): "5f1a00be11e5811004fcdb190380616038f0c7539247c86e005d5e8ad3cf0b2f",
     ("lk52_round.crs", "homology"): "7a046349c5e12e16976ea20873744cb7963b2e05e6d372441d410dc3ae1a8b7b",
@@ -664,7 +688,7 @@ PM1_DIGESTS = {
     ("lk52_round.crs", "to-pm1"): "642c27be02a3b278d4e630b82b85afa0f4e79cd222593e85a5bedacc689f3079",
     ("lk46.crs", "parse"): "770ab77e684d6e8e790e568a5ec5a263e30342dadc2f2aa7bdeadf66d44b1a3f",
     ("lk46.crs", "homology"): "1a29e2399f22ab94c83889dd86c9f53837af4a08c2549e045847e9db50131243",
-    ("lk46.crs", "to-round"): "ee372ec78afed7fc72b5f50f84e82ba0db35e252e598206d9d5a5c2ba8d3bc09",
+    ("lk46.crs", "to-round"): "e7acdfe7211a323527690ba05ac7ebd0ef22cb016839170e6ad1ca68c22615ea",
     ("lk46.crs", "to-pm1"): "aa664f0e38a2f141ca78b065738cc8e7a52e981007a09cb1ef38edf5c8a72eee",
     ("lk46_round.crs", "parse"): "fd32849e6ed5ce5e66098222de895ad4ffd88730815eac50254c4830d3cd3e13",
     ("lk46_round.crs", "homology"): "1a29e2399f22ab94c83889dd86c9f53837af4a08c2549e045847e9db50131243",

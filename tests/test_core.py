@@ -79,15 +79,78 @@ def test_validate_second_round2_on_a_knot():
     assert refusal(RoundSurgeryDiagram, joint.components, joint.linking, joint.round1,
                    (Round2Spec("B", SlopeQ.of(1)),)) == (
         "round2[1] is a second round 2-surgery on component 'B'")
-    # two standalone ones on one knot; one on the joint pair's round 1-knot A is not a second
+    # two standalone ones on one knot: the constructor stores round2 by knot,
+    # so the second one on A is round2[1]
     assert refusal(RoundSurgeryDiagram, joint.components, joint.linking, (),
                    (Round2Spec("A", SlopeQ.of(1)), Round2Spec("B", SlopeQ.of(2)),
                     Round2Spec("A", SlopeQ.of(3)))) == (
-        "round2[2] is a second round 2-surgery on component 'A'")
+        "round2[1] is a second round 2-surgery on component 'A'")
     # one on the joint pair's round 1-knot A is refused too
     assert refusal(RoundSurgeryDiagram, joint.components, joint.linking, joint.round1,
                    (Round2Spec("A", SlopeQ.of(1)),)) == (
         "round2[1] is on component 'A' of a round1 pair")
+
+
+def test_constructors_store_the_canonical_order():
+    """Components by label; joint pairs by pair, then standalone round 1 by
+    pair, then standalone round 2 by knot; in any given order, through either
+    constructor and through replace, with equal hash and printed text."""
+    import random
+
+    from crsdiag import dsl
+
+    rng = random.Random(29)
+    labels = "ABCDEFGHIJ"
+    components = [LegendrianComponent(lab, -1 - i % 3, i % 2) for i, lab in enumerate(labels)]
+    linking = LinkingData([("A", "B", 1), ("C", "J", -2), ("E", "F", 3)])
+    layer = TightLayerSpec.invariant()
+    round1 = [Round1Spec(("G", "H"), 1, 1, layer, SlopeQ.of(-1)),
+              Round1Spec(("A", "B"), 0, 0, layer),
+              Round1Spec(("E", "F"), 0, 1, TightLayerSpec.nonrotative(2), SlopeQ.of(1)),
+              Round1Spec(("C", "D"), 2, 2, layer)]
+    round2 = [Round2Spec("J", SlopeQ.of(5, 2)), Round2Spec("I", SlopeQ.of(1))]
+    coefficients = [(c.label, SlopeQ.of(rng.choice((-1, 1)))) for c in components]
+
+    canonical_round = RoundSurgeryDiagram(components, linking, round1, round2)
+    assert [c.label for c in canonical_round.components] == list(labels)
+    assert [r1.pair for r1 in canonical_round.round1] == [("E", "F"), ("G", "H"), ("A", "B"), ("C", "D")]
+    assert [r2.knot for r2 in canonical_round.round2] == ["I", "J"]
+    canonical_contact = ContactSurgeryDiagram(components, linking, dict(coefficients))
+    assert [c.label for c in canonical_contact.components] == list(labels)
+    texts = {d: dsl.print_diagram(dsl.named("x", d)) for d in (canonical_round, canonical_contact)}
+    for _ in range(20):
+        for part in (components, round1, round2, coefficients):
+            rng.shuffle(part)
+        built = (RoundSurgeryDiagram(components, linking, round1, round2),
+                 replace(canonical_round, components=components, round1=round1, round2=round2),
+                 ContactSurgeryDiagram(components, linking, dict(coefficients)),
+                 replace(canonical_contact, components=components, coefficients=dict(coefficients)))
+        for d, canonical in zip(built, (canonical_round,) * 2 + (canonical_contact,) * 2):
+            assert d == canonical and hash(d) == hash(canonical)
+            assert (d.components, getattr(d, "round1", ()), getattr(d, "round2", ())) == (
+                canonical.components, getattr(canonical, "round1", ()), getattr(canonical, "round2", ()))
+            assert dsl.print_diagram(dsl.named("x", d)) == texts[canonical]
+
+
+def test_labels_that_do_not_compare_are_refused():
+    comps = (LegendrianComponent("A", -1), LegendrianComponent(1, -1))
+    assert refusal(ContactSurgeryDiagram, comps, LinkingData([]), {"A": SlopeQ.of(1), 1: SlopeQ.of(1)}) == (
+        "diagram labels must all be strings or all be ints")
+    layer = TightLayerSpec.invariant()
+    assert refusal(RoundSurgeryDiagram, hopf_components(), LinkingData([]),
+                   (Round1Spec(("A", "B"), 0, 0, layer), Round1Spec((1, 2), 0, 0, layer))) == (
+        "diagram labels must all be strings or all be ints")
+
+
+def test_named_diagram_kind_is_read_off_the_diagram():
+    from crsdiag import dsl
+
+    contact = ContactSurgeryDiagram(hopf_components(), LinkingData([("A", "B", 1)]),
+                                    {"A": SlopeQ.of(-1), "B": SlopeQ.of(1)})
+    for diagram, kind in ((contact, "contact"), (hopf_pair(), "round")):
+        nd = dsl.NamedDiagram("x", dsl.named("x", diagram).decls, diagram)
+        assert nd.kind == kind == dsl.diagram_json(nd)["kind"]
+        assert dsl.print_diagram(nd).startswith("diagram x {" if kind == "contact" else "round_diagram x {")
 
 
 def test_no_entry_point_sees_an_invalid_contact_diagram():

@@ -756,7 +756,8 @@ def test_h1_round_diagram_standalone_round1_beside_an_unsurgered_component():
 
 def test_h1_round_diagram_rejects_mixtures():
     # a mixture is refused only for a joint pair that is not nice or an
-    # infinite round 2-coefficient; the first non-nice pair is named
+    # infinite round 2-coefficient; the first non-nice pair is named, counted
+    # in canonical order (joint pairs first)
     from crsdiag.errors import NotNice
 
     def mixed(r2, layer, coeff_c):
@@ -771,7 +772,7 @@ def test_h1_round_diagram_rejects_mixtures():
     bent = TightLayerSpec.nonrotative(1)
     with pytest.raises(NotNice, match=r"^round1\[0\]: coefficient mismatch \(0 vs 1\)$"):
         h1_round_diagram(mixed(SlopeQ.of(1), bent, SlopeQ.of(1)))
-    with pytest.raises(NotNice, match=r"^round1\[1\]: layer is not the zero-holonomy"):
+    with pytest.raises(NotNice, match=r"^round1\[0\]: layer is not the zero-holonomy"):
         h1_round_diagram(mixed(None, bent, SlopeQ.of(1)))
     with pytest.raises(UnsupportedComposition, match="^round 2-surgery coefficient must be rational$"):
         h1_round_diagram(mixed(None, TightLayerSpec.invariant(), SlopeQ.infinity()))

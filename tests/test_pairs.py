@@ -112,7 +112,13 @@ def test_contact_diagram_builds_unless_reference_faults_it(parts):
 @ORACLE
 @given(round_diagrams())
 def test_joint_pair_rule_matches_reference(parts):
+    # the constructor judges the parts in canonical order: components by
+    # label, joint pairs by pair, standalone round 1-specs by pair, round 2 by knot
     components, linking, round1, round2 = parts
+    components = sorted(components, key=lambda c: c.label)
+    round1 = ([r1 for r1 in sorted(round1, key=lambda r1: r1.pair) if r1.r2 is not None]
+              + [r1 for r1 in sorted(round1, key=lambda r1: r1.pair) if r1.r2 is None])
+    round2 = sorted(round2, key=lambda r2: r2.knot)
     problems = reference_pairs.violations(components, linking, round1=round1, round2=round2)
     built = outcome(build, parts)
     if problems:
